@@ -48,7 +48,6 @@ from .report import (
     build_histograms,
     degradation_deltas,
     mean_feature_count,
-    render,
 )
 from .schedule import (
     AugmentationManifest,
@@ -61,7 +60,6 @@ from .schedule import (
     read_manifest,
     sample_level,
     technique_plan,
-    validate_schedule,
     write_manifest,
 )
 

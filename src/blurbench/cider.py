@@ -53,10 +53,10 @@ class CiderConfig:
     def __post_init__(self):
         if self.max_n < 1:
             raise ValueError("max_n must be >= 1")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError("scale must be positive and finite")
 
 
 DEFAULT_CONFIG = CiderConfig()

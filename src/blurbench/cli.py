@@ -11,8 +11,10 @@ Commands::
 
 Configuration precedence is flags > config file (--config, flat
 ``key = value`` lines) > the BLURBENCH_SEED environment variable (seed
-only) > built-in defaults. The effective seed is echoed in every output
-header. All files are written atomically (temp file + rename).
+only) > built-in defaults. Config-file and environment values go through
+the same checks as the matching flags, and unknown config keys are
+rejected. The effective seed is echoed in every output header. All files
+are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ from .ingest import (
     parse_predictions,
 )
 from .report import (
+    FORMATS,
     build_histograms,
+    check_format,
     degradation_deltas,
     degradation_warnings,
     parse_scores_csv,
@@ -89,36 +93,36 @@ def _load_config_file(path: Path) -> dict[str, str]:
     return values
 
 
+#: RunConfig field -> converter of its config-file or environment text, as
+#: strict as the field's flag; each raises ValueError.
+_CONVERTERS = {
+    "seed": int,
+    "technique": lambda text: parse_technique(text).value,
+    "out": Path,
+    "bin_width": int,
+    "format": check_format,
+    "sigma": float,
+    "max_n": int,
+    "scale": float,
+}
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     file_values = _load_config_file(args.config) if args.config else {}
-    defaults = RunConfig()
-
-    def pick(name: str, convert, default):
+    unknown = sorted(set(file_values) - set(_CONVERTERS))
+    if unknown:
+        raise ValueError(f"unknown config key(s) in {args.config}: "
+                         f"{', '.join(unknown)}")
+    env_values = {"seed": os.environ.get(SEED_ENV_VAR) or None}
+    values = {}
+    for name, convert in _CONVERTERS.items():
         flag = getattr(args, name, None)
+        text = file_values.get(name, env_values.get(name))
         if flag is not None:
-            return flag
-        if name in file_values:
-            return convert(file_values[name])
-        return default
-
-    seed = getattr(args, "seed", None)
-    if seed is None and "seed" in file_values:
-        seed = int(file_values["seed"])
-    if seed is None and os.environ.get(SEED_ENV_VAR):
-        seed = int(os.environ[SEED_ENV_VAR])
-    if seed is None:
-        seed = DEFAULT_SEED
-
-    return RunConfig(
-        seed=seed,
-        technique=pick("technique", str, defaults.technique),
-        out=Path(pick("out", Path, defaults.out)),
-        bin_width=pick("bin_width", int, defaults.bin_width),
-        format=pick("format", str, defaults.format),
-        sigma=pick("sigma", float, defaults.sigma),
-        max_n=pick("max_n", int, defaults.max_n),
-        scale=pick("scale", float, defaults.scale),
-    )
+            values[name] = flag
+        elif text is not None:
+            values[name] = convert(text)
+    return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="flat key = value config file")
     parser.add_argument("--out", type=Path, default=None,
                         help="output directory (default .)")
-    parser.add_argument("--format", choices=("markdown", "csv"), default=None,
+    parser.add_argument("--format", choices=FORMATS, default=None,
                         help="stdout rendering format for report")
     sub = parser.add_subparsers(dest="command", required=True)
 

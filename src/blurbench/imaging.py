@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from fractions import Fraction
 
 import numpy as np
 
@@ -64,10 +63,6 @@ class BlurKernel:
             raise ValueError("anchor_x outside kernel")
         if not 0 <= self.anchor_y < self.tap_height:
             raise ValueError("anchor_y outside kernel")
-
-    @property
-    def weight(self) -> Fraction:
-        return Fraction(1, self.tap_width * self.tap_height)
 
 
 @dataclass(eq=False)
@@ -144,9 +139,11 @@ def apply_blur(img: Image, kernel: BlurKernel) -> Image:
     window placed so the anchor sits on the output pixel. Borders are
     mirrored without repeating the edge pixel. The whole computation is
     integer-exact, so output is bit-identical to a naive per-pixel window
-    sum.
+    sum. A 1x1 kernel is the identity and returns `img` itself.
     """
     kw, kh = kernel.tap_width, kernel.tap_height
+    if kw == kh == 1:
+        return img
     if kw > img.width or kh > img.height:
         raise DimensionError(
             f"kernel {kw}x{kh} larger than image {img.width}x{img.height}")
@@ -170,10 +167,7 @@ def blur_variants(img: Image) -> dict[BlurLevel, Image]:
     if img.width < max_kw or img.height < max_kh:
         raise DimensionError(
             f"image {img.width}x{img.height} smaller than {max_kw}x{max_kh}")
-    variants: dict[BlurLevel, Image] = {BlurLevel.MB0: img}
-    for level in (BlurLevel.MB1, BlurLevel.MB2, BlurLevel.MB3):
-        variants[level] = apply_blur(img, make_kernel(level))
-    return variants
+    return {level: apply_blur(img, make_kernel(level)) for level in BlurLevel}
 
 
 # ---------------------------------------------------------------------------

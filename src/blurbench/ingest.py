@@ -112,8 +112,9 @@ def _load_json(document: bytes):
 
 def parse_captions(document: bytes) -> Dataset:
     doc = _load_json(document)
-    if not isinstance(doc, dict) or "images" not in doc or "annotations" not in doc:
-        raise ParseError("caption document needs 'images' and 'annotations'")
+    if not isinstance(doc, dict) or not all(
+            isinstance(doc.get(key), list) for key in ("images", "annotations")):
+        raise ParseError("caption document needs 'images' and 'annotations' lists")
     images = []
     for item in doc["images"]:
         try:

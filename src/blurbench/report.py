@@ -21,7 +21,7 @@ from .schedule import Technique
 #: Extra score-row labels for the MB0 subsets of a flag-annotated split.
 SUBSET_LABELS = ("with_blur", "no_blur")
 
-_FORMATS = ("markdown", "csv")
+FORMATS = ("markdown", "csv")
 
 
 @dataclass
@@ -172,9 +172,11 @@ def parse_scores_csv(text: str) -> ScoreTable:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _check_format(format: str):
-    if format not in _FORMATS:
-        raise ValueError(f"format must be one of {_FORMATS}")
+def check_format(format: str) -> str:
+    """`format` itself if it is one of FORMATS; ValueError otherwise."""
+    if format not in FORMATS:
+        raise ValueError(f"format must be one of {FORMATS}")
+    return format
 
 
 def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
@@ -185,7 +187,7 @@ def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
 
 
 def render_score_table(table: ScoreTable, format: str = "markdown") -> str:
-    _check_format(format)
+    check_format(format)
     subset = table.has_subset_columns()
     if format == "csv":
         lines = ["technique,level,score"]
@@ -213,7 +215,7 @@ def render_score_table(table: ScoreTable, format: str = "markdown") -> str:
 
 def render_deltas(deltas: list[DegradationDelta],
                   format: str = "markdown") -> str:
-    _check_format(format)
+    check_format(format)
     if format == "csv":
         lines = ["technique,level,delta"]
         lines += [f"{d.technique},{d.level.name},{_fmt(d.delta)}" for d in deltas]
@@ -232,7 +234,7 @@ def render_deltas(deltas: list[DegradationDelta],
 
 def render_subset_table(table: ScoreTable, format: str = "markdown") -> str:
     """With-blur / no-blur columns only; every row must carry both."""
-    _check_format(format)
+    check_format(format)
     incomplete = [r.technique for r in table.rows
                   if r.with_blur is None or r.no_blur is None]
     if incomplete:
@@ -249,7 +251,7 @@ def render_subset_table(table: ScoreTable, format: str = "markdown") -> str:
 
 def render_histograms(histograms: list[FeatureHistogram],
                       format: str = "csv") -> str:
-    _check_format(format)
+    check_format(format)
     rows = []
     for hist in histograms:
         for index in sorted(hist.bins):
@@ -266,14 +268,3 @@ def render_histograms(histograms: list[FeatureHistogram],
         [[level, f"[{start}, {end})", str(count)]
          for level, _, _, start, end, count in rows])
 
-
-def render(obj, format: str = "markdown") -> str:
-    """Render a ScoreTable, a delta list, or a histogram list."""
-    if isinstance(obj, ScoreTable):
-        return render_score_table(obj, format)
-    if isinstance(obj, list):
-        if all(isinstance(x, DegradationDelta) for x in obj) and obj:
-            return render_deltas(obj, format)
-        if all(isinstance(x, FeatureHistogram) for x in obj):
-            return render_histograms(obj, format)
-    raise TypeError(f"cannot render {type(obj).__name__}")

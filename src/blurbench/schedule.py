@@ -1,7 +1,8 @@
 """Blur-level probability schedules and deterministic augmentation manifests.
 
-A Schedule assigns each blur level a probability. The four training
-techniques pair a detector-stage schedule with a captioner-stage schedule:
+A Schedule assigns each blur level a probability. Each of the four
+training techniques is a fixed pair of a detector-stage and a
+captioner-stage schedule, listed once in `_TECHNIQUE_SCHEDULES`:
 
     No-Aug          detector [1, 0, 0, 0]        captioner [1, 0, 0, 0]
     ObjDet-Aug      detector [0.8, 0.1, 0.1, 0]  captioner [1, 0, 0, 0]
@@ -24,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .imaging import BlurLevel
 
@@ -39,45 +40,33 @@ class Stage(Enum):
     CAPTIONER = "captioner"
 
 
-_STAGE_ORDER = {Stage.DETECTOR: 0, Stage.CAPTIONER: 1}
-
-
 @dataclass(frozen=True)
 class Schedule:
-    """Probability per blur level, in MB0..MB3 order."""
+    """Probability per blur level, in MB0..MB3 order.
+
+    The one home of a schedule's checks: entries lie in [0, 1] and sum to
+    1 within 1e-9. They are stored rescaled so the CDF ends at 1; rescaling
+    twice can change them, so build a schedule from literals only.
+    """
 
     probs: tuple[float, float, float, float]
 
     def __post_init__(self):
-        if len(self.probs) != len(BlurLevel):
-            raise ValueError(f"need {len(BlurLevel)} probabilities")
-        if any(p < 0.0 or p > 1.0 for p in self.probs):
-            raise ValueError(f"probabilities outside [0, 1]: {self.probs}")
-        total = sum(self.probs)
+        values = tuple(float(p) for p in self.probs)
+        if len(values) != len(BlurLevel):
+            raise ValueError(
+                f"need {len(BlurLevel)} probabilities, got {len(values)}")
+        if any(not 0.0 <= p <= 1.0 for p in values):
+            raise ValueError(f"probabilities outside [0, 1]: {values}")
+        total = sum(values)
         if abs(total - 1.0) > _SUM_TOLERANCE:
             raise ValueError(f"probabilities sum to {total}, expected 1")
+        object.__setattr__(self, "probs", tuple(p / total for p in values))
 
 
-def validate_schedule(probs: Sequence[float]) -> Schedule:
-    """Check and normalize four probabilities into a Schedule.
-
-    Entries must be non-negative and sum to 1 within 1e-9; the stored
-    probabilities are rescaled so the CDF ends at 1.
-    """
-    values = tuple(float(p) for p in probs)
-    if len(values) != len(BlurLevel):
-        raise ValueError(f"need {len(BlurLevel)} probabilities, got {len(values)}")
-    if any(p < 0.0 for p in values):
-        raise ValueError(f"negative probability in {values}")
-    total = sum(values)
-    if abs(total - 1.0) > _SUM_TOLERANCE:
-        raise ValueError(f"probabilities sum to {total}, expected 1")
-    return Schedule(tuple(p / total for p in values))
-
-
-NO_AUG_SCHEDULE = validate_schedule((1.0, 0.0, 0.0, 0.0))
-DETECTOR_AUG_SCHEDULE = validate_schedule((0.8, 0.1, 0.1, 0.0))
-CAPTIONER_AUG_SCHEDULE = validate_schedule((0.5, 0.2, 0.2, 0.1))
+NO_AUG_SCHEDULE = Schedule((1.0, 0.0, 0.0, 0.0))
+DETECTOR_AUG_SCHEDULE = Schedule((0.8, 0.1, 0.1, 0.0))
+CAPTIONER_AUG_SCHEDULE = Schedule((0.5, 0.2, 0.2, 0.1))
 
 
 class Technique(Enum):
@@ -109,28 +98,18 @@ def parse_technique(name: str) -> Technique:
 
 @dataclass(frozen=True)
 class TechniquePlan:
-    """A technique with its per-stage schedules (fixed per technique)."""
+    """A technique; its per-stage schedules are fixed by the technique."""
 
     name: Technique
-    detector_schedule: Schedule
-    captioner_schedule: Schedule
-
-    def __post_init__(self):
-        detector, captioner = _TECHNIQUE_SCHEDULES[self.name]
-        if (self.detector_schedule != detector
-                or self.captioner_schedule != captioner):
-            raise ValueError(
-                f"schedules do not match technique {self.name.value}")
 
     def schedule_for(self, stage: Stage) -> Schedule:
-        return (self.detector_schedule if stage is Stage.DETECTOR
-                else self.captioner_schedule)
+        detector, captioner = _TECHNIQUE_SCHEDULES[self.name]
+        return detector if stage is Stage.DETECTOR else captioner
 
 
 def technique_plan(name: Technique | str) -> TechniquePlan:
-    technique = name if isinstance(name, Technique) else parse_technique(name)
-    detector, captioner = _TECHNIQUE_SCHEDULES[technique]
-    return TechniquePlan(technique, detector, captioner)
+    return TechniquePlan(name if isinstance(name, Technique)
+                         else parse_technique(name))
 
 
 def _unit_uniform(seed: int, sample_key: str, stage: str = "") -> float:
@@ -189,18 +168,16 @@ def plan_dataset(sample_keys: Iterable[str], plan: TechniquePlan,
     Entries come out sorted by (key, stage) with the detector stage first;
     duplicate keys are rejected.
     """
-    keys = list(sample_keys)
-    duplicates = sorted(k for k, n in Counter(keys).items() if n > 1)
+    keys = sorted(sample_keys)
+    duplicates = sorted({a for a, b in zip(keys, keys[1:]) if a == b})
     if duplicates:
         raise ValueError(f"duplicate sample keys: {duplicates}")
-    entries = []
-    for key in keys:
-        for stage in Stage:
-            level = sample_level(key, plan.schedule_for(stage), seed,
-                                 stage=stage.value)
-            entries.append(ManifestEntry(key, stage, level))
-    entries.sort(key=lambda e: (e.sample_key, _STAGE_ORDER[e.stage]))
-    return AugmentationManifest(seed=seed, plan=plan, entries=tuple(entries))
+    schedules = [(stage, plan.schedule_for(stage)) for stage in Stage]
+    entries = tuple(
+        ManifestEntry(key, stage,
+                      sample_level(key, schedule, seed, stage=stage.value))
+        for key in keys for stage, schedule in schedules)
+    return AugmentationManifest(seed=seed, plan=plan, entries=entries)
 
 
 def empirical_frequencies(manifest: AugmentationManifest,
@@ -222,12 +199,10 @@ def empirical_frequencies(manifest: AugmentationManifest,
 # ---------------------------------------------------------------------------
 
 def write_manifest(manifest: AugmentationManifest) -> str:
-    header = {
-        "seed": manifest.seed,
-        "technique": manifest.plan.name.value,
-        "detector_schedule": list(manifest.plan.detector_schedule.probs),
-        "captioner_schedule": list(manifest.plan.captioner_schedule.probs),
-    }
+    header = {"seed": manifest.seed, "technique": manifest.plan.name.value}
+    for stage in Stage:
+        header[f"{stage.value}_schedule"] = list(
+            manifest.plan.schedule_for(stage).probs)
     lines = [json.dumps(header)]
     for entry in manifest.entries:
         lines.append(json.dumps({
@@ -239,28 +214,32 @@ def write_manifest(manifest: AugmentationManifest) -> str:
 
 
 def read_manifest(text: str) -> AugmentationManifest:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    """Parse `write_manifest` output; errors name the 1-based line."""
+    numbered = ((number, line) for number, line
+                in enumerate(text.splitlines(), 1) if line.strip())
+    number, line = next(numbered, (0, None))
+    if line is None:
         raise ValueError("empty manifest")
-    header = json.loads(lines[0])
     try:
-        plan = TechniquePlan(
-            Technique(header["technique"]),
-            Schedule(tuple(header["detector_schedule"])),
-            Schedule(tuple(header["captioner_schedule"])),
-        )
+        header = json.loads(line)
+        plan = TechniquePlan(Technique(header["technique"]))
         seed = int(header["seed"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"bad manifest header: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad manifest header on line {number}: {exc}") from exc
+    if any(header.get(f"{stage.value}_schedule")
+           != list(plan.schedule_for(stage).probs) for stage in Stage):
+        raise ValueError("bad manifest header: schedules do not match "
+                         f"technique {plan.name.value}")
     entries = []
-    for line in lines[1:]:
-        record = json.loads(line)
+    for number, line in numbered:
         try:
+            record = json.loads(line)
             entries.append(ManifestEntry(
                 record["sample_key"],
                 Stage(record["stage"]),
                 BlurLevel[record["level"]],
             ))
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"bad manifest entry {line!r}: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"bad manifest entry on line {number} {line!r}: {exc}") from exc
     return AugmentationManifest(seed=seed, plan=plan, entries=tuple(entries))

@@ -287,6 +287,8 @@ class TestCiderConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"max_n": 0}, {"sigma": 0.0}, {"sigma": -1.0}, {"scale": 0.0},
+        {"sigma": math.nan}, {"sigma": math.inf}, {"scale": math.nan},
+        {"scale": math.inf},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 """Command-line interface behavior."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from blurbench import cli
 from blurbench.cli import main
 from blurbench.imaging import BlurLevel, apply_blur, load_image, make_kernel, save_image
 from blurbench.schedule import read_manifest
@@ -179,6 +181,27 @@ class TestScoreCommand:
         assert len(lines) == 2 + 4  # comment, header, four levels
         assert all(l.startswith("ObjDet-Cap-Aug,") for l in lines[2:])
 
+    @pytest.mark.parametrize("flag,value", [("--sigma", "nan"),
+                                            ("--scale", "inf")])
+    def test_non_finite_metric_settings_fail(self, tmp_path, data_dir, capsys,
+                                             flag, value):
+        out = tmp_path / "out"
+        assert run("--out", out, "score", data_dir / "toy_captions.json",
+                   data_dir / "toy_predictions.json", flag, value) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (out / "scores.csv").exists()
+
+    @pytest.mark.parametrize("key", ["images", "annotations"])
+    def test_non_list_caption_field_fails(self, tmp_path, capsys, key):
+        predictions = {(i, "MB0"): refs[0] for i, refs in TINY_REFS.items()}
+        dataset, preds = write_corpus(tmp_path, TINY_REFS, predictions)
+        doc = json.loads(dataset.read_text())
+        doc[key] = 5
+        dataset.write_text(json.dumps(doc))
+        assert run("--out", tmp_path / "out", "score", dataset, preds) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "lists" in err
+
     def test_flags_add_subset_rows(self, tmp_path, data_dir):
         out = tmp_path / "out"
         assert run("--out", out, "score",
@@ -267,3 +290,45 @@ class TestReportCommand:
         assert files1 == files2
         for name in files1:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+class TestConfigFile:
+    def test_every_setting_has_one_converter(self):
+        assert set(cli._CONVERTERS) == {f.name for f in fields(cli.RunConfig)}
+
+    def test_technique_canonicalized(self, tmp_path, data_dir):
+        config = tmp_path / "bench.cfg"
+        config.write_text("technique = objdet-cap-aug\n")
+        out = tmp_path / "out"
+        assert run("--config", config, "--out", out, "score",
+                   data_dir / "toy_captions.json",
+                   data_dir / "toy_predictions.json") == 0
+        rows = (out / "scores.csv").read_text().splitlines()[2:]
+        assert rows and all(r.startswith("ObjDet-Cap-Aug,") for r in rows)
+
+    @pytest.mark.parametrize("line,named", [
+        ("sead = 7", "sead"),
+        ("format = html", "format"),
+        ("bin_width = wide", "wide"),
+        ("technique = MegaAug", "MegaAug"),
+    ])
+    def test_bad_entry_fails_before_writing(self, tmp_path, data_dir, capsys,
+                                            line, named):
+        config = tmp_path / "bench.cfg"
+        config.write_text(line + "\n")
+        scores = tmp_path / "scores.csv"
+        scores.write_text("technique,level,score\n"
+                          + "".join(f"No-Aug,{l.name},1.0\n" for l in BlurLevel))
+        out = tmp_path / "out"
+        assert run("--config", config, "--out", out, "report", scores,
+                   data_dir / "toy_feature_counts.csv") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and named in err[0]
+        assert not out.exists()
+
+    def test_env_seed_checked_like_flag(self, tmp_path, monkeypatch, capsys):
+        keys = tmp_path / "keys.txt"
+        keys.write_text("a\n")
+        monkeypatch.setenv("BLURBENCH_SEED", "seven")
+        assert run("--out", tmp_path / "out", "plan", keys) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1

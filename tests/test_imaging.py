@@ -1,7 +1,5 @@
 """Box-filter convolution and netpbm raster I/O."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,24 +30,16 @@ class TestMakeKernel:
     def test_mb1_kernel(self):
         k = make_kernel(BlurLevel.MB1)
         assert (k.tap_width, k.tap_height) == (6, 1)
-        assert k.weight == Fraction(1, 6)
         assert (k.anchor_x, k.anchor_y) == (3, 0)
 
     def test_mb0_is_identity_kernel(self):
         k = make_kernel(BlurLevel.MB0)
         assert (k.tap_width, k.tap_height) == (1, 1)
-        assert k.weight == 1
 
     def test_mb3_kernel(self):
         k = make_kernel(BlurLevel.MB3)
         assert (k.tap_width, k.tap_height) == (45, 12)
-        assert k.weight == Fraction(1, 540)
         assert (k.anchor_x, k.anchor_y) == (22, 6)
-
-    def test_weights_sum_to_one(self):
-        for level in BlurLevel:
-            k = make_kernel(level)
-            assert k.weight * k.tap_width * k.tap_height == 1
 
     def test_level_ordering(self):
         assert BlurLevel.MB0 < BlurLevel.MB1 < BlurLevel.MB2 < BlurLevel.MB3

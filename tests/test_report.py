@@ -16,7 +16,6 @@ from blurbench.report import (
     degradation_warnings,
     mean_feature_count,
     parse_scores_csv,
-    render,
     render_deltas,
     render_histograms,
     render_score_table,
@@ -202,14 +201,6 @@ class TestRendering:
         text = render_deltas(degradation_deltas(COCO_TABLE), "csv")
         assert "No-Aug,MB3,68.7" in text
         assert "ObjDet-Cap-Aug,MB3,11.7" in text
-
-    def test_render_dispatch(self):
-        assert render(COCO_TABLE).startswith("| Training approach |")
-        assert render(degradation_deltas(COCO_TABLE), "csv").startswith(
-            "technique,level,delta")
-        assert render([], "csv").startswith("level,")
-        with pytest.raises(TypeError):
-            render("words")
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format"):

@@ -1,5 +1,6 @@
 """Probability schedules, seeded sampling, and manifests."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -16,46 +17,57 @@ from blurbench.schedule import (
     Schedule,
     Stage,
     Technique,
-    TechniquePlan,
     empirical_frequencies,
     parse_technique,
     plan_dataset,
     read_manifest,
     sample_level,
     technique_plan,
-    validate_schedule,
     write_manifest,
 )
 
 
 class TestValidateSchedule:
+    """Schedule construction is where every schedule is checked."""
+
     def test_detector_schedule_valid(self):
-        s = validate_schedule([0.8, 0.1, 0.1, 0.0])
+        s = Schedule([0.8, 0.1, 0.1, 0.0])
         assert s.probs[3] == 0.0
         assert sum(s.probs) == pytest.approx(1.0, abs=1e-9)
 
     def test_captioner_schedule_valid(self):
-        s = validate_schedule([0.5, 0.2, 0.2, 0.1])
+        s = Schedule([0.5, 0.2, 0.2, 0.1])
         assert sum(s.probs) == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_valid(self):
-        assert validate_schedule([1, 0, 0, 0]).probs == (1.0, 0.0, 0.0, 0.0)
+        assert Schedule([1, 0, 0, 0]).probs == (1.0, 0.0, 0.0, 0.0)
 
     def test_sum_off_by_half_rejected(self):
         with pytest.raises(ValueError, match="sum"):
-            validate_schedule([0.5, 0.5, 0.5, 0.0])
+            Schedule([0.5, 0.5, 0.5, 0.0])
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            validate_schedule([1.2, -0.2, 0.0, 0.0])
+        with pytest.raises(ValueError, match="outside"):
+            Schedule([1.2, -0.2, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="outside"):
+            Schedule([bad, 0.0, 0.0, 1.0])
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError):
-            validate_schedule([0.5, 0.5])
+            Schedule([0.5, 0.5])
 
     def test_slightly_off_sum_normalized(self):
-        s = validate_schedule([0.25, 0.25, 0.25, 0.25 + 4e-10])
+        s = Schedule([0.25, 0.25, 0.25, 0.25 + 4e-10])
         assert sum(s.probs) == pytest.approx(1.0, abs=1e-12)
+
+    def test_constants_keep_their_normalized_values(self):
+        # manifest headers carry these exact values; normalizing the
+        # stored probabilities again would change the first one to 0.5
+        assert CAPTIONER_AUG_SCHEDULE.probs[0] == 0.5000000000000001
+        assert Schedule(CAPTIONER_AUG_SCHEDULE.probs).probs[0] == 0.5
 
 
 class TestSampleLevel:
@@ -109,16 +121,16 @@ class TestSampleLevel:
 
 class TestTechniques:
     def test_canonical_plans(self):
-        assert technique_plan("No-Aug").detector_schedule == NO_AUG_SCHEDULE
-        plan = technique_plan("ObjDet-Cap-Aug")
-        assert plan.detector_schedule == DETECTOR_AUG_SCHEDULE
-        assert plan.captioner_schedule == CAPTIONER_AUG_SCHEDULE
-        cap = technique_plan("Cap-Aug")
-        assert cap.detector_schedule == NO_AUG_SCHEDULE
-        assert cap.captioner_schedule == CAPTIONER_AUG_SCHEDULE
-        det = technique_plan("ObjDet-Aug")
-        assert det.detector_schedule == DETECTOR_AUG_SCHEDULE
-        assert det.captioner_schedule == NO_AUG_SCHEDULE
+        expected = {
+            "No-Aug": (NO_AUG_SCHEDULE, NO_AUG_SCHEDULE),
+            "ObjDet-Aug": (DETECTOR_AUG_SCHEDULE, NO_AUG_SCHEDULE),
+            "Cap-Aug": (NO_AUG_SCHEDULE, CAPTIONER_AUG_SCHEDULE),
+            "ObjDet-Cap-Aug": (DETECTOR_AUG_SCHEDULE, CAPTIONER_AUG_SCHEDULE),
+        }
+        for name, (detector, captioner) in expected.items():
+            plan = technique_plan(name)
+            assert plan.schedule_for(Stage.DETECTOR) == detector
+            assert plan.schedule_for(Stage.CAPTIONER) == captioner
 
     def test_name_parsing_tolerant(self):
         assert parse_technique("objdet-cap-aug") is Technique.OBJDET_CAP_AUG
@@ -130,9 +142,11 @@ class TestTechniques:
             parse_technique("SuperAug")
 
     def test_mismatched_schedules_rejected(self):
-        with pytest.raises(ValueError, match="do not match"):
-            TechniquePlan(Technique.NO_AUG, CAPTIONER_AUG_SCHEDULE,
-                          NO_AUG_SCHEDULE)
+        text = write_manifest(plan_dataset(["a"], technique_plan("Cap-Aug"), 0))
+        swapped = text.replace('"technique": "Cap-Aug"',
+                               '"technique": "ObjDet-Aug"')
+        with pytest.raises(ValueError, match="do not match technique ObjDet-Aug"):
+            read_manifest(swapped)
 
 
 class TestPlanDataset:
@@ -223,3 +237,21 @@ class TestManifestSerialization:
         text = write_manifest(manifest).replace('"MB0"', '"MB9"')
         with pytest.raises(ValueError, match="bad manifest entry"):
             read_manifest(text)
+
+    @pytest.mark.parametrize("line", ["[1]", "7", "null", '"text"'])
+    def test_non_object_line_rejected(self, line):
+        text = write_manifest(plan_dataset(["a"], technique_plan("No-Aug"), 0))
+        with pytest.raises(ValueError, match="bad manifest header on line 1"):
+            read_manifest(line + "\n" + text.split("\n", 1)[1])
+        with pytest.raises(ValueError, match="bad manifest entry on line 2"):
+            read_manifest(text.split("\n", 1)[0] + "\n" + line + "\n")
+
+    def test_json_error_names_line(self):
+        text = write_manifest(plan_dataset(["a", "b"], technique_plan("No-Aug"), 0))
+        lines = text.splitlines()
+        lines.insert(1, "")  # blank lines are skipped but still counted
+        lines[3] = lines[3][:-1]
+        with pytest.raises(ValueError, match="on line 4"):
+            read_manifest("\n".join(lines))
+        with pytest.raises(ValueError, match="on line 1"):
+            read_manifest("{not json\n")
