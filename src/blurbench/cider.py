@@ -12,6 +12,13 @@ Document frequencies count images, not captions: an n-gram's df is the
 number of images whose reference set contains it at least once, and
 idf(g) = ln(corpus_size / max(1, df(g))), so unseen n-grams fall back to
 the full ln(corpus_size) weight instead of dividing by zero.
+
+Scoring is vectorized over a block of images. Every n-gram occurrence
+gets an integer id (`_intern`), occurrences collapse into distinct
+(text, n-gram, tf) rows, and norms, clipped dot products and the means
+over references are numpy segment sums over those rows. An `IdfTable`
+is compiled the same way, so idf lookups are binary searches into
+sorted n-gram keys.
 """
 
 from __future__ import annotations
@@ -19,8 +26,10 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .imaging import BlurLevel
 from .ingest import Dataset, PredictionSet
@@ -28,12 +37,16 @@ from .ingest import Dataset, PredictionSet
 TokenSeq = list[str]
 NGram = tuple[str, ...]
 
-_NON_TOKEN = re.compile(r"[^a-z0-9]+")
+_TOKEN = re.compile(r"[a-z0-9]+")
+
+#: Images per scoring block in `corpus_cider_d`; bounds the size of the
+#: interned arrays, and so peak memory, whatever the split size.
+_BLOCK_IMAGES = 1000
 
 
 def tokenize(text: str) -> TokenSeq:
     """Lowercase, replace every character outside [a-z0-9] by a space, split."""
-    return [t for t in _NON_TOKEN.split(text.lower()) if t]
+    return _TOKEN.findall(text.lower())
 
 
 def ngram_counts(tokens: Sequence[str], max_n: int = 4) -> dict[int, Counter]:
@@ -62,55 +75,219 @@ class CiderConfig:
 DEFAULT_CONFIG = CiderConfig()
 
 
-@dataclass
+def _unique(keys: np.ndarray):
+    """Sorted distinct values of `keys`, the index of each key among them,
+    and the number of keys equal to each."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    return ordered[first], inverse, np.diff(starts, append=len(keys))
+
+
+def _intern(texts: Iterable[Sequence[str]], max_n: int):
+    """Integer ids of every n-gram occurrence in `texts`, n = 1..max_n.
+
+    A token's id is its rank in the sorted vocabulary. An n-gram (n > 1)
+    has the key (id of its (n-1)-gram prefix) * len(vocabulary) + (id of
+    its last token), and its id is the rank of that key among the
+    distinct keys, so ids depend on the set of n-grams, not on text order.
+
+    Returns the vocabulary, the token count of each text, and per n the
+    arrays (text of each occurrence, n-gram id of each occurrence,
+    n-gram key of each id). Keys stay below len(tokens) ** 2, so int64
+    holds them for any corpus that fits in memory.
+    """
+    lengths: list[int] = []
+    flat: list[str] = []
+    for text in texts:
+        lengths.append(len(text))
+        flat += text
+    vocab = sorted(set(flat))
+    index = dict(zip(vocab, range(len(vocab))))
+    tokens = np.fromiter(map(index.__getitem__, flat), dtype=np.int64,
+                         count=len(flat))
+    sizes = np.array(lengths, dtype=np.int64)
+
+    text = np.repeat(np.arange(len(sizes)), sizes)
+    # tokens from each position to the end of its text
+    left = np.repeat(np.cumsum(sizes), sizes) - np.arange(len(tokens))
+    start = np.arange(len(tokens))
+    ids = tokens
+    orders = [(text, ids, np.arange(len(vocab)))]
+    for n in range(2, max_n + 1):
+        keep = left[start] >= n
+        start = start[keep]
+        keys, ids, _ = _unique(ids[keep] * len(vocab) + tokens[start + n - 1])
+        orders.append((text[start], ids, keys))
+    return vocab, sizes, orders
+
+
 class IdfTable:
-    """Per-image document frequencies over a reference corpus."""
+    """Per-image document frequencies over a reference corpus, compiled.
 
-    corpus_size: int
-    df: dict[NGram, int] = field(default_factory=dict)
+    The table keeps the corpus vocabulary and, per n, the sorted n-gram
+    keys that `_intern` gives the corpus, each with its idf. `build_idf`
+    compiles a table from interned references; `IdfTable(corpus_size,
+    df)` compiles one from an {n-gram: df} mapping. The `df` mapping of a
+    compiled table is rebuilt only when it is read.
+    """
 
-    def __post_init__(self):
-        if self.corpus_size < 1:
+    def __init__(self, corpus_size: int, df: dict[NGram, int] | None = None):
+        df = {} if df is None else df
+        if corpus_size < 1:
             raise ValueError("corpus_size must be >= 1")
-        bad = {g: n for g, n in self.df.items()
-               if n < 1 or n > self.corpus_size}
+        bad = {g: n for g, n in df.items() if n < 1 or n > corpus_size}
         if bad:
             raise ValueError(f"document frequencies out of range: {bad}")
+        vocab, lengths, orders = _intern(df, max(map(len, df), default=1))
+        given = np.fromiter(df.values(), dtype=np.int64, count=len(df))
+        counts = []
+        for n, (text, ids, keys) in enumerate(orders, start=1):
+            whole = lengths[text] == n  # the occurrence that is a key of df
+            count = np.zeros(len(keys), dtype=np.int64)
+            count[ids[whole]] = given[text[whole]]
+            counts.append(count)
+        self._compile(corpus_size, vocab, [k for _, _, k in orders], counts)
+        self._df = df
+
+    @classmethod
+    def _from_arrays(cls, corpus_size: int, vocab: list[str],
+                     keys: list[np.ndarray],
+                     counts: list[np.ndarray]) -> IdfTable:
+        table = cls.__new__(cls)
+        table._compile(corpus_size, vocab, keys, counts)
+        table._df = None
+        return table
+
+    def _compile(self, corpus_size, vocab, keys, counts):
+        self.corpus_size = corpus_size
+        self._vocab = {token: i for i, token in enumerate(vocab)}
+        self._keys = keys
+        self._counts = counts
+        self._idf = [np.log(corpus_size / np.maximum(c, 1)) for c in counts]
+        self._unseen = math.log(corpus_size)
+
+    @property
+    def df(self) -> dict[NGram, int]:
+        """{n-gram: number of corpus images containing it}."""
+        if self._df is None:
+            vocab = list(self._vocab)
+            grams = [(token,) for token in vocab]
+            self._df = {}
+            for n, (keys, counts) in enumerate(zip(self._keys, self._counts), 1):
+                if n > 1:
+                    grams = [grams[k // len(vocab)] + (vocab[k % len(vocab)],)
+                             for k in keys.tolist()]
+                self._df.update(
+                    (g, c) for g, c in zip(grams, counts.tolist()) if c)
+        return self._df
 
     def idf(self, gram: NGram) -> float:
-        return math.log(self.corpus_size / max(1, self.df.get(gram, 0)))
+        if not gram:
+            return self._unseen
+        vocab, _, orders = _intern([gram], len(gram))
+        return float(self._lookup(vocab, [k for _, _, k in orders])[-1][0])
+
+    def _lookup(self, vocab: list[str],
+                keys: list[np.ndarray]) -> list[np.ndarray]:
+        """idf of each n-gram interned by `_intern` (its vocabulary and its
+        keys per n), ln(corpus_size) where the table lacks the n-gram."""
+        size = len(self._vocab)
+        token_ids = np.array([self._vocab.get(t, -1) for t in vocab],
+                             dtype=np.int64)
+        ids = token_ids
+        result = []
+        for n, local in enumerate(keys, start=1):
+            table = (self._keys[n - 1] if n <= len(self._keys)
+                     else np.empty(0, dtype=np.int64))
+            if n > 1:
+                prefix = ids[local // len(vocab)]
+                token = token_ids[local % len(vocab)]
+                key = np.where((prefix >= 0) & (token >= 0),
+                               prefix * size + token, -1)
+                at = np.searchsorted(table, key)
+                found = at < len(table)
+                found[found] = table[at[found]] == key[found]
+                ids = np.where(found, at, -1)
+            idf = np.full(len(local), self._unseen)
+            if len(table):
+                idf[ids >= 0] = self._idf[n - 1][ids[ids >= 0]]
+            result.append(idf)
+        return result
 
 
 def build_idf(ds: Dataset, max_n: int = 4) -> IdfTable:
     """df(g) = number of images with g in at least one reference caption."""
     if not ds.images:
         raise ValueError("empty dataset")
-    df: dict[NGram, int] = {}
-    for image_id in ds.image_ids():
-        grams: set[NGram] = set()
-        for caption in ds.references[image_id]:
-            for counter in ngram_counts(tokenize(caption), max_n).values():
-                grams.update(counter)
-        for gram in grams:
-            df[gram] = df.get(gram, 0) + 1
-    return IdfTable(len(ds.images), df)
+    image_ids = ds.image_ids()
+    image_of_text = np.repeat(np.arange(len(image_ids)),
+                              [len(ds.references[i]) for i in image_ids])
+    vocab, _, orders = _intern(
+        (tokenize(c) for i in image_ids for c in ds.references[i]), max_n)
+    counts = []
+    for text, ids, keys in orders:
+        width = max(len(keys), 1)
+        pairs, _, _ = _unique(image_of_text[text] * width + ids)
+        counts.append(np.bincount(pairs % width, minlength=len(keys)))
+    return IdfTable._from_arrays(len(image_ids), vocab,
+                                 [k for _, _, k in orders], counts)
 
 
-def length_penalty(candidate_len: int, ref_len: int, sigma: float) -> float:
-    """Gaussian penalty on the token-count difference, 1 at equal lengths."""
+def length_penalty(candidate_len, ref_len, sigma: float):
+    """Gaussian penalty on the token-count difference, 1 at equal lengths;
+    elementwise on arrays of lengths."""
     delta = candidate_len - ref_len
-    return math.exp(-(delta * delta) / (2.0 * sigma * sigma))
+    return np.exp(-(delta * delta) / (2.0 * sigma * sigma))
 
 
-def _weighted_vectors(counts: dict[int, Counter], idf: IdfTable):
-    """tf*idf weight vector and its Euclidean norm, per n."""
-    vectors: dict[int, dict[NGram, float]] = {}
-    norms: dict[int, float] = {}
-    for n, counter in counts.items():
-        vec = {g: tf * idf.idf(g) for g, tf in counter.items()}
-        vectors[n] = vec
-        norms[n] = math.sqrt(sum(w * w for w in vec.values()))
-    return vectors, norms
+def _score_block(candidates: list[Sequence[str]],
+                 refs: list[Sequence[Sequence[str]]],
+                 idf: IdfTable, cfg: CiderConfig) -> np.ndarray:
+    """Score of candidates[i] against refs[i], for every i."""
+    n_images = len(candidates)
+    per_image = np.array([len(r) for r in refs], dtype=np.int64)
+    image_of_ref = np.repeat(np.arange(n_images), per_image)
+    n_refs = len(image_of_ref)
+    vocab, lengths, orders = _intern(
+        [*candidates, *(r for image_refs in refs for r in image_refs)], cfg.max_n)
+    penalty = length_penalty(lengths[image_of_ref], lengths[n_images:], cfg.sigma)
+
+    totals = np.zeros(n_images)
+    weights = idf._lookup(vocab, [k for _, _, k in orders])
+    for (text, ids, keys), idf_of_gram in zip(orders, weights):
+        width = max(len(keys), 1)
+        rows, _, tf = _unique(text * width + ids)  # distinct (text, n-gram)
+        row_text, row_gram = np.divmod(rows, width)
+        weight = tf * idf_of_gram[row_gram]
+        norm = np.sqrt(np.bincount(row_text, weight * weight,
+                                   minlength=len(lengths)))
+        # candidate rows come first, keyed image * width + n-gram
+        split = np.searchsorted(row_text, n_images)
+        ref = row_text[split:] - n_images
+        want = image_of_ref[ref] * width + row_gram[split:]
+        at = np.searchsorted(rows[:split], want)
+        found = at < split
+        found[found] = rows[at[found]] == want[found]
+        cand_weight = np.zeros(len(want))
+        cand_weight[found] = weight[at[found]]
+        ref_weight = weight[split:]
+        dot = np.bincount(ref, np.minimum(cand_weight, ref_weight) * ref_weight,
+                          minlength=n_refs)
+        cand_norm, ref_norm = norm[image_of_ref], norm[n_images:]
+        nonzero = (cand_norm > 0.0) & (ref_norm > 0.0)  # else 0, never NaN
+        similarity = np.zeros(n_refs)
+        similarity[nonzero] = (dot[nonzero]
+                               / (cand_norm[nonzero] * ref_norm[nonzero])
+                               * penalty[nonzero])
+        totals += (np.bincount(image_of_ref, similarity, minlength=n_images)
+                   / per_image)
+    return cfg.scale * (totals / cfg.max_n)
 
 
 def cider_d(candidate: Sequence[str], refs: Sequence[Sequence[str]],
@@ -118,23 +295,7 @@ def cider_d(candidate: Sequence[str], refs: Sequence[Sequence[str]],
     """Score one tokenized candidate against its tokenized references."""
     if not refs:
         raise ValueError("empty reference list")
-    cand_vecs, cand_norms = _weighted_vectors(
-        ngram_counts(candidate, cfg.max_n), idf)
-    totals = [0.0] * cfg.max_n
-    for ref in refs:
-        ref_vecs, ref_norms = _weighted_vectors(
-            ngram_counts(ref, cfg.max_n), idf)
-        penalty = length_penalty(len(candidate), len(ref), cfg.sigma)
-        for n in range(1, cfg.max_n + 1):
-            if cand_norms[n] == 0.0 or ref_norms[n] == 0.0:
-                continue  # zero-norm side contributes nothing, never NaN
-            dot = 0.0
-            for gram, weight in cand_vecs[n].items():
-                ref_weight = ref_vecs[n].get(gram, 0.0)
-                dot += min(weight, ref_weight) * ref_weight
-            totals[n - 1] += dot / (cand_norms[n] * ref_norms[n]) * penalty
-    mean_over_refs_and_n = sum(t / len(refs) for t in totals) / cfg.max_n
-    return cfg.scale * mean_over_refs_and_n
+    return float(_score_block([candidate], [refs], idf, cfg)[0])
 
 
 def corpus_cider_d(preds: PredictionSet, ds: Dataset, level: BlurLevel,
@@ -153,11 +314,12 @@ def corpus_cider_d(preds: PredictionSet, ds: Dataset, level: BlurLevel,
     if missing:
         raise ValueError(
             f"missing predictions at {level.name} for images: {missing}")
-    scores = [
-        cider_d(
-            tokenize(preds.caption_for(image_id, level)),
-            [tokenize(r) for r in ds.references[image_id]],
-            idf, cfg)
-        for image_id in ds.image_ids()
-    ]
+    image_ids = ds.image_ids()
+    scores: list[float] = []
+    for start in range(0, len(image_ids), _BLOCK_IMAGES):
+        block = image_ids[start:start + _BLOCK_IMAGES]
+        scores += _score_block(
+            [tokenize(preds.caption_for(i, level)) for i in block],
+            [[tokenize(r) for r in ds.references[i]] for i in block],
+            idf, cfg).tolist()
     return sum(scores) / len(scores)

@@ -15,6 +15,16 @@ only) > built-in defaults. Config-file and environment values go through
 the same checks as the matching flags, and unknown config keys are
 rejected. The effective seed is echoed in every output header. All files
 are written atomically (temp file + rename).
+
+``blur`` on a directory skips files named like its own outputs
+(``<stem>.MB0``..``<stem>.MB3`` plus the extension), so rerunning it with
+``--out`` set to the input directory writes the same files again.
+
+``score`` writes one row per blur level, scored with idf from the whole
+split, and with ``--flags`` one MB0 row per flag subset, scored with idf
+recounted over that subset's own references (each subset row is the
+corpus score of the subset as a split of its own). Predictions for images
+outside the split are ignored, with one warning line giving their count.
 """
 
 from __future__ import annotations
@@ -131,8 +141,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def cmd_blur(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.input.is_dir():
+        # <stem>.MB<k>.<ext> files are this command's own outputs
+        outputs = tuple(f".{level.name}" for level in BlurLevel)
         files = sorted(p for p in args.input.iterdir()
-                       if p.suffix.lower() in (".pgm", ".ppm"))
+                       if p.suffix.lower() in (".pgm", ".ppm")
+                       and not p.stem.endswith(outputs))
     elif args.input.exists():
         files = [args.input]
     else:
@@ -181,6 +194,11 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
     dataset = parse_captions(args.dataset.read_bytes())
     preds = parse_predictions(args.predictions.read_bytes())
     metric = CiderConfig(max_n=cfg.max_n, sigma=cfg.sigma, scale=cfg.scale)
+    known = set(dataset.image_ids())
+    outside = sum(1 for image_id, _ in preds.candidates if image_id not in known)
+    if outside:
+        print(f"warning: {outside} prediction(s) for images not in the split "
+              f"ignored", file=sys.stderr)
     idf = build_idf(dataset, metric.max_n)
 
     lines = [f"# seed={cfg.seed}", "technique,level,score"]

@@ -10,6 +10,8 @@ Formats handled:
 
 Image ids are opaque strings throughout (integer ids are stringified), so
 one code path serves datasets that key images by number and by filename.
+Any other JSON id (null, a bool, a float, a list or an object) is a
+`ParseError` naming its record.
 Captions are kept verbatim; tokenization happens in the metric, not here.
 Every parser has a serializer and parse -> serialize -> parse is the
 identity.
@@ -99,6 +101,16 @@ def _parse_level(token: str) -> BlurLevel:
         raise ParseError(f"unknown blur level {token!r}") from None
 
 
+def _image_id(item, key: str, kind: str) -> str:
+    """`item[key]` as an image id string; ids are JSON strings or integers."""
+    value = item[key]
+    if isinstance(value, str) or (
+            isinstance(value, int) and not isinstance(value, bool)):
+        return str(value)
+    raise ParseError(f"bad {kind} record {item!r}: "
+                     f"{key} must be a string or an integer")
+
+
 def _load_json(document: bytes):
     try:
         return json.loads(document.decode("utf-8"))
@@ -118,14 +130,14 @@ def parse_captions(document: bytes) -> Dataset:
     images = []
     for item in doc["images"]:
         try:
-            images.append((str(item["id"]), str(item["file_name"])))
+            images.append((_image_id(item, "id", "image"), str(item["file_name"])))
         except (TypeError, KeyError) as exc:
             raise ParseError(f"bad image record {item!r}") from exc
     known = {image_id for image_id, _ in images}
     references: dict[str, list[str]] = {}
     for item in doc["annotations"]:
         try:
-            image_id = str(item["image_id"])
+            image_id = _image_id(item, "image_id", "annotation")
             caption = str(item["caption"])
         except (TypeError, KeyError) as exc:
             raise ParseError(f"bad annotation record {item!r}") from exc
@@ -159,7 +171,7 @@ def parse_predictions(document: bytes) -> PredictionSet:
     candidates: dict[tuple[str, BlurLevel], str] = {}
     for item in doc:
         try:
-            image_id = str(item["image_id"])
+            image_id = _image_id(item, "image_id", "prediction")
             level = _parse_level(str(item["blur_level"]))
             caption = str(item["caption"])
         except (TypeError, KeyError) as exc:

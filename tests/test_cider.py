@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blurbench.cider
 from blurbench.cider import (
     CiderConfig,
     IdfTable,
@@ -17,7 +18,7 @@ from blurbench.cider import (
     tokenize,
 )
 from blurbench.imaging import BlurLevel
-from blurbench.ingest import Dataset
+from blurbench.ingest import Dataset, PredictionSet
 from oracles import cider_d_formula, document_frequency
 
 # Oracle outputs on the bundled toy corpus, frozen after computing them
@@ -278,6 +279,76 @@ class TestCorpusCiderD:
             if pair != ("img05", BlurLevel.MB2)})
         with pytest.raises(ValueError, match="img05"):
             corpus_cider_d(partial, toy_dataset, BlurLevel.MB2)
+
+
+# Few distinct words, so n-grams repeat within and across texts (clipping),
+# and texts down to empty, shorter than max_n.
+_TEXT = st.lists(st.sampled_from(["a", "b", "dog", "runs"]), max_size=7)
+_OTHER_TEXT = st.lists(st.sampled_from(["a", "dog", "owl", "sits"]), max_size=7)
+
+
+def _images(text):
+    """(candidate, references) per image."""
+    return st.lists(st.tuples(text, st.lists(text, min_size=1, max_size=3)),
+                    min_size=1, max_size=5)
+
+
+def _dataset(refs_per_image):
+    return tiny_dataset([[" ".join(r) for r in refs] for refs in refs_per_image])
+
+
+class TestKernelMatchesFormula:
+    @given(_images(_TEXT), st.one_of(st.none(), _images(_OTHER_TEXT)),
+           st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_scores_match_direct_formula(self, scored, idf_images, max_n):
+        """Per-image and corpus scores against `cider_d_formula`; the idf
+        corpus is either the scored one or a different one, whose lookups
+        miss and fall back to ln(corpus_size)."""
+        cfg = CiderConfig(max_n=max_n)
+        ds = _dataset([refs for _, refs in scored])
+        corpus = [refs for _, refs in (idf_images or scored)]
+        idf = build_idf(_dataset(corpus), max_n)
+        per_image = []
+        for candidate, refs in scored:
+            score = cider_d(candidate, refs, idf, cfg)
+            oracle = cider_d_formula(candidate, refs, corpus, max_n)
+            assert abs(score - oracle) < 1e-9
+            per_image.append(score)
+        assert cider_d(candidate, refs, IdfTable(idf.corpus_size, idf.df),
+                       cfg) == score
+        preds = PredictionSet({(i, BlurLevel.MB2): " ".join(candidate)
+                               for i, (candidate, _) in zip(ds.image_ids(),
+                                                            scored)})
+        mean = corpus_cider_d(preds, ds, BlurLevel.MB2, cfg,
+                              idf=None if idf_images is None else idf)
+        assert mean == sum(per_image) / len(per_image)
+
+    def test_scoring_makes_no_per_ngram_calls(self, toy_dataset,
+                                              toy_predictions, monkeypatch):
+        def per_ngram(*args):
+            raise AssertionError("per-n-gram call on the scoring path")
+
+        monkeypatch.setattr(IdfTable, "idf", per_ngram)
+        monkeypatch.setattr(blurbench.cider, "ngram_counts", per_ngram)
+        mean = corpus_cider_d(toy_predictions, toy_dataset, BlurLevel.MB0)
+        assert mean == pytest.approx(FROZEN_CORPUS_MEANS[BlurLevel.MB0],
+                                     abs=1e-9)
+
+    def test_dict_table_matches_built_table(self, toy_dataset):
+        built = build_idf(toy_dataset)
+        from_dict = IdfTable(built.corpus_size, built.df)
+        assert from_dict.df == built.df
+        for gram in [("a",), ("a", "black"), ("a", "black", "dog", "runs"),
+                     ("zebra",), ("a", "zebra"), ("dog", "a", "dog")]:
+            assert from_dict.idf(gram) == built.idf(gram)
+
+    def test_block_boundaries_do_not_change_scores(self, toy_dataset,
+                                                   toy_predictions, monkeypatch):
+        whole = corpus_cider_d(toy_predictions, toy_dataset, BlurLevel.MB1)
+        monkeypatch.setattr(blurbench.cider, "_BLOCK_IMAGES", 3)
+        assert corpus_cider_d(toy_predictions, toy_dataset,
+                              BlurLevel.MB1) == whole
 
 
 class TestCiderConfig:

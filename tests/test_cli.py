@@ -8,9 +8,12 @@ import pytest
 
 from blurbench import cli
 from blurbench.cli import main
+from blurbench.cider import tokenize
 from blurbench.imaging import BlurLevel, apply_blur, load_image, make_kernel, save_image
+from blurbench.ingest import BlurFlag
 from blurbench.schedule import read_manifest
 from conftest import random_image
+from oracles import cider_d_formula
 
 
 def run(*argv):
@@ -74,6 +77,23 @@ class TestBlurCommand:
         assert (out / "small.MB0.pgm").exists()
         assert not (out / "small.MB3.pgm").exists()
         assert "MB3" in capsys.readouterr().err
+
+    def test_rerun_into_input_directory_skips_own_outputs(self, tmp_path):
+        rng = np.random.default_rng(4)
+        src = tmp_path / "in"
+        src.mkdir()
+        (src / "pic.ppm").write_bytes(save_image(random_image(rng, 48, 16, 3)))
+        (src / "gray.pgm").write_bytes(save_image(random_image(rng, 48, 16, 1)))
+        assert run("--out", src, "blur", src) == 0
+        first = {p.name: p.read_bytes() for p in src.iterdir()}
+        assert len(first) == 2 + 2 * 4
+        assert run("--out", src, "blur", src) == 0
+        assert {p.name: p.read_bytes() for p in src.iterdir()} == first
+        # a file named like an output is still blurred when given by name
+        out = tmp_path / "out"
+        assert run("--out", out, "blur", src / "pic.MB1.ppm", "--levels",
+                   "MB0") == 0
+        assert [p.name for p in out.iterdir()] == ["pic.MB1.MB0.ppm"]
 
     def test_unknown_level_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -201,6 +221,63 @@ class TestScoreCommand:
         assert run("--out", tmp_path / "out", "score", dataset, preds) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "lists" in err
+
+    @pytest.mark.parametrize("bad_id", [None, True, [1]])
+    @pytest.mark.parametrize("document,record", [
+        ("dataset", "images"), ("dataset", "annotations"),
+        ("predictions", None)])
+    def test_bad_id_type_fails(self, tmp_path, capsys, document, record, bad_id):
+        predictions = {(i, "MB0"): refs[0] for i, refs in TINY_REFS.items()}
+        paths = dict(zip(("dataset", "predictions"),
+                         write_corpus(tmp_path, TINY_REFS, predictions)))
+        doc = json.loads(paths[document].read_text())
+        item = doc[record][0] if record else doc[0]
+        item["id" if record == "images" else "image_id"] = bad_id
+        paths[document].write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run("--out", out, "score", paths["dataset"],
+                   paths["predictions"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad ")
+        assert not (out / "scores.csv").exists()
+
+    def test_predictions_outside_split_counted(self, tmp_path, capsys):
+        predictions = {(i, "MB0"): refs[0] for i, refs in TINY_REFS.items()}
+        dataset, preds = write_corpus(tmp_path, TINY_REFS, predictions)
+        assert run("--out", tmp_path / "in", "score", dataset, preds) == 0
+        assert capsys.readouterr().err == ""
+        extra = {**predictions, ("zz", "MB0"): "x", ("yy", "MB0"): "y"}
+        dataset, preds = write_corpus(tmp_path, TINY_REFS, extra)
+        assert run("--out", tmp_path / "out", "score", dataset, preds) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: 2 prediction(s) for images not in the split ignored"]
+        assert (tmp_path / "out" / "scores.csv").read_bytes() == \
+            (tmp_path / "in" / "scores.csv").read_bytes()
+
+    def test_subset_rows_use_subset_idf(self, tmp_path, data_dir, toy_dataset,
+                                        toy_predictions, toy_flags):
+        out = tmp_path / "out"
+        assert run("--out", out, "score", data_dir / "toy_captions.json",
+                   data_dir / "toy_predictions.json",
+                   "--flags", data_dir / "toy_flags.csv") == 0
+        rows = {level: float(score) for _, level, score in (
+            line.split(",") for line in
+            (out / "scores.csv").read_text().splitlines()[2:])}
+        ids = toy_dataset.image_ids()
+        refs = {i: [tokenize(r) for r in toy_dataset.references[i]] for i in ids}
+
+        def corpus_score(image_ids, idf_ids):
+            corpus = [refs[i] for i in idf_ids]
+            return sum(cider_d_formula(
+                tokenize(toy_predictions.caption_for(i, BlurLevel.MB0)),
+                refs[i], corpus) for i in image_ids) / len(image_ids)
+
+        for flag in BlurFlag:
+            subset = [i for i in ids if toy_flags.flags[i] is flag]
+            own, full = corpus_score(subset, subset), corpus_score(subset, ids)
+            assert abs(own - full) > 0.01  # the two idf choices differ here
+            assert abs(rows[flag.value] - own) < 1e-9
+        assert abs(rows["MB0"] - corpus_score(ids, ids)) < 1e-9
 
     def test_flags_add_subset_rows(self, tmp_path, data_dir):
         out = tmp_path / "out"

@@ -49,6 +49,17 @@ class TestParseCaptions:
         ds = parse_captions(doc)
         assert ds.image_ids() == ["42"]
 
+    @pytest.mark.parametrize("bad_id", [None, True, 4.0, [1], {"id": 1}])
+    @pytest.mark.parametrize("record", ["images", "annotations"])
+    def test_non_string_non_integer_ids_rejected(self, record, bad_id):
+        doc = json.loads(caption_doc(1))
+        key = "id" if record == "images" else "image_id"
+        doc[record][0][key] = bad_id
+        with pytest.raises(ParseError, match=f"{key} must be a string or an "
+                                             f"integer") as excinfo:
+            parse_captions(json.dumps(doc).encode())
+        assert repr(doc[record][0]) in str(excinfo.value)
+
     def test_unknown_image_annotation_rejected(self):
         doc = json.dumps({
             "images": [{"id": "a", "file_name": "a.jpg"}],
@@ -108,6 +119,17 @@ class TestParsePredictions:
         ]).encode()
         with pytest.raises(ParseError, match="duplicate"):
             parse_predictions(doc)
+
+    @pytest.mark.parametrize("bad_id", [None, False, 1.5, [], {}])
+    def test_non_string_non_integer_ids_rejected(self, bad_id):
+        doc = json.dumps([{"image_id": bad_id, "blur_level": "MB0",
+                           "caption": "a"}]).encode()
+        with pytest.raises(ParseError, match="bad prediction record"):
+            parse_predictions(doc)
+
+    def test_integer_ids_become_strings(self):
+        doc = b'[{"image_id": 7, "blur_level": "MB0", "caption": "a"}]'
+        assert parse_predictions(doc).candidates == {("7", BlurLevel.MB0): "a"}
 
     def test_unknown_level_rejected(self):
         doc = b'[{"image_id": "1", "blur_level": "MB9", "caption": "a"}]'
