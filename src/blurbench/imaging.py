@@ -2,10 +2,10 @@
 
 Blur intensity levels MB0..MB3 map to normalized box kernels of tap size
 (1,1), (6,1), (18,6) and (45,12): a wide, short box approximates global
-horizontal motion smear. Convolution runs in exact integer arithmetic
-(sliding window sums, round-half-up on the mean) so results are
-deterministic across platforms and bit-comparable against a naive
-reference.
+horizontal motion smear. Convolution is exact integer arithmetic (window
+sums by shifted adds in the narrowest dtype that holds them, round-half-up
+on the mean), so results are deterministic across platforms and
+bit-comparable against a naive reference.
 
 All functions are pure; Image instances are treated as immutable and are
 safe to share across threads.
@@ -115,21 +115,34 @@ def make_kernel(level: BlurLevel) -> BlurKernel:
     return BlurKernel(kw, kh, kw // 2, kh // 2)
 
 
-def _sliding_sums(arr: np.ndarray, size: int, axis: int) -> np.ndarray:
-    """Exact integer sums of every contiguous `size` window along `axis`."""
-    csum = np.cumsum(arr, axis=axis, dtype=np.int64)
-    zshape = list(csum.shape)
-    zshape[axis] = 1
-    prefix = np.concatenate(
-        [np.zeros(zshape, dtype=np.int64), csum], axis=axis)
-    total = arr.shape[axis]
+def _window_sums(arr: np.ndarray, size: int, axis: int, dtype):
+    """Exact sums of every contiguous `size` window along `axis`, in `dtype`.
 
-    def span(start, stop):
-        idx = [slice(None)] * arr.ndim
-        idx[axis] = slice(start, stop)
-        return prefix[tuple(idx)]
+    Sums of windows of length 1, 2, 4, ... take one shifted add each; a
+    `size` window is the windows of the set bits of `size` laid end to end.
+    """
+    def span(a, start, stop):
+        return a[(slice(None),) * axis + (slice(start, stop),)]
 
-    return span(size, total + 1) - span(0, total + 1 - size)
+    count = arr.shape[axis] - size + 1
+    run, width = arr, 1  # run: sums of every `width` window
+    total, offset = None, 0
+    while True:
+        if size & width:
+            part = span(run, offset, offset + count)
+            total = part if total is None else np.add(total, part, dtype=dtype)
+            offset += width
+        if offset == size:
+            return total.astype(dtype, copy=False)
+        n = run.shape[axis] - width
+        run = np.add(span(run, 0, n), span(run, width, n + width), dtype=dtype)
+        width *= 2
+
+
+def _accumulators(kw: int, taps: int) -> tuple[np.dtype, np.dtype]:
+    """Narrowest dtypes for the row sums and for column sums + rounding."""
+    return (np.min_scalar_type(kw * 255),
+            np.min_scalar_type(taps * 255 + taps // 2))
 
 
 def apply_blur(img: Image, kernel: BlurKernel) -> Image:
@@ -137,9 +150,13 @@ def apply_blur(img: Image, kernel: BlurKernel) -> Image:
 
     Each output sample is the rounded mean (round-half-up) of the kernel
     window placed so the anchor sits on the output pixel. Borders are
-    mirrored without repeating the edge pixel. The whole computation is
-    integer-exact, so output is bit-identical to a naive per-pixel window
-    sum. A 1x1 kernel is the identity and returns `img` itself.
+    mirrored without repeating the edge pixel. A 1x1 kernel is the
+    identity and returns `img` itself.
+
+    Exact window sums run along rows, then columns, each pass in the
+    narrowest unsigned dtype holding its bound: `kw*255` for rows
+    (uint16 up to kw = 257), `taps*255 + taps//2` for columns and the
+    rounding `(s + taps//2) // taps` == `(2*s + taps) // (2*taps)`.
     """
     kw, kh = kernel.tap_width, kernel.tap_height
     if kw == kh == 1:
@@ -148,14 +165,14 @@ def apply_blur(img: Image, kernel: BlurKernel) -> Image:
         raise DimensionError(
             f"kernel {kw}x{kh} larger than image {img.width}x{img.height}")
     pad = ((kernel.anchor_y, kh - 1 - kernel.anchor_y),
-           (kernel.anchor_x, kw - 1 - kernel.anchor_x),
-           (0, 0))
+           (kernel.anchor_x, kw - 1 - kernel.anchor_x), (0, 0))
     padded = np.pad(img.samples, pad, mode="reflect")
-    sums = _sliding_sums(padded, kw, axis=1)
-    sums = _sliding_sums(sums, kh, axis=0)
     taps = kw * kh
-    rounded = ((2 * sums + taps) // (2 * taps)).astype(np.uint8)
-    return Image(img.width, img.height, img.channels, rounded)
+    rows, cols = _accumulators(kw, taps)
+    sums = _window_sums(_window_sums(padded, kw, 1, rows), kh, 0, cols)
+    mean = np.empty(sums.shape, dtype=np.uint8)
+    np.floor_divide(sums + taps // 2, taps, out=mean, casting="unsafe")
+    return Image(img.width, img.height, img.channels, mean)
 
 
 def blur_variants(img: Image) -> dict[BlurLevel, Image]:
@@ -175,7 +192,6 @@ def blur_variants(img: Image) -> dict[BlurLevel, Image]:
 # ---------------------------------------------------------------------------
 
 _MAGIC_CHANNELS = {b"P5": 1, b"P6": 3}
-_FORMAT_MAGIC = {"pgm": b"P5", "ppm": b"P6"}
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -205,20 +221,11 @@ def _int_token(data: bytes, pos: int) -> tuple[int, int]:
     return int(token), pos
 
 
-def load_image(data: bytes, format: str | None = None) -> Image:
-    """Decode binary PGM/PPM bytes.
-
-    `format` ("pgm"/"ppm"), when given, must match the file's magic.
-    """
+def load_image(data: bytes) -> Image:
+    """Decode binary PGM/PPM bytes."""
     magic, pos = _next_token(data, 0)
     if magic not in _MAGIC_CHANNELS:
         raise FormatError(f"bad magic {magic!r}; expected P5 or P6")
-    if format is not None:
-        want = _FORMAT_MAGIC.get(format.lower())
-        if want is None:
-            raise FormatError(f"unknown format {format!r}")
-        if want != magic:
-            raise FormatError(f"magic {magic!r} does not match {format}")
     width, pos = _int_token(data, pos)
     height, pos = _int_token(data, pos)
     maxval, pos = _int_token(data, pos)
@@ -229,32 +236,25 @@ def load_image(data: bytes, format: str | None = None) -> Image:
     # exactly one whitespace byte separates the header from the payload
     if pos >= len(data) or data[pos] not in _WHITESPACE:
         raise FormatError("missing delimiter after maxval")
-    payload = data[pos + 1:]
+    payload_size = len(data) - pos - 1
     channels = _MAGIC_CHANNELS[magic]
     expected = width * height * channels
-    if len(payload) < expected:
+    if payload_size < expected:
         raise FormatError(
-            f"truncated payload: {len(payload)} bytes, expected {expected}")
-    if len(payload) > expected:
+            f"truncated payload: {payload_size} bytes, expected {expected}")
+    if payload_size > expected:
         raise FormatError(
-            f"trailing data: {len(payload)} bytes, expected {expected}")
-    return Image.from_flat(width, height, channels, payload)
+            f"trailing data: {payload_size} bytes, expected {expected}")
+    return Image.from_flat(width, height, channels, np.frombuffer(
+        data, dtype=np.uint8, count=expected, offset=pos + 1))
 
 
-def save_image(img: Image, format: str | None = None) -> bytes:
+def save_image(img: Image) -> bytes:
     """Encode as binary PGM (1 channel) or PPM (3 channels).
 
     Emits the canonical header "P5|P6\\n<w> <h>\\n255\\n", so save/load
     round-trips are byte-identical.
     """
-    if format is None:
-        format = "pgm" if img.channels == 1 else "ppm"
-    magic = _FORMAT_MAGIC.get(format.lower())
-    if magic is None:
-        raise FormatError(f"unknown format {format!r}")
-    if _MAGIC_CHANNELS[magic] != img.channels:
-        raise FormatError(
-            f"{format} requires {_MAGIC_CHANNELS[magic]} channels, "
-            f"image has {img.channels}")
+    magic = b"P5" if img.channels == 1 else b"P6"
     header = b"%s\n%d %d\n255\n" % (magic, img.width, img.height)
     return header + img.samples.tobytes()

@@ -50,15 +50,18 @@ def blur_loops(samples, kw: int, kh: int):
     return out
 
 
-def blur_windows(arr: np.ndarray, kw: int, kh: int) -> np.ndarray:
+def blur_windows(arr: np.ndarray, kw: int, kh: int,
+                 ax: int | None = None, ay: int | None = None) -> np.ndarray:
     """Direct window summation: every output is an independent sum.
 
     Builds the mirrored border with explicit index arrays and sums each
     kh*kw window separately via a strided view, so it shares no machinery
-    with a prefix-sum fast path.
+    with a shifted-add fast path. The anchor (ax, ay) defaults to
+    (kw // 2, kh // 2), as `make_kernel` places it.
     """
     h, w, _ = arr.shape
-    ax, ay = kw // 2, kh // 2
+    ax = kw // 2 if ax is None else ax
+    ay = kh // 2 if ay is None else ay
 
     ys = np.arange(-ay, h + (kh - 1 - ay))
     ys = np.where(ys < 0, -ys, ys)

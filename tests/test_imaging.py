@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blurbench.imaging import (
+    BlurKernel,
     BlurLevel,
     DimensionError,
     FormatError,
     Image,
     TAP_SIZES,
+    _accumulators,
     apply_blur,
     blur_variants,
     load_image,
@@ -192,16 +194,13 @@ class TestNetpbm:
         img = load_image(data)
         assert img.samples.ravel().tolist() == [9, 8, 7]
 
-    def test_format_mismatch(self):
-        data = b"P6 1 1 255 " + bytes(3)
-        with pytest.raises(FormatError):
-            load_image(data, format="pgm")
-        assert load_image(data, format="ppm").channels == 3
-
-    def test_save_channel_mismatch(self):
-        img = Image(1, 1, 1, np.zeros((1, 1, 1), dtype=np.uint8))
-        with pytest.raises(FormatError):
-            save_image(img, format="ppm")
+    def test_payload_copied_out_of_input(self):
+        data = b"P5 2 1 255\n" + bytes([4, 5])
+        img = load_image(data)
+        assert img.samples.ravel().tolist() == [4, 5]
+        assert img.samples.flags.writeable and img.samples.flags.owndata
+        assert not np.shares_memory(img.samples,
+                                    np.frombuffer(data, dtype=np.uint8))
 
     def test_save_load_canonical_identity(self):
         rng = np.random.default_rng(2)
@@ -243,3 +242,59 @@ class TestBlurProperties:
         fast = apply_blur(img, kernel)
         loops = blur_loops(img.samples.tolist(), 18, 6)
         assert fast.samples.tolist() == loops
+
+
+class TestAccumulatorBounds:
+    """Window sums run in the narrowest dtype their largest value fits."""
+
+    @pytest.mark.parametrize("kw,kh,rows,cols", [
+        (6, 1, np.uint16, np.uint16),        # MB1
+        (18, 6, np.uint16, np.uint16),       # MB2
+        (45, 12, np.uint16, np.uint32),      # MB3
+        (257, 1, np.uint16, np.uint32),      # 257*255 = 65535
+        (258, 1, np.uint32, np.uint32),
+        (300, 1, np.uint32, np.uint32),
+        (1, 256, np.uint8, np.uint16),       # 256*255 + 128 = 65408
+        (1, 257, np.uint8, np.uint32),
+        (4096, 4096, np.uint32, np.uint32),  # 2**24*255 + 2**23 < 2**32
+        (4105, 4105, np.uint32, np.uint64),  # past 2**32 - 1
+    ])
+    def test_dtype_choice(self, kw, kh, rows, cols):
+        assert _accumulators(kw, kw * kh) == (np.dtype(rows), np.dtype(cols))
+
+    @pytest.mark.parametrize("kw,kh,width,height", [
+        (257, 1, 257, 2), (258, 1, 260, 3), (300, 1, 300, 4),
+        (300, 2, 301, 5), (1, 257, 3, 257), (45, 12, 45, 12),
+    ])
+    def test_past_narrow_bounds_matches_oracle(self, kw, kh, width, height):
+        rng = np.random.default_rng(kw * kh + width)
+        full = Image(width, height, 3,
+                     np.full((height, width, 3), 255, dtype=np.uint8))
+        noisy = random_image(rng, width, height, 3)
+        for img in (full, noisy):
+            for ax, ay in ((kw // 2, kh // 2), (0, kh - 1), (kw - 1, 0)):
+                out = apply_blur(img, BlurKernel(kw, kh, ax, ay))
+                assert np.array_equal(
+                    out.samples, blur_windows(img.samples, kw, kh, ax, ay))
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_kernel_matches_oracle_property(self, data):
+        width = data.draw(st.integers(1, 64), label="width")
+        height = data.draw(st.integers(1, 24), label="height")
+        channels = data.draw(st.sampled_from([1, 3]), label="channels")
+        kw = data.draw(st.integers(1, width), label="kw")
+        kh = data.draw(st.integers(1, height), label="kh")
+        ax = data.draw(st.integers(0, kw - 1), label="ax")
+        ay = data.draw(st.integers(0, kh - 1), label="ay")
+        fill = data.draw(st.sampled_from(["random", 255, 0]), label="fill")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        if fill == "random":
+            img = random_image(np.random.default_rng(seed),
+                               width, height, channels)
+        else:
+            img = Image(width, height, channels, np.full(
+                (height, width, channels), fill, dtype=np.uint8))
+        out = apply_blur(img, BlurKernel(kw, kh, ax, ay))
+        assert np.array_equal(out.samples,
+                              blur_windows(img.samples, kw, kh, ax, ay))
