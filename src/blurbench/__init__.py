@@ -22,14 +22,12 @@ from .imaging import (
     FormatError,
     Image,
     apply_blur,
-    blur_variants,
     load_image,
     make_kernel,
     save_image,
 )
 from .ingest import (
     BlurFlag,
-    BlurFlagAnnotation,
     Dataset,
     FeatureCountRecord,
     ParseError,
@@ -47,7 +45,6 @@ from .report import (
     ScoreTable,
     build_histograms,
     degradation_deltas,
-    mean_feature_count,
 )
 from .schedule import (
     AugmentationManifest,
@@ -55,7 +52,6 @@ from .schedule import (
     Stage,
     Technique,
     TechniquePlan,
-    empirical_frequencies,
     plan_dataset,
     read_manifest,
     sample_level,

@@ -132,60 +132,17 @@ class IdfTable:
 
     The table keeps the corpus vocabulary and, per n, the sorted n-gram
     keys that `_intern` gives the corpus, each with its idf. `build_idf`
-    compiles a table from interned references; `IdfTable(corpus_size,
-    df)` compiles one from an {n-gram: df} mapping. The `df` mapping of a
-    compiled table is rebuilt only when it is read.
+    compiles the arrays: `counts[n - 1][j]` is the number of corpus images
+    containing the n-gram of key `keys[n - 1][j]`.
     """
 
-    def __init__(self, corpus_size: int, df: dict[NGram, int] | None = None):
-        df = {} if df is None else df
-        if corpus_size < 1:
-            raise ValueError("corpus_size must be >= 1")
-        bad = {g: n for g, n in df.items() if n < 1 or n > corpus_size}
-        if bad:
-            raise ValueError(f"document frequencies out of range: {bad}")
-        vocab, lengths, orders = _intern(df, max(map(len, df), default=1))
-        given = np.fromiter(df.values(), dtype=np.int64, count=len(df))
-        counts = []
-        for n, (text, ids, keys) in enumerate(orders, start=1):
-            whole = lengths[text] == n  # the occurrence that is a key of df
-            count = np.zeros(len(keys), dtype=np.int64)
-            count[ids[whole]] = given[text[whole]]
-            counts.append(count)
-        self._compile(corpus_size, vocab, [k for _, _, k in orders], counts)
-        self._df = df
-
-    @classmethod
-    def _from_arrays(cls, corpus_size: int, vocab: list[str],
-                     keys: list[np.ndarray],
-                     counts: list[np.ndarray]) -> IdfTable:
-        table = cls.__new__(cls)
-        table._compile(corpus_size, vocab, keys, counts)
-        table._df = None
-        return table
-
-    def _compile(self, corpus_size, vocab, keys, counts):
+    def __init__(self, corpus_size: int, vocab: list[str],
+                 keys: list[np.ndarray], counts: list[np.ndarray]):
         self.corpus_size = corpus_size
         self._vocab = {token: i for i, token in enumerate(vocab)}
         self._keys = keys
-        self._counts = counts
         self._idf = [np.log(corpus_size / np.maximum(c, 1)) for c in counts]
         self._unseen = math.log(corpus_size)
-
-    @property
-    def df(self) -> dict[NGram, int]:
-        """{n-gram: number of corpus images containing it}."""
-        if self._df is None:
-            vocab = list(self._vocab)
-            grams = [(token,) for token in vocab]
-            self._df = {}
-            for n, (keys, counts) in enumerate(zip(self._keys, self._counts), 1):
-                if n > 1:
-                    grams = [grams[k // len(vocab)] + (vocab[k % len(vocab)],)
-                             for k in keys.tolist()]
-                self._df.update(
-                    (g, c) for g, c in zip(grams, counts.tolist()) if c)
-        return self._df
 
     def idf(self, gram: NGram) -> float:
         if not gram:
@@ -235,8 +192,7 @@ def build_idf(ds: Dataset, max_n: int = 4) -> IdfTable:
         width = max(len(keys), 1)
         pairs, _, _ = _unique(image_of_text[text] * width + ids)
         counts.append(np.bincount(pairs % width, minlength=len(keys)))
-    return IdfTable._from_arrays(len(image_ids), vocab,
-                                 [k for _, _, k in orders], counts)
+    return IdfTable(len(image_ids), vocab, [k for _, _, k in orders], counts)
 
 
 def length_penalty(candidate_len, ref_len, sigma: float):

@@ -207,9 +207,9 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
         lines.append(f"{cfg.technique},{level.name},{score}")
         print(f"{cfg.technique} {level.name}: {score:.4f}")
     if args.flags is not None:
-        annotation = parse_blur_flags(args.flags.read_bytes())
+        flags = parse_blur_flags(args.flags.read_bytes())
         for flag in BlurFlag:
-            subset = filter_by_blur_flag(dataset, annotation, flag)
+            subset = filter_by_blur_flag(dataset, flags, flag)
             if not subset.images:
                 print(f"warning: no images flagged {flag.value}; "
                       f"subset row skipped", file=sys.stderr)
@@ -242,11 +242,10 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
         outputs[f"histogram_{hist.level.name}.csv"] = (
             seed_line + render_histograms([hist], "csv"))
     if args.flags is not None:
-        annotation = parse_blur_flags(args.flags.read_bytes())
-        with_blur = sum(1 for f in annotation.flags.values()
-                        if f is BlurFlag.WITH_BLUR)
+        flags = parse_blur_flags(args.flags.read_bytes())
+        with_blur = sum(1 for f in flags.values() if f is BlurFlag.WITH_BLUR)
         print(f"flags: {with_blur} with_blur, "
-              f"{len(annotation.flags) - with_blur} no_blur")
+              f"{len(flags) - with_blur} no_blur")
         outputs["subset_table.md"] = render_subset_table(table, "markdown")
         outputs["subset_table.csv"] = seed_line + render_subset_table(table, "csv")
 

@@ -88,18 +88,6 @@ class Image:
                 f"samples shape {self.samples.shape} != {expected}"
             )
 
-    @classmethod
-    def from_flat(cls, width: int, height: int, channels: int,
-                  data: bytes | bytearray | np.ndarray) -> "Image":
-        """Build from row-major channel-interleaved samples."""
-        flat = np.frombuffer(bytes(data), dtype=np.uint8) \
-            if isinstance(data, (bytes, bytearray)) \
-            else np.asarray(data, dtype=np.uint8).ravel()
-        if flat.size != width * height * channels:
-            raise ValueError("sample count does not match dimensions")
-        return cls(width, height, channels,
-                   flat.reshape(height, width, channels).copy())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Image):
             return NotImplemented
@@ -175,18 +163,6 @@ def apply_blur(img: Image, kernel: BlurKernel) -> Image:
     return Image(img.width, img.height, img.channels, mean)
 
 
-def blur_variants(img: Image) -> dict[BlurLevel, Image]:
-    """All four blur variants of an image; the MB0 entry is the input itself.
-
-    The image must be at least 45x12 so the strongest kernel fits.
-    """
-    max_kw, max_kh = TAP_SIZES[BlurLevel.MB3]
-    if img.width < max_kw or img.height < max_kh:
-        raise DimensionError(
-            f"image {img.width}x{img.height} smaller than {max_kw}x{max_kh}")
-    return {level: apply_blur(img, make_kernel(level)) for level in BlurLevel}
-
-
 # ---------------------------------------------------------------------------
 # PGM (P5) / PPM (P6), binary, maxval 255
 # ---------------------------------------------------------------------------
@@ -222,7 +198,8 @@ def _int_token(data: bytes, pos: int) -> tuple[int, int]:
 
 
 def load_image(data: bytes) -> Image:
-    """Decode binary PGM/PPM bytes."""
+    """Decode binary PGM/PPM bytes (or any bytes-like object)."""
+    data = bytes(data)
     magic, pos = _next_token(data, 0)
     if magic not in _MAGIC_CHANNELS:
         raise FormatError(f"bad magic {magic!r}; expected P5 or P6")
@@ -245,8 +222,9 @@ def load_image(data: bytes) -> Image:
     if payload_size > expected:
         raise FormatError(
             f"trailing data: {payload_size} bytes, expected {expected}")
-    return Image.from_flat(width, height, channels, np.frombuffer(
-        data, dtype=np.uint8, count=expected, offset=pos + 1))
+    samples = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos + 1)
+    return Image(width, height, channels,
+                 samples.reshape(height, width, channels).copy())
 
 
 def save_image(img: Image) -> bytes:

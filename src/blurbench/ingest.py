@@ -6,13 +6,15 @@ Formats handled:
   "annotations": [{"image_id", "caption"}]}``
 * prediction JSON: array of ``{"image_id", "blur_level", "caption"}``
 * feature-count CSV: header ``image_id,level,count``
-* blur-flag CSV: header ``image_id,flag`` with flag in {with_blur, no_blur}
+* blur-flag CSV: header ``image_id,flag`` with flag in {with_blur, no_blur},
+  parsed into a plain ``{image_id: BlurFlag}`` dict
 
 Image ids are opaque strings throughout (integer ids are stringified), so
 one code path serves datasets that key images by number and by filename.
 Any other JSON id (null, a bool, a float, a list or an object) is a
-`ParseError` naming its record.
-Captions are kept verbatim; tokenization happens in the metric, not here.
+`ParseError` naming its record. Captions and file names must be JSON
+strings, kept verbatim; tokenization happens in the metric, not here. A
+CSV the csv module cannot read is a `ParseError` naming its line.
 Every parser has a serializer and parse -> serialize -> parse is the
 identity.
 """
@@ -74,13 +76,6 @@ class PredictionSet:
         return self.candidates[(image_id, level)]
 
 
-@dataclass
-class BlurFlagAnnotation:
-    """Crowd-sourced with/without-blur flag per image."""
-
-    flags: dict[str, BlurFlag] = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class FeatureCountRecord:
     """Number of region proposals the detector produced for one image."""
@@ -111,10 +106,18 @@ def _image_id(item, key: str, kind: str) -> str:
                      f"{key} must be a string or an integer")
 
 
+def _string(item, key: str, kind: str) -> str:
+    """`item[key]`, which must be a JSON string."""
+    value = item[key]
+    if isinstance(value, str):
+        return value
+    raise ParseError(f"bad {kind} record {item!r}: {key} must be a string")
+
+
 def _load_json(document: bytes):
     try:
         return json.loads(document.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"malformed JSON: {exc}") from exc
 
 
@@ -130,7 +133,8 @@ def parse_captions(document: bytes) -> Dataset:
     images = []
     for item in doc["images"]:
         try:
-            images.append((_image_id(item, "id", "image"), str(item["file_name"])))
+            images.append((_image_id(item, "id", "image"),
+                           _string(item, "file_name", "image")))
         except (TypeError, KeyError) as exc:
             raise ParseError(f"bad image record {item!r}") from exc
     known = {image_id for image_id, _ in images}
@@ -138,7 +142,7 @@ def parse_captions(document: bytes) -> Dataset:
     for item in doc["annotations"]:
         try:
             image_id = _image_id(item, "image_id", "annotation")
-            caption = str(item["caption"])
+            caption = _string(item, "caption", "annotation")
         except (TypeError, KeyError) as exc:
             raise ParseError(f"bad annotation record {item!r}") from exc
         if image_id not in known:
@@ -173,7 +177,7 @@ def parse_predictions(document: bytes) -> PredictionSet:
         try:
             image_id = _image_id(item, "image_id", "prediction")
             level = _parse_level(str(item["blur_level"]))
-            caption = str(item["caption"])
+            caption = _string(item, "caption", "prediction")
         except (TypeError, KeyError) as exc:
             raise ParseError(f"bad prediction record {item!r}") from exc
         pair = (image_id, level)
@@ -202,7 +206,11 @@ def _csv_rows(document: bytes, expected_header: list[str]):
         text = document.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8: {exc}") from exc
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:
+        raise ParseError(f"bad CSV on line {reader.line_num}: {exc}") from None
     if not rows or rows[0] != expected_header:
         raise ParseError(f"expected header {','.join(expected_header)!r}")
     for row in rows[1:]:
@@ -229,7 +237,7 @@ def serialize_feature_counts(records: list[FeatureCountRecord]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def parse_blur_flags(document: bytes) -> BlurFlagAnnotation:
+def parse_blur_flags(document: bytes) -> dict[str, BlurFlag]:
     flags: dict[str, BlurFlag] = {}
     for image_id, flag_token in _csv_rows(document, ["image_id", "flag"]):
         try:
@@ -239,13 +247,13 @@ def parse_blur_flags(document: bytes) -> BlurFlagAnnotation:
         if image_id in flags:
             raise ParseError(f"duplicate flag for image {image_id!r}")
         flags[image_id] = flag
-    return BlurFlagAnnotation(flags)
+    return flags
 
 
-def serialize_blur_flags(ann: BlurFlagAnnotation) -> bytes:
+def serialize_blur_flags(flags: dict[str, BlurFlag]) -> bytes:
     lines = ["image_id,flag"]
     lines += [f"{image_id},{flag.value}"
-              for image_id, flag in sorted(ann.flags.items())]
+              for image_id, flag in sorted(flags.items())]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -253,16 +261,16 @@ def serialize_blur_flags(ann: BlurFlagAnnotation) -> bytes:
 # Subsetting
 # ---------------------------------------------------------------------------
 
-def filter_by_blur_flag(ds: Dataset, ann: BlurFlagAnnotation,
+def filter_by_blur_flag(ds: Dataset, flags: dict[str, BlurFlag],
                         flag: BlurFlag) -> Dataset:
     """Sub-dataset of exactly the images carrying `flag`.
 
     Every dataset image must be annotated; image order and references are
     preserved.
     """
-    unflagged = [i for i in ds.image_ids() if i not in ann.flags]
+    unflagged = [i for i in ds.image_ids() if i not in flags]
     if unflagged:
         raise ParseError(f"images without blur flag: {unflagged}")
-    images = [(i, f) for i, f in ds.images if ann.flags[i] is flag]
+    images = [(i, f) for i, f in ds.images if flags[i] is flag]
     references = {i: list(ds.references[i]) for i, _ in images}
     return Dataset(images, references, ds.split_name)

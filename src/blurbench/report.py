@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 
@@ -108,14 +109,6 @@ def build_histograms(records: list[FeatureCountRecord],
             for level in sorted(per_level)]
 
 
-def mean_feature_count(records: list[FeatureCountRecord],
-                       level: BlurLevel) -> float:
-    counts = [r.count for r in records if r.level is level]
-    if not counts:
-        raise ValueError(f"no feature-count records at {level.name}")
-    return sum(counts) / len(counts)
-
-
 # ---------------------------------------------------------------------------
 # Scores CSV (cmd_score output / cmd_report input)
 # ---------------------------------------------------------------------------
@@ -127,8 +120,14 @@ def parse_scores_csv(text: str) -> ScoreTable:
     `with_blur` / `no_blur` for MB0 subset scores. Known techniques come
     out in canonical order, everything else in first-appearance order.
     """
-    lines = [l for l in text.splitlines() if l.strip() and not l.startswith("#")]
-    rows = list(csv.reader(io.StringIO("\n".join(lines))))
+    numbered = [(number, l) for number, l in enumerate(text.splitlines(), 1)
+                if l.strip() and not l.startswith("#")]
+    reader = csv.reader(io.StringIO("\n".join(l for _, l in numbered)))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        number = numbered[reader.line_num - 1][0]
+        raise ParseError(f"bad CSV on line {number}: {exc}") from None
     if not rows or rows[0] != ["technique", "level", "score"]:
         raise ParseError("expected header 'technique,level,score'")
     by_technique: dict[str, ScoreRow] = {}
@@ -140,6 +139,8 @@ def parse_scores_csv(text: str) -> ScoreTable:
             score = float(score_token)
         except ValueError:
             raise ParseError(f"bad score {score_token!r}") from None
+        if not math.isfinite(score):
+            raise ParseError(f"non-finite score in row {raw!r}")
         row = by_technique.setdefault(technique, ScoreRow(technique, {}))
         if level_token in SUBSET_LABELS:
             if getattr(row, level_token) is not None:

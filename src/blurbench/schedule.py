@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable
 
 from .imaging import BlurLevel
@@ -180,19 +178,6 @@ def plan_dataset(sample_keys: Iterable[str], plan: TechniquePlan,
     return AugmentationManifest(seed=seed, plan=plan, entries=entries)
 
 
-def empirical_frequencies(manifest: AugmentationManifest,
-                          stage: Stage) -> tuple[Fraction, ...]:
-    """Per-level fraction of the manifest's entries at a stage.
-
-    Returned as exact rationals, so the four values sum to exactly 1.
-    """
-    counts = Counter(e.level for e in manifest.entries if e.stage is stage)
-    total = sum(counts.values())
-    if total == 0:
-        raise ValueError(f"manifest has no entries for stage {stage.value}")
-    return tuple(Fraction(counts.get(level, 0), total) for level in BlurLevel)
-
-
 # ---------------------------------------------------------------------------
 # Manifest file format: JSON lines, one header object then one object per
 # entry.
@@ -224,7 +209,7 @@ def read_manifest(text: str) -> AugmentationManifest:
         header = json.loads(line)
         plan = TechniquePlan(Technique(header["technique"]))
         seed = int(header["seed"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ValueError(f"bad manifest header on line {number}: {exc}") from exc
     if any(header.get(f"{stage.value}_schedule")
            != list(plan.schedule_for(stage).probs) for stage in Stage):
@@ -239,7 +224,7 @@ def read_manifest(text: str) -> AugmentationManifest:
                 Stage(record["stage"]),
                 BlurLevel[record["level"]],
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(
                 f"bad manifest entry on line {number} {line!r}: {exc}") from exc
     return AugmentationManifest(seed=seed, plan=plan, entries=tuple(entries))

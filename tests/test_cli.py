@@ -273,7 +273,7 @@ class TestScoreCommand:
                 refs[i], corpus) for i in image_ids) / len(image_ids)
 
         for flag in BlurFlag:
-            subset = [i for i in ids if toy_flags.flags[i] is flag]
+            subset = [i for i in ids if toy_flags[i] is flag]
             own, full = corpus_score(subset, subset), corpus_score(subset, ids)
             assert abs(own - full) > 0.01  # the two idf choices differ here
             assert abs(rows[flag.value] - own) < 1e-9
@@ -344,6 +344,40 @@ class TestReportCommand:
         scores.write_text("technique,level,score\nNo-Aug,MB0,48.8\n")
         assert run("--out", tmp_path / "out", "report", scores,
                    data_dir / "toy_feature_counts.csv") == 1
+
+    @pytest.mark.parametrize("target,text,line", [
+        ("features", "image_id,level,count\na,MB0\r,3\n", 2),
+        ("flags", "image_id,flag\nimg00,with\rblur\n", 2),
+        ("features", "image_id,level,count\n" + "a" * 131_073 + ",MB0,3\n", 2),
+        ("scores", "# seed=0\ntechnique,level,score\n"
+                   + "x" * 131_073 + ",MB0,1.0\n", 3),
+    ])
+    def test_unreadable_csv_fails_before_writing(self, tmp_path, data_dir,
+                                                 capsys, target, text, line):
+        scores, features = self.write_inputs(tmp_path, data_dir)
+        paths = {"scores": scores, "features": features,
+                 "flags": data_dir / "toy_flags.csv"}
+        paths[target] = tmp_path / f"bad_{target}.csv"
+        paths[target].write_bytes(text.encode())
+        out = tmp_path / "out"
+        assert run("--out", out, "report", paths["scores"], paths["features"],
+                   "--flags", paths["flags"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: bad CSV on line {line}:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_score_fails_before_writing(self, tmp_path, data_dir,
+                                                   capsys, value):
+        scores, features = self.write_inputs(tmp_path, data_dir)
+        scores.write_text(scores.read_text().replace("Cap-Aug,MB2,46.9",
+                                                     f"Cap-Aug,MB2,{value}"))
+        out = tmp_path / "out"
+        assert run("--out", out, "report", scores, features) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: non-finite score in row "
+                       f"['Cap-Aug', 'MB2', '{value}']"]
+        assert not out.exists()
 
     def test_bin_width_from_config(self, tmp_path, data_dir):
         scores, features = self.write_inputs(tmp_path, data_dir)

@@ -1,0 +1,89 @@
+"""Mutated input documents: every parser raises nothing but ValueError.
+
+`cli.main` turns a ValueError (ParseError, FormatError, a JSON or UTF-8
+decoding error) into one `error:` line and exit code 1; any other
+exception escapes as a traceback. Each valid fixture gets a few byte
+insertions, deletions and replacements, drawn mostly from bytes that CSV,
+JSON and netpbm treat specially.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blurbench.imaging import load_image, save_image
+from blurbench.ingest import (
+    parse_blur_flags,
+    parse_captions,
+    parse_feature_counts,
+    parse_predictions,
+)
+from blurbench.report import parse_scores_csv
+from blurbench.schedule import (
+    plan_dataset,
+    read_manifest,
+    technique_plan,
+    write_manifest,
+)
+from conftest import DATA_DIR, random_image
+
+_SCORES = "# seed=0\ntechnique,level,score\n" + "".join(
+    f"{technique},{level},{score}\n"
+    for technique in ("No-Aug", "Cap-Aug")
+    for level, score in (("MB0", 48.8), ("MB1", 47.0), ("MB2", 40.9),
+                         ("MB3", 26.4), ("with_blur", 47.2), ("no_blur", 53.0)))
+_MANIFEST = write_manifest(plan_dataset(
+    ["img00", "img01", "img02"], technique_plan("ObjDet-Cap-Aug"), 7))
+_RASTER = save_image(random_image(np.random.default_rng(0), 4, 3, 3))
+
+#: name -> (valid document, parser taking the document's bytes)
+FIXTURES = {
+    "captions": ((DATA_DIR / "toy_captions.json").read_bytes(), parse_captions),
+    "predictions": ((DATA_DIR / "toy_predictions.json").read_bytes(),
+                    parse_predictions),
+    "feature_counts": ((DATA_DIR / "toy_feature_counts.csv").read_bytes(),
+                       parse_feature_counts),
+    "blur_flags": ((DATA_DIR / "toy_flags.csv").read_bytes(), parse_blur_flags),
+    "scores": (_SCORES.encode(),
+               lambda data: parse_scores_csv(data.decode("utf-8"))),
+    "manifest": (_MANIFEST.encode(),
+                 lambda data: read_manifest(data.decode("utf-8"))),
+    "raster": (_RASTER, load_image),
+}
+
+_SPECIAL = [b"\r", b"\n", b"\x00", b'"', b",", b"#", b" ", b"[", b"{", b"9"]
+_EDIT = st.tuples(
+    st.sampled_from(["insert", "delete", "replace"]),
+    st.integers(0, 1 << 16),
+    st.one_of(st.sampled_from(_SPECIAL), st.binary(min_size=1, max_size=1)))
+
+
+def mutate(document: bytes, edits) -> bytes:
+    data = bytearray(document)
+    for op, where, byte in edits:
+        at = where % (len(data) + 1)
+        if op == "insert":
+            data[at:at] = byte
+        elif op == "delete":
+            del data[at:at + 1]
+        else:
+            data[at:at + 1] = byte
+    return bytes(data)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_valid_fixture_parses(name):
+    document, parse = FIXTURES[name]
+    parse(document)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+@given(edits=st.lists(_EDIT, min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_mutated_input_raises_only_value_errors(name, edits):
+    document, parse = FIXTURES[name]
+    try:
+        parse(mutate(document, edits))
+    except ValueError:
+        pass

@@ -14,7 +14,6 @@ from blurbench.imaging import (
     TAP_SIZES,
     _accumulators,
     apply_blur,
-    blur_variants,
     load_image,
     make_kernel,
     save_image,
@@ -50,7 +49,8 @@ class TestMakeKernel:
 class TestApplyBlur:
     def test_single_row_frozen(self):
         # expected values computed with the naive loop reference
-        img = Image.from_flat(7, 1, 1, bytes([0, 0, 0, 6, 0, 0, 0]))
+        img = Image(7, 1, 1, np.array([0, 0, 0, 6, 0, 0, 0],
+                                      dtype=np.uint8).reshape(1, 7, 1))
         out = apply_blur(img, make_kernel(BlurLevel.MB1))
         assert out.samples.ravel().tolist() == [1, 1, 1, 1, 1, 1, 1]
         loops = blur_loops(img.samples.tolist(), 6, 1)
@@ -129,23 +129,23 @@ class TestApplyBlur:
 
 
 class TestBlurVariants:
+    """The variants `blur` writes: `apply_blur` with each level's kernel."""
+
     def test_four_variants_mb0_is_input(self):
         rng = np.random.default_rng(21)
         img = random_image(rng, 64, 64, 3)
-        variants = blur_variants(img)
-        assert set(variants) == set(BlurLevel)
+        variants = {level: apply_blur(img, make_kernel(level))
+                    for level in BlurLevel}
         assert variants[BlurLevel.MB0] is img
-        assert variants[BlurLevel.MB1] == apply_blur(img, make_kernel(BlurLevel.MB1))
-
-    def test_too_small_image_rejected(self):
-        img = Image(32, 8, 1, np.zeros((8, 32, 1), dtype=np.uint8))
-        with pytest.raises(DimensionError):
-            blur_variants(img)
+        for level in (BlurLevel.MB1, BlurLevel.MB2, BlurLevel.MB3):
+            kw, kh = TAP_SIZES[level]
+            assert np.array_equal(variants[level].samples,
+                                  blur_windows(img.samples, kw, kh))
 
     def test_constant_image_all_variants_equal_input(self):
         img = Image(45, 12, 3, np.full((12, 45, 3), 70, dtype=np.uint8))
-        for variant in blur_variants(img).values():
-            assert variant == img
+        for level in BlurLevel:
+            assert apply_blur(img, make_kernel(level)) == img
 
 
 class TestImageType:
@@ -162,8 +162,11 @@ class TestImageType:
             Image(3, 2, 2, np.zeros((2, 3, 2), dtype=np.uint8))
 
     def test_from_flat_length_check(self):
-        with pytest.raises(ValueError):
-            Image.from_flat(2, 2, 3, bytes(11))
+        """Samples come shaped (height, width, channels); a flat buffer is
+        rejected whatever its length."""
+        for size in (11, 12):
+            with pytest.raises(ValueError, match="shape"):
+                Image(2, 2, 3, np.zeros(size, dtype=np.uint8))
 
 
 class TestNetpbm:
@@ -202,6 +205,14 @@ class TestNetpbm:
         assert not np.shares_memory(img.samples,
                                     np.frombuffer(data, dtype=np.uint8))
 
+    def test_any_bytes_like_input(self):
+        data = b"P6 2 1 255\n" + bytes(range(6))
+        image = load_image(data)
+        for other in (bytearray(data), memoryview(data)):
+            assert load_image(other) == image
+        with pytest.raises(FormatError, match="magic"):
+            load_image(bytearray(b"P7 2 1 255\n" + bytes(6)))
+
     def test_save_load_canonical_identity(self):
         rng = np.random.default_rng(2)
         for channels in (1, 3):
@@ -228,8 +239,8 @@ class TestBlurProperties:
         height = int(rng.integers(12, 30))
         img = Image(width, height, 1,
                     np.full((height, width, 1), value, dtype=np.uint8))
-        for variant in blur_variants(img).values():
-            assert variant == img
+        for level in BlurLevel:
+            assert apply_blur(img, make_kernel(level)) == img
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)

@@ -7,7 +7,6 @@ import pytest
 from blurbench.imaging import BlurLevel
 from blurbench.ingest import (
     BlurFlag,
-    BlurFlagAnnotation,
     Dataset,
     FeatureCountRecord,
     ParseError,
@@ -32,6 +31,27 @@ def caption_doc(num_images, captions_per_image=1, split="val"):
             {"image_id": f"im{i}", "caption": f"caption {j} for image {i}"}
             for i in range(num_images) for j in range(captions_per_image)],
     }).encode()
+
+
+@pytest.mark.parametrize("value", [None, 7, 2.5, True, ["a dog"],
+                                   {"text": "a dog"}])
+@pytest.mark.parametrize("parse,record,key", [
+    (parse_captions, "images", "file_name"),
+    (parse_captions, "annotations", "caption"),
+    (parse_predictions, None, "caption"),
+])
+def test_non_string_text_rejected(parse, record, key, value):
+    """Captions and file names are JSON strings; nothing is stringified."""
+    if parse is parse_captions:
+        doc = json.loads(caption_doc(1))
+        item = doc[record][0]
+    else:
+        doc = [{"image_id": "im0", "blur_level": "MB0", "caption": "a dog"}]
+        item = doc[0]
+    item[key] = value
+    with pytest.raises(ParseError, match=f"{key} must be a string") as excinfo:
+        parse(json.dumps(doc).encode())
+    assert repr(item) in str(excinfo.value)
 
 
 class TestParseCaptions:
@@ -80,6 +100,11 @@ class TestParseCaptions:
     def test_malformed_json_rejected(self):
         with pytest.raises(ParseError, match="JSON"):
             parse_captions(b"{not json")
+
+    @pytest.mark.parametrize("parse", [parse_captions, parse_predictions])
+    def test_deeply_nested_json_rejected(self, parse):
+        with pytest.raises(ParseError, match="malformed JSON"):
+            parse(b"[" * 100_000)
 
     def test_duplicate_image_ids_rejected(self):
         doc = json.dumps({
@@ -180,8 +205,8 @@ class TestParseFeatureCounts:
 
 class TestParseBlurFlags:
     def test_basic(self):
-        ann = parse_blur_flags(b"image_id,flag\na,with_blur\nb,no_blur\n")
-        assert ann.flags == {"a": BlurFlag.WITH_BLUR, "b": BlurFlag.NO_BLUR}
+        flags = parse_blur_flags(b"image_id,flag\na,with_blur\nb,no_blur\n")
+        assert flags == {"a": BlurFlag.WITH_BLUR, "b": BlurFlag.NO_BLUR}
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(ParseError, match="unknown blur flag"):
@@ -203,7 +228,7 @@ class TestFilterByBlurFlag:
         ds = parse_captions(caption_doc(n))
         flags = {f"im{i}": (BlurFlag.WITH_BLUR if i < n_with
                             else BlurFlag.NO_BLUR) for i in range(n)}
-        return ds, BlurFlagAnnotation(flags)
+        return ds, flags
 
     def test_subset_sizes(self):
         ds, ann = self.make(2, 3)
@@ -217,7 +242,7 @@ class TestFilterByBlurFlag:
 
     def test_missing_flag_rejected(self):
         ds, _ = self.make(2, 3)
-        partial = BlurFlagAnnotation({"im0": BlurFlag.WITH_BLUR})
+        partial = {"im0": BlurFlag.WITH_BLUR}
         with pytest.raises(ParseError, match="without blur flag"):
             filter_by_blur_flag(ds, partial, BlurFlag.WITH_BLUR)
 
