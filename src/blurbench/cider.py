@@ -6,7 +6,11 @@ to that reference's weights before the dot product (so stuffing a
 frequent n-gram cannot inflate the score), the cosine similarity is
 multiplied by a Gaussian penalty on the token-length difference, and the
 result is averaged over references, then over n, then scaled by 10.
-Scores therefore live in [0, 10].
+Scores therefore live in [0, 10]. An order n longer than the longest text
+has no n-grams and adds 0, so such orders are never interned, while the
+mean still divides by max_n: for every max_n M at or above the longest
+reference's length L, score(M) * M == score(L) * L, and a huge max_n
+costs no more time than L.
 
 Document frequencies count images, not captions: an n-gram's df is the
 number of images whose reference set contains it at least once, and
@@ -90,7 +94,8 @@ def _unique(keys: np.ndarray):
 
 
 def _intern(texts: Iterable[Sequence[str]], max_n: int):
-    """Integer ids of every n-gram occurrence in `texts`, n = 1..max_n.
+    """Integer ids of every n-gram occurrence in `texts`, for n = 1 up to
+    max_n or the longest text's length, whichever is smaller.
 
     A token's id is its rank in the sorted vocabulary. An n-gram (n > 1)
     has the key (id of its (n-1)-gram prefix) * len(vocabulary) + (id of
@@ -119,7 +124,7 @@ def _intern(texts: Iterable[Sequence[str]], max_n: int):
     start = np.arange(len(tokens))
     ids = tokens
     orders = [(text, ids, np.arange(len(vocab)))]
-    for n in range(2, max_n + 1):
+    for n in range(2, min(max_n, max(lengths, default=0)) + 1):
         keep = left[start] >= n
         start = start[keep]
         keys, ids, _ = _unique(ids[keep] * len(vocab) + tokens[start + n - 1])

@@ -230,30 +230,30 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     deltas = degradation_deltas(table)
 
-    seed_line = f"# seed={cfg.seed}\n"
     outputs = {
         "score_table.md": render_score_table(table, "markdown"),
-        "score_table.csv": seed_line + render_score_table(table, "csv"),
+        "score_table.csv": render_score_table(table, "csv"),
         "degradation.md": render_deltas(deltas, "markdown"),
-        "degradation.csv": seed_line + render_deltas(deltas, "csv"),
+        "degradation.csv": render_deltas(deltas, "csv"),
     }
     records = parse_feature_counts(args.features.read_bytes())
     for hist in build_histograms(records, cfg.bin_width):
-        outputs[f"histogram_{hist.level.name}.csv"] = (
-            seed_line + render_histograms([hist], "csv"))
+        outputs[f"histogram_{hist.level.name}.csv"] = render_histograms([hist])
     if args.flags is not None:
-        flags = parse_blur_flags(args.flags.read_bytes())
-        with_blur = sum(1 for f in flags.values() if f is BlurFlag.WITH_BLUR)
-        print(f"flags: {with_blur} with_blur, "
-              f"{len(flags) - with_blur} no_blur")
+        flags = list(parse_blur_flags(args.flags.read_bytes()).values())
+        print("flags: " + ", ".join(f"{flags.count(flag)} {flag.value}"
+                                    for flag in BlurFlag))
         outputs["subset_table.md"] = render_subset_table(table, "markdown")
-        outputs["subset_table.csv"] = seed_line + render_subset_table(table, "csv")
+        outputs["subset_table.csv"] = render_subset_table(table, "csv")
 
     for name, text in outputs.items():
+        if name.endswith(".csv"):
+            text = f"# seed={cfg.seed}\n" + text
         _atomic_write(cfg.out / name, text.encode("utf-8"))
     print(f"wrote {len(outputs)} file(s) to {cfg.out}")
-    print(render_score_table(table, cfg.format), end="")
-    print(render_deltas(deltas, cfg.format), end="")
+    extension = "csv" if cfg.format == "csv" else "md"
+    print(outputs[f"score_table.{extension}"] + outputs[f"degradation.{extension}"],
+          end="")
     return 0
 
 

@@ -12,9 +12,10 @@ Formats handled:
 Image ids are opaque strings throughout (integer ids are stringified), so
 one code path serves datasets that key images by number and by filename.
 Any other JSON id (null, a bool, a float, a list or an object) is a
-`ParseError` naming its record. Captions and file names must be JSON
-strings, kept verbatim; tokenization happens in the metric, not here. A
-CSV the csv module cannot read is a `ParseError` naming its line.
+`ParseError` naming its record. Captions, file names and the optional
+split name must be JSON strings, kept verbatim; tokenization happens in
+the metric, not here. A CSV the csv module cannot read is a `ParseError`
+naming its line.
 Every parser has a serializer and parse -> serialize -> parse is the
 identity.
 """
@@ -148,7 +149,10 @@ def parse_captions(document: bytes) -> Dataset:
         if image_id not in known:
             raise ParseError(f"annotation references unknown image {image_id!r}")
         references.setdefault(image_id, []).append(caption)
-    return Dataset(images, references, str(doc.get("split", "")))
+    split = doc.get("split", "")
+    if not isinstance(split, str):
+        raise ParseError(f"split must be a string, not {split!r}")
+    return Dataset(images, references, split)
 
 
 def serialize_captions(ds: Dataset) -> bytes:

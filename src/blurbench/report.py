@@ -16,21 +16,21 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 
 from .imaging import BlurLevel
-from .ingest import FeatureCountRecord, ParseError
+from .ingest import BlurFlag, FeatureCountRecord, ParseError
 from .schedule import Technique
 
-#: Extra score-row labels for the MB0 subsets of a flag-annotated split.
-SUBSET_LABELS = ("with_blur", "no_blur")
-
 FORMATS = ("markdown", "csv")
+
+#: Markdown heading of each flag subset's column: `with_blur` -> `With blur`.
+_HEADING = {f: f.value.replace("_", " ").capitalize() for f in BlurFlag}
 
 
 @dataclass
 class ScoreRow:
     technique: str
     scores: dict[BlurLevel, float]
-    with_blur: float | None = None
-    no_blur: float | None = None
+    #: MB0 score of each flag subset the row carries
+    subsets: dict[BlurFlag, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -43,10 +43,6 @@ class ScoreTable:
             if missing:
                 raise ValueError(
                     f"row {row.technique!r} lacks levels: {missing}")
-
-    def has_subset_columns(self) -> bool:
-        return any(r.with_blur is not None or r.no_blur is not None
-                   for r in self.rows)
 
 
 @dataclass(frozen=True)
@@ -116,9 +112,10 @@ def build_histograms(records: list[FeatureCountRecord],
 def parse_scores_csv(text: str) -> ScoreTable:
     """Read `technique,level,score` rows into a table.
 
-    Lines starting with '#' are metadata comments. Levels may also be
-    `with_blur` / `no_blur` for MB0 subset scores. Known techniques come
-    out in canonical order, everything else in first-appearance order.
+    Lines starting with '#' are metadata comments. A level may also be a
+    `BlurFlag` value, for the MB0 score of that flag subset. Known
+    techniques come out in canonical order, everything else in
+    first-appearance order.
     """
     numbered = [(number, l) for number, l in enumerate(text.splitlines(), 1)
                 if l.strip() and not l.startswith("#")]
@@ -142,11 +139,12 @@ def parse_scores_csv(text: str) -> ScoreTable:
         if not math.isfinite(score):
             raise ParseError(f"non-finite score in row {raw!r}")
         row = by_technique.setdefault(technique, ScoreRow(technique, {}))
-        if level_token in SUBSET_LABELS:
-            if getattr(row, level_token) is not None:
+        flag = next((f for f in BlurFlag if f.value == level_token), None)
+        if flag is not None:
+            if flag in row.subsets:
                 raise ParseError(
                     f"duplicate {level_token} score for {technique!r}")
-            setattr(row, level_token, score)
+            row.subsets[flag] = score
             continue
         try:
             level = BlurLevel[level_token]
@@ -180,92 +178,63 @@ def check_format(format: str) -> str:
     return format
 
 
-def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
-    lines = ["| " + " | ".join(header) + " |",
-             "|" + "|".join([" --- "] * len(header)) + "|"]
-    lines += ["| " + " | ".join(row) + " |" for row in rows]
-    return "\n".join(lines) + "\n"
+def _render(header: list[str], rows: list[list], format: str) -> str:
+    """One table as markdown, or as CSV that quotes a field only when the
+    field needs it (a comma, a quote or a line break)."""
+    if check_format(format) == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return out.getvalue()
+    lines = [header, ["---"] * len(header), *rows]
+    return "".join("| " + " | ".join(line) + " |\n" for line in lines)
 
 
 def render_score_table(table: ScoreTable, format: str = "markdown") -> str:
-    check_format(format)
-    subset = table.has_subset_columns()
     if format == "csv":
-        lines = ["technique,level,score"]
-        for row in table.rows:
-            for level in BlurLevel:
-                lines.append(f"{row.technique},{level.name},{_fmt(row.scores[level])}")
-            if subset:
-                for label in SUBSET_LABELS:
-                    value = getattr(row, label)
-                    if value is not None:
-                        lines.append(f"{row.technique},{label},{_fmt(value)}")
-        return "\n".join(lines) + "\n"
-    header = ["Training approach"] + [l.name for l in BlurLevel]
-    if subset:
-        header += ["With blur", "No blur"]
-    body = []
-    for row in table.rows:
-        cells = [row.technique] + [_fmt(row.scores[l]) for l in BlurLevel]
-        if subset:
-            cells += [_fmt(row.with_blur) if row.with_blur is not None else "",
-                      _fmt(row.no_blur) if row.no_blur is not None else ""]
-        body.append(cells)
-    return _markdown_table(header, body)
+        rows = []
+        for r in table.rows:
+            rows += [[r.technique, l.name, _fmt(r.scores[l])] for l in BlurLevel]
+            rows += [[r.technique, f.value, _fmt(r.subsets[f])]
+                     for f in BlurFlag if f in r.subsets]
+        return _render(["technique", "level", "score"], rows, format)
+    flags = list(BlurFlag) if any(r.subsets for r in table.rows) else []
+    header = ["Training approach", *(l.name for l in BlurLevel),
+              *(_HEADING[f] for f in flags)]
+    rows = [[r.technique, *(_fmt(r.scores[l]) for l in BlurLevel),
+             *(_fmt(r.subsets[f]) if f in r.subsets else "" for f in flags)]
+            for r in table.rows]
+    return _render(header, rows, format)
 
 
 def render_deltas(deltas: list[DegradationDelta],
                   format: str = "markdown") -> str:
-    check_format(format)
     if format == "csv":
-        lines = ["technique,level,delta"]
-        lines += [f"{d.technique},{d.level.name},{_fmt(d.delta)}" for d in deltas]
-        return "\n".join(lines) + "\n"
+        rows = [[d.technique, d.level.name, _fmt(d.delta)] for d in deltas]
+        return _render(["technique", "level", "delta"], rows, format)
     by_technique: dict[str, dict[BlurLevel, float]] = {}
-    order = []
     for d in deltas:
-        if d.technique not in by_technique:
-            order.append(d.technique)
         by_technique.setdefault(d.technique, {})[d.level] = d.delta
-    header = ["Training approach"] + [l.name for l in BlurLevel]
-    body = [[t] + [_fmt(by_technique[t].get(l, 0.0)) for l in BlurLevel]
-            for t in order]
-    return _markdown_table(header, body)
+    return _render(
+        ["Training approach", *(l.name for l in BlurLevel)],
+        [[t, *(_fmt(by_level.get(l, 0.0)) for l in BlurLevel)]
+         for t, by_level in by_technique.items()], format)
 
 
 def render_subset_table(table: ScoreTable, format: str = "markdown") -> str:
-    """With-blur / no-blur columns only; every row must carry both."""
-    check_format(format)
-    incomplete = [r.technique for r in table.rows
-                  if r.with_blur is None or r.no_blur is None]
+    """One column per flag subset; every row must carry all of them."""
+    incomplete = [r.technique for r in table.rows if len(r.subsets) < len(BlurFlag)]
     if incomplete:
         raise ValueError(f"rows without subset scores: {incomplete}")
-    if format == "csv":
-        lines = ["technique,with_blur,no_blur"]
-        lines += [f"{r.technique},{_fmt(r.with_blur)},{_fmt(r.no_blur)}"
-                  for r in table.rows]
-        return "\n".join(lines) + "\n"
-    return _markdown_table(
-        ["Training approach", "With blur", "No blur"],
-        [[r.technique, _fmt(r.with_blur), _fmt(r.no_blur)] for r in table.rows])
+    header = (["technique", *(f.value for f in BlurFlag)] if format == "csv"
+              else ["Training approach", *_HEADING.values()])
+    return _render(header, [[r.technique, *(_fmt(r.subsets[f]) for f in BlurFlag)]
+                            for r in table.rows], format)
 
 
-def render_histograms(histograms: list[FeatureHistogram],
-                      format: str = "csv") -> str:
-    check_format(format)
-    rows = []
-    for hist in histograms:
-        for index in sorted(hist.bins):
-            start = index * hist.bin_width
-            end = start + hist.bin_width
-            rows.append((hist.level.name, hist.bin_width, index, start, end,
-                         hist.bins[index]))
-    if format == "csv":
-        lines = ["level,bin_width,bin_index,bin_start,bin_end,image_count"]
-        lines += [",".join(str(v) for v in row) for row in rows]
-        return "\n".join(lines) + "\n"
-    return _markdown_table(
-        ["Level", "Bin", "Images"],
-        [[level, f"[{start}, {end})", str(count)]
-         for level, _, _, start, end, count in rows])
-
+def render_histograms(histograms: list[FeatureHistogram]) -> str:
+    return _render(
+        ["level", "bin_width", "bin_index", "bin_start", "bin_end", "image_count"],
+        [[h.level.name, h.bin_width, i, i * h.bin_width, (i + 1) * h.bin_width,
+          h.bins[i]] for h in histograms for i in sorted(h.bins)], "csv")

@@ -208,8 +208,10 @@ def read_manifest(text: str) -> AugmentationManifest:
     try:
         header = json.loads(line)
         plan = TechniquePlan(Technique(header["technique"]))
-        seed = int(header["seed"])
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        seed = header["seed"]
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"seed must be a JSON integer, not {seed!r}")
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"bad manifest header on line {number}: {exc}") from exc
     if any(header.get(f"{stage.value}_schedule")
            != list(plan.schedule_for(stage).probs) for stage in Stage):

@@ -1,6 +1,7 @@
 """CIDEr-D scoring against the direct-formula reference."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -272,6 +273,21 @@ class TestCorpusCiderD:
                 for i in toy_dataset.image_ids()) / 10
             assert abs(mine - oracle) < 1e-9
             assert mine == pytest.approx(expected, abs=1e-9)
+
+    def test_huge_max_n_scales_score_and_runs_fast(self, toy_dataset,
+                                                  toy_predictions):
+        """Orders past the longest reference add 0 but still count in the
+        mean over n, and are never interned."""
+        longest = max(len(tokenize(r)) for refs in toy_dataset.references.values()
+                      for r in refs)
+        at_longest = corpus_cider_d(toy_predictions, toy_dataset, BlurLevel.MB1,
+                                    CiderConfig(max_n=longest))
+        for max_n in (longest + 1, 10**9):
+            start = time.perf_counter()
+            score = corpus_cider_d(toy_predictions, toy_dataset, BlurLevel.MB1,
+                                   CiderConfig(max_n=max_n))
+            assert time.perf_counter() - start < 1.0
+            assert abs(score * max_n - at_longest * longest) < 1e-9
 
     def test_missing_prediction_names_image(self, toy_dataset, toy_predictions):
         from blurbench.ingest import PredictionSet

@@ -379,6 +379,40 @@ class TestReportCommand:
                        f"['Cap-Aug', 'MB2', '{value}']"]
         assert not out.exists()
 
+    def test_score_table_csv_reads_back(self, tmp_path, data_dir):
+        scores, features = self.write_inputs(tmp_path, data_dir)
+        scores.write_text(scores.read_text().replace("\nCap-Aug,", '\n"My,Model",'))
+        first, second = tmp_path / "o1", tmp_path / "o2"
+        assert run("--out", first, "report", scores, features) == 0
+        table = first / "score_table.csv"
+        assert '\n"My,Model",MB0,50.0\n' in table.read_text()
+        assert run("--out", second, "report", table, features) == 0
+        assert (second / "score_table.csv").read_bytes() == table.read_bytes()
+
+    @pytest.mark.parametrize("case,format,bin_width,flags", [
+        ("markdown_flags", "markdown", 10, True),
+        ("csv_bin_width_7", "csv", 7, False),
+    ])
+    def test_outputs_match_golden(self, tmp_path, data_dir, monkeypatch, capsys,
+                                  case, format, bin_width, flags):
+        """Every file and stdout of `score --flags` -> `report`, byte for byte."""
+        monkeypatch.chdir(tmp_path)  # stdout names the --out directory
+        assert run("--out", ".", "score", data_dir / "toy_captions.json",
+                   data_dir / "toy_predictions.json",
+                   "--flags", data_dir / "toy_flags.csv") == 0
+        capsys.readouterr()
+        assert run("--format", format, "--out", case, "report", "scores.csv",
+                   data_dir / "toy_feature_counts.csv", "--bin-width", bin_width,
+                   *(["--flags", data_dir / "toy_flags.csv"] if flags else [])) == 0
+        out = tmp_path / case
+        golden = data_dir / "report_golden"
+        stdout = capsys.readouterr().out
+        assert stdout == (golden / f"{case}.stdout").read_text()
+        names = sorted(p.name for p in (golden / case).iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (golden / case / name).read_bytes()
+
     def test_bin_width_from_config(self, tmp_path, data_dir):
         scores, features = self.write_inputs(tmp_path, data_dir)
         config = tmp_path / "bench.cfg"

@@ -68,6 +68,12 @@ class TestParseCaptions:
         }).encode()
         ds = parse_captions(doc)
         assert ds.image_ids() == ["42"]
+        assert ds.split_name == ""
+
+    @pytest.mark.parametrize("split", [None, 7, True, ["val"], {"name": "val"}])
+    def test_non_string_split_rejected(self, split):
+        with pytest.raises(ParseError, match="split must be a string"):
+            parse_captions(caption_doc(1, split=split))
 
     @pytest.mark.parametrize("bad_id", [None, True, 4.0, [1], {"id": 1}])
     @pytest.mark.parametrize("record", ["images", "annotations"])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blurbench.imaging import BlurLevel
-from blurbench.ingest import FeatureCountRecord, ParseError
+from blurbench.ingest import BlurFlag, FeatureCountRecord, ParseError
 from blurbench.report import (
     DegradationDelta,
     FeatureHistogram,
@@ -22,6 +22,7 @@ from blurbench.report import (
 )
 
 LEVELS = list(BlurLevel)
+WITH, WITHOUT = BlurFlag.WITH_BLUR, BlurFlag.NO_BLUR
 
 
 def row(technique, mb0, mb1, mb2, mb3, **kwargs):
@@ -36,10 +37,10 @@ COCO_TABLE = ScoreTable([
 ])
 
 VIZWIZ_TABLE = ScoreTable([
-    row("No-Aug", 48.8, 47.0, 40.9, 26.4, with_blur=47.2, no_blur=53.0),
-    row("ObjDet-Aug", 48.9, 48.1, 45.6, 39.5, with_blur=47.0, no_blur=53.3),
-    row("Cap-Aug", 50.0, 49.2, 46.9, 38.2, with_blur=49.0, no_blur=53.2),
-    row("ObjDet-Cap-Aug", 50.3, 49.9, 48.1, 43.5, with_blur=48.9, no_blur=54.1),
+    row("No-Aug", 48.8, 47.0, 40.9, 26.4, subsets={WITH: 47.2, WITHOUT: 53.0}),
+    row("ObjDet-Aug", 48.9, 48.1, 45.6, 39.5, subsets={WITH: 47.0, WITHOUT: 53.3}),
+    row("Cap-Aug", 50.0, 49.2, 46.9, 38.2, subsets={WITH: 49.0, WITHOUT: 53.2}),
+    row("ObjDet-Cap-Aug", 50.3, 49.9, 48.1, 43.5, subsets={WITH: 48.9, WITHOUT: 54.1}),
 ])
 
 
@@ -173,15 +174,15 @@ class TestRendering:
             render_score_table(VIZWIZ_TABLE, "markdown")
         hists = build_histograms(
             [FeatureCountRecord("a", BlurLevel.MB1, 7)], 10)
-        assert render_histograms(hists, "csv") == render_histograms(hists, "csv")
+        assert render_histograms(hists) == render_histograms(hists)
 
     def test_empty_histograms_header_only(self):
-        text = render_histograms([], "csv")
+        text = render_histograms([])
         assert text == "level,bin_width,bin_index,bin_start,bin_end,image_count\n"
 
     def test_histogram_csv_rows(self):
         hist = FeatureHistogram(BlurLevel.MB2, 10, {3: 2, 1: 1})
-        text = render_histograms([hist], "csv")
+        text = render_histograms([hist])
         lines = text.splitlines()
         assert lines[1] == "MB2,10,1,10,20,1"  # bins sorted ascending
         assert lines[2] == "MB2,10,3,30,40,2"
@@ -191,7 +192,7 @@ class TestRendering:
         table = parse_scores_csv(text)
         assert [r.technique for r in table.rows] == \
             [r.technique for r in VIZWIZ_TABLE.rows]
-        assert table.rows[0].with_blur == 47.2
+        assert table.rows[0].subsets[WITH] == 47.2
 
     def test_subset_table(self):
         text = render_subset_table(VIZWIZ_TABLE, "markdown")

@@ -245,8 +245,10 @@ class TestManifestSerialization:
         with pytest.raises(ValueError, match="bad manifest entry on line 2"):
             read_manifest(text.split("\n", 1)[0] + "\n" + line + "\n")
 
-    @pytest.mark.parametrize("seed", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("seed", ["Infinity", "-Infinity", "NaN",
+                                      "true", "1.5", '"7"', "null"])
     def test_non_finite_seed_rejected(self, seed):
+        """The seed is a JSON integer; nothing else is coerced to one."""
         text = write_manifest(plan_dataset(["a"], technique_plan("No-Aug"), 0))
         with pytest.raises(ValueError, match="bad manifest header on line 1"):
             read_manifest(text.replace('"seed": 0', f'"seed": {seed}'))
