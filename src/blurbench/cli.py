@@ -45,9 +45,11 @@ from .ingest import (
     parse_captions,
     parse_feature_counts,
     parse_predictions,
+    write_csv,
 )
 from .report import (
     FORMATS,
+    SCORES_HEADER,
     build_histograms,
     check_format,
     degradation_deltas,
@@ -92,7 +94,7 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 def _load_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for raw in path.read_bytes().decode("utf-8").split("\n"):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -180,7 +182,7 @@ def cmd_blur(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_plan(args: argparse.Namespace, cfg: RunConfig) -> int:
     keys = [line.strip() for line in
-            args.keys.read_text(encoding="utf-8").splitlines() if line.strip()]
+            args.keys.read_bytes().decode("utf-8").split("\n") if line.strip()]
     plan = technique_plan(cfg.technique)
     manifest = plan_dataset(keys, plan, cfg.seed)
     target = cfg.out / "manifest.jsonl"
@@ -201,10 +203,10 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
               f"ignored", file=sys.stderr)
     idf = build_idf(dataset, metric.max_n)
 
-    lines = [f"# seed={cfg.seed}", "technique,level,score"]
+    rows = []
     for level in preds.levels():
         score = corpus_cider_d(preds, dataset, level, metric, idf=idf)
-        lines.append(f"{cfg.technique},{level.name},{score}")
+        rows.append([cfg.technique, level.name, score])
         print(f"{cfg.technique} {level.name}: {score:.4f}")
     if args.flags is not None:
         flags = parse_blur_flags(args.flags.read_bytes())
@@ -215,17 +217,18 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
                       f"subset row skipped", file=sys.stderr)
                 continue
             score = corpus_cider_d(preds, subset, BlurLevel.MB0, metric)
-            lines.append(f"{cfg.technique},{flag.value},{score}")
+            rows.append([cfg.technique, flag.value, score])
             print(f"{cfg.technique} {flag.value} (MB0): {score:.4f}")
 
     target = cfg.out / "scores.csv"
-    _atomic_write(target, ("\n".join(lines) + "\n").encode("utf-8"))
+    _atomic_write(target, (f"# seed={cfg.seed}\n"
+                           + write_csv(SCORES_HEADER, rows)).encode("utf-8"))
     print(f"wrote {target}")
     return 0
 
 
 def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
-    table = parse_scores_csv(args.scores.read_text(encoding="utf-8"))
+    table = parse_scores_csv(args.scores.read_bytes().decode("utf-8"))
     for warning in degradation_warnings(table):
         print(f"warning: {warning}", file=sys.stderr)
     deltas = degradation_deltas(table)

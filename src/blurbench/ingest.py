@@ -14,10 +14,10 @@ one code path serves datasets that key images by number and by filename.
 Any other JSON id (null, a bool, a float, a list or an object) is a
 `ParseError` naming its record. Captions, file names and the optional
 split name must be JSON strings, kept verbatim; tokenization happens in
-the metric, not here. A CSV the csv module cannot read is a `ParseError`
-naming its line.
-Every parser has a serializer and parse -> serialize -> parse is the
-identity.
+the metric, not here. Every CSV, read or written, goes through `read_csv`
+and `write_csv`, which hold the one CSV dialect of the package.
+Every parser has a serializer, and parse -> serialize -> parse gives the
+input back, ids holding commas, quotes or line breaks included.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from types import SimpleNamespace
 
 from .imaging import BlurLevel
 
@@ -90,7 +91,7 @@ class FeatureCountRecord:
             raise ParseError(f"negative feature count for {self.image_id}")
 
 
-def _parse_level(token: str) -> BlurLevel:
+def parse_level(token: str) -> BlurLevel:
     try:
         return BlurLevel[token]
     except KeyError:
@@ -180,7 +181,7 @@ def parse_predictions(document: bytes) -> PredictionSet:
     for item in doc:
         try:
             image_id = _image_id(item, "image_id", "prediction")
-            level = _parse_level(str(item["blur_level"]))
+            level = parse_level(str(item["blur_level"]))
             caption = _string(item, "caption", "prediction")
         except (TypeError, KeyError) as exc:
             raise ParseError(f"bad prediction record {item!r}") from exc
@@ -205,45 +206,64 @@ def serialize_predictions(preds: PredictionSet) -> bytes:
 # CSV side-files
 # ---------------------------------------------------------------------------
 
-def _csv_rows(document: bytes, expected_header: list[str]):
-    try:
-        text = document.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
+_FEATURE_COUNTS = ["image_id", "level", "count"]
+_BLUR_FLAGS = ["image_id", "flag"]
+
+
+def read_csv(text: str, header: list[str]) -> list[list[str]]:
+    """The data rows of a CSV table whose first row must be `header`.
+
+    Lines end at ``\\n`` or ``\\r\\n``; ``#`` lines before the header and
+    empty lines are skipped. A row of the wrong width is a `ParseError`,
+    and so is a `csv.Error`, which names its line in `text`.
+    """
+    lines = io.StringIO(text).readlines()
+    metadata = next((i for i, line in enumerate(lines) if line.rstrip("\r\n")
+                     and not line.startswith("#")), len(lines))
+    reader = csv.reader(lines[metadata:])
     try:
         rows = [row for row in reader if row]
     except csv.Error as exc:
-        raise ParseError(f"bad CSV on line {reader.line_num}: {exc}") from None
-    if not rows or rows[0] != expected_header:
-        raise ParseError(f"expected header {','.join(expected_header)!r}")
+        raise ParseError(
+            f"bad CSV on line {metadata + reader.line_num}: {exc}") from None
+    if not rows or rows[0] != header:
+        raise ParseError(f"expected header {','.join(header)!r}")
     for row in rows[1:]:
-        if len(row) != len(expected_header):
+        if len(row) != len(header):
             raise ParseError(f"bad row {row!r}")
-        yield row
+    return rows[1:]
+
+
+def write_csv(header: list[str], rows: list[list]) -> str:
+    """CSV that `read_csv` reads back; quotes a field holding , " \\r or \\n."""
+    # csv quotes a bare "\r" only with a "\r\n" terminator; cut it to "\n"
+    written: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=written.append))
+    writer.writerow(header)
+    writer.writerows(rows)
+    return "".join(line[:-2] + "\n" for line in written)
 
 
 def parse_feature_counts(document: bytes) -> list[FeatureCountRecord]:
     records = []
-    for image_id, level_token, count_token in _csv_rows(
-            document, ["image_id", "level", "count"]):
+    for image_id, level_token, count_token in read_csv(
+            document.decode("utf-8"), _FEATURE_COUNTS):
         try:
             count = int(count_token)
         except ValueError:
             raise ParseError(f"non-integer count {count_token!r}") from None
-        records.append(FeatureCountRecord(image_id, _parse_level(level_token), count))
+        records.append(FeatureCountRecord(image_id, parse_level(level_token), count))
     return records
 
 
 def serialize_feature_counts(records: list[FeatureCountRecord]) -> bytes:
-    lines = ["image_id,level,count"]
-    lines += [f"{r.image_id},{r.level.name},{r.count}" for r in records]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return write_csv(_FEATURE_COUNTS, [
+        [r.image_id, r.level.name, r.count] for r in records]).encode("utf-8")
 
 
 def parse_blur_flags(document: bytes) -> dict[str, BlurFlag]:
     flags: dict[str, BlurFlag] = {}
-    for image_id, flag_token in _csv_rows(document, ["image_id", "flag"]):
+    for image_id, flag_token in read_csv(document.decode("utf-8"), _BLUR_FLAGS):
         try:
             flag = BlurFlag(flag_token)
         except ValueError:
@@ -255,10 +275,9 @@ def parse_blur_flags(document: bytes) -> dict[str, BlurFlag]:
 
 
 def serialize_blur_flags(flags: dict[str, BlurFlag]) -> bytes:
-    lines = ["image_id,flag"]
-    lines += [f"{image_id},{flag.value}"
-              for image_id, flag in sorted(flags.items())]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return write_csv(_BLUR_FLAGS, [
+        [image_id, flag.value] for image_id, flag in sorted(flags.items())
+    ]).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,20 @@ float ulp.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 
 from .imaging import BlurLevel
-from .ingest import BlurFlag, FeatureCountRecord, ParseError
+from .ingest import (BlurFlag, FeatureCountRecord, ParseError, parse_level,
+                     read_csv, write_csv)
 from .schedule import Technique
 
 FORMATS = ("markdown", "csv")
+#: Header of the scores CSV that `score` writes and `report` reads.
+SCORES_HEADER = ["technique", "level", "score"]
+#: Markdown cell escapes, so that no pipe or line break ends a cell or a row
+_CELL = str.maketrans({"\\": "\\\\", "|": "\\|", "\r": "<br>", "\n": "<br>"})
 
 #: Markdown heading of each flag subset's column: `with_blur` -> `With blur`.
 _HEADING = {f: f.value.replace("_", " ").capitalize() for f in BlurFlag}
@@ -112,25 +115,12 @@ def build_histograms(records: list[FeatureCountRecord],
 def parse_scores_csv(text: str) -> ScoreTable:
     """Read `technique,level,score` rows into a table.
 
-    Lines starting with '#' are metadata comments. A level may also be a
-    `BlurFlag` value, for the MB0 score of that flag subset. Known
-    techniques come out in canonical order, everything else in
-    first-appearance order.
+    The text is read by `ingest.read_csv`. A level may also be a `BlurFlag`
+    value, for the MB0 score of that flag subset. Known techniques come
+    out in canonical order, everything else in first-appearance order.
     """
-    numbered = [(number, l) for number, l in enumerate(text.splitlines(), 1)
-                if l.strip() and not l.startswith("#")]
-    reader = csv.reader(io.StringIO("\n".join(l for _, l in numbered)))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        number = numbered[reader.line_num - 1][0]
-        raise ParseError(f"bad CSV on line {number}: {exc}") from None
-    if not rows or rows[0] != ["technique", "level", "score"]:
-        raise ParseError("expected header 'technique,level,score'")
     by_technique: dict[str, ScoreRow] = {}
-    for raw in rows[1:]:
-        if len(raw) != 3:
-            raise ParseError(f"bad scores row {raw!r}")
+    for raw in read_csv(text, SCORES_HEADER):
         technique, level_token, score_token = raw
         try:
             score = float(score_token)
@@ -146,10 +136,7 @@ def parse_scores_csv(text: str) -> ScoreTable:
                     f"duplicate {level_token} score for {technique!r}")
             row.subsets[flag] = score
             continue
-        try:
-            level = BlurLevel[level_token]
-        except KeyError:
-            raise ParseError(f"unknown level {level_token!r}") from None
+        level = parse_level(level_token)
         if level in row.scores:
             raise ParseError(
                 f"duplicate score for {technique!r} at {level.name}")
@@ -179,16 +166,12 @@ def check_format(format: str) -> str:
 
 
 def _render(header: list[str], rows: list[list], format: str) -> str:
-    """One table as markdown, or as CSV that quotes a field only when the
-    field needs it (a comma, a quote or a line break)."""
+    """One table as markdown, or as CSV through `ingest.write_csv`."""
     if check_format(format) == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return out.getvalue()
-    lines = [header, ["---"] * len(header), *rows]
-    return "".join("| " + " | ".join(line) + " |\n" for line in lines)
+        return write_csv(header, rows)
+    cells = [[str(c).replace("\r\n", "\n").translate(_CELL) for c in line]
+             for line in [header, ["---"] * len(header), *rows]]
+    return "".join("| " + " | ".join(line) + " |\n" for line in cells)
 
 
 def render_score_table(table: ScoreTable, format: str = "markdown") -> str:
@@ -198,7 +181,7 @@ def render_score_table(table: ScoreTable, format: str = "markdown") -> str:
             rows += [[r.technique, l.name, _fmt(r.scores[l])] for l in BlurLevel]
             rows += [[r.technique, f.value, _fmt(r.subsets[f])]
                      for f in BlurFlag if f in r.subsets]
-        return _render(["technique", "level", "score"], rows, format)
+        return _render(SCORES_HEADER, rows, format)
     flags = list(BlurFlag) if any(r.subsets for r in table.rows) else []
     header = ["Training approach", *(l.name for l in BlurLevel),
               *(_HEADING[f] for f in flags)]

@@ -201,7 +201,7 @@ def write_manifest(manifest: AugmentationManifest) -> str:
 def read_manifest(text: str) -> AugmentationManifest:
     """Parse `write_manifest` output; errors name the 1-based line."""
     numbered = ((number, line) for number, line
-                in enumerate(text.splitlines(), 1) if line.strip())
+                in enumerate(text.split("\n"), 1) if line.strip())
     number, line = next(numbered, (0, None))
     if line is None:
         raise ValueError("empty manifest")

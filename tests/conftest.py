@@ -13,6 +13,8 @@ from blurbench.ingest import (
 )
 
 DATA_DIR = Path(__file__).parent / "data"
+#: Python 3.10's csv reader raises "line contains NUL"; 3.11 reads NUL.
+CSV_READS_NUL = sys.version_info >= (3, 11)
 
 
 @pytest.fixture(scope="session")

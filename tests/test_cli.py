@@ -143,6 +143,15 @@ class TestPlanCommand:
         assert (out1 / "manifest.jsonl").read_bytes() == \
             (out2 / "manifest.jsonl").read_bytes()
 
+    def test_keys_end_only_at_newline(self, tmp_path):
+        keys = tmp_path / "keys.txt"
+        keys.write_bytes("cat\x85one\r\ndog\u2028two\n\n  bird \n".encode())
+        out = tmp_path / "out"
+        assert run("--out", out, "plan", keys, "--technique", "Cap-Aug") == 0
+        manifest = read_manifest((out / "manifest.jsonl").read_text())
+        assert sorted({e.sample_key for e in manifest.entries}) == \
+            ["bird", "cat\x85one", "dog\u2028two"]
+
     def test_seed_precedence(self, tmp_path, monkeypatch):
         keys = tmp_path / "keys.txt"
         keys.write_text("a\n")
@@ -351,6 +360,7 @@ class TestReportCommand:
         ("features", "image_id,level,count\n" + "a" * 131_073 + ",MB0,3\n", 2),
         ("scores", "# seed=0\ntechnique,level,score\n"
                    + "x" * 131_073 + ",MB0,1.0\n", 3),
+        ("scores", "technique,level,score\rNo-Aug,MB0,1.0\r", 1),
     ])
     def test_unreadable_csv_fails_before_writing(self, tmp_path, data_dir,
                                                  capsys, target, text, line):
@@ -388,6 +398,23 @@ class TestReportCommand:
         assert '\n"My,Model",MB0,50.0\n' in table.read_text()
         assert run("--out", second, "report", table, features) == 0
         assert (second / "score_table.csv").read_bytes() == table.read_bytes()
+
+    @pytest.mark.parametrize("technique", [
+        'say "hi"', "A\rB", "A\r\nB", "A\nB", "#1", "A\x0cB", "A\u2028B"])
+    def test_any_technique_name_reads_back(self, tmp_path, data_dir, technique):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(
+            "technique,level,score\n" + "".join(
+                f'"{technique.replace(chr(34), 2 * chr(34))}",{l.name},1.0\n'
+                for l in BlurLevel), newline="")
+        first, second = tmp_path / "o1", tmp_path / "o2"
+        features = data_dir / "toy_feature_counts.csv"
+        assert run("--out", first, "report", scores, features) == 0
+        table = first / "score_table.csv"
+        assert run("--out", second, "report", table, features) == 0
+        assert (second / "score_table.csv").read_bytes() == table.read_bytes()
+        markdown = (second / "score_table.md").read_bytes().decode()
+        assert len(markdown.split("\n")) == 4 and "\r" not in markdown
 
     @pytest.mark.parametrize("case,format,bin_width,flags", [
         ("markdown_flags", "markdown", 10, True),
@@ -470,6 +497,16 @@ class TestConfigFile:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and named in err[0]
         assert not out.exists()
+
+    def test_lines_end_only_at_newline(self, tmp_path):
+        """U+2028 inside a value is part of it, not a line end."""
+        keys = tmp_path / "keys.txt"
+        keys.write_text("a\n")
+        config = tmp_path / "bench.cfg"
+        config.write_bytes(f"seed = 4\r\nout = {tmp_path}/run\u2028two\n".encode())
+        assert run("--config", config, "plan", keys) == 0
+        manifest = tmp_path / "run\u2028two" / "manifest.jsonl"
+        assert read_manifest(manifest.read_text()).seed == 4
 
     def test_env_seed_checked_like_flag(self, tmp_path, monkeypatch, capsys):
         keys = tmp_path / "keys.txt"

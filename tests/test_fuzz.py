@@ -4,14 +4,21 @@
 decoding error) into one `error:` line and exit code 1; any other
 exception escapes as a traceback. Each valid fixture gets a few byte
 insertions, deletions and replacements, drawn mostly from bytes that CSV,
-JSON and netpbm treat specially.
+JSON and netpbm treat specially. The same mutations, fed to whole
+commands, must end in exit 0 or in one last `error:` line.
 """
+
+import io
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blurbench.cli import main
 from blurbench.imaging import load_image, save_image
 from blurbench.ingest import (
     parse_blur_flags,
@@ -87,3 +94,46 @@ def test_mutated_input_raises_only_value_errors(name, edits):
         parse(mutate(document, edits))
     except ValueError:
         pass
+
+
+#: command -> its arguments, naming input files by their _INPUTS key
+COMMANDS = {
+    "score": ["score", "captions", "predictions", "--flags", "blur_flags"],
+    "report": ["report", "scores", "feature_counts", "--flags", "blur_flags"],
+    "plan": ["--config", "config", "plan", "keys"],
+}
+_INPUTS = {name: document for name, (document, _) in FIXTURES.items()}
+_INPUTS["keys"] = (DATA_DIR / "toy_keys.txt").read_bytes()
+_INPUTS["config"] = b"# plan\nseed = 7\ntechnique = objdet-cap-aug  # canonicalized\n"
+
+
+@pytest.mark.parametrize("command,target", [
+    (command, name) for command, argv in COMMANDS.items()
+    for name in argv if name in _INPUTS])
+@given(edits=st.lists(_EDIT, min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_mutated_command_input_exits_cleanly(command, target, edits):
+    """Exit 0, or exit 1 with one last `error:` line and no --out directory;
+    only `warning:` lines may come before it."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = []
+        for arg in COMMANDS[command]:
+            if arg in _INPUTS:
+                document = _INPUTS[arg]
+                Path(tmp, arg).write_bytes(
+                    mutate(document, edits) if arg == target else document)
+                arg = str(Path(tmp, arg))
+            argv.append(arg)
+        out = Path(tmp, "out")
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(["--out", str(out), *argv])
+        created = out.exists()
+    lines = stderr.getvalue().split("\n")
+    assert lines.pop() == "" and "Traceback" not in stderr.getvalue()
+    if code == 0:
+        assert all(line.startswith("warning: ") for line in lines)
+        return
+    assert code == 1 and not created
+    assert lines and lines[-1].startswith("error: ")
+    assert all(line.startswith("warning: ") for line in lines[:-1])

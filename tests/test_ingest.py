@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blurbench.imaging import BlurLevel
 from blurbench.ingest import (
@@ -15,11 +17,13 @@ from blurbench.ingest import (
     parse_captions,
     parse_feature_counts,
     parse_predictions,
+    read_csv,
     serialize_blur_flags,
     serialize_captions,
     serialize_feature_counts,
     serialize_predictions,
 )
+from conftest import CSV_READS_NUL
 
 
 def caption_doc(num_images, captions_per_image=1, split="val"):
@@ -226,6 +230,56 @@ class TestParseBlurFlags:
         data = serialize_blur_flags(toy_flags)
         assert parse_blur_flags(data) == toy_flags
         assert serialize_blur_flags(parse_blur_flags(data)) == data
+
+
+def assert_round_trip(parse, serialize, value, ids):
+    """parse(serialize(value)) == value, or a ParseError where csv reads no NUL."""
+    data = serialize(value)
+    if not CSV_READS_NUL and any("\x00" in i for i in ids):
+        with pytest.raises(ParseError, match="NUL"):
+            parse(data)
+    else:
+        assert parse(data) == value
+
+
+class TestCsvDialect:
+    """`read_csv` and `write_csv`: the one CSV dialect of every table."""
+
+    @pytest.mark.parametrize("image_id", [
+        "a,b", '"q"', 'say "hi"', "x\ny", "x\r\ny", "x\ry", "\r", "#1", "",
+        " padded ", "A\x0cB", "A\x85B", "A\u2028B", "\x1c\x1d\x1e"])
+    def test_serializers_round_trip_awkward_ids(self, image_id):
+        records = [FeatureCountRecord(image_id, BlurLevel.MB2, 7)]
+        assert parse_feature_counts(serialize_feature_counts(records)) == records
+        flags = {image_id: BlurFlag.WITH_BLUR, "plain": BlurFlag.NO_BLUR}
+        assert parse_blur_flags(serialize_blur_flags(flags)) == flags
+
+    @given(ids=st.lists(st.text(), max_size=6),
+           levels=st.lists(st.sampled_from(list(BlurLevel)), min_size=6,
+                           max_size=6),
+           counts=st.lists(st.integers(0, 10**6), min_size=6, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_feature_counts_round_trip_any_id(self, ids, levels, counts):
+        records = [FeatureCountRecord(*record)
+                   for record in zip(ids, levels, counts)]
+        assert_round_trip(parse_feature_counts, serialize_feature_counts,
+                          records, ids)
+
+    @given(flags=st.dictionaries(st.text(), st.sampled_from(list(BlurFlag)),
+                                 max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_blur_flags_round_trip_any_id(self, flags):
+        assert_round_trip(parse_blur_flags, serialize_blur_flags, flags, flags)
+
+    def test_metadata_before_header_and_crlf_rows(self):
+        text = "# seed=3\r\n#\n\nimage_id,flag\r\n\r\na,with_blur\r\n"
+        assert read_csv(text, ["image_id", "flag"]) == [["a", "with_blur"]]
+        assert parse_blur_flags(text.encode()) == {"a": BlurFlag.WITH_BLUR}
+
+    def test_error_names_the_line_in_the_file(self):
+        text = "# seed=0\n\n# more\nimage_id,flag\na,with\rblur\n"
+        with pytest.raises(ParseError, match="bad CSV on line 5:"):
+            read_csv(text, ["image_id", "flag"])
 
 
 class TestFilterByBlurFlag:

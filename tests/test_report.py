@@ -20,6 +20,7 @@ from blurbench.report import (
     render_score_table,
     render_subset_table,
 )
+from conftest import CSV_READS_NUL
 
 LEVELS = list(BlurLevel)
 WITH, WITHOUT = BlurFlag.WITH_BLUR, BlurFlag.NO_BLUR
@@ -42,6 +43,32 @@ VIZWIZ_TABLE = ScoreTable([
     row("Cap-Aug", 50.0, 49.2, 46.9, 38.2, subsets={WITH: 49.0, WITHOUT: 53.2}),
     row("ObjDet-Cap-Aug", 50.3, 49.9, 48.1, 43.5, subsets={WITH: 48.9, WITHOUT: 54.1}),
 ])
+
+
+def flat_table(names):
+    return ScoreTable([row(n, 40.0, 30.0, 20.0, 10.0,
+                           subsets={WITH: 35.0, WITHOUT: 45.0}) for n in names])
+
+
+def scores_text(technique):
+    """A scores CSV with one row per level for `technique`, verbatim."""
+    return "technique,level,score\n" + "".join(
+        f"{technique},MB{k},1.0\n" for k in range(4))
+
+
+def markdown_cells(line):
+    """The cells of one markdown table row, split at unescaped pipes."""
+    assert line.startswith("| ") and line.endswith(" |")
+    cells, cell, chars = [], "", iter(line[2:-2])
+    for char in chars:
+        if char == "\\":
+            cell += char + next(chars, "")
+        elif char == "|":
+            cells.append(cell)
+            cell = ""
+        else:
+            cell += char
+    return cells + [cell]
 
 
 def delta_map(table):
@@ -205,6 +232,38 @@ class TestRendering:
         assert "No-Aug,MB3,68.7" in text
         assert "ObjDet-Cap-Aug,MB3,11.7" in text
 
+    @given(names=st.lists(st.text(), min_size=1, max_size=4, unique=True))
+    @settings(max_examples=150, deadline=None)
+    def test_markdown_cells_cannot_break_the_table(self, names):
+        table = flat_table(names)
+        for text in (render_score_table(table, "markdown"),
+                     render_deltas(degradation_deltas(table), "markdown"),
+                     render_subset_table(table, "markdown")):
+            assert "\r" not in text
+            lines = text.split("\n")
+            assert lines[-1] == "" and len(lines) == 2 + len(names) + 1
+            widths = {len(markdown_cells(line)) for line in lines[:-1]}
+            assert len(widths) == 1
+
+    @pytest.mark.parametrize("name,cell", [
+        ("A|B", "A\\|B"), ("A\nB", "A<br>B"), ("A\r\nB", "A<br>B"),
+        ("A\rB", "A<br>B"), ("A\\|B", "A\\\\\\|B")])
+    def test_markdown_escapes(self, name, cell):
+        text = render_score_table(flat_table([name]), "markdown")
+        assert f"\n| {cell} | 40.0 |" in text
+
+    @given(names=st.lists(st.text(), min_size=1, max_size=4, unique=True))
+    @settings(max_examples=150, deadline=None)
+    def test_csv_gives_back_every_technique_name(self, names):
+        text = render_score_table(flat_table(names), "csv")
+        if not CSV_READS_NUL and any("\x00" in n for n in names):
+            with pytest.raises(ParseError, match="NUL"):
+                parse_scores_csv(text)
+            return
+        table = parse_scores_csv(text)
+        assert sorted(r.technique for r in table.rows) == sorted(names)
+        assert table.rows == flat_table([r.technique for r in table.rows]).rows
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format"):
             render_score_table(COCO_TABLE, "html")
@@ -240,6 +299,26 @@ class TestParseScoresCsv:
     def test_bad_header_rejected(self):
         with pytest.raises(ParseError, match="header"):
             parse_scores_csv("tech,lvl,val\n")
+
+    @pytest.mark.parametrize("technique", [
+        "A\x0cB", "A\x0bB", "A\x1cB", "A\x1dB", "A\x1eB", "A\x85B", "A\u2028B",
+        "A\u2029B", "#1"])
+    def test_technique_read_whole(self, technique):
+        table = parse_scores_csv("# seed=0\n" + scores_text(technique))
+        assert [r.technique for r in table.rows] == [technique]
+
+    def test_quoted_carriage_return_kept(self):
+        table = parse_scores_csv(scores_text('"A\rB"'))
+        assert [r.technique for r in table.rows] == ["A\rB"]
+
+    def test_hash_line_after_header_rejected(self):
+        text = scores_text("No-Aug").replace("\nNo-Aug,MB2", "\n# note\nNo-Aug,MB2")
+        with pytest.raises(ParseError, match=r"bad row \['# note'\]"):
+            parse_scores_csv(text)
+
+    def test_carriage_return_line_ends_rejected(self):
+        with pytest.raises(ParseError, match="bad CSV on line 1:"):
+            parse_scores_csv(scores_text("No-Aug").replace("\n", "\r"))
 
     def test_bad_score_rejected(self):
         text = "technique,level,score\nNo-Aug,MB0,lots\n"

@@ -1,5 +1,6 @@
 """Probability schedules, seeded sampling, and manifests."""
 
+import json
 import math
 from collections import Counter
 
@@ -252,6 +253,21 @@ class TestManifestSerialization:
         text = write_manifest(plan_dataset(["a"], technique_plan("No-Aug"), 0))
         with pytest.raises(ValueError, match="bad manifest header on line 1"):
             read_manifest(text.replace('"seed": 0', f'"seed": {seed}'))
+
+    @pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"])
+    def test_raw_line_separator_inside_a_key_is_read(self, char):
+        """A line ends only at \\n; a JSON string may hold U+0085 raw."""
+        manifest = plan_dataset([f"cat{char}one", "dog"],
+                                technique_plan("Cap-Aug"), 3)
+        escaped = json.dumps(char)[1:-1]
+        text = write_manifest(manifest)
+        assert escaped in text
+        assert read_manifest(text.replace(escaped, char)) == manifest
+
+    def test_crlf_line_ends_read(self):
+        manifest = plan_dataset(["a", "b"], technique_plan("ObjDet-Aug"), 4)
+        text = write_manifest(manifest).replace("\n", "\r\n")
+        assert read_manifest(text) == manifest
 
     def test_json_error_names_line(self):
         text = write_manifest(plan_dataset(["a", "b"], technique_plan("No-Aug"), 0))
