@@ -31,7 +31,6 @@ from .ingest import (
     Dataset,
     FeatureCountRecord,
     ParseError,
-    PredictionSet,
     filter_by_blur_flag,
     parse_blur_flags,
     parse_captions,

@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .imaging import BlurLevel
-from .ingest import Dataset, PredictionSet
+from .ingest import Dataset
 
 TokenSeq = list[str]
 NGram = tuple[str, ...]
@@ -259,19 +259,19 @@ def cider_d(candidate: Sequence[str], refs: Sequence[Sequence[str]],
     return float(_score_block([candidate], [refs], idf, cfg)[0])
 
 
-def corpus_cider_d(preds: PredictionSet, ds: Dataset, level: BlurLevel,
-                   cfg: CiderConfig = DEFAULT_CONFIG,
+def corpus_cider_d(preds: dict[tuple[str, BlurLevel], str], ds: Dataset,
+                   level: BlurLevel, cfg: CiderConfig = DEFAULT_CONFIG,
                    idf: IdfTable | None = None) -> float:
     """Mean per-image score at one blur level.
 
     The idf table comes from the dataset's own references unless an
-    explicit one is passed (e.g. to reuse across levels). Every dataset
-    image must have a candidate at `level`.
+    explicit one is passed (e.g. to reuse across levels). `preds` maps
+    (image id, level) to a caption, as `parse_predictions` returns it;
+    every dataset image must have a candidate at `level`.
     """
     if idf is None:
         idf = build_idf(ds, cfg.max_n)
-    missing = [i for i in ds.image_ids()
-               if (i, level) not in preds.candidates]
+    missing = [i for i in ds.image_ids() if (i, level) not in preds]
     if missing:
         raise ValueError(
             f"missing predictions at {level.name} for images: {missing}")
@@ -280,7 +280,7 @@ def corpus_cider_d(preds: PredictionSet, ds: Dataset, level: BlurLevel,
     for start in range(0, len(image_ids), _BLOCK_IMAGES):
         block = image_ids[start:start + _BLOCK_IMAGES]
         scores += _score_block(
-            [tokenize(preds.caption_for(i, level)) for i in block],
+            [tokenize(preds[(i, level)]) for i in block],
             [[tokenize(r) for r in ds.references[i]] for i in block],
             idf, cfg).tolist()
     return sum(scores) / len(scores)

@@ -101,7 +101,10 @@ def _load_config_file(path: Path) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"bad config line {raw!r}; expected key = value")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ValueError(f"config key {key!r} set twice in {path}")
+        values[key] = value.strip()
     return values
 
 
@@ -181,8 +184,15 @@ def cmd_blur(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_plan(args: argparse.Namespace, cfg: RunConfig) -> int:
-    keys = [line.strip() for line in
-            args.keys.read_bytes().decode("utf-8").split("\n") if line.strip()]
+    keys = []
+    for number, line in enumerate(
+            args.keys.read_bytes().decode("utf-8").split("\n"), 1):
+        key = line.strip()
+        if "\r" in key:
+            raise ValueError(f"{args.keys} line {number}: key holds a carriage "
+                             "return; lines must end in \\n or \\r\\n")
+        if key:
+            keys.append(key)
     plan = technique_plan(cfg.technique)
     manifest = plan_dataset(keys, plan, cfg.seed)
     target = cfg.out / "manifest.jsonl"
@@ -197,14 +207,14 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
     preds = parse_predictions(args.predictions.read_bytes())
     metric = CiderConfig(max_n=cfg.max_n, sigma=cfg.sigma, scale=cfg.scale)
     known = set(dataset.image_ids())
-    outside = sum(1 for image_id, _ in preds.candidates if image_id not in known)
+    outside = sum(1 for image_id, _ in preds if image_id not in known)
     if outside:
         print(f"warning: {outside} prediction(s) for images not in the split "
               f"ignored", file=sys.stderr)
     idf = build_idf(dataset, metric.max_n)
 
     rows = []
-    for level in preds.levels():
+    for level in sorted({level for _, level in preds}):
         score = corpus_cider_d(preds, dataset, level, metric, idf=idf)
         rows.append([cfg.technique, level.name, score])
         print(f"{cfg.technique} {level.name}: {score:.4f}")

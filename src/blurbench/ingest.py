@@ -4,7 +4,8 @@ Formats handled:
 
 * caption JSON: ``{"split": ..., "images": [{"id", "file_name"}],
   "annotations": [{"image_id", "caption"}]}``
-* prediction JSON: array of ``{"image_id", "blur_level", "caption"}``
+* prediction JSON: array of ``{"image_id", "blur_level", "caption"}``,
+  parsed into a plain ``{(image_id, level): caption}`` dict
 * feature-count CSV: header ``image_id,level,count``
 * blur-flag CSV: header ``image_id,flag`` with flag in {with_blur, no_blur},
   parsed into a plain ``{image_id: BlurFlag}`` dict
@@ -25,7 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
 
@@ -63,19 +64,6 @@ class Dataset:
 
     def image_ids(self) -> list[str]:
         return [image_id for image_id, _ in self.images]
-
-
-@dataclass
-class PredictionSet:
-    """One candidate caption per (image id, blur level)."""
-
-    candidates: dict[tuple[str, BlurLevel], str] = field(default_factory=dict)
-
-    def levels(self) -> list[BlurLevel]:
-        return sorted({level for _, level in self.candidates})
-
-    def caption_for(self, image_id: str, level: BlurLevel) -> str:
-        return self.candidates[(image_id, level)]
 
 
 @dataclass(frozen=True)
@@ -139,7 +127,6 @@ def parse_captions(document: bytes) -> Dataset:
                            _string(item, "file_name", "image")))
         except (TypeError, KeyError) as exc:
             raise ParseError(f"bad image record {item!r}") from exc
-    known = {image_id for image_id, _ in images}
     references: dict[str, list[str]] = {}
     for item in doc["annotations"]:
         try:
@@ -147,8 +134,6 @@ def parse_captions(document: bytes) -> Dataset:
             caption = _string(item, "caption", "annotation")
         except (TypeError, KeyError) as exc:
             raise ParseError(f"bad annotation record {item!r}") from exc
-        if image_id not in known:
-            raise ParseError(f"annotation references unknown image {image_id!r}")
         references.setdefault(image_id, []).append(caption)
     split = doc.get("split", "")
     if not isinstance(split, str):
@@ -173,7 +158,7 @@ def serialize_captions(ds: Dataset) -> bytes:
 # Predictions
 # ---------------------------------------------------------------------------
 
-def parse_predictions(document: bytes) -> PredictionSet:
+def parse_predictions(document: bytes) -> dict[tuple[str, BlurLevel], str]:
     doc = _load_json(document)
     if not isinstance(doc, list):
         raise ParseError("prediction document must be a JSON array")
@@ -190,14 +175,13 @@ def parse_predictions(document: bytes) -> PredictionSet:
             raise ParseError(
                 f"duplicate prediction for image {image_id!r} at {level.name}")
         candidates[pair] = caption
-    return PredictionSet(candidates)
+    return candidates
 
 
-def serialize_predictions(preds: PredictionSet) -> bytes:
+def serialize_predictions(preds: dict[tuple[str, BlurLevel], str]) -> bytes:
     items = [
         {"image_id": image_id, "blur_level": level.name, "caption": caption}
-        for (image_id, level), caption in sorted(
-            preds.candidates.items(), key=lambda kv: (kv[0][0], kv[0][1]))
+        for (image_id, level), caption in sorted(preds.items())
     ]
     return json.dumps(items, indent=2).encode("utf-8")
 

@@ -10,25 +10,34 @@ captioner-stage schedule, listed once in `_TECHNIQUE_SCHEDULES`:
     ObjDet-Cap-Aug  detector [0.8, 0.1, 0.1, 0]  captioner [0.5, 0.2, 0.2, 0.1]
 
 Level draws are a pure function of (seed, sample key, stage): the key is
-hashed with BLAKE2b-64 (seed as the hash key, stage as personalization),
-the top 53 bits become a uniform number in [0, 1), and the schedule CDF is
-inverted with ties resolved toward the lower level. No RNG stream is
-involved, so assignments are independent of iteration order and stable
-across platforms.
+hashed with BLAKE2b-64 (seed as the hash key, stage as personalization)
+and the top 53 bits are the draw d, read as the uniform number
+u = d * 2**-53 in [0, 1). The level is the first one whose running float
+CDF sum c satisfies u <= c, so a tie goes to the lower level. In
+integers: u <= c exactly when d <= floor(c * 2**53), so a schedule holds
+that bound per level (capped at 2**53, which keeps the bounds sorted when
+a partial sum rounds past 1) and the draw takes the first level whose
+bound is >= d. Every bound from the highest level with mass onward is
+2**53, so a draw above a float CDF that falls short of 1 lands on that
+level. No RNG stream is involved, so assignments are independent of
+iteration order and stable across platforms.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable
 
 from .imaging import BlurLevel
 
 _SUM_TOLERANCE = 1e-9
 _U64 = 0xFFFFFFFFFFFFFFFF
+_DRAWS = 2 ** 53  # draws are the top 53 bits of a 64-bit digest
 
 
 class Stage(Enum):
@@ -44,10 +53,12 @@ class Schedule:
 
     The one home of a schedule's checks: entries lie in [0, 1] and sum to
     1 within 1e-9. They are stored rescaled so the CDF ends at 1; rescaling
-    twice can change them, so build a schedule from literals only.
+    twice can change them, so build a schedule from literals only. `bounds`
+    holds the integer CDF bounds of the module docstring, one per level.
     """
 
     probs: tuple[float, float, float, float]
+    bounds: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = tuple(float(p) for p in self.probs)
@@ -59,7 +70,16 @@ class Schedule:
         total = sum(values)
         if abs(total - 1.0) > _SUM_TOLERANCE:
             raise ValueError(f"probabilities sum to {total}, expected 1")
-        object.__setattr__(self, "probs", tuple(p / total for p in values))
+        probs = tuple(p / total for p in values)
+        top = max(k for k, p in enumerate(probs) if p > 0.0)
+        bounds = tuple(min(int(c * _DRAWS), _DRAWS) if k < top else _DRAWS
+                       for k, c in enumerate(accumulate(probs)))
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "bounds", bounds)
+
+    def level_at(self, draw: int) -> BlurLevel:
+        """The level of a 53-bit draw: the first whose bound is >= draw."""
+        return BlurLevel(bisect_left(self.bounds, draw))
 
 
 NO_AUG_SCHEDULE = Schedule((1.0, 0.0, 0.0, 0.0))
@@ -105,42 +125,20 @@ class TechniquePlan:
         return detector if stage is Stage.DETECTOR else captioner
 
 
-def technique_plan(name: Technique | str) -> TechniquePlan:
-    return TechniquePlan(name if isinstance(name, Technique)
-                         else parse_technique(name))
+def technique_plan(name: str) -> TechniquePlan:
+    return TechniquePlan(parse_technique(name))
 
 
-def _unit_uniform(seed: int, sample_key: str, stage: str = "") -> float:
-    """Uniform [0, 1) from BLAKE2b-64(key=seed, person=stage, data=key)."""
+def sample_level(sample_key: str, schedule: Schedule, seed: int,
+                 stage: str = "") -> BlurLevel:
+    """Draw a blur level for a sample key by the module docstring's rule."""
     digest = hashlib.blake2b(
         sample_key.encode("utf-8"),
         digest_size=8,
         key=(seed & _U64).to_bytes(8, "big"),
         person=stage.encode("utf-8"),
     ).digest()
-    return (int.from_bytes(digest, "big") >> 11) * 2.0 ** -53
-
-
-def sample_level(sample_key: str, schedule: Schedule, seed: int,
-                 stage: str = "") -> BlurLevel:
-    """Draw a blur level for a sample key.
-
-    Pure function of (seed, sample_key, stage): the hashed uniform value is
-    pushed through the schedule's inverse CDF, with a value landing exactly
-    on a boundary resolved toward the lower level.
-    """
-    u = _unit_uniform(seed, sample_key, stage)
-    cumulative = 0.0
-    for level, p in zip(BlurLevel, schedule.probs):
-        cumulative += p
-        if u <= cumulative:
-            return level
-    # float shortfall at the top of the CDF; take the highest level that
-    # actually has probability mass
-    for level, p in zip(reversed(list(BlurLevel)), reversed(schedule.probs)):
-        if p > 0.0:
-            return level
-    raise ValueError("schedule has no positive probability")
+    return schedule.level_at(int.from_bytes(digest, "big") >> 11)
 
 
 @dataclass(frozen=True)

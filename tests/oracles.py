@@ -5,6 +5,7 @@ code paths (different data structures, different summation order) so that
 agreement with the library is meaningful evidence, not tautology.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -148,3 +149,33 @@ def cider_d_formula(candidate, refs, corpus_refs,
         for n in range(max_n)
     ]
     return scale * math.fsum(per_n) / max_n
+
+
+# ---------------------------------------------------------------------------
+# Schedule draw reference: float CDF walk
+# ---------------------------------------------------------------------------
+
+def draw53(seed: int, sample_key: str, stage: str = "") -> int:
+    """Top 53 bits of BLAKE2b-64(key=seed mod 2**64, person=stage, data=key)."""
+    digest = hashlib.blake2b(
+        sample_key.encode("utf-8"), digest_size=8,
+        key=(seed % 2 ** 64).to_bytes(8, "big"), person=stage.encode("utf-8"),
+    ).digest()
+    return int.from_bytes(digest, "big") >> 11
+
+
+def level_by_float_walk(probs, draw: int) -> int:
+    """Index of the level a 53-bit draw picks, by walking the float CDF.
+
+    u = draw * 2**-53; the first level whose running float sum c has
+    u <= c wins, so ties go to the lower level. When the running sum
+    ends below u (a float shortfall at the top of the CDF), the highest
+    level with positive probability is taken.
+    """
+    u = draw * 2.0 ** -53
+    cumulative = 0.0
+    for index, p in enumerate(probs):
+        cumulative += p
+        if u <= cumulative:
+            return index
+    return max(index for index, p in enumerate(probs) if p > 0.0)

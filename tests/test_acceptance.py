@@ -103,7 +103,7 @@ def test_cider_oracle_equivalence(toy_dataset, toy_predictions):
                   for level in (BlurLevel.MB0, BlurLevel.MB3)]
     assert len(candidates) == 20
     for image_id, level in candidates:
-        candidate = tokenize(toy_predictions.caption_for(image_id, level))
+        candidate = tokenize(toy_predictions[(image_id, level)])
         refs = [tokenize(r) for r in toy_dataset.references[image_id]]
         mine = cider_d(candidate, refs, idf)
         oracle = cider_d_formula(candidate, refs, corpus)

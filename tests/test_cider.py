@@ -19,7 +19,7 @@ from blurbench.cider import (
     tokenize,
 )
 from blurbench.imaging import BlurLevel
-from blurbench.ingest import Dataset, PredictionSet
+from blurbench.ingest import Dataset
 from oracles import cider_d_formula, document_frequency
 
 # Oracle outputs on the bundled toy corpus, frozen after computing them
@@ -153,7 +153,7 @@ class TestCiderD:
                                                   toy_predictions):
         idf = build_idf(toy_dataset)
         corpus = corpus_tokens(toy_dataset)
-        for (image_id, level), caption in toy_predictions.candidates.items():
+        for (image_id, level), caption in toy_predictions.items():
             candidate = tokenize(caption)
             refs = [tokenize(r) for r in toy_dataset.references[image_id]]
             mine = cider_d(candidate, refs, idf)
@@ -163,14 +163,14 @@ class TestCiderD:
     def test_frozen_values(self, toy_dataset, toy_predictions):
         idf = build_idf(toy_dataset)
         for (image_id, level), expected in FROZEN_SCORES.items():
-            candidate = tokenize(toy_predictions.caption_for(image_id, level))
+            candidate = tokenize(toy_predictions[(image_id, level)])
             refs = [tokenize(r) for r in toy_dataset.references[image_id]]
             assert cider_d(candidate, refs, idf) == pytest.approx(
                 expected, abs=1e-9)
 
     def test_reference_order_irrelevant(self, toy_dataset, toy_predictions):
         idf = build_idf(toy_dataset)
-        candidate = tokenize(toy_predictions.caption_for("img04", BlurLevel.MB1))
+        candidate = tokenize(toy_predictions[("img04", BlurLevel.MB1)])
         refs = [tokenize(r) for r in toy_dataset.references["img04"]]
         assert cider_d(candidate, refs, idf) == \
             cider_d(candidate, list(reversed(refs)), idf)
@@ -179,7 +179,7 @@ class TestCiderD:
                                                   toy_predictions):
         idf = build_idf(toy_dataset)
         corpus = corpus_tokens(toy_dataset)
-        candidate = tokenize(toy_predictions.caption_for("img06", BlurLevel.MB0))
+        candidate = tokenize(toy_predictions[("img06", BlurLevel.MB0)])
         refs = [tokenize(r) for r in toy_dataset.references["img06"]]
         extended = refs + [refs[2]]
         mine = cider_d(candidate, extended, idf)
@@ -249,16 +249,12 @@ class TestCorpusCiderD:
         ds = tiny_dataset([["a black dog runs fast"],
                            ["purple trains hum at night"],
                            ["seven owls watch green rivers"]])
-        from blurbench.ingest import PredictionSet
-        preds = PredictionSet({
-            (i, BlurLevel.MB0): ds.references[i][0] for i in ds.image_ids()})
+        preds = {(i, BlurLevel.MB0): ds.references[i][0] for i in ds.image_ids()}
         assert corpus_cider_d(preds, ds, BlurLevel.MB0) == pytest.approx(
             10.0, abs=1e-9)
 
     def test_disjoint_candidates_score_zero(self, toy_dataset):
-        from blurbench.ingest import PredictionSet
-        preds = PredictionSet({
-            (i, BlurLevel.MB0): "qqq www eee" for i in toy_dataset.image_ids()})
+        preds = {(i, BlurLevel.MB0): "qqq www eee" for i in toy_dataset.image_ids()}
         assert corpus_cider_d(preds, toy_dataset, BlurLevel.MB0) == 0.0
 
     def test_toy_corpus_means_match_oracle(self, toy_dataset, toy_predictions):
@@ -267,7 +263,7 @@ class TestCorpusCiderD:
             mine = corpus_cider_d(toy_predictions, toy_dataset, level)
             oracle = sum(
                 cider_d_formula(
-                    tokenize(toy_predictions.caption_for(i, level)),
+                    tokenize(toy_predictions[(i, level)]),
                     [tokenize(r) for r in toy_dataset.references[i]],
                     corpus)
                 for i in toy_dataset.image_ids()) / 10
@@ -290,11 +286,8 @@ class TestCorpusCiderD:
             assert abs(score * max_n - at_longest * longest) < 1e-9
 
     def test_missing_prediction_names_image(self, toy_dataset, toy_predictions):
-        from blurbench.ingest import PredictionSet
-        partial = PredictionSet({
-            pair: caption
-            for pair, caption in toy_predictions.candidates.items()
-            if pair != ("img05", BlurLevel.MB2)})
+        partial = {pair: caption for pair, caption in toy_predictions.items()
+                   if pair != ("img05", BlurLevel.MB2)}
         with pytest.raises(ValueError, match="img05"):
             corpus_cider_d(partial, toy_dataset, BlurLevel.MB2)
 
@@ -333,9 +326,8 @@ class TestKernelMatchesFormula:
             oracle = cider_d_formula(candidate, refs, corpus, max_n)
             assert abs(score - oracle) < 1e-9
             per_image.append(score)
-        preds = PredictionSet({(i, BlurLevel.MB2): " ".join(candidate)
-                               for i, (candidate, _) in zip(ds.image_ids(),
-                                                            scored)})
+        preds = {(i, BlurLevel.MB2): " ".join(candidate)
+                 for i, (candidate, _) in zip(ds.image_ids(), scored)}
         mean = corpus_cider_d(preds, ds, BlurLevel.MB2, cfg,
                               idf=None if idf_images is None else idf)
         assert mean == sum(per_image) / len(per_image)

@@ -11,7 +11,7 @@ from blurbench.cli import main
 from blurbench.cider import tokenize
 from blurbench.imaging import BlurLevel, apply_blur, load_image, make_kernel, save_image
 from blurbench.ingest import BlurFlag
-from blurbench.schedule import read_manifest
+from blurbench.schedule import Technique, read_manifest
 from conftest import random_image
 from oracles import cider_d_formula
 
@@ -152,6 +152,25 @@ class TestPlanCommand:
         assert sorted({e.sample_key for e in manifest.entries}) == \
             ["bird", "cat\x85one", "dog\u2028two"]
 
+    def test_bare_carriage_return_line_ends_fail(self, tmp_path, capsys):
+        keys = tmp_path / "keys.txt"
+        keys.write_bytes(b"z\r\na\rb\rc\r")
+        out = tmp_path / "out"
+        assert run("--out", out, "plan", keys, "--technique", "No-Aug") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "line 2" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("technique", [t.value for t in Technique])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_manifest_matches_golden(self, tmp_path, data_dir, technique, seed):
+        out = tmp_path / "out"
+        assert run("--seed", seed, "--out", out, "plan",
+                   data_dir / "toy_keys.txt", "--technique", technique) == 0
+        golden = data_dir / "manifest_golden" / f"{technique}_seed{seed}.jsonl"
+        assert (out / "manifest.jsonl").read_bytes() == golden.read_bytes()
+
     def test_seed_precedence(self, tmp_path, monkeypatch):
         keys = tmp_path / "keys.txt"
         keys.write_text("a\n")
@@ -278,7 +297,7 @@ class TestScoreCommand:
         def corpus_score(image_ids, idf_ids):
             corpus = [refs[i] for i in idf_ids]
             return sum(cider_d_formula(
-                tokenize(toy_predictions.caption_for(i, BlurLevel.MB0)),
+                tokenize(toy_predictions[(i, BlurLevel.MB0)]),
                 refs[i], corpus) for i in image_ids) / len(image_ids)
 
         for flag in BlurFlag:
@@ -483,6 +502,7 @@ class TestConfigFile:
         ("format = html", "format"),
         ("bin_width = wide", "wide"),
         ("technique = MegaAug", "MegaAug"),
+        ("seed = 1\nbin_width = 5\nseed = 2", "'seed'"),
     ])
     def test_bad_entry_fails_before_writing(self, tmp_path, data_dir, capsys,
                                             line, named):

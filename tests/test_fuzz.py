@@ -5,9 +5,12 @@ decoding error) into one `error:` line and exit code 1; any other
 exception escapes as a traceback. Each valid fixture gets a few byte
 insertions, deletions and replacements, drawn mostly from bytes that CSV,
 JSON and netpbm treat specially. The same mutations, fed to whole
-commands, must end in exit 0 or in one last `error:` line.
+commands, must end in exit 0 or in one last `error:` line; `blur`, which
+fails one raster at a time, must name only the mutated raster and still
+write the intact one's variants.
 """
 
+import functools
 import io
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -137,3 +140,46 @@ def test_mutated_command_input_exits_cleanly(command, target, edits):
     assert code == 1 and not created
     assert lines and lines[-1].startswith("error: ")
     assert all(line.startswith("warning: ") for line in lines[:-1])
+
+
+#: The smallest raster every blur level fits: MB3 is a 45x12 kernel.
+_BLUR_RASTER = save_image(random_image(np.random.default_rng(1), 45, 12, 1))
+
+
+def _blur(directory: Path, out: Path) -> tuple[int, str]:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(["--out", str(out), "blur", str(directory)])
+    return code, stderr.getvalue()
+
+
+@functools.cache
+def _clean_variants() -> dict[str, bytes]:
+    """Variants of `_BLUR_RASTER` from a run on it alone, by file name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "in").mkdir()
+        Path(tmp, "in", "intact.pgm").write_bytes(_BLUR_RASTER)
+        assert _blur(Path(tmp, "in"), Path(tmp, "out")) == (0, "")
+        return {p.name: p.read_bytes() for p in Path(tmp, "out").iterdir()}
+
+
+@given(edits=st.lists(_EDIT, min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_mutated_raster_fails_alone(edits):
+    """`blur` on a directory of an intact and a mutated raster: exit 1
+    exactly when stderr has lines, each an `error:` line naming the
+    mutated raster, and the intact raster's variants as in a clean run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        directory, out = Path(tmp, "in"), Path(tmp, "out")
+        directory.mkdir()
+        (directory / "intact.pgm").write_bytes(_BLUR_RASTER)
+        mutated = directory / "mutated.pgm"
+        mutated.write_bytes(mutate(_BLUR_RASTER, edits))
+        code, stderr = _blur(directory, out)
+        variants = {name: (out / name).read_bytes()
+                    for name in _clean_variants()}
+    lines = stderr.split("\n")
+    assert lines.pop() == "" and "Traceback" not in stderr
+    assert code == (1 if lines else 0)
+    assert all(line.startswith(f"error: {mutated}") for line in lines)
+    assert variants == _clean_variants()

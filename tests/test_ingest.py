@@ -145,7 +145,7 @@ class TestParsePredictions:
     def test_single_candidate(self):
         doc = b'[{"image_id": "1", "blur_level": "MB0", "caption": "a dog"}]'
         preds = parse_predictions(doc)
-        assert preds.candidates == {("1", BlurLevel.MB0): "a dog"}
+        assert preds == {("1", BlurLevel.MB0): "a dog"}
 
     def test_duplicate_pair_rejected(self):
         doc = json.dumps([
@@ -164,7 +164,7 @@ class TestParsePredictions:
 
     def test_integer_ids_become_strings(self):
         doc = b'[{"image_id": 7, "blur_level": "MB0", "caption": "a"}]'
-        assert parse_predictions(doc).candidates == {("7", BlurLevel.MB0): "a"}
+        assert parse_predictions(doc) == {("7", BlurLevel.MB0): "a"}
 
     def test_unknown_level_rejected(self):
         doc = b'[{"image_id": "1", "blur_level": "MB9", "caption": "a"}]'
@@ -172,7 +172,7 @@ class TestParsePredictions:
             parse_predictions(doc)
 
     def test_levels_sorted(self, toy_predictions):
-        assert toy_predictions.levels() == list(BlurLevel)
+        assert sorted({level for _, level in toy_predictions}) == list(BlurLevel)
 
     def test_round_trip_idempotent(self, toy_predictions):
         again = parse_predictions(serialize_predictions(toy_predictions))

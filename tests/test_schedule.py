@@ -3,9 +3,10 @@
 import json
 import math
 from collections import Counter
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import blurbench.schedule as schedule_mod
@@ -24,6 +25,7 @@ from blurbench.schedule import (
     technique_plan,
     write_manifest,
 )
+from oracles import draw53, level_by_float_walk
 
 
 class TestValidateSchedule:
@@ -88,15 +90,14 @@ class TestSampleLevel:
                      for k in keys]
         assert detector != captioner
 
-    def test_boundary_ties_go_to_lower_level(self, monkeypatch):
+    def test_boundary_ties_go_to_lower_level(self):
         quarters = Schedule((0.25, 0.25, 0.25, 0.25))
         cases = {0.25: BlurLevel.MB0, 0.5: BlurLevel.MB1,
                  0.75: BlurLevel.MB2, 0.2500001: BlurLevel.MB1,
                  0.0: BlurLevel.MB0, 0.999: BlurLevel.MB3}
         for u, expected in cases.items():
-            monkeypatch.setattr(schedule_mod, "_unit_uniform",
-                                lambda *a, u=u, **k: u)
-            assert sample_level("k", quarters, 0) is expected
+            # the 53-bit draw whose uniform value is the largest <= u
+            assert quarters.level_at(int(u * 2**53)) is expected
 
     def test_detector_schedule_never_yields_mb3(self):
         levels = {sample_level(f"key-{i}", DETECTOR_AUG_SCHEDULE, 3)
@@ -116,6 +117,72 @@ class TestSampleLevel:
     def test_always_returns_a_level(self, key, seed):
         level = sample_level(key, CAPTIONER_AUG_SCHEDULE, seed)
         assert level in BlurLevel
+
+
+#: Weights for random schedules: zero mass, any float in [0, 1], and tiny
+#: masses that the running float sum can lose.
+_WEIGHT = st.one_of(st.just(0.0), st.floats(0.0, 1.0),
+                    st.sampled_from([5e-324, 1e-300, 2.0**-60, 1e-17]))
+
+
+@st.composite
+def _schedules(draw):
+    """Valid schedules whose literals sum to 1 give or take up to 1e-9."""
+    weights = draw(st.lists(_WEIGHT, min_size=4, max_size=4))
+    assume(sum(weights) > 0.0)
+    off = draw(st.floats(-0.9e-9, 0.9e-9))
+    total = sum(weights)
+    probs = [min(w / total * (1.0 + off), 1.0) for w in weights]
+    assume(abs(sum(probs) - 1.0) <= 1e-9)
+    return Schedule(probs)
+
+
+#: The partial sum MB0 + MB1 of this schedule rounds to 1 + 2**-52, past
+#: the top, while MB3 still has mass.
+_PARTIAL_SUM_PAST_ONE = Schedule((0.8375779756625729, 0.1624220244503358,
+                                  0.0, 1e-17))
+
+
+class TestDrawMatchesFloatWalk:
+    """The integer bounds pick the level the float CDF walk of
+    `oracles.level_by_float_walk` picks, shortfall fallback included."""
+
+    def test_fixtures_reach_the_edge_cases(self):
+        shortfall = Schedule((0.2, 0.4, 0.3, 0.1))
+        assert list(accumulate(shortfall.probs))[-1] == 1.0 - 2.0**-52
+        assert list(accumulate(_PARTIAL_SUM_PAST_ONE.probs))[1] > 1.0
+
+    @pytest.mark.parametrize("schedule", [
+        NO_AUG_SCHEDULE, DETECTOR_AUG_SCHEDULE, CAPTIONER_AUG_SCHEDULE,
+        Schedule((0.25, 0.25, 0.25, 0.25)), Schedule((0.2, 0.4, 0.3, 0.1)),
+        _PARTIAL_SUM_PAST_ONE,
+    ], ids=repr)
+    def test_at_every_bound(self, schedule):
+        draws = {bound + step for bound in schedule.bounds for step in (0, 1)}
+        for draw in sorted(draws | {0, 2**53 - 1}):
+            if draw < 2**53:
+                assert schedule.level_at(draw) == \
+                    level_by_float_walk(schedule.probs, draw), draw
+
+    @given(_schedules(), st.data())
+    @settings(max_examples=300)
+    def test_any_draw(self, schedule, data):
+        near_bound = st.sampled_from(schedule.bounds).flatmap(
+            lambda bound: st.integers(bound - 2, bound + 2))
+        draw = data.draw(st.one_of(st.integers(0, 2**53 - 1), near_bound)
+                         .filter(lambda d: 0 <= d < 2**53))
+        assert schedule.level_at(draw) == \
+            level_by_float_walk(schedule.probs, draw)
+
+    @given(_schedules(), st.text(max_size=20),
+           st.one_of(st.integers(0, 2**64 - 1), st.integers(-(2**70), 2**70)),
+           st.sampled_from(["", *(stage.value for stage in Stage)]))
+    @settings(max_examples=300)
+    def test_sample_level(self, schedule, key, seed, stage):
+        expected = level_by_float_walk(schedule.probs,
+                                       draw53(seed, key, stage))
+        assert sample_level(key, schedule, seed, stage=stage) is \
+            BlurLevel(expected)
 
 
 class TestTechniques:
