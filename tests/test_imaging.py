@@ -1,10 +1,13 @@
 """Box-filter convolution and netpbm raster I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blurbench import imaging
 from blurbench.imaging import (
     BlurKernel,
     BlurLevel,
@@ -221,6 +224,17 @@ class TestNetpbm:
             assert load_image(data) == img
             assert save_image(load_image(data)) == data
 
+    def test_non_contiguous_samples_encode_as_their_values(self):
+        rng = np.random.default_rng(4)
+        wide = random_image(rng, 10, 5, 3).samples
+        for samples in (wide[:, ::2], wide[::-1, 1:6], wide[:, :, 1:2]):
+            assert not samples.flags.c_contiguous
+            h, w, c = samples.shape
+            img = Image(w, h, c, samples)
+            magic = b"P5" if c == 1 else b"P6"
+            assert save_image(img) == (b"%s\n%d %d\n255\n" % (magic, w, h)
+                                       + samples.tobytes())
+
     @given(width=st.integers(1, 12), height=st.integers(1, 12),
            channels=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -309,3 +323,51 @@ class TestAccumulatorBounds:
         out = apply_blur(img, BlurKernel(kw, kh, ax, ay))
         assert np.array_equal(out.samples,
                               blur_windows(img.samples, kw, kh, ax, ay))
+
+
+class TestBlurBands:
+    """`apply_blur` blurs in row bands of about `_BAND_BYTES` of input."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_band_seams_match_oracle_property(self, data):
+        width = data.draw(st.integers(1, 24), label="width")
+        height = data.draw(st.integers(1, 41), label="height")
+        channels = data.draw(st.sampled_from([1, 3]), label="channels")
+        kw = data.draw(st.integers(1, width), label="kw")
+        kh = data.draw(st.integers(1, height), label="kh")
+        ax = data.draw(st.integers(0, kw - 1), label="ax")
+        ay = data.draw(st.integers(0, kh - 1), label="ay")
+        # 0: a one-byte budget, so every band is the kh-row minimum
+        rows = data.draw(st.sampled_from([0, 1, 2, 3, 5]), label="rows")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        img = random_image(np.random.default_rng(seed),
+                           width, height, channels)
+        kernel = BlurKernel(kw, kh, ax, ay)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(imaging, "_BAND_BYTES",
+                       max(1, rows * width * channels))
+            out = apply_blur(img, kernel)
+        assert np.array_equal(out.samples,
+                              blur_windows(img.samples, kw, kh, ax, ay))
+        if width * height * kw * kh <= 4096:
+            assert out.samples.tolist() == blur_loops(
+                img.samples.tolist(), kw, kh, ax, ay)
+
+    def test_mb3_peak_grows_with_output_only(self):
+        """Quadrupling the height adds the output rows, not padded copies
+        and window sums of the whole raster."""
+        width, channels = 1000, 3
+        kernel = make_kernel(BlurLevel.MB3)
+        peaks = []
+        for height in (1400, 5600):
+            img = random_image(np.random.default_rng(height),
+                               width, height, channels)
+            tracemalloc.start()
+            try:
+                apply_blur(img, kernel)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        extra_output = (5600 - 1400) * width * channels
+        assert peaks[1] - peaks[0] <= 1.25 * extra_output
