@@ -9,12 +9,16 @@ Commands::
     blurbench report <scores.csv> <features.csv> [--flags flags.csv]
                      [--bin-width N] [--out DIR]
 
-Configuration precedence is flags > config file (--config, flat
-``key = value`` lines) > the BLURBENCH_SEED environment variable (seed
-only) > built-in defaults. Config-file and environment values go through
-the same checks as the matching flags, and unknown config keys are
-rejected. The effective seed is echoed in every output header. All files
-are written atomically (temp file + rename).
+Each setting (seed, technique, out, bin_width, format, sigma, max_n,
+scale) is one ``_SETTINGS`` entry, its converter and default; its flag is
+``--name`` with ``-`` for ``_``. Precedence is flag > config file
+(--config, flat ``name = value`` lines) > BLURBENCH_SEED (seed only) >
+default, and all text goes through the converter: a bad flag is a usage
+error (exit 2), a bad config or environment value one ``error:`` line
+(exit 1), as is an unknown or repeated config key. An empty ``out`` is
+bad text. Every ``cmd_*`` reads the resolved settings from ``args``. The
+effective seed is echoed in every output header. All files are written
+atomically.
 
 ``blur`` on a directory skips files named like its own outputs
 (``<stem>.MB0``..``<stem>.MB3`` plus the extension), so rerunning it with
@@ -33,7 +37,6 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from .cider import CiderConfig, build_idf, corpus_cider_d
@@ -62,22 +65,27 @@ from .report import (
 )
 from .schedule import parse_technique, plan_dataset, technique_plan, write_manifest
 
-DEFAULT_SEED = 0
 SEED_ENV_VAR = "BLURBENCH_SEED"
 
 
-@dataclass
-class RunConfig:
-    """Effective settings after flag/config/env resolution."""
+def _out_directory(text: str) -> Path:
+    if not text:
+        raise ValueError("out must not be empty")
+    return Path(text)
 
-    seed: int = DEFAULT_SEED
-    technique: str = "No-Aug"
-    out: Path = Path(".")
-    bin_width: int = 10
-    format: str = "markdown"
-    sigma: float = 6.0
-    max_n: int = 4
-    scale: float = 10.0
+
+#: Setting name (its config key) -> (converter of its flag, config-file or
+#: environment text, which raises ValueError; default).
+_SETTINGS = {
+    "seed": (int, 0),
+    "technique": (lambda text: parse_technique(text).value, "No-Aug"),
+    "out": (_out_directory, Path(".")),
+    "bin_width": (int, 10),
+    "format": (check_format, "markdown"),
+    "sigma": (float, 6.0),
+    "max_n": (int, 4),
+    "scale": (float, 10.0),
+}
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -108,43 +116,27 @@ def _load_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-#: RunConfig field -> converter of its config-file or environment text, as
-#: strict as the field's flag; each raises ValueError.
-_CONVERTERS = {
-    "seed": int,
-    "technique": lambda text: parse_technique(text).value,
-    "out": Path,
-    "bin_width": int,
-    "format": check_format,
-    "sigma": float,
-    "max_n": int,
-    "scale": float,
-}
-
-
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+def _resolve_config(args: argparse.Namespace) -> None:
+    """Set every setting on `args`: flag > config file > env > default."""
     file_values = _load_config_file(args.config) if args.config else {}
-    unknown = sorted(set(file_values) - set(_CONVERTERS))
+    unknown = sorted(set(file_values) - set(_SETTINGS))
     if unknown:
         raise ValueError(f"unknown config key(s) in {args.config}: "
                          f"{', '.join(unknown)}")
     env_values = {"seed": os.environ.get(SEED_ENV_VAR) or None}
-    values = {}
-    for name, convert in _CONVERTERS.items():
-        flag = getattr(args, name, None)
-        text = file_values.get(name, env_values.get(name))
-        if flag is not None:
-            values[name] = flag
-        elif text is not None:
-            values[name] = convert(text)
-    return RunConfig(**values)
+    for name, (convert, default) in _SETTINGS.items():
+        value = getattr(args, name, None)
+        if value is None:
+            text = file_values.get(name, env_values.get(name))
+            value = default if text is None else convert(text)
+        setattr(args, name, value)
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_blur(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_blur(args: argparse.Namespace) -> int:
     if args.input.is_dir():
         # <stem>.MB<k>.<ext> files are this command's own outputs
         outputs = tuple(f".{level.name}" for level in BlurLevel)
@@ -176,14 +168,15 @@ def cmd_blur(args: argparse.Namespace, cfg: RunConfig) -> int:
                 print(f"error: {path} at {level.name}: {exc}", file=sys.stderr)
                 failures += 1
                 continue
-            target = cfg.out / f"{path.stem}.{level.name}{path.suffix}"
+            target = args.out / f"{path.stem}.{level.name}{path.suffix}"
             _atomic_write(target, save_image(variant))
+            del variant  # not held while the next level blurs
             written += 1
-        print(f"{path}: wrote {written} variant(s) to {cfg.out}")
+        print(f"{path}: wrote {written} variant(s) to {args.out}")
     return 1 if failures else 0
 
 
-def cmd_plan(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_plan(args: argparse.Namespace) -> int:
     keys = []
     for number, line in enumerate(
             args.keys.read_bytes().decode("utf-8").split("\n"), 1):
@@ -193,19 +186,19 @@ def cmd_plan(args: argparse.Namespace, cfg: RunConfig) -> int:
                              "return; lines must end in \\n or \\r\\n")
         if key:
             keys.append(key)
-    plan = technique_plan(cfg.technique)
-    manifest = plan_dataset(keys, plan, cfg.seed)
-    target = cfg.out / "manifest.jsonl"
+    plan = technique_plan(args.technique)
+    manifest = plan_dataset(keys, plan, args.seed)
+    target = args.out / "manifest.jsonl"
     _atomic_write(target, write_manifest(manifest).encode("utf-8"))
-    print(f"wrote {target}: technique={plan.name.value} seed={cfg.seed} "
+    print(f"wrote {target}: technique={plan.name.value} seed={args.seed} "
           f"entries={len(manifest.entries)}")
     return 0
 
 
-def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_score(args: argparse.Namespace) -> int:
     dataset = parse_captions(args.dataset.read_bytes())
     preds = parse_predictions(args.predictions.read_bytes())
-    metric = CiderConfig(max_n=cfg.max_n, sigma=cfg.sigma, scale=cfg.scale)
+    metric = CiderConfig(max_n=args.max_n, sigma=args.sigma, scale=args.scale)
     known = set(dataset.image_ids())
     outside = sum(1 for image_id, _ in preds if image_id not in known)
     if outside:
@@ -216,8 +209,8 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
     rows = []
     for level in sorted({level for _, level in preds}):
         score = corpus_cider_d(preds, dataset, level, metric, idf=idf)
-        rows.append([cfg.technique, level.name, score])
-        print(f"{cfg.technique} {level.name}: {score:.4f}")
+        rows.append([args.technique, level.name, score])
+        print(f"{args.technique} {level.name}: {score:.4f}")
     if args.flags is not None:
         flags = parse_blur_flags(args.flags.read_bytes())
         for flag in BlurFlag:
@@ -227,17 +220,17 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
                       f"subset row skipped", file=sys.stderr)
                 continue
             score = corpus_cider_d(preds, subset, BlurLevel.MB0, metric)
-            rows.append([cfg.technique, flag.value, score])
-            print(f"{cfg.technique} {flag.value} (MB0): {score:.4f}")
+            rows.append([args.technique, flag.value, score])
+            print(f"{args.technique} {flag.value} (MB0): {score:.4f}")
 
-    target = cfg.out / "scores.csv"
-    _atomic_write(target, (f"# seed={cfg.seed}\n"
+    target = args.out / "scores.csv"
+    _atomic_write(target, (f"# seed={args.seed}\n"
                            + write_csv(SCORES_HEADER, rows)).encode("utf-8"))
     print(f"wrote {target}")
     return 0
 
 
-def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_report(args: argparse.Namespace) -> int:
     table = parse_scores_csv(args.scores.read_bytes().decode("utf-8"))
     for warning in degradation_warnings(table):
         print(f"warning: {warning}", file=sys.stderr)
@@ -250,7 +243,7 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
         "degradation.csv": render_deltas(deltas, "csv"),
     }
     records = parse_feature_counts(args.features.read_bytes())
-    for hist in build_histograms(records, cfg.bin_width):
+    for hist in build_histograms(records, args.bin_width):
         outputs[f"histogram_{hist.level.name}.csv"] = render_histograms([hist])
     if args.flags is not None:
         flags = list(parse_blur_flags(args.flags.read_bytes()).values())
@@ -261,10 +254,10 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     for name, text in outputs.items():
         if name.endswith(".csv"):
-            text = f"# seed={cfg.seed}\n" + text
-        _atomic_write(cfg.out / name, text.encode("utf-8"))
-    print(f"wrote {len(outputs)} file(s) to {cfg.out}")
-    extension = "csv" if cfg.format == "csv" else "md"
+            text = f"# seed={args.seed}\n" + text
+        _atomic_write(args.out / name, text.encode("utf-8"))
+    print(f"wrote {len(outputs)} file(s) to {args.out}")
+    extension = "csv" if args.format == "csv" else "md"
     print(outputs[f"score_table.{extension}"] + outputs[f"degradation.{extension}"],
           end="")
     return 0
@@ -292,11 +285,19 @@ def _levels_argument(text: str) -> list[BlurLevel]:
     return levels
 
 
-def _technique_argument(text: str) -> str:
-    try:
-        return parse_technique(text).value
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _add_setting(parser: argparse.ArgumentParser, name: str, **kwargs) -> None:
+    """Add setting `name`'s flag; a ValueError of its converter is a usage
+    error naming the flag."""
+    convert = _SETTINGS[name][0]
+
+    def flag_type(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    parser.add_argument("--" + name.replace("_", "-"), dest=name,
+                        type=flag_type, default=None, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,15 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="blurbench",
         description="Motion-blur robustness toolkit: blur variants, "
                     "augmentation manifests, CIDEr-D scores, reports.")
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"sampling seed (default {DEFAULT_SEED}; also "
-                             f"{SEED_ENV_VAR} env var)")
+    _add_setting(parser, "seed", help=f"sampling seed (default "
+                 f"{_SETTINGS['seed'][1]}; also {SEED_ENV_VAR} env var)")
     parser.add_argument("--config", type=Path, default=None,
                         help="flat key = value config file")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="output directory (default .)")
-    parser.add_argument("--format", choices=FORMATS, default=None,
-                        help="stdout rendering format for report")
+    _add_setting(parser, "out",
+                 help=f"output directory (default {_SETTINGS['out'][1]})")
+    _add_setting(parser, "format", metavar="{" + ",".join(FORMATS) + "}",
+                 help="stdout rendering format for report")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_blur = sub.add_parser("blur", help="write blur variants of PGM/PPM images")
@@ -324,18 +324,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser("plan", help="write an augmentation manifest")
     p_plan.add_argument("keys", type=Path, help="file with one sample key per line")
-    p_plan.add_argument("--technique", type=_technique_argument, default=None)
+    _add_setting(p_plan, "technique")
     p_plan.set_defaults(func=cmd_plan)
 
     p_score = sub.add_parser("score", help="corpus CIDEr-D per blur level")
     p_score.add_argument("dataset", type=Path, help="caption JSON")
     p_score.add_argument("predictions", type=Path, help="prediction JSON")
-    p_score.add_argument("--technique", type=_technique_argument, default=None)
+    _add_setting(p_score, "technique")
     p_score.add_argument("--flags", type=Path, default=None,
                          help="blur-flag CSV for MB0 subset scores")
-    p_score.add_argument("--sigma", type=float, default=None)
-    p_score.add_argument("--max-n", dest="max_n", type=int, default=None)
-    p_score.add_argument("--scale", type=float, default=None)
+    for name in ("sigma", "max_n", "scale"):
+        _add_setting(p_score, name)
     p_score.set_defaults(func=cmd_score)
 
     p_report = sub.add_parser("report", help="degradation tables and histograms")
@@ -343,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("features", type=Path, help="feature-count CSV")
     p_report.add_argument("--flags", type=Path, default=None,
                           help="blur-flag CSV; enables the subset table")
-    p_report.add_argument("--bin-width", dest="bin_width", type=int, default=None)
+    _add_setting(p_report, "bin_width")
     p_report.set_defaults(func=cmd_report)
 
     return parser
@@ -352,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        return args.func(args, cfg)
+        _resolve_config(args)
+        return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -219,8 +219,11 @@ def read_manifest(text: str) -> AugmentationManifest:
     for number, line in numbered:
         try:
             record = json.loads(line)
+            key = record["sample_key"]
+            if not isinstance(key, str):
+                raise ValueError(f"sample_key must be a JSON string, not {key!r}")
             entries.append(ManifestEntry(
-                record["sample_key"],
+                key,
                 Stage(record["stage"]),
                 BlurLevel[record["level"]],
             ))

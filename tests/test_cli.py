@@ -1,7 +1,9 @@
 """Command-line interface behavior."""
 
 import json
-from dataclasses import fields
+import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,22 @@ def write_corpus(tmp_path, captions_by_image, predictions):
         {"image_id": i, "blur_level": level, "caption": c}
         for (i, level), c in predictions.items()]).encode())
     return dataset, preds
+
+
+#: setting -> (command that reads it, good text, bad text, part of the
+#: error line that a config line with the bad text gives)
+SETTING_CASES = {
+    "seed": ("plan", "7", "seven", "'seven'"),
+    "technique": ("score", "objdet-cap-aug", "MegaAug", "'MegaAug'"),
+    "out": ("plan", "elsewhere", "", "out must not be empty"),
+    "bin_width": ("report", "7", "wide", "'wide'"),
+    "format": ("report", "csv", "html", "format must be one of"),
+    "sigma": ("score", "2.5", "wide", "'wide'"),
+    "max_n": ("score", "2", "two", "'two'"),
+    "scale": ("score", "3", "big", "'big'"),
+}
+#: settings whose flag goes before the command
+GLOBAL_SETTINGS = {"seed", "out", "format"}
 
 
 TINY_REFS = {
@@ -99,6 +117,24 @@ class TestBlurCommand:
         with pytest.raises(SystemExit) as excinfo:
             run("blur", tmp_path, "--levels", "MB8")
         assert excinfo.value.code == 2
+
+    def test_peak_grows_with_one_variant(self, tmp_path):
+        """A level's variant is dropped before the next level blurs:
+        quadrupling the height adds at most 2.5x the extra image bytes."""
+        width, channels = 1000, 3
+        peaks = []
+        for height in (1400, 5600):
+            src = tmp_path / f"r{height}.ppm"
+            src.write_bytes(save_image(random_image(
+                np.random.default_rng(height), width, height, channels)))
+            tracemalloc.start()
+            try:
+                assert run("--out", tmp_path / "out", "blur", src) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        extra_image = (5600 - 1400) * width * channels
+        assert peaks[1] - peaks[0] <= 2.5 * extra_image
 
     def test_no_tmp_leftovers(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -484,8 +520,65 @@ class TestReportCommand:
 
 
 class TestConfigFile:
-    def test_every_setting_has_one_converter(self):
-        assert set(cli._CONVERTERS) == {f.name for f in fields(cli.RunConfig)}
+    @pytest.mark.parametrize("name", list(cli._SETTINGS))
+    def test_flag_and_config_agree(self, tmp_path, data_dir, monkeypatch,
+                                   capsys, name):
+        """A text gives the same outputs as a flag and as a config line,
+        and a bad text fails both ways before writing anything."""
+        command, good, bad, named = SETTING_CASES[name]
+        scores = tmp_path / "scores.csv"
+        scores.write_text("technique,level,score\n" + "".join(
+            f"No-Aug,{level.name},{50 - 5 * level.value}\n" for level in BlurLevel))
+        inputs = {
+            "plan": [data_dir / "toy_keys.txt"],
+            "score": [data_dir / "toy_captions.json",
+                      data_dir / "toy_predictions.json"],
+            "report": [scores, data_dir / "toy_feature_counts.csv"],
+        }[command]
+        flag = "--" + name.replace("_", "-")
+        config = tmp_path / "bench.cfg"
+
+        def outcome(case, text=None, as_flag=False):
+            """Exit code, stdout, stderr and files of one run in its own cwd."""
+            cwd = tmp_path / case
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            setting = [flag, text] if as_flag and text is not None else []
+            argv = ([*setting, command, *inputs] if name in GLOBAL_SETTINGS
+                    else [command, *inputs, *setting])
+            if name != "out":
+                argv = ["--out", "run", *argv]
+            if not as_flag and text is not None:
+                config.write_text(f"{name} = {text}\n")
+                argv = ["--config", config, *argv]
+            try:
+                code = run(*argv)
+            except SystemExit as exc:
+                code = exc.code
+            files = {p.relative_to(cwd).as_posix(): p.read_bytes()
+                     for p in sorted(cwd.rglob("*")) if p.is_file()}
+            return code, *capsys.readouterr(), files
+
+        flagged = outcome("flag", good, as_flag=True)
+        assert flagged[0] == 0
+        assert outcome("config", good) == flagged
+        assert outcome("default") != flagged
+
+        code, out, err, files = outcome("bad_flag", bad, as_flag=True)
+        assert (code, out, files) == (2, "", {})
+        assert f"argument {flag}: " in err
+        code, out, err, files = outcome("bad_config", bad)
+        assert (code, out, files) == (1, "", {})
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and named in err
+
+    def test_readme_table_matches_settings(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = re.findall(r"^\| `(--[a-z-]+)` \| `(\w+)` \| `([^`]*)` \|",
+                          readme.read_text(), re.MULTILINE)
+        assert rows == [
+            ("--" + name.replace("_", "-"), name, str(default))
+            for name, (_, default) in cli._SETTINGS.items()]
 
     def test_technique_canonicalized(self, tmp_path, data_dir):
         config = tmp_path / "bench.cfg"

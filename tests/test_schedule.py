@@ -321,6 +321,18 @@ class TestManifestSerialization:
         with pytest.raises(ValueError, match="bad manifest header on line 1"):
             read_manifest(text.replace('"seed": 0', f'"seed": {seed}'))
 
+    @pytest.mark.parametrize("key", [None, 5, True, [1], {"x": 1}],
+                             ids=["null", "5", "true", "list", "object"])
+    def test_non_string_sample_key_rejected(self, key):
+        """A sample key is a JSON string; nothing else is taken as one."""
+        text = write_manifest(plan_dataset(["a", "b"], technique_plan("No-Aug"), 0))
+        lines = text.split("\n")
+        record = json.loads(lines[2])
+        record["sample_key"] = key
+        lines[2] = json.dumps(record)
+        with pytest.raises(ValueError, match="bad manifest entry on line 3 "):
+            read_manifest("\n".join(lines))
+
     @pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"])
     def test_raw_line_separator_inside_a_key_is_read(self, char):
         """A line ends only at \\n; a JSON string may hold U+0085 raw."""
