@@ -13,12 +13,12 @@ Each setting (seed, technique, out, bin_width, format, sigma, max_n,
 scale) is one ``_SETTINGS`` entry, its converter and default; its flag is
 ``--name`` with ``-`` for ``_``. Precedence is flag > config file
 (--config, flat ``name = value`` lines) > BLURBENCH_SEED (seed only) >
-default, and all text goes through the converter: a bad flag is a usage
-error (exit 2), a bad config or environment value one ``error:`` line
-(exit 1), as is an unknown or repeated config key. An empty ``out`` is
-bad text. Every ``cmd_*`` reads the resolved settings from ``args``. The
-effective seed is echoed in every output header. All files are written
-atomically.
+default, and all text goes through the converter, whichever one wins: a
+bad flag is a usage error (exit 2), a bad config or environment value one
+``error:`` line (exit 1), as is an unknown or repeated config key. An
+empty ``out`` is bad text. Every ``cmd_*`` reads the resolved settings
+from ``args``. The effective seed is echoed in every output header. All
+files are written atomically.
 
 ``blur`` on a directory skips files named like its own outputs
 (``<stem>.MB0``..``<stem>.MB3`` plus the extension), so rerunning it with
@@ -125,10 +125,13 @@ def _resolve_config(args: argparse.Namespace) -> None:
                          f"{', '.join(unknown)}")
     env_values = {"seed": os.environ.get(SEED_ENV_VAR) or None}
     for name, (convert, default) in _SETTINGS.items():
+        # every text given is checked, also where a flag overrides it
+        values = [convert(text) for text in (file_values.get(name),
+                                             env_values.get(name))
+                  if text is not None]
         value = getattr(args, name, None)
         if value is None:
-            text = file_values.get(name, env_values.get(name))
-            value = default if text is None else convert(text)
+            value = values[0] if values else default
         setattr(args, name, value)
 
 
@@ -172,6 +175,7 @@ def cmd_blur(args: argparse.Namespace) -> int:
             _atomic_write(target, save_image(variant))
             del variant  # not held while the next level blurs
             written += 1
+        del img  # not held while the next file decodes
         print(f"{path}: wrote {written} variant(s) to {args.out}")
     return 1 if failures else 0
 

@@ -20,7 +20,14 @@ a partial sum rounds past 1) and the draw takes the first level whose
 bound is >= d. Every bound from the highest level with mass onward is
 2**53, so a draw above a float CDF that falls short of 1 lands on that
 level. No RNG stream is involved, so assignments are independent of
-iteration order and stable across platforms.
+iteration order and stable across platforms. A plan keys one hasher per
+stage and copies it for each sample key.
+
+A manifest is JSON lines: a header object, then one object per entry.
+`read_manifest` parses the body in chunks of lines, one `json.loads` per
+chunk, and parses a chunk again line by line when the bulk parse cannot
+show one valid record per line, so every error text, line number
+included, is the one a line-by-line read gives.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .imaging import BlurLevel
 _SUM_TOLERANCE = 1e-9
 _U64 = 0xFFFFFFFFFFFFFFFF
 _DRAWS = 2 ** 53  # draws are the top 53 bits of a 64-bit digest
+_LEVELS = tuple(BlurLevel)
 
 
 class Stage(Enum):
@@ -79,7 +87,7 @@ class Schedule:
 
     def level_at(self, draw: int) -> BlurLevel:
         """The level of a 53-bit draw: the first whose bound is >= draw."""
-        return BlurLevel(bisect_left(self.bounds, draw))
+        return _LEVELS[bisect_left(self.bounds, draw)]
 
 
 NO_AUG_SCHEDULE = Schedule((1.0, 0.0, 0.0, 0.0))
@@ -129,16 +137,25 @@ def technique_plan(name: str) -> TechniquePlan:
     return TechniquePlan(parse_technique(name))
 
 
+def _draw_levels(sample_keys: Iterable[str], schedule: Schedule, seed: int,
+                 stage: str) -> list[BlurLevel]:
+    """The level of each key by the module docstring's rule."""
+    hasher = hashlib.blake2b(digest_size=8,
+                             key=(seed & _U64).to_bytes(8, "big"),
+                             person=stage.encode("utf-8"))
+    level_at = schedule.level_at
+    levels = []
+    for key in sample_keys:
+        keyed = hasher.copy()
+        keyed.update(key.encode("utf-8"))
+        levels.append(level_at(int.from_bytes(keyed.digest(), "big") >> 11))
+    return levels
+
+
 def sample_level(sample_key: str, schedule: Schedule, seed: int,
                  stage: str = "") -> BlurLevel:
     """Draw a blur level for a sample key by the module docstring's rule."""
-    digest = hashlib.blake2b(
-        sample_key.encode("utf-8"),
-        digest_size=8,
-        key=(seed & _U64).to_bytes(8, "big"),
-        person=stage.encode("utf-8"),
-    ).digest()
-    return schedule.level_at(int.from_bytes(digest, "big") >> 11)
+    return _draw_levels([sample_key], schedule, seed, stage)[0]
 
 
 @dataclass(frozen=True)
@@ -168,11 +185,12 @@ def plan_dataset(sample_keys: Iterable[str], plan: TechniquePlan,
     duplicates = sorted({a for a, b in zip(keys, keys[1:]) if a == b})
     if duplicates:
         raise ValueError(f"duplicate sample keys: {duplicates}")
-    schedules = [(stage, plan.schedule_for(stage)) for stage in Stage]
-    entries = tuple(
-        ManifestEntry(key, stage,
-                      sample_level(key, schedule, seed, stage=stage.value))
-        for key in keys for stage, schedule in schedules)
+    stages = tuple(Stage)
+    columns = [_draw_levels(keys, plan.schedule_for(stage), seed, stage.value)
+               for stage in stages]
+    entries = tuple(ManifestEntry(key, stage, level)
+                    for key, levels in zip(keys, zip(*columns))
+                    for stage, level in zip(stages, levels))
     return AugmentationManifest(seed=seed, plan=plan, entries=entries)
 
 
@@ -181,42 +199,65 @@ def plan_dataset(sample_keys: Iterable[str], plan: TechniquePlan,
 # entry.
 # ---------------------------------------------------------------------------
 
+#: What follows the key on an entry line, by (stage, level): the text
+#: `json.dumps` gives for the rest of the record.
+_ENTRY_TAILS = {
+    (stage, level): f', "stage": "{stage.value}", "level": "{level.name}"}}'
+    for stage in Stage for level in BlurLevel}
+#: Lines per bulk parse in `read_manifest`: few enough that a chunk's
+#: joined text and records stay small beside the manifest text.
+_READ_CHUNK_LINES = 4096
+_STAGE_BY_VALUE = {stage.value: stage for stage in Stage}
+_LEVEL_BY_NAME = {level.name: level for level in BlurLevel}
+
+
 def write_manifest(manifest: AugmentationManifest) -> str:
     header = {"seed": manifest.seed, "technique": manifest.plan.name.value}
     for stage in Stage:
         header[f"{stage.value}_schedule"] = list(
             manifest.plan.schedule_for(stage).probs)
     lines = [json.dumps(header)]
-    for entry in manifest.entries:
-        lines.append(json.dumps({
-            "sample_key": entry.sample_key,
-            "stage": entry.stage.value,
-            "level": entry.level.name,
-        }))
+    lines += [f'{{"sample_key": {json.dumps(entry.sample_key)}'
+              f'{_ENTRY_TAILS[entry.stage, entry.level]}'
+              for entry in manifest.entries]
     return "\n".join(lines) + "\n"
 
 
 def read_manifest(text: str) -> AugmentationManifest:
     """Parse `write_manifest` output; errors name the 1-based line."""
-    numbered = ((number, line) for number, line
-                in enumerate(text.split("\n"), 1) if line.strip())
-    number, line = next(numbered, (0, None))
-    if line is None:
+    lines = text.split("\n")
+    first = next((index for index, line in enumerate(lines) if line.strip()),
+                 None)
+    if first is None:
         raise ValueError("empty manifest")
     try:
-        header = json.loads(line)
+        header = json.loads(lines[first])
         plan = TechniquePlan(Technique(header["technique"]))
         seed = header["seed"]
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ValueError(f"seed must be a JSON integer, not {seed!r}")
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise ValueError(f"bad manifest header on line {number}: {exc}") from exc
+        raise ValueError(
+            f"bad manifest header on line {first + 1}: {exc}") from exc
     if any(header.get(f"{stage.value}_schedule")
            != list(plan.schedule_for(stage).probs) for stage in Stage):
         raise ValueError("bad manifest header: schedules do not match "
                          f"technique {plan.name.value}")
+    entries: list[ManifestEntry] = []
+    for start in range(first + 1, len(lines), _READ_CHUNK_LINES):
+        chunk = lines[start:start + _READ_CHUNK_LINES]
+        bulk = _bulk_entries(chunk)
+        entries += _line_entries(chunk, start + 1) if bulk is None else bulk
+    return AugmentationManifest(seed=seed, plan=plan, entries=tuple(entries))
+
+
+def _line_entries(lines: list[str], first: int) -> list[ManifestEntry]:
+    """The entries of `lines`, the first of which is line `first`, parsed
+    one line at a time; the first bad line raises, naming its number."""
     entries = []
-    for number, line in numbered:
+    for number, line in enumerate(lines, first):
+        if not line.strip():
+            continue
         try:
             record = json.loads(line)
             key = record["sample_key"]
@@ -230,4 +271,42 @@ def read_manifest(text: str) -> AugmentationManifest:
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(
                 f"bad manifest entry on line {number} {line!r}: {exc}") from exc
-    return AugmentationManifest(seed=seed, plan=plan, entries=tuple(entries))
+    return entries
+
+
+def _bulk_entries(lines: list[str]) -> list[ManifestEntry] | None:
+    """What `_line_entries` gives for `lines`, from one `json.loads`, or
+    None when that parse does not show that each non-blank line holds
+    exactly one object, which `_line_entries` accepts.
+
+    Every non-blank line must start with `{` and end with `}`, the chunk
+    may hold no other `{`, and the parse must give one dict per line. Then
+    the lines' opening braces are the only ones, each opens one of the
+    dicts, the dicts are flat, and no string runs past a line end (it
+    would hold the next line's `{`). So each line's last `}` closes the
+    dict its `{` opens, and the line parses alone to that dict.
+    """
+    body = []
+    for line in lines:
+        stripped = line.strip()
+        if stripped:
+            if stripped[0] != "{" or stripped[-1] != "}":
+                return None
+            body.append(line)
+    array = "[" + ",".join(body) + "]"
+    if array.count("{") != len(body):
+        return None
+    entries = []
+    try:
+        records = json.loads(array)
+        if len(records) != len(body):
+            return None
+        for record in records:
+            key = record["sample_key"]
+            if type(key) is not str:
+                return None
+            entries.append(ManifestEntry(key, _STAGE_BY_VALUE[record["stage"]],
+                                         _LEVEL_BY_NAME[record["level"]]))
+    except (KeyError, TypeError, ValueError, RecursionError):
+        return None
+    return entries

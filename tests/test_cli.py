@@ -136,6 +136,27 @@ class TestBlurCommand:
         extra_image = (5600 - 1400) * width * channels
         assert peaks[1] - peaks[0] <= 2.5 * extra_image
 
+    def test_previous_raster_dropped_before_next_decodes(self, tmp_path):
+        """A raster's decoded image is dropped before the next file is
+        read: a second raster adds under a quarter of its bytes."""
+        width, height, channels = 1000, 5600, 3
+        raster = save_image(random_image(
+            np.random.default_rng(5), width, height, channels))
+        peaks = []
+        for count in (1, 2):
+            directory = tmp_path / f"in{count}"
+            directory.mkdir()
+            for index in range(count):
+                (directory / f"r{index}.ppm").write_bytes(raster)
+            tracemalloc.start()
+            try:
+                assert run("--out", tmp_path / f"out{count}", "blur",
+                           "--levels", "MB0", directory) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < width * height * channels / 4
+
     def test_no_tmp_leftovers(self, tmp_path):
         rng = np.random.default_rng(3)
         src = tmp_path / "x.pgm"
@@ -620,6 +641,29 @@ class TestConfigFile:
         assert run("--config", config, "plan", keys) == 0
         manifest = tmp_path / "run\u2028two" / "manifest.jsonl"
         assert read_manifest(manifest.read_text()).seed == 4
+
+    @pytest.mark.parametrize("config,env,flag", [
+        ("seed = x", None, ["--seed", "3"]),
+        (None, "x", ["--seed", "3"]),
+        ("seed = 3", "x", []),
+    ], ids=["config-under-flag", "env-under-flag", "env-under-config"])
+    def test_overridden_bad_text_fails(self, tmp_path, monkeypatch, capsys,
+                                       config, env, flag):
+        """Every config and environment text is converted, also where a
+        source of higher precedence sets the same setting."""
+        keys = tmp_path / "keys.txt"
+        keys.write_text("a\n")
+        argv = [*flag]
+        if config is not None:
+            (tmp_path / "c.cfg").write_text(config + "\n")
+            argv += ["--config", tmp_path / "c.cfg"]
+        if env is not None:
+            monkeypatch.setenv("BLURBENCH_SEED", env)
+        out = tmp_path / "out"
+        assert run(*argv, "--out", out, "plan", keys) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "'x'" in err[0]
+        assert not out.exists()
 
     def test_env_seed_checked_like_flag(self, tmp_path, monkeypatch, capsys):
         keys = tmp_path / "keys.txt"

@@ -7,14 +7,18 @@ insertions, deletions and replacements, drawn mostly from bytes that CSV,
 JSON and netpbm treat specially. The same mutations, fed to whole
 commands, must end in exit 0 or in one last `error:` line; `blur`, which
 fails one raster at a time, must name only the mutated raster and still
-write the intact one's variants.
+write the intact one's variants. A manifest, mutated line by line too,
+reads the same through `read_manifest`'s bulk parse as through a parse
+of one line at a time.
 """
 
 import functools
 import io
+import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +34,14 @@ from blurbench.ingest import (
     parse_predictions,
 )
 from blurbench.report import parse_scores_csv
+import blurbench.schedule as schedule_mod
+from blurbench.imaging import BlurLevel
 from blurbench.schedule import (
+    AugmentationManifest,
+    ManifestEntry,
+    Stage,
+    Technique,
+    TechniquePlan,
     plan_dataset,
     read_manifest,
     technique_plan,
@@ -140,6 +151,161 @@ def test_mutated_command_input_exits_cleanly(command, target, edits):
     assert code == 1 and not created
     assert lines and lines[-1].startswith("error: ")
     assert all(line.startswith("warning: ") for line in lines[:-1])
+
+
+def read_manifest_by_line(text: str) -> AugmentationManifest:
+    """The reference reader: one `json.loads` per line, every error naming
+    its 1-based line, as `read_manifest` read before its bulk parse."""
+    numbered = ((number, line) for number, line
+                in enumerate(text.split("\n"), 1) if line.strip())
+    number, line = next(numbered, (0, None))
+    if line is None:
+        raise ValueError("empty manifest")
+    try:
+        header = json.loads(line)
+        plan = TechniquePlan(Technique(header["technique"]))
+        seed = header["seed"]
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"seed must be a JSON integer, not {seed!r}")
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise ValueError(
+            f"bad manifest header on line {number}: {exc}") from exc
+    if any(header.get(f"{stage.value}_schedule")
+           != list(plan.schedule_for(stage).probs) for stage in Stage):
+        raise ValueError("bad manifest header: schedules do not match "
+                         f"technique {plan.name.value}")
+    entries = []
+    for number, line in numbered:
+        try:
+            record = json.loads(line)
+            key = record["sample_key"]
+            if not isinstance(key, str):
+                raise ValueError(
+                    f"sample_key must be a JSON string, not {key!r}")
+            entries.append(ManifestEntry(
+                key, Stage(record["stage"]), BlurLevel[record["level"]]))
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise ValueError(
+                f"bad manifest entry on line {number} {line!r}: {exc}") from exc
+    return AugmentationManifest(seed=seed, plan=plan, entries=tuple(entries))
+
+
+def _outcome(reader, text: str):
+    """The manifest `reader` returns, or the text of its ValueError."""
+    try:
+        return reader(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+#: A manifest of a dozen keys, two of them non-ASCII, so that small read
+#: chunks split it many ways.
+_DOZEN_MANIFEST = write_manifest(plan_dataset(
+    [f"img{i:02d}" for i in range(10)] + ["caf\u00e9", "\u732b"],
+    technique_plan("ObjDet-Cap-Aug"), 3))
+#: Joiners and blank-line fillers: JSON and `str.strip` whitespace,
+#: commas, braces.
+_FILLERS = ["", " ", ",", ", ", "\r", "\t", "\x0c", "\x85", "{", "}"]
+_LINE_EDIT = st.tuples(
+    st.sampled_from(["join", "split", "blank", "crlf"]),
+    st.integers(0, 1 << 16), st.integers(0, 1 << 16),
+    st.sampled_from(_FILLERS))
+
+
+def edit_lines(text: str, edits) -> str:
+    """Join two lines (several records on one line), split one (a record
+    over two lines), insert a blank or filler line, or end one in CRLF."""
+    lines = text.split("\n")
+    for op, where, at, filler in edits:
+        i = where % len(lines)
+        line = lines[i]
+        if op == "join" and i + 1 < len(lines):
+            lines[i:i + 2] = [line + filler + lines[i + 1]]
+        elif op == "split":
+            at %= len(line) + 1
+            lines[i:i + 1] = [line[:at], line[at:]]
+        elif op == "blank":
+            lines.insert(i, filler)
+        elif op == "crlf":
+            lines[i] = line + "\r"
+    return "\n".join(lines)
+
+
+@given(document=st.sampled_from([_MANIFEST, _DOZEN_MANIFEST]),
+       edits=st.lists(_EDIT, max_size=3),
+       line_edits=st.lists(_LINE_EDIT, max_size=4),
+       chunk=st.sampled_from([1, 2, 3, 5, 4096]))
+@settings(max_examples=300, deadline=None)
+def test_bulk_read_agrees_with_line_by_line(document, edits, line_edits,
+                                            chunk):
+    """Same manifest or the same error, line number included, whatever
+    chunk a mutated line falls in."""
+    text = edit_lines(mutate(document.encode(), edits).decode(
+        "utf-8", errors="surrogateescape"), line_edits)
+    with mock.patch.object(schedule_mod, "_READ_CHUNK_LINES", chunk):
+        got = _outcome(read_manifest, text)
+    assert got == _outcome(read_manifest_by_line, text)
+
+
+#: A manifest of over two read chunks (5 000 keys, 10 001 lines).
+_LARGE_MANIFEST = write_manifest(plan_dataset(
+    [f"k{i:04d}" for i in range(5000)], technique_plan("Cap-Aug"), 11))
+
+
+@given(where=st.integers(2 * 4096 + 1, 10_000),
+       edits=st.lists(_EDIT, max_size=2),
+       line_edits=st.lists(_LINE_EDIT, min_size=1, max_size=2))
+@settings(max_examples=25, deadline=None)
+def test_bad_line_in_a_later_chunk_named(where, edits, line_edits):
+    """At the real chunk size, a line mutated in the third chunk gives the
+    error the line-by-line reader gives."""
+    assert schedule_mod._READ_CHUNK_LINES == 4096
+    lines = _LARGE_MANIFEST.split("\n")
+    line = mutate(lines[where].encode(), edits).decode(
+        "utf-8", errors="surrogateescape")
+    lines[where] = edit_lines(line, [(op, 0, at, filler)
+                                     for op, _, at, filler in line_edits])
+    text = "\n".join(lines)
+    assert (_outcome(read_manifest, text)
+            == _outcome(read_manifest_by_line, text))
+
+
+_RECORD = '{"sample_key": "b", "stage": "detector", "level": "MB1"}'
+_HEADER = _MANIFEST.split("\n", 1)[0]
+
+
+@pytest.mark.parametrize("body", [
+    # a record over two lines beside a line of two records
+    ['{"sample_key": "a"', '"stage": "detector", "level": "MB0"}',
+     f"{_RECORD}, {_RECORD}"],
+    # a string over the line end: two lines, one record
+    ['{"sample_key": "x}', '{", "stage": "detector", "level": "MB0"}'],
+    # records nested in an array that spans the line end
+    [_RECORD[:-1] + f', "k": [{_RECORD}', f"{_RECORD}]}}",
+     f"{_RECORD}, {_RECORD}"],
+    # the nesting hidden under a repeated key
+    [f'{{"sample_key": [{_RECORD}', f'{_RECORD}], {_RECORD[1:]}',
+     f"{_RECORD}, {_RECORD}"],
+    ['{"sample_key": [{}', '{}], ' + _RECORD[1:], f"{_RECORD}, {_RECORD}"],
+], ids=["split-record", "spanning-string", "spanning-array", "repeated-key",
+        "empty-objects"])
+def test_lines_a_bulk_parse_could_pair_up_are_rejected(body):
+    """Each body passes all but one of the bulk parse's checks, but its
+    first line is not a record on its own."""
+    text = "\n".join([_HEADER, *body]) + "\n"
+    got = _outcome(read_manifest, text)
+    assert got.startswith("ValueError: bad manifest entry on line 2 ")
+    assert got == _outcome(read_manifest_by_line, text)
+
+
+def test_nested_extra_field_read_like_line_by_line():
+    """A record may carry a nested extra field; the line-by-line reader
+    ignores it, and so does the bulk read."""
+    text = _HEADER + "\n" + _RECORD[:-1] + ', "meta": {"x": [1, {}]}}\n'
+    assert (_outcome(read_manifest, text)
+            == _outcome(read_manifest_by_line, text))
+    assert read_manifest(text).entries == (
+        ManifestEntry("b", Stage.DETECTOR, BlurLevel.MB1),)
 
 
 #: The smallest raster every blur level fits: MB3 is a 45x12 kernel.

@@ -245,6 +245,22 @@ class TestPlanDataset:
         assert detector[3] == 0
         assert abs(captioner[3] / len(keys) - 0.1) <= 0.01
 
+    @given(st.lists(st.text(st.characters(blacklist_categories=("Cs",)),
+                            max_size=12), max_size=8, unique=True),
+           st.one_of(st.integers(0, 2**64 - 1), st.integers(-(2**70), 2**70)),
+           st.sampled_from(list(Technique)))
+    @settings(max_examples=200)
+    def test_entries_drawn_by_sample_level(self, keys, seed, technique):
+        """One draw rule: a planned level is the level `sample_level`
+        draws for the same key, seed, stage and schedule."""
+        plan = technique_plan(technique.value)
+        manifest = plan_dataset(keys, plan, seed)
+        assert len(manifest.entries) == 2 * len(keys)
+        for entry in manifest.entries:
+            assert entry.level is sample_level(
+                entry.sample_key, plan.schedule_for(entry.stage), seed,
+                stage=entry.stage.value)
+
     def test_seed_changes_some_assignment(self):
         keys = [f"k{i}" for i in range(1000)]
         plan = technique_plan("ObjDet-Cap-Aug")
@@ -284,6 +300,23 @@ class TestManifestSerialization:
         manifest = plan_dataset([f"x{i}" for i in range(50)],
                                 technique_plan("Cap-Aug"), 99)
         assert read_manifest(write_manifest(manifest)) == manifest
+
+    def test_round_trip_across_read_chunks(self):
+        manifest = plan_dataset([f"k{i}" for i in range(5000)]
+                                + ["caf\u00e9", "\u732b", 'q"\\'],
+                                technique_plan("ObjDet-Cap-Aug"), 11)
+        text = write_manifest(manifest)
+        assert text.count("\n") > 2 * schedule_mod._READ_CHUNK_LINES
+        assert read_manifest(text) == manifest
+
+    def test_entry_lines_are_json_dumps_of_the_record(self):
+        keys = ["a", "caf\u00e9", "\u732b", 'q"\\', "tab\there", "\u2028"]
+        manifest = plan_dataset(keys, technique_plan("Cap-Aug"), 2)
+        lines = write_manifest(manifest).split("\n")[1:-1]
+        assert lines == [json.dumps({"sample_key": e.sample_key,
+                                     "stage": e.stage.value,
+                                     "level": e.level.name})
+                         for e in manifest.entries]
 
     def test_header_carries_seed_and_schedules(self):
         manifest = plan_dataset(["a"], technique_plan("ObjDet-Aug"), 12)
