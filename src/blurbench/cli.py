@@ -195,7 +195,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     target = args.out / "manifest.jsonl"
     _atomic_write(target, write_manifest(manifest).encode("utf-8"))
     print(f"wrote {target}: technique={plan.name.value} seed={args.seed} "
-          f"entries={len(manifest.entries)}")
+          f"entries={len(manifest.keys)}")
     return 0
 
 

@@ -21,13 +21,19 @@ bound is >= d. Every bound from the highest level with mass onward is
 2**53, so a draw above a float CDF that falls short of 1 lands on that
 level. No RNG stream is involved, so assignments are independent of
 iteration order and stable across platforms. A plan keys one hasher per
-stage and copies it for each sample key.
+stage and copies it for each sample key; a schedule whose lowest bound is
+2**53 puts every draw on MB0, so it hashes nothing.
 
 A manifest is JSON lines: a header object, then one object per entry.
+In memory its entries are three columns: the keys, and one byte each for
+the stage and the level, an index into `tuple(Stage)` or
+`tuple(BlurLevel)`; `ManifestEntry` objects are built only on demand.
 `read_manifest` parses the body in chunks of lines, one `json.loads` per
-chunk, and parses a chunk again line by line when the bulk parse cannot
-show one valid record per line, so every error text, line number
-included, is the one a line-by-line read gives.
+chunk. It keeps a chunk's records when it can show that each line parses
+alone to its record: the chunk holds one `{` per line, or every line is
+the very line `write_manifest` writes for its record. Otherwise it parses
+the chunk again line by line, so every error text, line number included,
+is the one a line-by-line read gives.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .imaging import BlurLevel
 
@@ -53,6 +59,13 @@ class Stage(Enum):
 
     DETECTOR = "detector"
     CAPTIONER = "captioner"
+
+
+_STAGES = tuple(Stage)
+#: Every stage index and every level index, the values of a manifest's
+#: `stages` and `levels` columns.
+_STAGE_CODES = bytes(range(len(_STAGES)))
+_LEVEL_CODES = bytes(range(len(_LEVELS)))
 
 
 @dataclass(frozen=True)
@@ -137,25 +150,28 @@ def technique_plan(name: str) -> TechniquePlan:
     return TechniquePlan(parse_technique(name))
 
 
-def _draw_levels(sample_keys: Iterable[str], schedule: Schedule, seed: int,
-                 stage: str) -> list[BlurLevel]:
-    """The level of each key by the module docstring's rule."""
+def _draw_levels(sample_keys: list[str], schedule: Schedule, seed: int,
+                 stage: str) -> bytes:
+    """The level index of each key by the module docstring's rule."""
+    bounds = schedule.bounds
+    if bounds[0] == _DRAWS:  # every draw lands on the lowest level
+        return bytes(len(sample_keys))
     hasher = hashlib.blake2b(digest_size=8,
                              key=(seed & _U64).to_bytes(8, "big"),
                              person=stage.encode("utf-8"))
-    level_at = schedule.level_at
-    levels = []
+    levels = bytearray()
     for key in sample_keys:
         keyed = hasher.copy()
         keyed.update(key.encode("utf-8"))
-        levels.append(level_at(int.from_bytes(keyed.digest(), "big") >> 11))
-    return levels
+        levels.append(bisect_left(bounds,
+                                  int.from_bytes(keyed.digest(), "big") >> 11))
+    return bytes(levels)
 
 
 def sample_level(sample_key: str, schedule: Schedule, seed: int,
                  stage: str = "") -> BlurLevel:
     """Draw a blur level for a sample key by the module docstring's rule."""
-    return _draw_levels([sample_key], schedule, seed, stage)[0]
+    return _LEVELS[_draw_levels([sample_key], schedule, seed, stage)[0]]
 
 
 @dataclass(frozen=True)
@@ -167,11 +183,31 @@ class ManifestEntry:
 
 @dataclass(frozen=True)
 class AugmentationManifest:
-    """Deterministic per-sample, per-stage blur assignments."""
+    """Deterministic per-sample, per-stage blur assignments.
+
+    Entry i is stored across three columns: `keys[i]`, the index
+    `stages[i]` into `tuple(Stage)` and the index `levels[i]` into
+    `tuple(BlurLevel)`.
+    """
 
     seed: int
     plan: TechniquePlan
-    entries: tuple[ManifestEntry, ...] = field(default_factory=tuple)
+    keys: tuple[str, ...]
+    stages: bytes
+    levels: bytes
+
+    def __post_init__(self):
+        if (not len(self.keys) == len(self.stages) == len(self.levels)
+                or self.stages.translate(None, _STAGE_CODES)
+                or self.levels.translate(None, _LEVEL_CODES)):
+            raise ValueError("manifest columns differ in length or hold a "
+                             "stage or level index out of range")
+
+    @property
+    def entries(self) -> tuple[ManifestEntry, ...]:
+        return tuple(ManifestEntry(key, _STAGES[stage], _LEVELS[level])
+                     for key, stage, level
+                     in zip(self.keys, self.stages, self.levels))
 
 
 def plan_dataset(sample_keys: Iterable[str], plan: TechniquePlan,
@@ -185,13 +221,15 @@ def plan_dataset(sample_keys: Iterable[str], plan: TechniquePlan,
     duplicates = sorted({a for a, b in zip(keys, keys[1:]) if a == b})
     if duplicates:
         raise ValueError(f"duplicate sample keys: {duplicates}")
-    stages = tuple(Stage)
-    columns = [_draw_levels(keys, plan.schedule_for(stage), seed, stage.value)
-               for stage in stages]
-    entries = tuple(ManifestEntry(key, stage, level)
-                    for key, levels in zip(keys, zip(*columns))
-                    for stage, level in zip(stages, levels))
-    return AugmentationManifest(seed=seed, plan=plan, entries=entries)
+    width = len(_STAGES)
+    key_column = [""] * (width * len(keys))
+    levels = bytearray(len(key_column))
+    for index, stage in enumerate(_STAGES):
+        key_column[index::width] = keys
+        levels[index::width] = _draw_levels(keys, plan.schedule_for(stage),
+                                            seed, stage.value)
+    return AugmentationManifest(seed, plan, tuple(key_column),
+                                _STAGE_CODES * len(keys), bytes(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +237,16 @@ def plan_dataset(sample_keys: Iterable[str], plan: TechniquePlan,
 # entry.
 # ---------------------------------------------------------------------------
 
-#: What follows the key on an entry line, by (stage, level): the text
-#: `json.dumps` gives for the rest of the record.
-_ENTRY_TAILS = {
-    (stage, level): f', "stage": "{stage.value}", "level": "{level.name}"}}'
-    for stage in Stage for level in BlurLevel}
+#: What follows the key on an entry line, by stage index then level index:
+#: the text `json.dumps` gives for the rest of the record.
+_ENTRY_TAILS = tuple(
+    tuple(f', "stage": "{stage.value}", "level": "{level.name}"}}'
+          for level in BlurLevel) for stage in Stage)
 #: Lines per bulk parse in `read_manifest`: few enough that a chunk's
 #: joined text and records stay small beside the manifest text.
 _READ_CHUNK_LINES = 4096
-_STAGE_BY_VALUE = {stage.value: stage for stage in Stage}
-_LEVEL_BY_NAME = {level.name: level for level in BlurLevel}
+_STAGE_BY_VALUE = {stage.value: index for index, stage in enumerate(Stage)}
+_LEVEL_BY_NAME = {level.name: index for index, level in enumerate(BlurLevel)}
 
 
 def write_manifest(manifest: AugmentationManifest) -> str:
@@ -217,10 +255,22 @@ def write_manifest(manifest: AugmentationManifest) -> str:
         header[f"{stage.value}_schedule"] = list(
             manifest.plan.schedule_for(stage).probs)
     lines = [json.dumps(header)]
-    lines += [f'{{"sample_key": {json.dumps(entry.sample_key)}'
-              f'{_ENTRY_TAILS[entry.stage, entry.level]}'
-              for entry in manifest.entries]
-    return "\n".join(lines) + "\n"
+    lines += _entry_lines(manifest.keys, manifest.stages, manifest.levels)
+    lines.append("")  # the text ends in a line end, with no copy to add it
+    return "\n".join(lines)
+
+
+def _entry_lines(keys: Iterable[str], stages: bytes,
+                 levels: bytes) -> Iterator[str]:
+    """The entry line of each (key, stage index, level index): the
+    `json.dumps` text of its record, from one `json.dumps` per run of
+    equal keys."""
+    previous = None
+    for key, stage, level in zip(keys, stages, levels):
+        if key != previous:
+            head = f'{{"sample_key": {json.dumps(key)}'
+            previous = key
+        yield head + _ENTRY_TAILS[stage][level]
 
 
 def read_manifest(text: str) -> AugmentationManifest:
@@ -243,18 +293,21 @@ def read_manifest(text: str) -> AugmentationManifest:
            != list(plan.schedule_for(stage).probs) for stage in Stage):
         raise ValueError("bad manifest header: schedules do not match "
                          f"technique {plan.name.value}")
-    entries: list[ManifestEntry] = []
+    keys: list[str] = []
+    stages, levels = bytearray(), bytearray()
     for start in range(first + 1, len(lines), _READ_CHUNK_LINES):
         chunk = lines[start:start + _READ_CHUNK_LINES]
-        bulk = _bulk_entries(chunk)
-        entries += _line_entries(chunk, start + 1) if bulk is None else bulk
-    return AugmentationManifest(seed=seed, plan=plan, entries=tuple(entries))
+        if not _bulk_entries(chunk, keys, stages, levels):
+            _line_entries(chunk, start + 1, keys, stages, levels)
+    return AugmentationManifest(seed, plan, tuple(keys), bytes(stages),
+                                bytes(levels))
 
 
-def _line_entries(lines: list[str], first: int) -> list[ManifestEntry]:
-    """The entries of `lines`, the first of which is line `first`, parsed
-    one line at a time; the first bad line raises, naming its number."""
-    entries = []
+def _line_entries(lines: list[str], first: int, keys: list[str],
+                  stages: bytearray, levels: bytearray) -> None:
+    """Append the entries of `lines`, the first of which is line `first`,
+    to the columns, parsing one line at a time; the first bad line raises,
+    naming its number."""
     for number, line in enumerate(lines, first):
         if not line.strip():
             continue
@@ -263,50 +316,58 @@ def _line_entries(lines: list[str], first: int) -> list[ManifestEntry]:
             key = record["sample_key"]
             if not isinstance(key, str):
                 raise ValueError(f"sample_key must be a JSON string, not {key!r}")
-            entries.append(ManifestEntry(
-                key,
-                Stage(record["stage"]),
-                BlurLevel[record["level"]],
-            ))
+            stage = Stage(record["stage"])
+            level = BlurLevel[record["level"]]
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(
                 f"bad manifest entry on line {number} {line!r}: {exc}") from exc
-    return entries
+        keys.append(key)
+        stages.append(_STAGES.index(stage))
+        levels.append(_LEVELS.index(level))
 
 
-def _bulk_entries(lines: list[str]) -> list[ManifestEntry] | None:
-    """What `_line_entries` gives for `lines`, from one `json.loads`, or
-    None when that parse does not show that each non-blank line holds
-    exactly one object, which `_line_entries` accepts.
+def _bulk_entries(lines: list[str], keys: list[str], stages: bytearray,
+                  levels: bytearray) -> bool:
+    """Append what `_line_entries` gives for `lines` to the columns, from
+    one `json.loads`; False, appending nothing, when that parse does not
+    show that each non-blank line holds exactly one object, which
+    `_line_entries` accepts.
 
-    Every non-blank line must start with `{` and end with `}`, the chunk
-    may hold no other `{`, and the parse must give one dict per line. Then
-    the lines' opening braces are the only ones, each opens one of the
-    dicts, the dicts are flat, and no string runs past a line end (it
-    would hold the next line's `{`). So each line's last `}` closes the
-    dict its `{` opens, and the line parses alone to that dict.
+    Every non-blank line must start with `{` and end with `}`, and the
+    parse must give one valid record per line. Then either of two checks
+    shows that each line parses alone to its record:
+    - The chunk holds no other `{`. Then the lines' opening braces are the
+      only ones, each opens one of the records, the records are flat, and
+      no string runs past a line end (it would hold the next line's `{`).
+      So each line's last `}` closes the record its `{` opens.
+    - Each line is, byte for byte, the line `write_manifest` writes for
+      its record. A key holding `{` passes this one.
     """
     body = []
     for line in lines:
         stripped = line.strip()
         if stripped:
             if stripped[0] != "{" or stripped[-1] != "}":
-                return None
+                return False
             body.append(line)
     array = "[" + ",".join(body) + "]"
-    if array.count("{") != len(body):
-        return None
-    entries = []
     try:
         records = json.loads(array)
         if len(records) != len(body):
-            return None
-        for record in records:
-            key = record["sample_key"]
-            if type(key) is not str:
-                return None
-            entries.append(ManifestEntry(key, _STAGE_BY_VALUE[record["stage"]],
-                                         _LEVEL_BY_NAME[record["level"]]))
+            return False
+        chunk_keys = [record["sample_key"] for record in records]
+        chunk_stages = bytes([_STAGE_BY_VALUE[record["stage"]]
+                              for record in records])
+        chunk_levels = bytes([_LEVEL_BY_NAME[record["level"]]
+                              for record in records])
     except (KeyError, TypeError, ValueError, RecursionError):
-        return None
-    return entries
+        return False
+    if any(type(key) is not str for key in chunk_keys):
+        return False
+    if array.count("{") != len(body) and body != list(
+            _entry_lines(chunk_keys, chunk_stages, chunk_levels)):
+        return False
+    keys += chunk_keys
+    stages += chunk_stages
+    levels += chunk_levels
+    return True

@@ -4,13 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blurbench.imaging import Image
+from blurbench.imaging import BlurLevel, Image
 from blurbench.ingest import (
     parse_blur_flags,
     parse_captions,
     parse_feature_counts,
     parse_predictions,
 )
+from blurbench.schedule import AugmentationManifest, Stage
 
 DATA_DIR = Path(__file__).parent / "data"
 #: Python 3.10's csv reader raises "line contains NUL"; 3.11 reads NUL.
@@ -47,6 +48,15 @@ def random_image(rng: np.random.Generator, width: int, height: int,
     samples = rng.integers(0, 256, size=(height, width, channels),
                            dtype=np.uint8)
     return Image(width, height, channels, samples)
+
+
+def pack_manifest(seed, plan, entries) -> AugmentationManifest:
+    """The manifest of `entries` (`ManifestEntry` values), packed into
+    its key, stage-index and level-index columns."""
+    return AugmentationManifest(
+        seed, plan, tuple(entry.sample_key for entry in entries),
+        bytes(list(Stage).index(entry.stage) for entry in entries),
+        bytes(list(BlurLevel).index(entry.level) for entry in entries))
 
 
 def pytest_runtest_logreport(report):

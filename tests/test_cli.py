@@ -8,12 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blurbench import cli
+from blurbench import cli, schedule
 from blurbench.cli import main
 from blurbench.cider import tokenize
 from blurbench.imaging import BlurLevel, apply_blur, load_image, make_kernel, save_image
 from blurbench.ingest import BlurFlag
-from blurbench.schedule import Technique, read_manifest
+from blurbench.schedule import (
+    Technique,
+    plan_dataset,
+    read_manifest,
+    technique_plan,
+)
 from conftest import random_image
 from oracles import cider_d_formula
 
@@ -176,6 +181,25 @@ class TestPlanCommand:
         assert len(manifest.entries) == 6
         assert all(e.level is BlurLevel.MB0 for e in manifest.entries)
         assert manifest.seed == 0
+
+    def test_plan_and_read_build_no_entry_objects(self, tmp_path,
+                                                  monkeypatch):
+        """A manifest is planned, written and read as columns."""
+        names = [f"img{i}" for i in range(300)] + ["b{1}", '{"x"}']
+        keys = tmp_path / "keys.txt"
+        keys.write_text("".join(f"{name}\n" for name in names))
+        out = tmp_path / "out"
+
+        def per_entry(*args):
+            raise AssertionError("ManifestEntry built on the plan or read path")
+
+        monkeypatch.setattr(schedule, "ManifestEntry", per_entry)
+        assert run("--seed", 4, "--out", out, "plan", keys,
+                   "--technique", "ObjDet-Cap-Aug") == 0
+        manifest = read_manifest((out / "manifest.jsonl").read_text())
+        assert len(manifest.keys) == 2 * len(names)
+        assert manifest == plan_dataset(
+            names, technique_plan("ObjDet-Cap-Aug"), 4)
 
     def test_duplicate_keys_fail(self, tmp_path, capsys):
         keys = tmp_path / "keys.txt"

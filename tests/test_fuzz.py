@@ -47,7 +47,7 @@ from blurbench.schedule import (
     technique_plan,
     write_manifest,
 )
-from conftest import DATA_DIR, random_image
+from conftest import DATA_DIR, pack_manifest, random_image
 
 _SCORES = "# seed=0\ntechnique,level,score\n" + "".join(
     f"{technique},{level},{score}\n"
@@ -187,7 +187,7 @@ def read_manifest_by_line(text: str) -> AugmentationManifest:
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(
                 f"bad manifest entry on line {number} {line!r}: {exc}") from exc
-    return AugmentationManifest(seed=seed, plan=plan, entries=tuple(entries))
+    return pack_manifest(seed, plan, entries)
 
 
 def _outcome(reader, text: str):
@@ -268,6 +268,41 @@ def test_bad_line_in_a_later_chunk_named(where, edits, line_edits):
     text = "\n".join(lines)
     assert (_outcome(read_manifest, text)
             == _outcome(read_manifest_by_line, text))
+
+
+#: Keys of the characters that the bulk read's checks hinge on: braces,
+#: JSON escapes, and non-ASCII text that `json.dumps` escapes.
+_ODD_KEYS = st.lists(
+    st.text(st.sampled_from('ab{}"\\\u00e9\u732b\u2028'), min_size=1,
+            max_size=6), min_size=1, max_size=12, unique=True)
+
+
+@given(keys=_ODD_KEYS, line_edits=st.lists(_LINE_EDIT, max_size=2),
+       chunk=st.sampled_from([1, 3, 4096]))
+@settings(max_examples=300, deadline=None)
+def test_keys_holding_braces_read_like_line_by_line(keys, line_edits, chunk):
+    """Same manifest or the same error as the line-by-line reader, for
+    keys holding `{`, `}`, `"`, `\\` or non-ASCII characters."""
+    text = edit_lines(write_manifest(plan_dataset(
+        keys, technique_plan("ObjDet-Cap-Aug"), 5)), line_edits)
+    with mock.patch.object(schedule_mod, "_READ_CHUNK_LINES", chunk):
+        got = _outcome(read_manifest, text)
+    assert got == _outcome(read_manifest_by_line, text)
+
+
+def test_keys_holding_braces_read_in_bulk():
+    """Lines that `write_manifest` wrote are read in bulk whatever their
+    keys hold, over more than one chunk."""
+    keys = ([f"k{i}{{1}}" for i in range(5000)]
+            + ['{"x"}', "\\{", "caf\u00e9{", "}{", "{"])
+    manifest = plan_dataset(keys, technique_plan("ObjDet-Cap-Aug"), 2)
+    text = write_manifest(manifest)
+
+    def per_line(*args):
+        raise AssertionError("a written chunk parsed line by line")
+
+    with mock.patch.object(schedule_mod, "_line_entries", per_line):
+        assert read_manifest(text) == manifest
 
 
 _RECORD = '{"sample_key": "b", "stage": "detector", "level": "MB1"}'

@@ -15,6 +15,7 @@ from blurbench.schedule import (
     CAPTIONER_AUG_SCHEDULE,
     DETECTOR_AUG_SCHEDULE,
     NO_AUG_SCHEDULE,
+    AugmentationManifest,
     Schedule,
     Stage,
     Technique,
@@ -25,6 +26,7 @@ from blurbench.schedule import (
     technique_plan,
     write_manifest,
 )
+from conftest import pack_manifest
 from oracles import draw53, level_by_float_walk
 
 
@@ -261,6 +263,24 @@ class TestPlanDataset:
                 entry.sample_key, plan.schedule_for(entry.stage), seed,
                 stage=entry.stage.value)
 
+    def test_columns_equal_their_packed_entries(self):
+        """Equality and hash are the values', however a manifest is built."""
+        manifest = plan_dataset([f"k{i}" for i in range(50)],
+                                technique_plan("ObjDet-Cap-Aug"), 8)
+        packed = pack_manifest(8, manifest.plan, manifest.entries)
+        assert packed == manifest
+        assert hash(packed) == hash(manifest)
+
+    @pytest.mark.parametrize("columns", [
+        (("a", "a"), b"\x00\x01", b"\x00"),
+        (("a",), b"", b""),
+        (("a",), b"\x02", b"\x00"),
+        (("a",), b"\x00", b"\x04"),
+    ], ids=["short-levels", "short-stages", "bad-stage", "bad-level"])
+    def test_bad_columns_rejected(self, columns):
+        with pytest.raises(ValueError, match="manifest"):
+            AugmentationManifest(0, technique_plan("No-Aug"), *columns)
+
     def test_seed_changes_some_assignment(self):
         keys = [f"k{i}" for i in range(1000)]
         plan = technique_plan("ObjDet-Cap-Aug")
@@ -284,8 +304,7 @@ class TestEmpiricalFrequencies:
         entries = tuple(
             schedule_mod.ManifestEntry(f"k{i}", Stage.CAPTIONER, level)
             for i, level in enumerate(BlurLevel))
-        manifest = schedule_mod.AugmentationManifest(
-            0, technique_plan("ObjDet-Cap-Aug"), entries)
+        manifest = pack_manifest(0, technique_plan("ObjDet-Cap-Aug"), entries)
         assert level_counts(manifest, Stage.CAPTIONER) == (1, 1, 1, 1)
 
     def test_sums_to_exactly_one(self):
