@@ -17,23 +17,22 @@ CDF sum c satisfies u <= c, so a tie goes to the lower level. In
 integers: u <= c exactly when d <= floor(c * 2**53), so a schedule holds
 that bound per level (capped at 2**53, which keeps the bounds sorted when
 a partial sum rounds past 1) and the draw takes the first level whose
-bound is >= d. Every bound from the highest level with mass onward is
-2**53, so a draw above a float CDF that falls short of 1 lands on that
-level. No RNG stream is involved, so assignments are independent of
-iteration order and stable across platforms. A plan keys one hasher per
-stage and copies it for each sample key; a schedule whose lowest bound is
-2**53 puts every draw on MB0, so it hashes nothing.
+bound is >= d (`Schedule.level_indices`). Every bound from the highest
+level with mass onward is 2**53, so a draw above a float CDF that falls
+short of 1 lands on that level. No RNG stream is involved, so assignments
+are independent of iteration order and stable across platforms. A plan
+keys one hasher per stage and copies it for each sample key; a schedule
+whose lowest bound is 2**53 puts every draw on MB0, so it hashes nothing.
 
 A manifest is JSON lines: a header object, then one object per entry.
 In memory its entries are three columns: the keys, and one byte each for
 the stage and the level, an index into `tuple(Stage)` or
 `tuple(BlurLevel)`; `ManifestEntry` objects are built only on demand.
 `read_manifest` parses the body in chunks of lines, one `json.loads` per
-chunk. It keeps a chunk's records when it can show that each line parses
-alone to its record: the chunk holds one `{` per line, or every line is
-the very line `write_manifest` writes for its record. Otherwise it parses
-the chunk again line by line, so every error text, line number included,
-is the one a line-by-line read gives.
+chunk. It keeps a chunk's records when the chunk holds one `{` per line,
+which shows that each line parses alone to its record; otherwise it
+parses the chunk again line by line, so every error text, line number
+included, is the one a line-by-line read gives.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import accumulate
 from typing import Iterable, Iterator
 
@@ -62,10 +62,6 @@ class Stage(Enum):
 
 
 _STAGES = tuple(Stage)
-#: Every stage index and every level index, the values of a manifest's
-#: `stages` and `levels` columns.
-_STAGE_CODES = bytes(range(len(_STAGES)))
-_LEVEL_CODES = bytes(range(len(_LEVELS)))
 
 
 @dataclass(frozen=True)
@@ -98,9 +94,10 @@ class Schedule:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "bounds", bounds)
 
-    def level_at(self, draw: int) -> BlurLevel:
-        """The level of a 53-bit draw: the first whose bound is >= draw."""
-        return _LEVELS[bisect_left(self.bounds, draw)]
+    def level_indices(self, draws: Iterable[int]) -> bytes:
+        """The level index of each 53-bit draw: the first level whose
+        bound is >= the draw."""
+        return bytes(map(partial(bisect_left, self.bounds), draws))
 
 
 NO_AUG_SCHEDULE = Schedule((1.0, 0.0, 0.0, 0.0))
@@ -153,19 +150,18 @@ def technique_plan(name: str) -> TechniquePlan:
 def _draw_levels(sample_keys: list[str], schedule: Schedule, seed: int,
                  stage: str) -> bytes:
     """The level index of each key by the module docstring's rule."""
-    bounds = schedule.bounds
-    if bounds[0] == _DRAWS:  # every draw lands on the lowest level
-        return bytes(len(sample_keys))
     hasher = hashlib.blake2b(digest_size=8,
                              key=(seed & _U64).to_bytes(8, "big"),
                              person=stage.encode("utf-8"))
-    levels = bytearray()
+    if schedule.bounds[0] == _DRAWS:  # every draw lands on the lowest level
+        "".join(sample_keys).encode("utf-8")  # fails as a hashed key would
+        return bytes(len(sample_keys))
+    draws = []
     for key in sample_keys:
         keyed = hasher.copy()
         keyed.update(key.encode("utf-8"))
-        levels.append(bisect_left(bounds,
-                                  int.from_bytes(keyed.digest(), "big") >> 11))
-    return bytes(levels)
+        draws.append(int.from_bytes(keyed.digest(), "big") >> 11)
+    return schedule.level_indices(draws)
 
 
 def sample_level(sample_key: str, schedule: Schedule, seed: int,
@@ -196,13 +192,6 @@ class AugmentationManifest:
     stages: bytes
     levels: bytes
 
-    def __post_init__(self):
-        if (not len(self.keys) == len(self.stages) == len(self.levels)
-                or self.stages.translate(None, _STAGE_CODES)
-                or self.levels.translate(None, _LEVEL_CODES)):
-            raise ValueError("manifest columns differ in length or hold a "
-                             "stage or level index out of range")
-
     @property
     def entries(self) -> tuple[ManifestEntry, ...]:
         return tuple(ManifestEntry(key, _STAGES[stage], _LEVELS[level])
@@ -229,7 +218,7 @@ def plan_dataset(sample_keys: Iterable[str], plan: TechniquePlan,
         levels[index::width] = _draw_levels(keys, plan.schedule_for(stage),
                                             seed, stage.value)
     return AugmentationManifest(seed, plan, tuple(key_column),
-                                _STAGE_CODES * len(keys), bytes(levels))
+                                bytes(range(width)) * len(keys), bytes(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +322,12 @@ def _bulk_entries(lines: list[str], keys: list[str], stages: bytearray,
     show that each non-blank line holds exactly one object, which
     `_line_entries` accepts.
 
-    Every non-blank line must start with `{` and end with `}`, and the
-    parse must give one valid record per line. Then either of two checks
-    shows that each line parses alone to its record:
-    - The chunk holds no other `{`. Then the lines' opening braces are the
-      only ones, each opens one of the records, the records are flat, and
-      no string runs past a line end (it would hold the next line's `{`).
-      So each line's last `}` closes the record its `{` opens.
-    - Each line is, byte for byte, the line `write_manifest` writes for
-      its record. A key holding `{` passes this one.
+    Every non-blank line must start with `{` and end with `}`, the chunk
+    must hold no other `{`, and the parse must give one valid record per
+    line. Then the lines' opening braces are the only ones, each opens one
+    of the records, the records are flat, and no string runs past a line
+    end (it would hold the next line's `{`). So each line's last `}`
+    closes the record its `{` opens.
     """
     body = []
     for line in lines:
@@ -351,6 +337,8 @@ def _bulk_entries(lines: list[str], keys: list[str], stages: bytearray,
                 return False
             body.append(line)
     array = "[" + ",".join(body) + "]"
+    if array.count("{") != len(body):
+        return False
     try:
         records = json.loads(array)
         if len(records) != len(body):
@@ -363,9 +351,6 @@ def _bulk_entries(lines: list[str], keys: list[str], stages: bytearray,
     except (KeyError, TypeError, ValueError, RecursionError):
         return False
     if any(type(key) is not str for key in chunk_keys):
-        return False
-    if array.count("{") != len(body) and body != list(
-            _entry_lines(chunk_keys, chunk_stages, chunk_levels)):
         return False
     keys += chunk_keys
     stages += chunk_stages

@@ -290,21 +290,6 @@ def test_keys_holding_braces_read_like_line_by_line(keys, line_edits, chunk):
     assert got == _outcome(read_manifest_by_line, text)
 
 
-def test_keys_holding_braces_read_in_bulk():
-    """Lines that `write_manifest` wrote are read in bulk whatever their
-    keys hold, over more than one chunk."""
-    keys = ([f"k{i}{{1}}" for i in range(5000)]
-            + ['{"x"}', "\\{", "caf\u00e9{", "}{", "{"])
-    manifest = plan_dataset(keys, technique_plan("ObjDet-Cap-Aug"), 2)
-    text = write_manifest(manifest)
-
-    def per_line(*args):
-        raise AssertionError("a written chunk parsed line by line")
-
-    with mock.patch.object(schedule_mod, "_line_entries", per_line):
-        assert read_manifest(text) == manifest
-
-
 _RECORD = '{"sample_key": "b", "stage": "detector", "level": "MB1"}'
 _HEADER = _MANIFEST.split("\n", 1)[0]
 

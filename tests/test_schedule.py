@@ -15,7 +15,6 @@ from blurbench.schedule import (
     CAPTIONER_AUG_SCHEDULE,
     DETECTOR_AUG_SCHEDULE,
     NO_AUG_SCHEDULE,
-    AugmentationManifest,
     Schedule,
     Stage,
     Technique,
@@ -28,6 +27,11 @@ from blurbench.schedule import (
 )
 from conftest import pack_manifest
 from oracles import draw53, level_by_float_walk
+
+
+def level_at(schedule, draw):
+    """The level `schedule` gives one 53-bit draw."""
+    return tuple(BlurLevel)[schedule.level_indices([draw])[0]]
 
 
 class TestValidateSchedule:
@@ -99,7 +103,7 @@ class TestSampleLevel:
                  0.0: BlurLevel.MB0, 0.999: BlurLevel.MB3}
         for u, expected in cases.items():
             # the 53-bit draw whose uniform value is the largest <= u
-            assert quarters.level_at(int(u * 2**53)) is expected
+            assert level_at(quarters, int(u * 2**53)) is expected
 
     def test_detector_schedule_never_yields_mb3(self):
         levels = {sample_level(f"key-{i}", DETECTOR_AUG_SCHEDULE, 3)
@@ -163,7 +167,7 @@ class TestDrawMatchesFloatWalk:
         draws = {bound + step for bound in schedule.bounds for step in (0, 1)}
         for draw in sorted(draws | {0, 2**53 - 1}):
             if draw < 2**53:
-                assert schedule.level_at(draw) == \
+                assert level_at(schedule, draw) == \
                     level_by_float_walk(schedule.probs, draw), draw
 
     @given(_schedules(), st.data())
@@ -173,7 +177,7 @@ class TestDrawMatchesFloatWalk:
             lambda bound: st.integers(bound - 2, bound + 2))
         draw = data.draw(st.one_of(st.integers(0, 2**53 - 1), near_bound)
                          .filter(lambda d: 0 <= d < 2**53))
-        assert schedule.level_at(draw) == \
+        assert level_at(schedule, draw) == \
             level_by_float_walk(schedule.probs, draw)
 
     @given(_schedules(), st.text(max_size=20),
@@ -271,15 +275,22 @@ class TestPlanDataset:
         assert packed == manifest
         assert hash(packed) == hash(manifest)
 
-    @pytest.mark.parametrize("columns", [
-        (("a", "a"), b"\x00\x01", b"\x00"),
-        (("a",), b"", b""),
-        (("a",), b"\x02", b"\x00"),
-        (("a",), b"\x00", b"\x04"),
-    ], ids=["short-levels", "short-stages", "bad-stage", "bad-level"])
-    def test_bad_columns_rejected(self, columns):
-        with pytest.raises(ValueError, match="manifest"):
-            AugmentationManifest(0, technique_plan("No-Aug"), *columns)
+    @pytest.mark.parametrize("technique", list(Technique),
+                             ids=lambda technique: technique.value)
+    @pytest.mark.parametrize("seed", ["7", 1.5, None], ids=repr)
+    def test_non_int_seed_rejected(self, technique, seed):
+        """Every technique rejects a seed that is not an int, No-Aug,
+        whose stages hash no key, included."""
+        with pytest.raises(TypeError):
+            plan_dataset(["a"], technique_plan(technique.value), seed)
+
+    @pytest.mark.parametrize("technique", list(Technique),
+                             ids=lambda technique: technique.value)
+    def test_unencodable_key_rejected(self, technique):
+        """A key with no UTF-8 form, a lone surrogate, fails under every
+        technique."""
+        with pytest.raises(UnicodeEncodeError):
+            plan_dataset(["a", "b\ud800"], technique_plan(technique.value), 0)
 
     def test_seed_changes_some_assignment(self):
         keys = [f"k{i}" for i in range(1000)]
