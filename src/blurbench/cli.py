@@ -54,6 +54,7 @@ from .report import (
     FORMATS,
     SCORES_HEADER,
     build_histograms,
+    check_bin_width,
     check_format,
     degradation_deltas,
     degradation_warnings,
@@ -80,7 +81,7 @@ _SETTINGS = {
     "seed": (int, 0),
     "technique": (lambda text: parse_technique(text).value, "No-Aug"),
     "out": (_out_directory, Path(".")),
-    "bin_width": (int, 10),
+    "bin_width": (lambda text: check_bin_width(int(text)), 10),
     "format": (check_format, "markdown"),
     "sigma": (float, 6.0),
     "max_n": (int, 4),
@@ -246,8 +247,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         "degradation.md": render_deltas(deltas, "markdown"),
         "degradation.csv": render_deltas(deltas, "csv"),
     }
-    records = parse_feature_counts(args.features.read_bytes())
-    for hist in build_histograms(records, args.bin_width):
+    features = parse_feature_counts(args.features.read_bytes())
+    for hist in build_histograms(features, args.bin_width):
         outputs[f"histogram_{hist.level.name}.csv"] = render_histograms([hist])
     if args.flags is not None:
         flags = list(parse_blur_flags(args.flags.read_bytes()).values())

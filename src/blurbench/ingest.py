@@ -6,7 +6,8 @@ Formats handled:
   "annotations": [{"image_id", "caption"}]}``
 * prediction JSON: array of ``{"image_id", "blur_level", "caption"}``,
   parsed into a plain ``{(image_id, level): caption}`` dict
-* feature-count CSV: header ``image_id,level,count``
+* feature-count CSV: header ``image_id,level,count``, one row per
+  (image, level), counts in ASCII digits; parsed into `FeatureCounts`
 * blur-flag CSV: header ``image_id,flag`` with flag in {with_blur, no_blur},
   parsed into a plain ``{image_id: BlurFlag}`` dict
 
@@ -17,6 +18,9 @@ Any other JSON id (null, a bool, a float, a list or an object) is a
 split name must be JSON strings, kept verbatim; tokenization happens in
 the metric, not here. Every CSV, read or written, goes through `read_csv`
 and `write_csv`, which hold the one CSV dialect of the package.
+`read_csv` returns a table as columns, one list per header field, filled
+a few hundred rows at a time. `parse_feature_counts` checks whole columns
+at once and goes row by row only to raise the first bad row's error.
 Every parser has a serializer, and parse -> serialize -> parse gives the
 input back, ids holding commas, quotes or line breaks included.
 """
@@ -28,6 +32,7 @@ import io
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, islice
 from types import SimpleNamespace
 
 from .imaging import BlurLevel
@@ -67,16 +72,16 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class FeatureCountRecord:
-    """Number of region proposals the detector produced for one image."""
+class FeatureCounts:
+    """Region proposals the detector produced, one entry per (image,
+    level): `levels[i]` is a `BlurLevel` value, its index in the enum."""
 
-    image_id: str
-    level: BlurLevel
-    count: int
+    image_ids: tuple[str, ...]
+    levels: bytes
+    counts: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.count < 0:
-            raise ParseError(f"negative feature count for {self.image_id}")
+    def __len__(self) -> int:
+        return len(self.image_ids)
 
 
 def parse_level(token: str) -> BlurLevel:
@@ -192,30 +197,44 @@ def serialize_predictions(preds: dict[tuple[str, BlurLevel], str]) -> bytes:
 
 _FEATURE_COUNTS = ["image_id", "level", "count"]
 _BLUR_FLAGS = ["image_id", "flag"]
+_LEVEL_BY_NAME = {level.name: level.value for level in BlurLevel}
+_FLAG_BY_VALUE = {flag.value: flag for flag in BlurFlag}
+#: Rows `read_csv` moves into its columns at a time: few enough that the
+#: row lists alive at once set off no garbage collection.
+_CSV_CHUNK_ROWS = 256
 
 
 def read_csv(text: str, header: list[str]) -> list[list[str]]:
-    """The data rows of a CSV table whose first row must be `header`.
+    """The data columns of a CSV table whose first row must be `header`.
 
     Lines end at ``\\n`` or ``\\r\\n``; ``#`` lines before the header and
-    empty lines are skipped. A row of the wrong width is a `ParseError`,
-    and so is a `csv.Error`, which names its line in `text`.
+    empty lines are skipped. A `csv.Error` anywhere is a `ParseError` that
+    names its line in `text`; failing that, so is a wrong header, then the
+    first row of the wrong width. Rows go into the columns
+    `_CSV_CHUNK_ROWS` at a time.
     """
     lines = io.StringIO(text).readlines()
     metadata = next((i for i, line in enumerate(lines) if line.rstrip("\r\n")
                      and not line.startswith("#")), len(lines))
     reader = csv.reader(lines[metadata:])
+    rows = filter(None, reader)
+    columns: list[list[str]] = [[] for _ in header]
+    problem = None
     try:
-        rows = [row for row in reader if row]
+        if next(rows, None) != header:
+            problem = f"expected header {','.join(header)!r}"
+        while chunk := list(islice(rows, _CSV_CHUNK_ROWS)):
+            if problem is None and set(map(len, chunk)) != {len(header)}:
+                bad = next(row for row in chunk if len(row) != len(header))
+                problem = f"bad row {bad!r}"
+            for column, values in zip(columns, zip(*chunk)):
+                column.extend(values)
     except csv.Error as exc:
         raise ParseError(
             f"bad CSV on line {metadata + reader.line_num}: {exc}") from None
-    if not rows or rows[0] != header:
-        raise ParseError(f"expected header {','.join(header)!r}")
-    for row in rows[1:]:
-        if len(row) != len(header):
-            raise ParseError(f"bad row {row!r}")
-    return rows[1:]
+    if problem is not None:
+        raise ParseError(problem)
+    return columns
 
 
 def write_csv(header: list[str], rows: list[list]) -> str:
@@ -228,30 +247,68 @@ def write_csv(header: list[str], rows: list[list]) -> str:
     return "".join(line[:-2] + "\n" for line in written)
 
 
-def parse_feature_counts(document: bytes) -> list[FeatureCountRecord]:
-    records = []
-    for image_id, level_token, count_token in read_csv(
-            document.decode("utf-8"), _FEATURE_COUNTS):
-        try:
-            count = int(count_token)
-        except ValueError:
-            raise ParseError(f"non-integer count {count_token!r}") from None
-        records.append(FeatureCountRecord(image_id, parse_level(level_token), count))
-    return records
+def _count(token: str) -> int | None:
+    """The integer of ASCII digits after an optional `-`, or None."""
+    digits = token.removeprefix("-")
+    try:
+        return int(token) if digits.isascii() and digits.isdigit() else None
+    except ValueError:  # more digits than int reads
+        return None
 
 
-def serialize_feature_counts(records: list[FeatureCountRecord]) -> bytes:
+def parse_feature_counts(document: bytes) -> FeatureCounts:
+    columns = read_csv(document.decode("utf-8"), _FEATURE_COUNTS)
+    image_ids, level_tokens, count_tokens = columns
+    value_of = {token: _count(token) for token in set(count_tokens)}
+    if (all(value is not None and value >= 0 for value in value_of.values())
+            and _LEVEL_BY_NAME.keys() >= set(level_tokens)):
+        levels = bytes(map(_LEVEL_BY_NAME.__getitem__, level_tokens))
+        # no (image, level) pair repeats: at each level, the ids picked out
+        # by a mask of `levels` (that level translated to 1, others to 0)
+        # are distinct
+        if all(len(set(compress(image_ids, levels.translate(
+                bytes(level) + b"\1" + bytes(255 - level)))))
+               == levels.count(level) for level in set(levels)):
+            return FeatureCounts(tuple(image_ids), levels, tuple(
+                map(value_of.__getitem__, count_tokens)))
+    return _parse_feature_rows(*columns)
+
+
+def _parse_feature_rows(image_ids: list[str], level_tokens: list[str],
+                        count_tokens: list[str]) -> FeatureCounts:
+    """`parse_feature_counts` row by row, raising the first bad row's error."""
+    seen: set[tuple[str, BlurLevel]] = set()
+    for image_id, level_token, count_token in zip(
+            image_ids, level_tokens, count_tokens):
+        count = _count(count_token)
+        if count is None:
+            raise ParseError(f"non-integer count {count_token!r}")
+        level = parse_level(level_token)
+        if count < 0:
+            raise ParseError(f"negative feature count for {image_id}")
+        if (image_id, level) in seen:
+            raise ParseError(f"duplicate feature count for image {image_id!r} "
+                             f"at {level.name}")
+        seen.add((image_id, level))
+    return FeatureCounts(tuple(image_ids),
+                         bytes(map(_LEVEL_BY_NAME.__getitem__, level_tokens)),
+                         tuple(map(_count, count_tokens)))
+
+
+def serialize_feature_counts(features: FeatureCounts) -> bytes:
     return write_csv(_FEATURE_COUNTS, [
-        [r.image_id, r.level.name, r.count] for r in records]).encode("utf-8")
+        [image_id, BlurLevel(level).name, count] for image_id, level, count
+        in zip(features.image_ids, features.levels, features.counts)
+    ]).encode("utf-8")
 
 
 def parse_blur_flags(document: bytes) -> dict[str, BlurFlag]:
     flags: dict[str, BlurFlag] = {}
-    for image_id, flag_token in read_csv(document.decode("utf-8"), _BLUR_FLAGS):
-        try:
-            flag = BlurFlag(flag_token)
-        except ValueError:
-            raise ParseError(f"unknown blur flag {flag_token!r}") from None
+    for image_id, flag_token in zip(
+            *read_csv(document.decode("utf-8"), _BLUR_FLAGS)):
+        flag = _FLAG_BY_VALUE.get(flag_token)
+        if flag is None:
+            raise ParseError(f"unknown blur flag {flag_token!r}")
         if image_id in flags:
             raise ParseError(f"duplicate flag for image {image_id!r}")
         flags[image_id] = flag

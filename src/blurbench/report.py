@@ -10,11 +10,12 @@ float ulp.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal
 
 from .imaging import BlurLevel
-from .ingest import (BlurFlag, FeatureCountRecord, ParseError, parse_level,
+from .ingest import (BlurFlag, FeatureCounts, ParseError, parse_level,
                      read_csv, write_csv)
 from .schedule import Technique
 
@@ -94,18 +95,24 @@ def degradation_warnings(table: ScoreTable) -> list[str]:
     return warnings
 
 
-def build_histograms(records: list[FeatureCountRecord],
-                     bin_width: int = 10) -> list[FeatureHistogram]:
-    """One histogram per level present; bin index = count // bin_width."""
+def check_bin_width(bin_width: int) -> int:
+    """`bin_width` itself if it is at least 1; ValueError otherwise."""
     if bin_width < 1:
         raise ValueError("bin_width must be >= 1")
-    per_level: dict[BlurLevel, dict[int, int]] = {}
-    for record in records:
-        bins = per_level.setdefault(record.level, {})
-        index = record.count // bin_width
-        bins[index] = bins.get(index, 0) + 1
-    return [FeatureHistogram(level, bin_width, per_level[level])
-            for level in sorted(per_level)]
+    return bin_width
+
+
+def build_histograms(features: FeatureCounts,
+                     bin_width: int = 10) -> list[FeatureHistogram]:
+    """One histogram per level present; bin index = count // bin_width."""
+    check_bin_width(bin_width)
+    tally = Counter(zip(features.levels,
+                        [count // bin_width for count in features.counts]))
+    per_level: dict[int, dict[int, int]] = {}
+    for (level, index), images in sorted(tally.items()):
+        per_level.setdefault(level, {})[index] = images
+    return [FeatureHistogram(BlurLevel(level), bin_width, bins)
+            for level, bins in per_level.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +127,7 @@ def parse_scores_csv(text: str) -> ScoreTable:
     out in canonical order, everything else in first-appearance order.
     """
     by_technique: dict[str, ScoreRow] = {}
-    for raw in read_csv(text, SCORES_HEADER):
+    for raw in map(list, zip(*read_csv(text, SCORES_HEADER))):
         technique, level_token, score_token = raw
         try:
             score = float(score_token)

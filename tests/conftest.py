@@ -6,6 +6,7 @@ import pytest
 
 from blurbench.imaging import BlurLevel, Image
 from blurbench.ingest import (
+    FeatureCounts,
     parse_blur_flags,
     parse_captions,
     parse_feature_counts,
@@ -48,6 +49,20 @@ def random_image(rng: np.random.Generator, width: int, height: int,
     samples = rng.integers(0, 256, size=(height, width, channels),
                            dtype=np.uint8)
     return Image(width, height, channels, samples)
+
+
+def feature_counts(rows) -> FeatureCounts:
+    """The `FeatureCounts` of (image id, level, count) triples, in order."""
+    rows = list(rows)
+    return FeatureCounts(tuple(image_id for image_id, _, _ in rows),
+                         bytes(level for _, level, _ in rows),
+                         tuple(count for _, _, count in rows))
+
+
+def feature_rows(features: FeatureCounts) -> list[tuple[str, BlurLevel, int]]:
+    """The (image id, level, count) triple of each row of `features`."""
+    return [(image_id, BlurLevel(level), count) for image_id, level, count
+            in zip(features.image_ids, features.levels, features.counts)]
 
 
 def pack_manifest(seed, plan, entries) -> AugmentationManifest:

@@ -44,7 +44,7 @@ from blurbench.schedule import (
     technique_plan,
     write_manifest,
 )
-from conftest import random_image
+from conftest import feature_rows, random_image
 from oracles import blur_windows, cider_d_formula
 
 COCO_ROWS = {
@@ -196,12 +196,13 @@ def test_table_fixture_reproduction(tmp_path, data_dir):
 def test_histogram_conservation(toy_feature_records):
     """Bin totals equal record counts per level; the synthetic fixture's
     mean count strictly decreases MB0 -> MB3."""
+    rows = feature_rows(toy_feature_records)
     for bin_width in (1, 7, 10, 25):
         for hist in build_histograms(toy_feature_records, bin_width):
-            records_at_level = sum(1 for r in toy_feature_records
-                                   if r.level is hist.level)
+            records_at_level = sum(1 for _, level, _ in rows
+                                   if level is hist.level)
             assert sum(hist.bins.values()) == records_at_level
-    counts = [[r.count for r in toy_feature_records if r.level is level]
+    counts = [[count for _, at, count in rows if at is level]
               for level in BlurLevel]
     means = [sum(c) / len(c) for c in counts]
     assert all(a > b for a, b in zip(means, means[1:])), means

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blurbench import cli, schedule
+from blurbench import cli, ingest, schedule
 from blurbench.cli import main
 from blurbench.cider import tokenize
 from blurbench.imaging import BlurLevel, apply_blur, load_image, make_kernel, save_image
@@ -550,6 +550,57 @@ class TestReportCommand:
         hist = (out / "histogram_MB0.csv").read_text().splitlines()
         assert hist[1].startswith("# ") is False
         assert all(",50," in row for row in hist[2:])
+
+    @pytest.mark.parametrize("width", ["0", "-3"])
+    def test_bin_width_below_one_is_usage_error(self, tmp_path, data_dir,
+                                                capsys, width):
+        scores, features = self.write_inputs(tmp_path, data_dir)
+        with pytest.raises(SystemExit) as excinfo:
+            run("--out", tmp_path / "out", "report", scores, features,
+                "--bin-width", width)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --bin-width: bin_width must be >= 1" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_bin_width_zero_in_config_fails_before_any_input(self, tmp_path,
+                                                             capsys):
+        config = tmp_path / "bench.cfg"
+        config.write_text("bin_width = 0\n")
+        out = tmp_path / "out"
+        missing = [tmp_path / "no_scores.csv", tmp_path / "no_features.csv"]
+        assert run("--config", config, "--out", out, "report", *missing) == 1
+        assert capsys.readouterr().err == "error: bin_width must be >= 1\n"
+        assert not out.exists()
+
+    def test_repeated_feature_row_rejected(self, tmp_path, data_dir, capsys):
+        scores, features = self.write_inputs(tmp_path, data_dir)
+        text = features.read_text()
+        repeated = tmp_path / "features.csv"
+        repeated.write_text(text + text.rstrip("\n").rsplit("\n", 1)[1] + "\n")
+        out = tmp_path / "out"
+        assert run("--out", out, "report", scores, repeated) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(
+            r"error: duplicate feature count for image '\w+' at MB\d", err[0])
+        assert not out.exists()
+
+    def test_valid_features_read_without_the_row_by_row_parser(
+            self, tmp_path, data_dir, monkeypatch):
+        """A valid feature-count table passes the column checks; only a bad
+        one is parsed again row by row, to name its first bad row."""
+        def refuse(*columns):
+            raise AssertionError("valid table parsed row by row")
+
+        monkeypatch.setattr(ingest, "_parse_feature_rows", refuse)
+        scores, features = self.write_inputs(tmp_path, data_dir)
+        large = tmp_path / "large.csv"  # several read_csv chunks
+        large.write_text("image_id,level,count\n" + "".join(
+            f"COCO_{i:06d},{level.name},{(7 * i) % 50 + 3 - level}\n"
+            for i in range(600) for level in BlurLevel))
+        for table in (features, large):
+            assert run("--out", tmp_path / "out", "report", scores, table) == 0
 
     def test_repeat_runs_identical(self, tmp_path, data_dir):
         scores, features = self.write_inputs(tmp_path, data_dir)

@@ -9,9 +9,12 @@ commands, must end in exit 0 or in one last `error:` line; `blur`, which
 fails one raster at a time, must name only the mutated raster and still
 write the intact one's variants. A manifest, mutated line by line too,
 reads the same through `read_manifest`'s bulk parse as through a parse
-of one line at a time.
+of one line at a time. A feature-count or blur-flag table with mutated
+rows gives the same value or error as a reference parser that reads the
+whole table and then checks it row by row.
 """
 
+import csv
 import functools
 import io
 import json
@@ -27,11 +30,15 @@ from hypothesis import strategies as st
 
 from blurbench.cli import main
 from blurbench.imaging import load_image, save_image
+import blurbench.ingest as ingest_mod
 from blurbench.ingest import (
+    BlurFlag,
+    ParseError,
     parse_blur_flags,
     parse_captions,
     parse_feature_counts,
     parse_predictions,
+    write_csv,
 )
 from blurbench.report import parse_scores_csv
 import blurbench.schedule as schedule_mod
@@ -47,7 +54,7 @@ from blurbench.schedule import (
     technique_plan,
     write_manifest,
 )
-from conftest import DATA_DIR, pack_manifest, random_image
+from conftest import DATA_DIR, feature_counts, pack_manifest, random_image
 
 _SCORES = "# seed=0\ntechnique,level,score\n" + "".join(
     f"{technique},{level},{score}\n"
@@ -326,6 +333,165 @@ def test_nested_extra_field_read_like_line_by_line():
             == _outcome(read_manifest_by_line, text))
     assert read_manifest(text).entries == (
         ManifestEntry("b", Stage.DETECTOR, BlurLevel.MB1),)
+
+
+def read_rows_whole(text: str, header: list[str]) -> list[list[str]]:
+    """The reference CSV reader: every row read before any check, as
+    `read_csv` read before it returned columns."""
+    lines = io.StringIO(text).readlines()
+    metadata = next((i for i, line in enumerate(lines) if line.rstrip("\r\n")
+                     and not line.startswith("#")), len(lines))
+    reader = csv.reader(lines[metadata:])
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:
+        raise ParseError(
+            f"bad CSV on line {metadata + reader.line_num}: {exc}") from None
+    if not rows or rows[0] != header:
+        raise ParseError(f"expected header {','.join(header)!r}")
+    for row in rows[1:]:
+        if len(row) != len(header):
+            raise ParseError(f"bad row {row!r}")
+    return rows[1:]
+
+
+def feature_counts_by_row(document: bytes):
+    """The reference feature-count parser: one row at a time, each checked
+    for a count of ASCII digits (a leading `-` makes it negative), a known
+    level, a count >= 0 and an (image, level) pair not seen before."""
+    rows, seen = [], set()
+    for image_id, level_token, count_token in read_rows_whole(
+            document.decode("utf-8"), ["image_id", "level", "count"]):
+        digits = count_token[1:] if count_token[:1] == "-" else count_token
+        try:
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError
+            count = int(count_token)
+        except ValueError:
+            raise ParseError(f"non-integer count {count_token!r}") from None
+        if level_token not in BlurLevel.__members__:
+            raise ParseError(f"unknown blur level {level_token!r}")
+        level = BlurLevel[level_token]
+        if count < 0:
+            raise ParseError(f"negative feature count for {image_id}")
+        if (image_id, level) in seen:
+            raise ParseError(f"duplicate feature count for image {image_id!r} "
+                             f"at {level.name}")
+        seen.add((image_id, level))
+        rows.append((image_id, level, count))
+    return feature_counts(rows)
+
+
+def blur_flags_by_row(document: bytes) -> dict[str, BlurFlag]:
+    """The reference blur-flag parser: one row at a time."""
+    flags = {}
+    for image_id, flag_token in read_rows_whole(document.decode("utf-8"),
+                                                ["image_id", "flag"]):
+        if flag_token not in {flag.value for flag in BlurFlag}:
+            raise ParseError(f"unknown blur flag {flag_token!r}")
+        if image_id in flags:
+            raise ParseError(f"duplicate flag for image {image_id!r}")
+        flags[image_id] = BlurFlag(flag_token)
+    return flags
+
+
+#: Few ids, so that rows often repeat an (image, level) pair or an image's
+#: flag, and tokens close to valid ones that a field edit puts in a row.
+_TABLE_IDS = st.sampled_from(["a", "b", "7", "a,b", '"q"', "#c", " a", ""])
+_FEATURE_ROW = st.tuples(_TABLE_IDS,
+                         st.sampled_from([level.name for level in BlurLevel]),
+                         st.integers(0, 120).map(str))
+_FEATURE_FIELD = st.one_of(
+    st.tuples(st.just(1), st.sampled_from(["MB4", "mb1", "MB0 ", ""])),
+    st.tuples(st.just(2), st.sampled_from([
+        "-1", "-12", "-0", "-", "--2", "007", "1_000", " 7", "7 ", "+7",
+        "\u0663", "\uff17", "7.0", "x", ""])))
+_FLAG_ROW = st.tuples(_TABLE_IDS, st.sampled_from([f.value for f in BlurFlag]))
+_FLAG_FIELD = st.tuples(st.just(1), st.sampled_from(
+    ["With_blur", "no_blur ", "blur", ""]))
+_ROW_EDIT = st.tuples(
+    st.sampled_from(["comment", "blank", "crlf", "short", "long"]),
+    st.integers(0, 1 << 16))
+
+
+def table_document(header: list[str], rows, field_edits, row_edits,
+                   edits) -> bytes:
+    """`rows` under `header` as `write_csv` writes them, a field of some
+    rows replaced, then a `#` or blank line inserted, a line ended in CRLF,
+    a field cut off or added, and a few byte edits."""
+    rows = [list(row) for row in rows]
+    for where, (column, token) in field_edits:
+        if rows:
+            rows[where % len(rows)][column] = token
+    lines = write_csv(header, rows).split("\n")
+    for op, where in row_edits:
+        i = where % len(lines)
+        if op in ("comment", "blank"):
+            lines.insert(i, "# note" if op == "comment" else "")
+        elif op == "crlf":
+            lines[i] += "\r"
+        elif op == "short":
+            lines[i] = lines[i].rpartition(",")[0]
+        else:
+            lines[i] += ",9"
+    return mutate("\n".join(lines).encode(), edits)
+
+
+_FIELD_EDITS = st.integers(0, 1 << 16)
+_TABLE_EDITS = dict(row_edits=st.lists(_ROW_EDIT, max_size=2),
+                    edits=st.lists(_EDIT, max_size=1),
+                    chunk=st.sampled_from([1, 2, 3, 256]))
+
+
+@given(rows=st.lists(_FEATURE_ROW, max_size=12),
+       field_edits=st.lists(st.tuples(_FIELD_EDITS, _FEATURE_FIELD),
+                            max_size=2), **_TABLE_EDITS)
+@settings(max_examples=400, deadline=None)
+def test_feature_counts_parse_like_row_by_row(rows, field_edits, row_edits,
+                                              edits, chunk):
+    """The same counts or the same error, that of the first bad row."""
+    document = table_document(["image_id", "level", "count"], rows,
+                              field_edits, row_edits, edits)
+    with mock.patch.object(ingest_mod, "_CSV_CHUNK_ROWS", chunk):
+        got = _outcome(parse_feature_counts, document)
+    assert got == _outcome(feature_counts_by_row, document)
+
+
+@given(rows=st.lists(_FLAG_ROW, max_size=12),
+       field_edits=st.lists(st.tuples(_FIELD_EDITS, _FLAG_FIELD), max_size=2),
+       **_TABLE_EDITS)
+@settings(max_examples=400, deadline=None)
+def test_blur_flags_parse_like_row_by_row(rows, field_edits, row_edits, edits,
+                                          chunk):
+    """The same flags, in the same order, or the same error."""
+    document = table_document(["image_id", "flag"], rows, field_edits,
+                              row_edits, edits)
+    with mock.patch.object(ingest_mod, "_CSV_CHUNK_ROWS", chunk):
+        got = _outcome(parse_blur_flags, document)
+    want = _outcome(blur_flags_by_row, document)
+    assert got == want
+    if isinstance(got, dict):
+        assert list(got) == list(want)
+
+
+#: A feature-count table of over three read chunks (1 000 rows).
+_LARGE_FEATURES = write_csv(["image_id", "level", "count"], [
+    [f"COCO_{i:06d}", level.name, (5 * i) % 40 + 9 - 2 * level]
+    for i in range(250) for level in BlurLevel]).encode()
+
+
+@given(where=st.integers(1, 1000),
+       edits=st.lists(_EDIT, min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_bad_row_in_a_later_chunk_named(where, edits):
+    """At the real chunk size, a row mutated in any chunk gives the error
+    the row-by-row parser gives."""
+    assert ingest_mod._CSV_CHUNK_ROWS == 256
+    lines = _LARGE_FEATURES.split(b"\n")
+    lines[where] = mutate(lines[where], edits)
+    document = b"\n".join(lines)
+    assert (_outcome(parse_feature_counts, document)
+            == _outcome(feature_counts_by_row, document))
 
 
 #: The smallest raster every blur level fits: MB3 is a 45x12 kernel.

@@ -10,7 +10,6 @@ from blurbench.imaging import BlurLevel
 from blurbench.ingest import (
     BlurFlag,
     Dataset,
-    FeatureCountRecord,
     ParseError,
     filter_by_blur_flag,
     parse_blur_flags,
@@ -23,7 +22,7 @@ from blurbench.ingest import (
     serialize_feature_counts,
     serialize_predictions,
 )
-from conftest import CSV_READS_NUL
+from conftest import CSV_READS_NUL, feature_counts, feature_rows
 
 
 def caption_doc(num_images, captions_per_image=1, split="val"):
@@ -184,7 +183,8 @@ class TestParsePredictions:
 class TestParseFeatureCounts:
     def test_single_record(self):
         records = parse_feature_counts(b"image_id,level,count\n1,MB0,36\n")
-        assert records == [FeatureCountRecord("1", BlurLevel.MB0, 36)]
+        assert records == feature_counts([("1", BlurLevel.MB0, 36)])
+        assert len(records) == 1
 
     def test_negative_count_rejected(self):
         with pytest.raises(ParseError, match="negative"):
@@ -205,7 +205,50 @@ class TestParseFeatureCounts:
     def test_one_record_per_level(self):
         doc = b"image_id,level,count\na,MB0,9\na,MB1,8\na,MB2,7\na,MB3,6\n"
         records = parse_feature_counts(doc)
-        assert [r.level for r in records] == list(BlurLevel)
+        levels = [level for _, level, _ in feature_rows(records)]
+        assert levels == list(BlurLevel)
+
+    def test_repeated_image_and_level_rejected(self):
+        doc = b"image_id,level,count\na,MB0,9\nb,MB0,9\na,MB1,8\na,MB0,7\n"
+        with pytest.raises(ParseError) as info:
+            parse_feature_counts(doc)
+        assert str(info.value) == \
+            "duplicate feature count for image 'a' at MB0"
+
+    @pytest.mark.parametrize("token", [
+        "1_000", " 7", "7 ", "+7", "\u0663", "7.0", "0x1f", "", "-", "--7"])
+    def test_count_must_be_ascii_digits(self, token):
+        doc = f"image_id,level,count\na,MB0,{token}\n".encode()
+        with pytest.raises(ParseError) as info:
+            parse_feature_counts(doc)
+        assert str(info.value) == f"non-integer count {token!r}"
+
+    def test_count_past_int_digit_limit_is_non_integer(self):
+        token = "1" * 5000
+        with pytest.raises(ParseError, match="^non-integer count '1111"):
+            parse_feature_counts(
+                f"image_id,level,count\na,MB0,{token}\n".encode())
+
+    def test_leading_zeros_and_minus_zero_read_as_numbers(self):
+        doc = b"image_id,level,count\na,MB0,007\nb,MB0,-0\n"
+        assert parse_feature_counts(doc).counts == (7, 0)
+
+    @pytest.mark.parametrize("body,error", [
+        ("b,MB9,-2\nc,MB0,x\na,MB0,1", "unknown blur level 'MB9'"),
+        ("b,MB1,-2\nc,MB0,x\na,MB0,1", "negative feature count for b"),
+        ("b,MB1,2\nc,MB0,x\na,MB0,1", "non-integer count 'x'"),
+        ("b,MB1,2\nc,MB0,3\na,MB0,1",
+         "duplicate feature count for image 'a' at MB0"),
+        ("b,MB9,x", "non-integer count 'x'"),
+        ("a,MB9,-1", "unknown blur level 'MB9'"),
+    ])
+    def test_first_bad_row_named(self, body, error):
+        """The first bad row's error; within a row, the count's form, the
+        level, the count's sign, then the (image, level) pair."""
+        doc = f"image_id,level,count\na,MB0,1\n{body}\n".encode()
+        with pytest.raises(ParseError) as info:
+            parse_feature_counts(doc)
+        assert str(info.value) == error
 
     def test_round_trip_idempotent(self, toy_feature_records):
         data = serialize_feature_counts(toy_feature_records)
@@ -249,21 +292,22 @@ class TestCsvDialect:
         "a,b", '"q"', 'say "hi"', "x\ny", "x\r\ny", "x\ry", "\r", "#1", "",
         " padded ", "A\x0cB", "A\x85B", "A\u2028B", "\x1c\x1d\x1e"])
     def test_serializers_round_trip_awkward_ids(self, image_id):
-        records = [FeatureCountRecord(image_id, BlurLevel.MB2, 7)]
+        records = feature_counts([(image_id, BlurLevel.MB2, 7)])
         assert parse_feature_counts(serialize_feature_counts(records)) == records
         flags = {image_id: BlurFlag.WITH_BLUR, "plain": BlurFlag.NO_BLUR}
         assert parse_blur_flags(serialize_blur_flags(flags)) == flags
 
-    @given(ids=st.lists(st.text(), max_size=6),
-           levels=st.lists(st.sampled_from(list(BlurLevel)), min_size=6,
-                           max_size=6),
+    @given(pairs=st.lists(st.tuples(st.text(),
+                                    st.sampled_from(list(BlurLevel))),
+                          max_size=6, unique=True),
            counts=st.lists(st.integers(0, 10**6), min_size=6, max_size=6))
     @settings(max_examples=200, deadline=None)
-    def test_feature_counts_round_trip_any_id(self, ids, levels, counts):
-        records = [FeatureCountRecord(*record)
-                   for record in zip(ids, levels, counts)]
+    def test_feature_counts_round_trip_any_id(self, pairs, counts):
+        records = feature_counts(
+            (image_id, level, count)
+            for (image_id, level), count in zip(pairs, counts))
         assert_round_trip(parse_feature_counts, serialize_feature_counts,
-                          records, ids)
+                          records, [image_id for image_id, _ in pairs])
 
     @given(flags=st.dictionaries(st.text(), st.sampled_from(list(BlurFlag)),
                                  max_size=6))
@@ -273,13 +317,35 @@ class TestCsvDialect:
 
     def test_metadata_before_header_and_crlf_rows(self):
         text = "# seed=3\r\n#\n\nimage_id,flag\r\n\r\na,with_blur\r\n"
-        assert read_csv(text, ["image_id", "flag"]) == [["a", "with_blur"]]
+        assert read_csv(text, ["image_id", "flag"]) == [["a"], ["with_blur"]]
         assert parse_blur_flags(text.encode()) == {"a": BlurFlag.WITH_BLUR}
 
     def test_error_names_the_line_in_the_file(self):
         text = "# seed=0\n\n# more\nimage_id,flag\na,with\rblur\n"
         with pytest.raises(ParseError, match="bad CSV on line 5:"):
             read_csv(text, ["image_id", "flag"])
+
+    def test_columns_one_list_per_header_field(self):
+        text = "image_id,level,count\na,MB0,1\nb,MB1,2\n"
+        assert read_csv(text, ["image_id", "level", "count"]) == [
+            ["a", "b"], ["MB0", "MB1"], ["1", "2"]]
+        assert read_csv("image_id,flag\n", ["image_id", "flag"]) == [[], []]
+
+    @pytest.mark.parametrize("text,error", [
+        ("image_id,flag\na,with_blur,x\nb,no_blur\nc\n",
+         "bad row ['a', 'with_blur', 'x']"),
+        ("image_id\na,with_blur,x\n", "expected header 'image_id,flag'"),
+        ("", "expected header 'image_id,flag'"),
+        ("image_id,flag\na\nb,\"x\ry\"\nc,x\rd\n", "bad CSV on line 4: "),
+        ("flag,image_id\na\nc,x\rd\n", "bad CSV on line 3: "),
+    ], ids=["first-bad-width-row", "header", "empty",
+            "csv-error-after-bad-row", "csv-error-after-bad-header"])
+    def test_error_precedence(self, text, error):
+        """A csv.Error anywhere comes first, then the header, then the
+        first row of the wrong width."""
+        with pytest.raises(ParseError) as info:
+            read_csv(text, ["image_id", "flag"])
+        assert str(info.value).startswith(error)
 
 
 class TestFilterByBlurFlag:
@@ -336,5 +402,5 @@ class TestDatasetInvariants:
             Dataset([("a", "a.jpg")], {"a": ["x"], "b": ["y"]})
 
     def test_negative_feature_count_rejected(self):
-        with pytest.raises(ParseError, match="negative"):
-            FeatureCountRecord("a", BlurLevel.MB0, -1)
+        with pytest.raises(ParseError, match="negative feature count for a$"):
+            parse_feature_counts(b"image_id,level,count\na,MB0,-1\n")

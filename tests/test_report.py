@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blurbench.imaging import BlurLevel
-from blurbench.ingest import BlurFlag, FeatureCountRecord, ParseError
+from blurbench.ingest import BlurFlag, ParseError
 from blurbench.report import (
     DegradationDelta,
     FeatureHistogram,
@@ -20,7 +20,7 @@ from blurbench.report import (
     render_score_table,
     render_subset_table,
 )
-from conftest import CSV_READS_NUL
+from conftest import CSV_READS_NUL, feature_counts, feature_rows
 
 LEVELS = list(BlurLevel)
 WITH, WITHOUT = BlurFlag.WITH_BLUR, BlurFlag.NO_BLUR
@@ -121,18 +121,18 @@ class TestWarnings:
 
 class TestHistograms:
     def test_shared_bin(self):
-        records = [FeatureCountRecord("a", BlurLevel.MB0, 36),
-                   FeatureCountRecord("b", BlurLevel.MB0, 36)]
+        records = feature_counts([("a", BlurLevel.MB0, 36),
+                                  ("b", BlurLevel.MB0, 36)])
         hists = build_histograms(records, bin_width=10)
         assert len(hists) == 1
         assert hists[0].bins == {3: 2}
 
     def test_empty_records(self):
-        assert build_histograms([], bin_width=10) == []
+        assert build_histograms(feature_counts([]), bin_width=10) == []
 
     def test_zero_bin_width_rejected(self):
-        with pytest.raises(ValueError):
-            build_histograms([], bin_width=0)
+        with pytest.raises(ValueError, match="bin_width must be >= 1"):
+            build_histograms(feature_counts([]), bin_width=0)
 
     def test_levels_in_order(self, toy_feature_records):
         hists = build_histograms(toy_feature_records, 10)
@@ -141,8 +141,9 @@ class TestHistograms:
     def test_mass_conservation(self, toy_feature_records):
         hists = build_histograms(toy_feature_records, 10)
         for hist in hists:
-            expected = sum(1 for r in toy_feature_records
-                           if r.level is hist.level)
+            expected = sum(1 for _, level, _
+                           in feature_rows(toy_feature_records)
+                           if level is hist.level)
             assert sum(hist.bins.values()) == expected
 
     def test_uniformly_lower_counts_land_in_lower_bins(self, toy_feature_records):
@@ -154,8 +155,8 @@ class TestHistograms:
            st.integers(1, 25))
     @settings(max_examples=80)
     def test_conservation_property(self, pairs, bin_width):
-        records = [FeatureCountRecord(f"i{k}", level, count)
-                   for k, (level, count) in enumerate(pairs)]
+        records = feature_counts((f"i{k}", level, count)
+                                 for k, (level, count) in enumerate(pairs))
         hists = build_histograms(records, bin_width)
         assert sum(sum(h.bins.values()) for h in hists) == len(records)
         for hist in hists:
@@ -171,13 +172,13 @@ def mean_count(records, level):
 
 class TestMeanFeatureCount:
     def test_two_records(self):
-        records = [FeatureCountRecord("a", BlurLevel.MB0, 10),
-                   FeatureCountRecord("b", BlurLevel.MB0, 20),
-                   FeatureCountRecord("a", BlurLevel.MB1, 99)]
+        records = feature_counts([("a", BlurLevel.MB0, 10),
+                                  ("b", BlurLevel.MB0, 20),
+                                  ("a", BlurLevel.MB1, 99)])
         assert mean_count(records, BlurLevel.MB0) == 15.0
 
     def test_single_record(self):
-        records = [FeatureCountRecord("a", BlurLevel.MB2, 36)]
+        records = feature_counts([("a", BlurLevel.MB2, 36)])
         assert mean_count(records, BlurLevel.MB2) == 36.0
 
     def test_strictly_decreasing_on_fixture(self, toy_feature_records):
@@ -200,7 +201,7 @@ class TestRendering:
         assert render_score_table(VIZWIZ_TABLE, "markdown") == \
             render_score_table(VIZWIZ_TABLE, "markdown")
         hists = build_histograms(
-            [FeatureCountRecord("a", BlurLevel.MB1, 7)], 10)
+            feature_counts([("a", BlurLevel.MB1, 7)]), 10)
         assert render_histograms(hists) == render_histograms(hists)
 
     def test_empty_histograms_header_only(self):
