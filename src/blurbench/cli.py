@@ -15,10 +15,11 @@ scale) is one ``_SETTINGS`` entry, its converter and default; its flag is
 (--config, flat ``name = value`` lines) > BLURBENCH_SEED (seed only) >
 default, and all text goes through the converter, whichever one wins: a
 bad flag is a usage error (exit 2), a bad config or environment value one
-``error:`` line (exit 1), as is an unknown or repeated config key. An
-empty ``out`` is bad text. Every ``cmd_*`` reads the resolved settings
-from ``args``. The effective seed is echoed in every output header. All
-files are written atomically.
+``error:`` line (exit 1), as is an unknown or repeated config key. Text
+out of range (an empty ``out``, a ``bin_width`` below 1, a metric setting
+``CiderConfig`` rejects) is bad text. Every ``cmd_*`` reads the resolved
+settings from ``args``. The effective seed is echoed in every output
+header. All files are written atomically.
 
 ``blur`` on a directory skips files named like its own outputs
 (``<stem>.MB0``..``<stem>.MB3`` plus the extension), so rerunning it with
@@ -83,9 +84,12 @@ _SETTINGS = {
     "out": (_out_directory, Path(".")),
     "bin_width": (lambda text: check_bin_width(int(text)), 10),
     "format": (check_format, "markdown"),
-    "sigma": (float, 6.0),
-    "max_n": (int, 4),
-    "scale": (float, 10.0),
+    "sigma": (lambda text: CiderConfig(sigma=float(text)).sigma,
+              CiderConfig.sigma),
+    "max_n": (lambda text: CiderConfig(max_n=int(text)).max_n,
+              CiderConfig.max_n),
+    "scale": (lambda text: CiderConfig(scale=float(text)).scale,
+              CiderConfig.scale),
 }
 
 
@@ -248,8 +252,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         "degradation.csv": render_deltas(deltas, "csv"),
     }
     features = parse_feature_counts(args.features.read_bytes())
-    for hist in build_histograms(features, args.bin_width):
-        outputs[f"histogram_{hist.level.name}.csv"] = render_histograms([hist])
+    for level, bins in build_histograms(features, args.bin_width).items():
+        outputs[f"histogram_{level.name}.csv"] = render_histograms(
+            level, bins, args.bin_width)
     if args.flags is not None:
         flags = list(parse_blur_flags(args.flags.read_bytes()).values())
         print("flags: " + ", ".join(f"{flags.count(flag)} {flag.value}"

@@ -7,6 +7,7 @@ sums by shifted adds in the narrowest dtype that holds them, round-half-up
 on the mean), so results are deterministic across platforms and
 bit-comparable against a naive reference.
 
+An `Image` stores only its samples and a `BlurKernel` only its tap sizes.
 All functions are pure; Image instances are treated as immutable and are
 safe to share across threads.
 """
@@ -41,6 +42,7 @@ class BlurLevel(IntEnum):
     MB3 = 3
 
 
+LEVEL_BY_NAME = {level.name: level.value for level in BlurLevel}
 #: Box kernel (width, height) per level.
 TAP_SIZES: dict[BlurLevel, tuple[int, int]] = {
     BlurLevel.MB0: (1, 1),
@@ -52,58 +54,46 @@ TAP_SIZES: dict[BlurLevel, tuple[int, int]] = {
 
 @dataclass(frozen=True)
 class BlurKernel:
-    """Normalized box kernel: every tap weighs 1/(tap_width*tap_height)."""
+    """Normalized box kernel: every tap weighs 1/(tap_width*tap_height).
+    Its anchor, the tap on the output pixel, is at each tap size // 2."""
 
     tap_width: int
     tap_height: int
-    anchor_x: int
-    anchor_y: int
 
     def __post_init__(self):
         if self.tap_width < 1 or self.tap_height < 1:
             raise ValueError("kernel taps must be >= 1")
-        if not 0 <= self.anchor_x < self.tap_width:
-            raise ValueError("anchor_x outside kernel")
-        if not 0 <= self.anchor_y < self.tap_height:
-            raise ValueError("anchor_y outside kernel")
 
 
 @dataclass(eq=False)
 class Image:
     """8-bit raster, samples shaped (height, width, channels), row-major."""
 
-    width: int
-    height: int
-    channels: int
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be positive")
-        if self.channels not in (1, 3):
-            raise ValueError("channels must be 1 or 3")
         self.samples = np.asarray(self.samples)
         if self.samples.dtype != np.uint8:
             raise ValueError("samples must be uint8")
-        expected = (self.height, self.width, self.channels)
-        if self.samples.shape != expected:
-            raise ValueError(
-                f"samples shape {self.samples.shape} != {expected}"
-            )
+        if self.samples.ndim != 3 or self.channels not in (1, 3):
+            raise ValueError(f"samples shape {self.samples.shape} is not "
+                             "(height, width, 1 or 3 channels)")
+        if self.samples.size == 0:
+            raise ValueError("image dimensions must be positive")
+
+    height = property(lambda self: self.samples.shape[0])
+    width = property(lambda self: self.samples.shape[1])
+    channels = property(lambda self: self.samples.shape[2])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Image):
             return NotImplemented
-        return (self.width == other.width
-                and self.height == other.height
-                and self.channels == other.channels
-                and np.array_equal(self.samples, other.samples))
+        return np.array_equal(self.samples, other.samples)
 
 
 def make_kernel(level: BlurLevel) -> BlurKernel:
-    """Box kernel for a blur level; anchor at floor(tap/2) on each axis."""
-    kw, kh = TAP_SIZES[BlurLevel(level)]
-    return BlurKernel(kw, kh, kw // 2, kh // 2)
+    """Box kernel of a blur level's tap sizes."""
+    return BlurKernel(*TAP_SIZES[BlurLevel(level)])
 
 
 def _window_sums(arr: np.ndarray, size: int, axis: int, dtype):
@@ -164,8 +154,8 @@ def apply_blur(img: Image, kernel: BlurKernel) -> Image:
     if kw > img.width or kh > h:
         raise DimensionError(
             f"kernel {kw}x{kh} larger than image {img.width}x{h}")
-    ay = kernel.anchor_y
-    x_pad = (kernel.anchor_x, kw - 1 - kernel.anchor_x)
+    ax, ay = kw // 2, kh // 2
+    x_pad = (ax, kw - 1 - ax)
     taps = kw * kh
     rows, cols = _accumulators(kw, taps)
     out = None
@@ -185,7 +175,7 @@ def apply_blur(img: Image, kernel: BlurKernel) -> Image:
             out = np.empty(img.samples.shape, dtype=np.uint8)
         np.floor_divide(sums + taps // 2, taps, out=out[r0:r1],
                         casting="unsafe")
-    return Image(img.width, h, img.channels, out)
+    return Image(out)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +238,7 @@ def load_image(data: bytes) -> Image:
         raise FormatError(
             f"trailing data: {payload_size} bytes, expected {expected}")
     samples = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos + 1)
-    return Image(width, height, channels,
-                 samples.reshape(height, width, channels).copy())
+    return Image(samples.reshape(height, width, channels).copy())
 
 
 def save_image(img: Image) -> bytes:

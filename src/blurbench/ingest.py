@@ -35,7 +35,7 @@ from enum import Enum
 from itertools import compress, islice
 from types import SimpleNamespace
 
-from .imaging import BlurLevel
+from .imaging import LEVEL_BY_NAME, BlurLevel
 
 
 class ParseError(ValueError):
@@ -45,6 +45,9 @@ class ParseError(ValueError):
 class BlurFlag(Enum):
     WITH_BLUR = "with_blur"
     NO_BLUR = "no_blur"
+
+
+FLAG_BY_VALUE = {flag.value: flag for flag in BlurFlag}
 
 
 @dataclass
@@ -74,7 +77,7 @@ class Dataset:
 @dataclass(frozen=True)
 class FeatureCounts:
     """Region proposals the detector produced, one entry per (image,
-    level): `levels[i]` is a `BlurLevel` value, its index in the enum."""
+    level): `levels[i]` is a `BlurLevel` value."""
 
     image_ids: tuple[str, ...]
     levels: bytes
@@ -197,8 +200,6 @@ def serialize_predictions(preds: dict[tuple[str, BlurLevel], str]) -> bytes:
 
 _FEATURE_COUNTS = ["image_id", "level", "count"]
 _BLUR_FLAGS = ["image_id", "flag"]
-_LEVEL_BY_NAME = {level.name: level.value for level in BlurLevel}
-_FLAG_BY_VALUE = {flag.value: flag for flag in BlurFlag}
 #: Rows `read_csv` moves into its columns at a time: few enough that the
 #: row lists alive at once set off no garbage collection.
 _CSV_CHUNK_ROWS = 256
@@ -261,8 +262,8 @@ def parse_feature_counts(document: bytes) -> FeatureCounts:
     image_ids, level_tokens, count_tokens = columns
     value_of = {token: _count(token) for token in set(count_tokens)}
     if (all(value is not None and value >= 0 for value in value_of.values())
-            and _LEVEL_BY_NAME.keys() >= set(level_tokens)):
-        levels = bytes(map(_LEVEL_BY_NAME.__getitem__, level_tokens))
+            and LEVEL_BY_NAME.keys() >= set(level_tokens)):
+        levels = bytes(map(LEVEL_BY_NAME.__getitem__, level_tokens))
         # no (image, level) pair repeats: at each level, the ids picked out
         # by a mask of `levels` (that level translated to 1, others to 0)
         # are distinct
@@ -291,7 +292,7 @@ def _parse_feature_rows(image_ids: list[str], level_tokens: list[str],
                              f"at {level.name}")
         seen.add((image_id, level))
     return FeatureCounts(tuple(image_ids),
-                         bytes(map(_LEVEL_BY_NAME.__getitem__, level_tokens)),
+                         bytes(map(LEVEL_BY_NAME.__getitem__, level_tokens)),
                          tuple(map(_count, count_tokens)))
 
 
@@ -306,7 +307,7 @@ def parse_blur_flags(document: bytes) -> dict[str, BlurFlag]:
     flags: dict[str, BlurFlag] = {}
     for image_id, flag_token in zip(
             *read_csv(document.decode("utf-8"), _BLUR_FLAGS)):
-        flag = _FLAG_BY_VALUE.get(flag_token)
+        flag = FLAG_BY_VALUE.get(flag_token)
         if flag is None:
             raise ParseError(f"unknown blur flag {flag_token!r}")
         if image_id in flags:

@@ -4,7 +4,9 @@ Scores are carried at full precision and rounded to one decimal only when
 rendered. Degradation deltas (baseline MB0 score minus blurred score) are
 computed on those rendered one-decimal values, in exact tenths, so the
 published-style headline numbers come out exactly rather than off by a
-float ulp.
+float ulp. Deltas come as `{technique: {level: delta}}` and histograms as
+`{level: {bin index: images}}`, in level and bin order; the bin width is
+the caller's setting, not a part of the histogram.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 
 from .imaging import BlurLevel
-from .ingest import (BlurFlag, FeatureCounts, ParseError, parse_level,
-                     read_csv, write_csv)
+from .ingest import (FLAG_BY_VALUE, BlurFlag, FeatureCounts, ParseError,
+                     parse_level, read_csv, write_csv)
 from .schedule import Technique
 
 FORMATS = ("markdown", "csv")
@@ -42,25 +44,14 @@ class ScoreTable:
     rows: list[ScoreRow] = field(default_factory=list)
 
     def __post_init__(self):
+        techniques = [row.technique for row in self.rows]
+        if len(set(techniques)) != len(techniques):
+            raise ValueError(f"repeated techniques in {techniques}")
         for row in self.rows:
             missing = [l.name for l in BlurLevel if l not in row.scores]
             if missing:
                 raise ValueError(
                     f"row {row.technique!r} lacks levels: {missing}")
-
-
-@dataclass(frozen=True)
-class DegradationDelta:
-    technique: str
-    level: BlurLevel
-    delta: float
-
-
-@dataclass(frozen=True)
-class FeatureHistogram:
-    level: BlurLevel
-    bin_width: int
-    bins: dict[int, int]
 
 
 def _tenths(value: float) -> int:
@@ -72,14 +63,14 @@ def _fmt(value: float) -> str:
     return f"{value:.1f}"
 
 
-def degradation_deltas(table: ScoreTable) -> list[DegradationDelta]:
+def degradation_deltas(table: ScoreTable) -> dict[str, dict[BlurLevel, float]]:
     """MB0 score minus per-level score, on one-decimal rendered values."""
-    deltas = []
+    deltas = {}
     for row in table.rows:
         base = _tenths(row.scores[BlurLevel.MB0])
-        for level in BlurLevel:
-            delta = (base - _tenths(row.scores[level])) / 10.0
-            deltas.append(DegradationDelta(row.technique, level, delta))
+        deltas[row.technique] = {
+            level: (base - _tenths(row.scores[level])) / 10.0
+            for level in BlurLevel}
     return deltas
 
 
@@ -103,16 +94,15 @@ def check_bin_width(bin_width: int) -> int:
 
 
 def build_histograms(features: FeatureCounts,
-                     bin_width: int = 10) -> list[FeatureHistogram]:
-    """One histogram per level present; bin index = count // bin_width."""
+                     bin_width: int = 10) -> dict[BlurLevel, dict[int, int]]:
+    """Images per bin of each level present; bin index = count // bin_width."""
     check_bin_width(bin_width)
     tally = Counter(zip(features.levels,
                         [count // bin_width for count in features.counts]))
-    per_level: dict[int, dict[int, int]] = {}
+    histograms: dict[BlurLevel, dict[int, int]] = {}
     for (level, index), images in sorted(tally.items()):
-        per_level.setdefault(level, {})[index] = images
-    return [FeatureHistogram(BlurLevel(level), bin_width, bins)
-            for level, bins in per_level.items()]
+        histograms.setdefault(BlurLevel(level), {})[index] = images
+    return histograms
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +126,7 @@ def parse_scores_csv(text: str) -> ScoreTable:
         if not math.isfinite(score):
             raise ParseError(f"non-finite score in row {raw!r}")
         row = by_technique.setdefault(technique, ScoreRow(technique, {}))
-        flag = next((f for f in BlurFlag if f.value == level_token), None)
+        flag = FLAG_BY_VALUE.get(level_token)
         if flag is not None:
             if flag in row.subsets:
                 raise ParseError(
@@ -198,18 +188,15 @@ def render_score_table(table: ScoreTable, format: str = "markdown") -> str:
     return _render(header, rows, format)
 
 
-def render_deltas(deltas: list[DegradationDelta],
+def render_deltas(deltas: dict[str, dict[BlurLevel, float]],
                   format: str = "markdown") -> str:
     if format == "csv":
-        rows = [[d.technique, d.level.name, _fmt(d.delta)] for d in deltas]
+        rows = [[t, l.name, _fmt(d)] for t, by_level in deltas.items()
+                for l, d in by_level.items()]
         return _render(["technique", "level", "delta"], rows, format)
-    by_technique: dict[str, dict[BlurLevel, float]] = {}
-    for d in deltas:
-        by_technique.setdefault(d.technique, {})[d.level] = d.delta
-    return _render(
-        ["Training approach", *(l.name for l in BlurLevel)],
-        [[t, *(_fmt(by_level.get(l, 0.0)) for l in BlurLevel)]
-         for t, by_level in by_technique.items()], format)
+    return _render(["Training approach", *(l.name for l in BlurLevel)],
+                   [[t, *map(_fmt, by_level.values())]
+                    for t, by_level in deltas.items()], format)
 
 
 def render_subset_table(table: ScoreTable, format: str = "markdown") -> str:
@@ -223,8 +210,8 @@ def render_subset_table(table: ScoreTable, format: str = "markdown") -> str:
                             for r in table.rows], format)
 
 
-def render_histograms(histograms: list[FeatureHistogram]) -> str:
+def render_histograms(level: BlurLevel, bins: dict[int, int], bin_width: int) -> str:
     return _render(
         ["level", "bin_width", "bin_index", "bin_start", "bin_end", "image_count"],
-        [[h.level.name, h.bin_width, i, i * h.bin_width, (i + 1) * h.bin_width,
-          h.bins[i]] for h in histograms for i in sorted(h.bins)], "csv")
+        [[level.name, bin_width, i, i * bin_width, (i + 1) * bin_width, images]
+         for i, images in sorted(bins.items())], "csv")

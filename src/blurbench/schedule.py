@@ -26,8 +26,8 @@ whose lowest bound is 2**53 puts every draw on MB0, so it hashes nothing.
 
 A manifest is JSON lines: a header object, then one object per entry.
 In memory its entries are three columns: the keys, and one byte each for
-the stage and the level, an index into `tuple(Stage)` or
-`tuple(BlurLevel)`; `ManifestEntry` objects are built only on demand.
+the stage, its index in `tuple(Stage)`, and the level, its `BlurLevel`
+value; `ManifestEntry` objects are built only on demand.
 `read_manifest` parses the body in chunks of lines, one `json.loads` per
 chunk. It keeps a chunk's records when the chunk holds one `{` per line,
 which shows that each line parses alone to its record; otherwise it
@@ -46,7 +46,7 @@ from functools import partial
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-from .imaging import BlurLevel
+from .imaging import LEVEL_BY_NAME, BlurLevel
 
 _SUM_TOLERANCE = 1e-9
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -62,6 +62,7 @@ class Stage(Enum):
 
 
 _STAGES = tuple(Stage)
+_STAGE_BY_VALUE = {stage.value: index for index, stage in enumerate(Stage)}
 
 
 @dataclass(frozen=True)
@@ -182,8 +183,7 @@ class AugmentationManifest:
     """Deterministic per-sample, per-stage blur assignments.
 
     Entry i is stored across three columns: `keys[i]`, the index
-    `stages[i]` into `tuple(Stage)` and the index `levels[i]` into
-    `tuple(BlurLevel)`.
+    `stages[i]` into `tuple(Stage)` and the `BlurLevel` value `levels[i]`.
     """
 
     seed: int
@@ -234,8 +234,6 @@ _ENTRY_TAILS = tuple(
 #: Lines per bulk parse in `read_manifest`: few enough that a chunk's
 #: joined text and records stay small beside the manifest text.
 _READ_CHUNK_LINES = 4096
-_STAGE_BY_VALUE = {stage.value: index for index, stage in enumerate(Stage)}
-_LEVEL_BY_NAME = {level.name: index for index, level in enumerate(BlurLevel)}
 
 
 def write_manifest(manifest: AugmentationManifest) -> str:
@@ -312,7 +310,7 @@ def _line_entries(lines: list[str], first: int, keys: list[str],
                 f"bad manifest entry on line {number} {line!r}: {exc}") from exc
         keys.append(key)
         stages.append(_STAGES.index(stage))
-        levels.append(_LEVELS.index(level))
+        levels.append(level.value)
 
 
 def _bulk_entries(lines: list[str], keys: list[str], stages: bytearray,
@@ -346,7 +344,7 @@ def _bulk_entries(lines: list[str], keys: list[str], stages: bytearray,
         chunk_keys = [record["sample_key"] for record in records]
         chunk_stages = bytes([_STAGE_BY_VALUE[record["stage"]]
                               for record in records])
-        chunk_levels = bytes([_LEVEL_BY_NAME[record["level"]]
+        chunk_levels = bytes([LEVEL_BY_NAME[record["level"]]
                               for record in records])
     except (KeyError, TypeError, ValueError, RecursionError):
         return False

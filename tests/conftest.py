@@ -48,7 +48,7 @@ def random_image(rng: np.random.Generator, width: int, height: int,
                  channels: int) -> Image:
     samples = rng.integers(0, 256, size=(height, width, channels),
                            dtype=np.uint8)
-    return Image(width, height, channels, samples)
+    return Image(samples)
 
 
 def feature_counts(rows) -> FeatureCounts:

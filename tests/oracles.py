@@ -25,19 +25,17 @@ def reflect(i: int, n: int) -> int:
     return i
 
 
-def blur_loops(samples, kw: int, kh: int,
-               ax: int | None = None, ay: int | None = None):
+def blur_loops(samples, kw: int, kh: int):
     """Naive O(w*h*kw*kh) box filter over a (h, w, c) nested-list raster.
 
     Exact integer window sums, divide by tap count with round-half-up.
     Only usable on small rasters; the vectorized `blur_windows` covers the
-    rest. The anchor (ax, ay) defaults to (kw // 2, kh // 2).
+    rest. The window's anchor, on the output sample, is (kw // 2, kh // 2).
     """
     h = len(samples)
     w = len(samples[0])
     c = len(samples[0][0])
-    ax = kw // 2 if ax is None else ax
-    ay = kh // 2 if ay is None else ay
+    ax, ay = kw // 2, kh // 2
     taps = kw * kh
     out = [[[0] * c for _ in range(w)] for _ in range(h)]
     for y in range(h):
@@ -53,18 +51,16 @@ def blur_loops(samples, kw: int, kh: int,
     return out
 
 
-def blur_windows(arr: np.ndarray, kw: int, kh: int,
-                 ax: int | None = None, ay: int | None = None) -> np.ndarray:
+def blur_windows(arr: np.ndarray, kw: int, kh: int) -> np.ndarray:
     """Direct window summation: every output is an independent sum.
 
     Builds the mirrored border with explicit index arrays and sums each
     kh*kw window separately via a strided view, so it shares no machinery
-    with a shifted-add fast path. The anchor (ax, ay) defaults to
-    (kw // 2, kh // 2), as `make_kernel` places it.
+    with a shifted-add fast path. The window's anchor, on the output
+    sample, is (kw // 2, kh // 2).
     """
     h, w, _ = arr.shape
-    ax = kw // 2 if ax is None else ax
-    ay = kh // 2 if ay is None else ay
+    ax, ay = kw // 2, kh // 2
 
     ys = np.arange(-ay, h + (kh - 1 - ay))
     ys = np.where(ys < 0, -ys, ys)

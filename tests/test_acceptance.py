@@ -85,10 +85,10 @@ def test_convolution_oracle_equivalence():
 def test_constant_preservation():
     """Blurring a constant image returns it exactly, for every kernel."""
     for value in (0, 1, 128, 254, 255):
-        img = Image(60, 20, 3, np.full((20, 60, 3), value, dtype=np.uint8))
+        img = Image(np.full((20, 60, 3), value, dtype=np.uint8))
         for level in BlurLevel:
             assert apply_blur(img, make_kernel(level)) == img
-    flat = Image(45, 12, 1, np.full((12, 45, 1), 17, dtype=np.uint8))
+    flat = Image(np.full((12, 45, 1), 17, dtype=np.uint8))
     assert all(apply_blur(flat, make_kernel(level)) == flat
                for level in BlurLevel)
 
@@ -187,10 +187,9 @@ def test_table_fixture_reproduction(tmp_path, data_dir):
             assert f"{technique},MB3,{expected}" in degradation, (name, technique)
         # and numerically exact, not just textually
         from blurbench.report import degradation_deltas, parse_scores_csv
-        deltas = {(d.technique, d.level): d.delta
-                  for d in degradation_deltas(parse_scores_csv(_scores_csv(rows)))}
-        assert deltas[(worst[0], BlurLevel.MB3)] == float(worst[1])
-        assert deltas[(best[0], BlurLevel.MB3)] == float(best[1])
+        deltas = degradation_deltas(parse_scores_csv(_scores_csv(rows)))
+        assert deltas[worst[0]][BlurLevel.MB3] == float(worst[1])
+        assert deltas[best[0]][BlurLevel.MB3] == float(best[1])
 
 
 def test_histogram_conservation(toy_feature_records):
@@ -198,10 +197,10 @@ def test_histogram_conservation(toy_feature_records):
     mean count strictly decreases MB0 -> MB3."""
     rows = feature_rows(toy_feature_records)
     for bin_width in (1, 7, 10, 25):
-        for hist in build_histograms(toy_feature_records, bin_width):
-            records_at_level = sum(1 for _, level, _ in rows
-                                   if level is hist.level)
-            assert sum(hist.bins.values()) == records_at_level
+        for at, bins in build_histograms(toy_feature_records,
+                                         bin_width).items():
+            records_at_level = sum(1 for _, level, _ in rows if level is at)
+            assert sum(bins.values()) == records_at_level
     counts = [[count for _, at, count in rows if at is level]
               for level in BlurLevel]
     means = [sum(c) / len(c) for c in counts]

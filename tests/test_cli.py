@@ -45,17 +45,20 @@ def write_corpus(tmp_path, captions_by_image, predictions):
     return dataset, preds
 
 
-#: setting -> (command that reads it, good text, bad text, part of the
-#: error line that a config line with the bad text gives)
+#: setting -> (command that reads it, good text, {bad text: part of the
+#: error line that a flag or a config line with the bad text gives})
 SETTING_CASES = {
-    "seed": ("plan", "7", "seven", "'seven'"),
-    "technique": ("score", "objdet-cap-aug", "MegaAug", "'MegaAug'"),
-    "out": ("plan", "elsewhere", "", "out must not be empty"),
-    "bin_width": ("report", "7", "wide", "'wide'"),
-    "format": ("report", "csv", "html", "format must be one of"),
-    "sigma": ("score", "2.5", "wide", "'wide'"),
-    "max_n": ("score", "2", "two", "'two'"),
-    "scale": ("score", "3", "big", "'big'"),
+    "seed": ("plan", "7", {"seven": "'seven'"}),
+    "technique": ("score", "objdet-cap-aug", {"MegaAug": "'MegaAug'"}),
+    "out": ("plan", "elsewhere", {"": "out must not be empty"}),
+    "bin_width": ("report", "7", {"wide": "'wide'",
+                                  "0": "bin_width must be >= 1"}),
+    "format": ("report", "csv", {"html": "format must be one of"}),
+    "sigma": ("score", "2.5", {"wide": "'wide'",
+                               "-1": "sigma must be positive and finite"}),
+    "max_n": ("score", "2", {"two": "'two'", "0": "max_n must be >= 1"}),
+    "scale": ("score", "3", {"big": "'big'",
+                             "nan": "scale must be positive and finite"}),
 }
 #: settings whose flag goes before the command
 GLOBAL_SETTINGS = {"seed", "out", "format"}
@@ -310,15 +313,27 @@ class TestScoreCommand:
         assert len(lines) == 2 + 4  # comment, header, four levels
         assert all(l.startswith("ObjDet-Cap-Aug,") for l in lines[2:])
 
-    @pytest.mark.parametrize("flag,value", [("--sigma", "nan"),
-                                            ("--scale", "inf")])
-    def test_non_finite_metric_settings_fail(self, tmp_path, data_dir, capsys,
+    @pytest.mark.parametrize("flag,value", [
+        ("--sigma", "nan"), ("--scale", "inf"), ("--scale", "nan"),
+        ("--sigma", "-1"), ("--max-n", "0")])
+    def test_non_finite_metric_settings_fail(self, tmp_path, capsys,
                                              flag, value):
+        """An out-of-range metric setting fails before any input is read:
+        a usage error as a flag, one `error:` line from a config file."""
+        name = flag[2:].replace("-", "_")
+        rule = ("must be >= 1" if name == "max_n"
+                else "must be positive and finite")
         out = tmp_path / "out"
-        assert run("--out", out, "score", data_dir / "toy_captions.json",
-                   data_dir / "toy_predictions.json", flag, value) == 1
-        assert len(capsys.readouterr().err.splitlines()) == 1
-        assert not (out / "scores.csv").exists()
+        missing = [tmp_path / "no_captions.json", tmp_path / "no_preds.json"]
+        with pytest.raises(SystemExit) as excinfo:
+            run("--out", out, "score", *missing, flag, value)
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: {name} {rule}" in capsys.readouterr().err
+        config = tmp_path / "bench.cfg"
+        config.write_text(f"{name} = {value}\n")
+        assert run("--config", config, "--out", out, "score", *missing) == 1
+        assert capsys.readouterr().err == f"error: {name} {rule}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["images", "annotations"])
     def test_non_list_caption_field_fails(self, tmp_path, capsys, key):
@@ -621,7 +636,7 @@ class TestConfigFile:
                                    capsys, name):
         """A text gives the same outputs as a flag and as a config line,
         and a bad text fails both ways before writing anything."""
-        command, good, bad, named = SETTING_CASES[name]
+        command, good, bad_texts = SETTING_CASES[name]
         scores = tmp_path / "scores.csv"
         scores.write_text("technique,level,score\n" + "".join(
             f"No-Aug,{level.name},{50 - 5 * level.value}\n" for level in BlurLevel))
@@ -660,13 +675,15 @@ class TestConfigFile:
         assert outcome("config", good) == flagged
         assert outcome("default") != flagged
 
-        code, out, err, files = outcome("bad_flag", bad, as_flag=True)
-        assert (code, out, files) == (2, "", {})
-        assert f"argument {flag}: " in err
-        code, out, err, files = outcome("bad_config", bad)
-        assert (code, out, files) == (1, "", {})
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: ") and named in err
+        for case, (bad, named) in enumerate(bad_texts.items()):
+            code, out, err, files = outcome(f"bad_flag{case}", bad,
+                                            as_flag=True)
+            assert (code, out, files) == (2, "", {})
+            assert f"argument {flag}: " in err and named in err
+            code, out, err, files = outcome(f"bad_config{case}", bad)
+            assert (code, out, files) == (1, "", {})
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error: ") and named in err
 
     def test_readme_table_matches_settings(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"

@@ -34,7 +34,6 @@ class TestMakeKernel:
     def test_mb1_kernel(self):
         k = make_kernel(BlurLevel.MB1)
         assert (k.tap_width, k.tap_height) == (6, 1)
-        assert (k.anchor_x, k.anchor_y) == (3, 0)
 
     def test_mb0_is_identity_kernel(self):
         k = make_kernel(BlurLevel.MB0)
@@ -43,24 +42,49 @@ class TestMakeKernel:
     def test_mb3_kernel(self):
         k = make_kernel(BlurLevel.MB3)
         assert (k.tap_width, k.tap_height) == (45, 12)
-        assert (k.anchor_x, k.anchor_y) == (22, 6)
 
     def test_level_ordering(self):
         assert BlurLevel.MB0 < BlurLevel.MB1 < BlurLevel.MB2 < BlurLevel.MB3
+
+    @pytest.mark.parametrize("level", list(BlurLevel)[1:],
+                             ids=lambda level: level.name)
+    def test_impulse_lights_centre_anchored_window(self, level):
+        """A single 255 pixel changes exactly the outputs whose window,
+        anchored at tap (kw // 2, kh // 2) as in the oracles, holds it.
+
+        Every window of the background, which repeats with the kernel's
+        period, sums to (taps - 1) // 2, just short of rounding up, so
+        any sample the impulse raises makes its window's output 1 higher.
+        """
+        kw, kh = TAP_SIZES[level]
+        y, x = np.indices((3 * kh, 3 * kw))
+        background = ((y % kh) * kw + x % kw < (kw * kh - 1) // 2)
+        background = background.astype(np.uint8)[..., None]
+        impulse = background.copy()
+        py, px = kh + 1, kw + 2  # off the period's centre, clear of edges
+        impulse[py, px] = 255
+        kernel = make_kernel(level)
+        lit = (apply_blur(Image(impulse), kernel).samples
+               != apply_blur(Image(background), kernel).samples)[..., 0]
+        ax, ay = kw // 2, kh // 2
+        window = np.zeros(lit.shape, dtype=bool)
+        window[py - (kh - 1 - ay):py + ay + 1,
+               px - (kw - 1 - ax):px + ax + 1] = True
+        assert np.array_equal(lit, window)
 
 
 class TestApplyBlur:
     def test_single_row_frozen(self):
         # expected values computed with the naive loop reference
-        img = Image(7, 1, 1, np.array([0, 0, 0, 6, 0, 0, 0],
-                                      dtype=np.uint8).reshape(1, 7, 1))
+        img = Image(np.array([0, 0, 0, 6, 0, 0, 0],
+                             dtype=np.uint8).reshape(1, 7, 1))
         out = apply_blur(img, make_kernel(BlurLevel.MB1))
         assert out.samples.ravel().tolist() == [1, 1, 1, 1, 1, 1, 1]
         loops = blur_loops(img.samples.tolist(), 6, 1)
         assert out.samples.tolist() == loops
 
     def test_constant_image_unchanged(self):
-        img = Image(64, 64, 3, np.full((64, 64, 3), 128, dtype=np.uint8))
+        img = Image(np.full((64, 64, 3), 128, dtype=np.uint8))
         for level in BlurLevel:
             assert apply_blur(img, make_kernel(level)) == img
 
@@ -106,7 +130,7 @@ class TestApplyBlur:
     def test_output_within_input_range(self):
         rng = np.random.default_rng(5)
         arr = rng.integers(40, 201, size=(20, 50, 3), dtype=np.uint8)
-        img = Image(50, 20, 3, arr)
+        img = Image(arr)
         for level in (BlurLevel.MB1, BlurLevel.MB2):
             out = apply_blur(img, make_kernel(level))
             assert out.samples.min() >= arr.min()
@@ -118,13 +142,13 @@ class TestApplyBlur:
         kernel = make_kernel(BlurLevel.MB2)
         interleaved = apply_blur(img, kernel)
         for channel in range(3):
-            mono = Image(40, 20, 1, img.samples[:, :, [channel]].copy())
+            mono = Image(img.samples[:, :, [channel]].copy())
             blurred = apply_blur(mono, kernel)
             assert np.array_equal(blurred.samples[:, :, 0],
                                   interleaved.samples[:, :, channel])
 
     def test_kernel_larger_than_image_raises(self):
-        img = Image(16, 8, 1, np.zeros((8, 16, 1), dtype=np.uint8))
+        img = Image(np.zeros((8, 16, 1), dtype=np.uint8))
         with pytest.raises(DimensionError):
             apply_blur(img, make_kernel(BlurLevel.MB3))
         with pytest.raises(DimensionError):
@@ -146,30 +170,38 @@ class TestBlurVariants:
                                   blur_windows(img.samples, kw, kh))
 
     def test_constant_image_all_variants_equal_input(self):
-        img = Image(45, 12, 3, np.full((12, 45, 3), 70, dtype=np.uint8))
+        img = Image(np.full((12, 45, 3), 70, dtype=np.uint8))
         for level in BlurLevel:
             assert apply_blur(img, make_kernel(level)) == img
 
 
 class TestImageType:
     def test_sample_shape_enforced(self):
-        with pytest.raises(ValueError):
-            Image(3, 2, 1, np.zeros((2, 3, 3), dtype=np.uint8))
+        """Dimensions are read from the samples' shape, which must be
+        (height, width, channels) with none of them 0."""
+        img = Image(np.zeros((2, 3, 1), dtype=np.uint8))
+        assert (img.width, img.height, img.channels) == (3, 2, 1)
+        for shape in ((2, 3), (1, 2, 3, 1), (0, 3, 1), (2, 0, 3)):
+            with pytest.raises(ValueError):
+                Image(np.zeros(shape, dtype=np.uint8))
+        with pytest.raises(AttributeError):
+            img.width = 4
 
     def test_dtype_enforced(self):
         with pytest.raises(ValueError):
-            Image(3, 2, 1, np.zeros((2, 3, 1), dtype=np.int32))
+            Image(np.zeros((2, 3, 1), dtype=np.int32))
 
     def test_channel_count_enforced(self):
-        with pytest.raises(ValueError):
-            Image(3, 2, 2, np.zeros((2, 3, 2), dtype=np.uint8))
+        for channels in (0, 2, 4):
+            with pytest.raises(ValueError):
+                Image(np.zeros((2, 3, channels), dtype=np.uint8))
 
     def test_from_flat_length_check(self):
         """Samples come shaped (height, width, channels); a flat buffer is
         rejected whatever its length."""
         for size in (11, 12):
             with pytest.raises(ValueError, match="shape"):
-                Image(2, 2, 3, np.zeros(size, dtype=np.uint8))
+                Image(np.zeros(size, dtype=np.uint8))
 
 
 class TestNetpbm:
@@ -230,7 +262,7 @@ class TestNetpbm:
         for samples in (wide[:, ::2], wide[::-1, 1:6], wide[:, :, 1:2]):
             assert not samples.flags.c_contiguous
             h, w, c = samples.shape
-            img = Image(w, h, c, samples)
+            img = Image(samples)
             magic = b"P5" if c == 1 else b"P6"
             assert save_image(img) == (b"%s\n%d %d\n255\n" % (magic, w, h)
                                        + samples.tobytes())
@@ -251,8 +283,7 @@ class TestBlurProperties:
         rng = np.random.default_rng(seed)
         width = int(rng.integers(45, 70))
         height = int(rng.integers(12, 30))
-        img = Image(width, height, 1,
-                    np.full((height, width, 1), value, dtype=np.uint8))
+        img = Image(np.full((height, width, 1), value, dtype=np.uint8))
         for level in BlurLevel:
             assert apply_blur(img, make_kernel(level)) == img
 
@@ -293,14 +324,12 @@ class TestAccumulatorBounds:
     ])
     def test_past_narrow_bounds_matches_oracle(self, kw, kh, width, height):
         rng = np.random.default_rng(kw * kh + width)
-        full = Image(width, height, 3,
-                     np.full((height, width, 3), 255, dtype=np.uint8))
+        full = Image(np.full((height, width, 3), 255, dtype=np.uint8))
         noisy = random_image(rng, width, height, 3)
         for img in (full, noisy):
-            for ax, ay in ((kw // 2, kh // 2), (0, kh - 1), (kw - 1, 0)):
-                out = apply_blur(img, BlurKernel(kw, kh, ax, ay))
-                assert np.array_equal(
-                    out.samples, blur_windows(img.samples, kw, kh, ax, ay))
+            out = apply_blur(img, BlurKernel(kw, kh))
+            assert np.array_equal(out.samples,
+                                  blur_windows(img.samples, kw, kh))
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -310,19 +339,16 @@ class TestAccumulatorBounds:
         channels = data.draw(st.sampled_from([1, 3]), label="channels")
         kw = data.draw(st.integers(1, width), label="kw")
         kh = data.draw(st.integers(1, height), label="kh")
-        ax = data.draw(st.integers(0, kw - 1), label="ax")
-        ay = data.draw(st.integers(0, kh - 1), label="ay")
         fill = data.draw(st.sampled_from(["random", 255, 0]), label="fill")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         if fill == "random":
             img = random_image(np.random.default_rng(seed),
                                width, height, channels)
         else:
-            img = Image(width, height, channels, np.full(
-                (height, width, channels), fill, dtype=np.uint8))
-        out = apply_blur(img, BlurKernel(kw, kh, ax, ay))
-        assert np.array_equal(out.samples,
-                              blur_windows(img.samples, kw, kh, ax, ay))
+            img = Image(np.full((height, width, channels), fill,
+                                dtype=np.uint8))
+        out = apply_blur(img, BlurKernel(kw, kh))
+        assert np.array_equal(out.samples, blur_windows(img.samples, kw, kh))
 
 
 class TestBlurBands:
@@ -336,23 +362,20 @@ class TestBlurBands:
         channels = data.draw(st.sampled_from([1, 3]), label="channels")
         kw = data.draw(st.integers(1, width), label="kw")
         kh = data.draw(st.integers(1, height), label="kh")
-        ax = data.draw(st.integers(0, kw - 1), label="ax")
-        ay = data.draw(st.integers(0, kh - 1), label="ay")
         # 0: a one-byte budget, so every band is the kh-row minimum
         rows = data.draw(st.sampled_from([0, 1, 2, 3, 5]), label="rows")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         img = random_image(np.random.default_rng(seed),
                            width, height, channels)
-        kernel = BlurKernel(kw, kh, ax, ay)
+        kernel = BlurKernel(kw, kh)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(imaging, "_BAND_BYTES",
                        max(1, rows * width * channels))
             out = apply_blur(img, kernel)
-        assert np.array_equal(out.samples,
-                              blur_windows(img.samples, kw, kh, ax, ay))
+        assert np.array_equal(out.samples, blur_windows(img.samples, kw, kh))
         if width * height * kw * kh <= 4096:
             assert out.samples.tolist() == blur_loops(
-                img.samples.tolist(), kw, kh, ax, ay)
+                img.samples.tolist(), kw, kh)
 
     def test_mb3_peak_grows_with_output_only(self):
         """Quadrupling the height adds the output rows, not padded copies

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from blurbench.imaging import BlurLevel
 from blurbench.ingest import BlurFlag, ParseError
 from blurbench.report import (
-    DegradationDelta,
-    FeatureHistogram,
     ScoreRow,
     ScoreTable,
     build_histograms,
@@ -71,41 +69,45 @@ def markdown_cells(line):
     return cells + [cell]
 
 
-def delta_map(table):
-    return {(d.technique, d.level): d.delta for d in degradation_deltas(table)}
-
-
 class TestDegradationDeltas:
     def test_headline_deltas_exact(self):
-        coco = delta_map(COCO_TABLE)
-        assert coco[("No-Aug", BlurLevel.MB3)] == 68.7
-        assert coco[("ObjDet-Cap-Aug", BlurLevel.MB3)] == 11.7
-        vizwiz = delta_map(VIZWIZ_TABLE)
-        assert vizwiz[("No-Aug", BlurLevel.MB3)] == 22.4
-        assert vizwiz[("ObjDet-Cap-Aug", BlurLevel.MB3)] == 6.8
+        coco = degradation_deltas(COCO_TABLE)
+        assert coco["No-Aug"][BlurLevel.MB3] == 68.7
+        assert coco["ObjDet-Cap-Aug"][BlurLevel.MB3] == 11.7
+        vizwiz = degradation_deltas(VIZWIZ_TABLE)
+        assert vizwiz["No-Aug"][BlurLevel.MB3] == 22.4
+        assert vizwiz["ObjDet-Cap-Aug"][BlurLevel.MB3] == 6.8
 
     def test_mb0_delta_is_zero(self):
-        for (technique, level), delta in delta_map(COCO_TABLE).items():
-            if level is BlurLevel.MB0:
-                assert delta == 0.0
+        deltas = degradation_deltas(COCO_TABLE)
+        assert list(deltas) == [r.technique for r in COCO_TABLE.rows]
+        for by_level in deltas.values():
+            assert list(by_level) == LEVELS and by_level[BlurLevel.MB0] == 0.0
 
     def test_flat_row_all_zero(self):
         table = ScoreTable([row("X", 50.0, 50.0, 50.0, 50.0)])
-        assert all(d.delta == 0.0 for d in degradation_deltas(table))
+        assert degradation_deltas(table) == {"X": dict.fromkeys(LEVELS, 0.0)}
 
     def test_anti_monotone_in_scores(self):
-        lower = delta_map(ScoreTable([row("X", 100.0, 90.0, 80.0, 40.0)]))
-        higher = delta_map(ScoreTable([row("X", 100.0, 90.0, 80.0, 41.0)]))
-        assert lower[("X", BlurLevel.MB3)] > higher[("X", BlurLevel.MB3)]
+        lower = degradation_deltas(ScoreTable([row("X", 100.0, 90.0, 80.0, 40.0)]))
+        higher = degradation_deltas(ScoreTable([row("X", 100.0, 90.0, 80.0, 41.0)]))
+        assert lower["X"][BlurLevel.MB3] > higher["X"][BlurLevel.MB3]
 
     def test_deltas_use_rendered_precision(self):
         # raw floats that round to 117.1 and 48.4 give exactly 68.7
         table = ScoreTable([row("X", 117.1049, 111.4, 95.0, 48.3951)])
-        assert delta_map(table)[("X", BlurLevel.MB3)] == 68.7
+        assert degradation_deltas(table)["X"][BlurLevel.MB3] == 68.7
 
     def test_missing_level_rejected(self):
         with pytest.raises(ValueError, match="lacks levels"):
             ScoreTable([ScoreRow("X", {BlurLevel.MB0: 1.0})])
+
+    def test_repeated_technique_rejected(self):
+        """Deltas are keyed by technique, so a table holds each once."""
+        with pytest.raises(ValueError, match="repeated techniques"):
+            ScoreTable([row("X", 4.0, 3.0, 2.0, 1.0),
+                        row("Y", 4.0, 3.0, 2.0, 1.0),
+                        row("X", 5.0, 4.0, 3.0, 2.0)])
 
 
 class TestWarnings:
@@ -123,12 +125,10 @@ class TestHistograms:
     def test_shared_bin(self):
         records = feature_counts([("a", BlurLevel.MB0, 36),
                                   ("b", BlurLevel.MB0, 36)])
-        hists = build_histograms(records, bin_width=10)
-        assert len(hists) == 1
-        assert hists[0].bins == {3: 2}
+        assert build_histograms(records, bin_width=10) == {BlurLevel.MB0: {3: 2}}
 
     def test_empty_records(self):
-        assert build_histograms(feature_counts([]), bin_width=10) == []
+        assert build_histograms(feature_counts([]), bin_width=10) == {}
 
     def test_zero_bin_width_rejected(self):
         with pytest.raises(ValueError, match="bin_width must be >= 1"):
@@ -136,19 +136,19 @@ class TestHistograms:
 
     def test_levels_in_order(self, toy_feature_records):
         hists = build_histograms(toy_feature_records, 10)
-        assert [h.level for h in hists] == LEVELS
+        assert list(hists) == LEVELS
 
     def test_mass_conservation(self, toy_feature_records):
         hists = build_histograms(toy_feature_records, 10)
-        for hist in hists:
+        for at, bins in hists.items():
             expected = sum(1 for _, level, _
                            in feature_rows(toy_feature_records)
-                           if level is hist.level)
-            assert sum(hist.bins.values()) == expected
+                           if level is at)
+            assert sum(bins.values()) == expected
 
     def test_uniformly_lower_counts_land_in_lower_bins(self, toy_feature_records):
-        hists = {h.level: h for h in build_histograms(toy_feature_records, 10)}
-        assert max(hists[BlurLevel.MB3].bins) < min(hists[BlurLevel.MB0].bins)
+        hists = build_histograms(toy_feature_records, 10)
+        assert max(hists[BlurLevel.MB3]) < min(hists[BlurLevel.MB0])
 
     @given(st.lists(st.tuples(st.sampled_from(LEVELS), st.integers(0, 120)),
                     max_size=60),
@@ -158,16 +158,18 @@ class TestHistograms:
         records = feature_counts((f"i{k}", level, count)
                                  for k, (level, count) in enumerate(pairs))
         hists = build_histograms(records, bin_width)
-        assert sum(sum(h.bins.values()) for h in hists) == len(records)
-        for hist in hists:
-            assert all(count >= 0 for count in hist.bins.values())
+        assert sum(sum(bins.values()) for bins in hists.values()) == len(records)
+        assert list(hists) == sorted(hists)
+        for bins in hists.values():
+            assert list(bins) == sorted(bins)
+            assert all(count >= 0 for count in bins.values())
 
 
 def mean_count(records, level):
     """Mean feature count at `level`, read back from the bin-width-1
     histogram, whose bin index is the count itself."""
-    (hist,) = [h for h in build_histograms(records, 1) if h.level is level]
-    return sum(i * n for i, n in hist.bins.items()) / sum(hist.bins.values())
+    bins = build_histograms(records, 1)[level]
+    return sum(i * n for i, n in bins.items()) / sum(bins.values())
 
 
 class TestMeanFeatureCount:
@@ -200,17 +202,17 @@ class TestRendering:
     def test_deterministic(self):
         assert render_score_table(VIZWIZ_TABLE, "markdown") == \
             render_score_table(VIZWIZ_TABLE, "markdown")
-        hists = build_histograms(
-            feature_counts([("a", BlurLevel.MB1, 7)]), 10)
-        assert render_histograms(hists) == render_histograms(hists)
+        bins = build_histograms(
+            feature_counts([("a", BlurLevel.MB1, 7)]), 10)[BlurLevel.MB1]
+        assert render_histograms(BlurLevel.MB1, bins, 10) == \
+            render_histograms(BlurLevel.MB1, bins, 10)
 
     def test_empty_histograms_header_only(self):
-        text = render_histograms([])
+        text = render_histograms(BlurLevel.MB0, {}, 10)
         assert text == "level,bin_width,bin_index,bin_start,bin_end,image_count\n"
 
     def test_histogram_csv_rows(self):
-        hist = FeatureHistogram(BlurLevel.MB2, 10, {3: 2, 1: 1})
-        text = render_histograms([hist])
+        text = render_histograms(BlurLevel.MB2, {3: 2, 1: 1}, 10)
         lines = text.splitlines()
         assert lines[1] == "MB2,10,1,10,20,1"  # bins sorted ascending
         assert lines[2] == "MB2,10,3,30,40,2"
