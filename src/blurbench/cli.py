@@ -16,10 +16,10 @@ scale) is one ``_SETTINGS`` entry, its converter and default; its flag is
 default, and all text goes through the converter, whichever one wins: a
 bad flag is a usage error (exit 2), a bad config or environment value one
 ``error:`` line (exit 1), as is an unknown or repeated config key. Text
-out of range (an empty ``out``, a ``bin_width`` below 1, a metric setting
-``CiderConfig`` rejects) is bad text. Every ``cmd_*`` reads the resolved
-settings from ``args``. The effective seed is echoed in every output
-header. All files are written atomically.
+out of range (a ``seed`` outside [0, 2**64), an empty ``out``, a
+``bin_width`` below 1, a metric setting ``CiderConfig`` rejects) is bad
+text. Every ``cmd_*`` reads the resolved settings from ``args``; the
+seed is echoed in every output header; all files are written atomically.
 
 ``blur`` on a directory skips files named like its own outputs
 (``<stem>.MB0``..``<stem>.MB3`` plus the extension), so rerunning it with
@@ -76,10 +76,17 @@ def _out_directory(text: str) -> Path:
     return Path(text)
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if not 0 <= seed < 2 ** 64:  # the hash key is the seed's 8 bytes
+        raise ValueError(f"seed must be in [0, 2**64), not {seed}")
+    return seed
+
+
 #: Setting name (its config key) -> (converter of its flag, config-file or
 #: environment text, which raises ValueError; default).
 _SETTINGS = {
-    "seed": (int, 0),
+    "seed": (_seed, 0),
     "technique": (lambda text: parse_technique(text).value, "No-Aug"),
     "out": (_out_directory, Path(".")),
     "bin_width": (lambda text: check_bin_width(int(text)), 10),
@@ -186,15 +193,12 @@ def cmd_blur(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    keys = []
-    for number, line in enumerate(
-            args.keys.read_bytes().decode("utf-8").split("\n"), 1):
-        key = line.strip()
-        if "\r" in key:
-            raise ValueError(f"{args.keys} line {number}: key holds a carriage "
-                             "return; lines must end in \\n or \\r\\n")
-        if key:
-            keys.append(key)
+    lines = args.keys.read_bytes().decode("utf-8").split("\n")
+    keys = list(filter(None, map(str.strip, lines)))
+    if "\r" in "".join(keys):
+        number = next(n for n, line in enumerate(lines, 1) if "\r" in line.strip())
+        raise ValueError(f"{args.keys} line {number}: key holds a carriage "
+                         "return; lines must end in \\n or \\r\\n")
     plan = technique_plan(args.technique)
     manifest = plan_dataset(keys, plan, args.seed)
     target = args.out / "manifest.jsonl"

@@ -10,19 +10,21 @@ captioner-stage schedule, listed once in `_TECHNIQUE_SCHEDULES`:
     ObjDet-Cap-Aug  detector [0.8, 0.1, 0.1, 0]  captioner [0.5, 0.2, 0.2, 0.1]
 
 Level draws are a pure function of (seed, sample key, stage): the key is
-hashed with BLAKE2b-64 (seed as the hash key, stage as personalization)
-and the top 53 bits are the draw d, read as the uniform number
-u = d * 2**-53 in [0, 1). The level is the first one whose running float
-CDF sum c satisfies u <= c, so a tie goes to the lower level. In
+hashed with BLAKE2b-64 (seed mod 2**64 as the hash key, stage as
+personalization) and the top 53 bits are the draw d, read as the uniform
+number u = d * 2**-53 in [0, 1). The level is the first one whose running
+float CDF sum c satisfies u <= c, so a tie goes to the lower level. In
 integers: u <= c exactly when d <= floor(c * 2**53), so a schedule holds
-that bound per level (capped at 2**53, which keeps the bounds sorted when
-a partial sum rounds past 1) and the draw takes the first level whose
-bound is >= d (`Schedule.level_indices`). Every bound from the highest
-level with mass onward is 2**53, so a draw above a float CDF that falls
-short of 1 lands on that level. No RNG stream is involved, so assignments
-are independent of iteration order and stable across platforms. A plan
-keys one hasher per stage and copies it for each sample key; a schedule
-whose lowest bound is 2**53 puts every draw on MB0, so it hashes nothing.
+that bound per level, capped at 2**53 (which keeps the bounds sorted when
+a partial sum rounds past 1) and 2**53 from the highest level with mass
+onward (so a draw above a float CDF that falls short of 1 lands there).
+On the 8-byte digest g, d <= bound exactly when g < (bound + 1) << 11, so
+the level is the count of these limits, as 8 big-endian bytes, that are
+<= g (`Schedule.level_indices`); a bound of 2**53 - 1 or more, which no
+draw exceeds, has no limit. No RNG stream is involved, so assignments do
+not depend on iteration order or platform. A plan encodes each key once
+and copies one keyed hasher per stage for each key; a schedule with no
+limits puts every draw on MB0, so it hashes nothing.
 
 A manifest is JSON lines: a header object, then one object per entry.
 In memory its entries are three columns: the keys, and one byte each for
@@ -39,12 +41,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from itertools import accumulate
-from typing import Iterable, Iterator
+from itertools import accumulate, chain, repeat
+from json.encoder import encode_basestring_ascii
+from operator import eq, getitem
+from typing import Iterable
 
 from .imaging import LEVEL_BY_NAME, BlurLevel
 
@@ -72,11 +76,12 @@ class Schedule:
     The one home of a schedule's checks: entries lie in [0, 1] and sum to
     1 within 1e-9. They are stored rescaled so the CDF ends at 1; rescaling
     twice can change them, so build a schedule from literals only. `bounds`
-    holds the integer CDF bounds of the module docstring, one per level.
+    and `limits` hold the module docstring's CDF bounds and digest limits.
     """
 
     probs: tuple[float, float, float, float]
     bounds: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    limits: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = tuple(float(p) for p in self.probs)
@@ -94,11 +99,14 @@ class Schedule:
                        for k, c in enumerate(accumulate(probs)))
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "limits", tuple(
+            (bound + 1 << 11).to_bytes(8, "big") for bound in bounds
+            if bound < _DRAWS - 1))
 
-    def level_indices(self, draws: Iterable[int]) -> bytes:
-        """The level index of each 53-bit draw: the first level whose
-        bound is >= the draw."""
-        return bytes(map(partial(bisect_left, self.bounds), draws))
+    def level_indices(self, digests: Iterable[bytes]) -> bytes:
+        """The level index of each 8-byte digest: the first level whose
+        bound is >= its draw, the count of limits <= the digest."""
+        return bytes(map(partial(bisect_right, self.limits), digests))
 
 
 NO_AUG_SCHEDULE = Schedule((1.0, 0.0, 0.0, 0.0))
@@ -148,27 +156,26 @@ def technique_plan(name: str) -> TechniquePlan:
     return TechniquePlan(parse_technique(name))
 
 
-def _draw_levels(sample_keys: list[str], schedule: Schedule, seed: int,
+def _draw_levels(encoded_keys: list[bytes], schedule: Schedule, seed: int,
                  stage: str) -> bytes:
-    """The level index of each key by the module docstring's rule."""
+    """The level index of each UTF-8 key by the module docstring's rule."""
     hasher = hashlib.blake2b(digest_size=8,
                              key=(seed & _U64).to_bytes(8, "big"),
                              person=stage.encode("utf-8"))
-    if schedule.bounds[0] == _DRAWS:  # every draw lands on the lowest level
-        "".join(sample_keys).encode("utf-8")  # fails as a hashed key would
-        return bytes(len(sample_keys))
-    draws = []
-    for key in sample_keys:
+    if not schedule.limits:  # every draw lands on the lowest level
+        return bytes(len(encoded_keys))
+
+    def digest(key: bytes) -> bytes:
         keyed = hasher.copy()
-        keyed.update(key.encode("utf-8"))
-        draws.append(int.from_bytes(keyed.digest(), "big") >> 11)
-    return schedule.level_indices(draws)
+        keyed.update(key)
+        return keyed.digest()
+    return schedule.level_indices(map(digest, encoded_keys))
 
 
 def sample_level(sample_key: str, schedule: Schedule, seed: int,
                  stage: str = "") -> BlurLevel:
     """Draw a blur level for a sample key by the module docstring's rule."""
-    return _LEVELS[_draw_levels([sample_key], schedule, seed, stage)[0]]
+    return _LEVELS[_draw_levels([sample_key.encode()], schedule, seed, stage)[0]]
 
 
 @dataclass(frozen=True)
@@ -207,18 +214,18 @@ def plan_dataset(sample_keys: Iterable[str], plan: TechniquePlan,
     duplicate keys are rejected.
     """
     keys = sorted(sample_keys)
-    duplicates = sorted({a for a, b in zip(keys, keys[1:]) if a == b})
-    if duplicates:
+    if any(map(eq, keys, keys[1:])):
+        duplicates = sorted({a for a, b in zip(keys, keys[1:]) if a == b})
         raise ValueError(f"duplicate sample keys: {duplicates}")
+    encoded = list(map(str.encode, keys))  # UTF-8: fails under every technique
     width = len(_STAGES)
-    key_column = [""] * (width * len(keys))
-    levels = bytearray(len(key_column))
+    levels = bytearray(width * len(keys))
     for index, stage in enumerate(_STAGES):
-        key_column[index::width] = keys
-        levels[index::width] = _draw_levels(keys, plan.schedule_for(stage),
+        levels[index::width] = _draw_levels(encoded, plan.schedule_for(stage),
                                             seed, stage.value)
-    return AugmentationManifest(seed, plan, tuple(key_column),
-                                bytes(range(width)) * len(keys), bytes(levels))
+    return AugmentationManifest(
+        seed, plan, tuple(chain.from_iterable(zip(*[keys] * width))),
+        bytes(range(width)) * len(keys), bytes(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +234,9 @@ def plan_dataset(sample_keys: Iterable[str], plan: TechniquePlan,
 # ---------------------------------------------------------------------------
 
 #: What follows the key on an entry line, by stage index then level index:
-#: the text `json.dumps` gives for the rest of the record.
+#: the text `json.dumps` gives for the rest of the record, and the line end.
 _ENTRY_TAILS = tuple(
-    tuple(f', "stage": "{stage.value}", "level": "{level.name}"}}'
+    tuple(f', "stage": "{stage.value}", "level": "{level.name}"}}\n'
           for level in BlurLevel) for stage in Stage)
 #: Lines per bulk parse in `read_manifest`: few enough that a chunk's
 #: joined text and records stay small beside the manifest text.
@@ -241,23 +248,12 @@ def write_manifest(manifest: AugmentationManifest) -> str:
     for stage in Stage:
         header[f"{stage.value}_schedule"] = list(
             manifest.plan.schedule_for(stage).probs)
-    lines = [json.dumps(header)]
-    lines += _entry_lines(manifest.keys, manifest.stages, manifest.levels)
-    lines.append("")  # the text ends in a line end, with no copy to add it
-    return "\n".join(lines)
-
-
-def _entry_lines(keys: Iterable[str], stages: bytes,
-                 levels: bytes) -> Iterator[str]:
-    """The entry line of each (key, stage index, level index): the
-    `json.dumps` text of its record, from one `json.dumps` per run of
-    equal keys."""
-    previous = None
-    for key, stage, level in zip(keys, stages, levels):
-        if key != previous:
-            head = f'{{"sample_key": {json.dumps(key)}'
-            previous = key
-        yield head + _ENTRY_TAILS[stage][level]
+    tails = map(getitem, map(_ENTRY_TAILS.__getitem__, manifest.stages),
+                manifest.levels)
+    lines = zip(repeat('{"sample_key": '),
+                map(encode_basestring_ascii, manifest.keys), tails)
+    return "".join(chain((json.dumps(header), "\n"),
+                         chain.from_iterable(lines)))
 
 
 def read_manifest(text: str) -> AugmentationManifest:

@@ -48,7 +48,9 @@ def write_corpus(tmp_path, captions_by_image, predictions):
 #: setting -> (command that reads it, good text, {bad text: part of the
 #: error line that a flag or a config line with the bad text gives})
 SETTING_CASES = {
-    "seed": ("plan", "7", {"seven": "'seven'"}),
+    "seed": ("plan", "7", {"seven": "'seven'",
+                           "-1": "seed must be in [0, 2**64), not -1",
+                           "18446744073709551616": "seed must be in [0, 2**64)"}),
     "technique": ("score", "objdet-cap-aug", {"MegaAug": "'MegaAug'"}),
     "out": ("plan", "elsewhere", {"": "out must not be empty"}),
     "bin_width": ("report", "7", {"wide": "'wide'",
@@ -246,13 +248,23 @@ class TestPlanCommand:
         assert "line 2" in err[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("technique", [t.value for t in Technique])
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_manifest_matches_golden(self, tmp_path, data_dir, technique, seed):
+    @pytest.mark.parametrize("keys,seed,technique,golden", [
+        *(pytest.param("toy_keys.txt", seed, technique.value,
+                       f"{technique.value}_seed{seed}.jsonl",
+                       id=f"{seed}-{technique.value}")
+          for seed in (0, 7) for technique in Technique),
+        # keys holding a quote, a backslash, a tab, DEL, a brace and
+        # non-ASCII text, U+2028 included
+        pytest.param("odd_keys.txt", 7, "ObjDet-Cap-Aug",
+                     "odd_keys_ObjDet-Cap-Aug_seed7.jsonl",
+                     id="7-ObjDet-Cap-Aug-odd_keys"),
+    ])
+    def test_manifest_matches_golden(self, tmp_path, data_dir, keys, seed,
+                                     technique, golden):
         out = tmp_path / "out"
-        assert run("--seed", seed, "--out", out, "plan",
-                   data_dir / "toy_keys.txt", "--technique", technique) == 0
-        golden = data_dir / "manifest_golden" / f"{technique}_seed{seed}.jsonl"
+        assert run("--seed", seed, "--out", out, "plan", data_dir / keys,
+                   "--technique", technique) == 0
+        golden = data_dir / "manifest_golden" / golden
         assert (out / "manifest.jsonl").read_bytes() == golden.read_bytes()
 
     def test_seed_precedence(self, tmp_path, monkeypatch):
@@ -760,6 +772,10 @@ class TestConfigFile:
     def test_env_seed_checked_like_flag(self, tmp_path, monkeypatch, capsys):
         keys = tmp_path / "keys.txt"
         keys.write_text("a\n")
-        monkeypatch.setenv("BLURBENCH_SEED", "seven")
-        assert run("--out", tmp_path / "out", "plan", keys) == 1
-        assert len(capsys.readouterr().err.splitlines()) == 1
+        for text, named in SETTING_CASES["seed"][2].items():
+            monkeypatch.setenv("BLURBENCH_SEED", text)
+            assert run("--out", tmp_path / "out", "plan", keys) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert named in err[0]
+            assert not (tmp_path / "out").exists()

@@ -6,7 +6,7 @@ from collections import Counter
 from itertools import accumulate
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import blurbench.schedule as schedule_mod
@@ -30,8 +30,14 @@ from oracles import draw53, level_by_float_walk
 
 
 def level_at(schedule, draw):
-    """The level `schedule` gives one 53-bit draw."""
-    return tuple(BlurLevel)[schedule.level_indices([draw])[0]]
+    """The level `schedule` gives one 53-bit draw, which must be the level
+    of both the lowest and the highest 8-byte digest whose top 53 bits are
+    that draw."""
+    low, high = ((draw << 11 | low_bits).to_bytes(8, "big")
+                 for low_bits in (0, 2**11 - 1))
+    lowest, highest = schedule.level_indices([low, high])
+    assert lowest == highest, draw
+    return tuple(BlurLevel)[lowest]
 
 
 class TestValidateSchedule:
@@ -147,6 +153,12 @@ def _schedules(draw):
 #: the top, while MB3 still has mass.
 _PARTIAL_SUM_PAST_ONE = Schedule((0.8375779756625729, 0.1624220244503358,
                                   0.0, 1e-17))
+#: Stored as (0.0, 0.5209749105019187, 0.4790250894980812,
+#: 2.909383916664344e-309): the partial sum up to MB2 is 1 - 2**-53, so the
+#: MB2 bound is 2**53 - 1, the largest draw, whose digest limit would be
+#: 2**64 and does not fit 8 bytes.
+_CDF_FLOORS_TO_LAST_DRAW = Schedule((0.0, 0.5209749105019189,
+                                     0.4790250894980814, 2.909383916664344e-309))
 
 
 class TestDrawMatchesFloatWalk:
@@ -157,11 +169,14 @@ class TestDrawMatchesFloatWalk:
         shortfall = Schedule((0.2, 0.4, 0.3, 0.1))
         assert list(accumulate(shortfall.probs))[-1] == 1.0 - 2.0**-52
         assert list(accumulate(_PARTIAL_SUM_PAST_ONE.probs))[1] > 1.0
+        assert _CDF_FLOORS_TO_LAST_DRAW.probs == (
+            0.0, 0.5209749105019187, 0.4790250894980812, 2.909383916664344e-309)
+        assert _CDF_FLOORS_TO_LAST_DRAW.bounds[2] == 2**53 - 1
 
     @pytest.mark.parametrize("schedule", [
         NO_AUG_SCHEDULE, DETECTOR_AUG_SCHEDULE, CAPTIONER_AUG_SCHEDULE,
         Schedule((0.25, 0.25, 0.25, 0.25)), Schedule((0.2, 0.4, 0.3, 0.1)),
-        _PARTIAL_SUM_PAST_ONE,
+        _PARTIAL_SUM_PAST_ONE, _CDF_FLOORS_TO_LAST_DRAW,
     ], ids=repr)
     def test_at_every_bound(self, schedule):
         draws = {bound + step for bound in schedule.bounds for step in (0, 1)}
@@ -170,19 +185,27 @@ class TestDrawMatchesFloatWalk:
                 assert level_at(schedule, draw) == \
                     level_by_float_walk(schedule.probs, draw), draw
 
-    @given(_schedules(), st.data())
+    @given(_schedules(), st.integers(0, 3), st.integers(-2, 2),
+           st.one_of(st.none(), st.integers(0, 2**53 - 1)))
+    @example(_CDF_FLOORS_TO_LAST_DRAW, 2, 0, None)  # the largest draw
+    @example(_CDF_FLOORS_TO_LAST_DRAW, 2, -1, None)
+    @example(_CDF_FLOORS_TO_LAST_DRAW, 1, 0, None)
+    @example(_CDF_FLOORS_TO_LAST_DRAW, 1, 1, None)
+    @example(_CDF_FLOORS_TO_LAST_DRAW, 0, 0, None)  # draw 0, the bound of empty MB0
     @settings(max_examples=300)
-    def test_any_draw(self, schedule, data):
-        near_bound = st.sampled_from(schedule.bounds).flatmap(
-            lambda bound: st.integers(bound - 2, bound + 2))
-        draw = data.draw(st.one_of(st.integers(0, 2**53 - 1), near_bound)
-                         .filter(lambda d: 0 <= d < 2**53))
+    def test_any_draw(self, schedule, level, step, uniform):
+        """A draw at or near one of the bounds, or anywhere (`uniform`)."""
+        draw = schedule.bounds[level] + step if uniform is None else uniform
+        assume(0 <= draw < 2**53)
         assert level_at(schedule, draw) == \
             level_by_float_walk(schedule.probs, draw)
 
     @given(_schedules(), st.text(max_size=20),
            st.one_of(st.integers(0, 2**64 - 1), st.integers(-(2**70), 2**70)),
            st.sampled_from(["", *(stage.value for stage in Stage)]))
+    @example(_CDF_FLOORS_TO_LAST_DRAW, "", 0, "")
+    @example(_CDF_FLOORS_TO_LAST_DRAW, "img00", 2**64 - 1, "detector")
+    @example(_CDF_FLOORS_TO_LAST_DRAW, "caf\u00e9", -1, "captioner")
     @settings(max_examples=300)
     def test_sample_level(self, schedule, key, seed, stage):
         expected = level_by_float_walk(schedule.probs,
