@@ -352,7 +352,8 @@ class TestAccumulatorBounds:
 
 
 class TestBlurBands:
-    """`apply_blur` blurs in row bands of about `_BAND_BYTES` of input."""
+    """`apply_blur` blurs in row bands of about `_BAND_BYTES` of input and
+    at least `_BAND_FLOOR` kernel heights."""
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -362,8 +363,10 @@ class TestBlurBands:
         channels = data.draw(st.sampled_from([1, 3]), label="channels")
         kw = data.draw(st.integers(1, width), label="kw")
         kh = data.draw(st.integers(1, height), label="kh")
-        # 0: a one-byte budget, so every band is the kh-row minimum
+        # 0: a one-byte budget, so with a floor of 1 every band is the
+        # kh-row minimum
         rows = data.draw(st.sampled_from([0, 1, 2, 3, 5]), label="rows")
+        floor = data.draw(st.sampled_from([1, 2, 4]), label="floor")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         img = random_image(np.random.default_rng(seed),
                            width, height, channels)
@@ -371,6 +374,7 @@ class TestBlurBands:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(imaging, "_BAND_BYTES",
                        max(1, rows * width * channels))
+            mp.setattr(imaging, "_BAND_FLOOR", floor)
             out = apply_blur(img, kernel)
         assert np.array_equal(out.samples, blur_windows(img.samples, kw, kh))
         if width * height * kw * kh <= 4096:
@@ -394,3 +398,15 @@ class TestBlurBands:
                 tracemalloc.stop()
         extra_output = (5600 - 1400) * width * channels
         assert peaks[1] - peaks[0] <= 1.25 * extra_output
+
+    def test_mb3_640x480_rgb_window_sums_stay_band_sized(self):
+        """One band over the whole raster would hold its uint32 column sums,
+        4 bytes per sample, beside the output; bands hold far less."""
+        img = random_image(np.random.default_rng(7), 640, 480, 3)
+        tracemalloc.start()
+        try:
+            out = apply_blur(img, make_kernel(BlurLevel.MB3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.samples.nbytes < 4 * img.samples.nbytes
