@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, islice
 from types import SimpleNamespace
+from typing import NoReturn
 
 from .imaging import LEVEL_BY_NAME, BlurLevel
 
@@ -272,12 +273,12 @@ def parse_feature_counts(document: bytes) -> FeatureCounts:
                == levels.count(level) for level in set(levels)):
             return FeatureCounts(tuple(image_ids), levels, tuple(
                 map(value_of.__getitem__, count_tokens)))
-    return _parse_feature_rows(*columns)
+    _raise_first_bad_row(*columns)
 
 
-def _parse_feature_rows(image_ids: list[str], level_tokens: list[str],
-                        count_tokens: list[str]) -> FeatureCounts:
-    """`parse_feature_counts` row by row, raising the first bad row's error."""
+def _raise_first_bad_row(image_ids: list[str], level_tokens: list[str],
+                         count_tokens: list[str]) -> NoReturn:
+    """Raise the first bad row's error in a table the column checks rejected."""
     seen: set[tuple[str, BlurLevel]] = set()
     for image_id, level_token, count_token in zip(
             image_ids, level_tokens, count_tokens):
@@ -291,9 +292,6 @@ def _parse_feature_rows(image_ids: list[str], level_tokens: list[str],
             raise ParseError(f"duplicate feature count for image {image_id!r} "
                              f"at {level.name}")
         seen.add((image_id, level))
-    return FeatureCounts(tuple(image_ids),
-                         bytes(map(LEVEL_BY_NAME.__getitem__, level_tokens)),
-                         tuple(map(_count, count_tokens)))
 
 
 def serialize_feature_counts(features: FeatureCounts) -> bytes:

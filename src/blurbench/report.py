@@ -4,7 +4,9 @@ Scores are carried at full precision and rounded to one decimal only when
 rendered. Degradation deltas (baseline MB0 score minus blurred score) are
 computed on those rendered one-decimal values, in exact tenths, so the
 published-style headline numbers come out exactly rather than off by a
-float ulp. Deltas come as `{technique: {level: delta}}` and histograms as
+float ulp. A score table comes as `{technique: {column: score}}`, whose
+columns are every `BlurLevel` and, for the MB0 score of a flag subset, any
+`BlurFlag`. Deltas come as `{technique: {level: delta}}` and histograms as
 `{level: {bin index: images}}`, in level and bin order; the bin width is
 the caller's setting, not a part of the histogram.
 """
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from decimal import Decimal
 
 from .imaging import BlurLevel
@@ -24,34 +25,15 @@ from .schedule import Technique
 FORMATS = ("markdown", "csv")
 #: Header of the scores CSV that `score` writes and `report` reads.
 SCORES_HEADER = ["technique", "level", "score"]
+#: A score table, `{technique: {column: score}}`
+Scores = dict[str, dict[BlurLevel | BlurFlag, float]]
 #: Markdown cell escapes, so that no pipe or line break ends a cell or a row
 _CELL = str.maketrans({"\\": "\\\\", "|": "\\|", "\r": "<br>", "\n": "<br>"})
 
 #: Markdown heading of each flag subset's column: `with_blur` -> `With blur`.
 _HEADING = {f: f.value.replace("_", " ").capitalize() for f in BlurFlag}
-
-
-@dataclass
-class ScoreRow:
-    technique: str
-    scores: dict[BlurLevel, float]
-    #: MB0 score of each flag subset the row carries
-    subsets: dict[BlurFlag, float] = field(default_factory=dict)
-
-
-@dataclass
-class ScoreTable:
-    rows: list[ScoreRow] = field(default_factory=list)
-
-    def __post_init__(self):
-        techniques = [row.technique for row in self.rows]
-        if len(set(techniques)) != len(techniques):
-            raise ValueError(f"repeated techniques in {techniques}")
-        for row in self.rows:
-            missing = [l.name for l in BlurLevel if l not in row.scores]
-            if missing:
-                raise ValueError(
-                    f"row {row.technique!r} lacks levels: {missing}")
+#: Scores CSV level token of each column: level names, then flag values.
+_TOKEN = {**{l: l.name for l in BlurLevel}, **{f: f.value for f in BlurFlag}}
 
 
 def _tenths(value: float) -> int:
@@ -63,26 +45,26 @@ def _fmt(value: float) -> str:
     return f"{value:.1f}"
 
 
-def degradation_deltas(table: ScoreTable) -> dict[str, dict[BlurLevel, float]]:
+def degradation_deltas(table: Scores) -> dict[str, dict[BlurLevel, float]]:
     """MB0 score minus per-level score, on one-decimal rendered values."""
     deltas = {}
-    for row in table.rows:
-        base = _tenths(row.scores[BlurLevel.MB0])
-        deltas[row.technique] = {
-            level: (base - _tenths(row.scores[level])) / 10.0
+    for technique, scores in table.items():
+        base = _tenths(scores[BlurLevel.MB0])
+        deltas[technique] = {
+            level: (base - _tenths(scores[level])) / 10.0
             for level in BlurLevel}
     return deltas
 
 
-def degradation_warnings(table: ScoreTable) -> list[str]:
+def degradation_warnings(table: Scores) -> list[str]:
     """Rows where the score rises with blur intensity (suspicious, not fatal)."""
     warnings = []
-    for row in table.rows:
+    for technique, scores in table.items():
         for prev, cur in zip(BlurLevel, list(BlurLevel)[1:]):
-            if row.scores[cur] > row.scores[prev]:
+            if scores[cur] > scores[prev]:
                 warnings.append(
-                    f"{row.technique}: score rises {prev.name}->{cur.name} "
-                    f"({_fmt(row.scores[prev])} -> {_fmt(row.scores[cur])})")
+                    f"{technique}: score rises {prev.name}->{cur.name} "
+                    f"({_fmt(scores[prev])} -> {_fmt(scores[cur])})")
     return warnings
 
 
@@ -109,14 +91,14 @@ def build_histograms(features: FeatureCounts,
 # Scores CSV (cmd_score output / cmd_report input)
 # ---------------------------------------------------------------------------
 
-def parse_scores_csv(text: str) -> ScoreTable:
-    """Read `technique,level,score` rows into a table.
+def parse_scores_csv(text: str) -> Scores:
+    """Read `technique,level,score` rows into a score table.
 
     The text is read by `ingest.read_csv`. A level may also be a `BlurFlag`
     value, for the MB0 score of that flag subset. Known techniques come
     out in canonical order, everything else in first-appearance order.
     """
-    by_technique: dict[str, ScoreRow] = {}
+    table: Scores = {}
     for raw in map(list, zip(*read_csv(text, SCORES_HEADER))):
         technique, level_token, score_token = raw
         try:
@@ -125,30 +107,22 @@ def parse_scores_csv(text: str) -> ScoreTable:
             raise ParseError(f"bad score {score_token!r}") from None
         if not math.isfinite(score):
             raise ParseError(f"non-finite score in row {raw!r}")
-        row = by_technique.setdefault(technique, ScoreRow(technique, {}))
-        flag = FLAG_BY_VALUE.get(level_token)
-        if flag is not None:
-            if flag in row.subsets:
-                raise ParseError(
-                    f"duplicate {level_token} score for {technique!r}")
-            row.subsets[flag] = score
-            continue
-        level = parse_level(level_token)
-        if level in row.scores:
+        scores = table.setdefault(technique, {})
+        column = FLAG_BY_VALUE.get(level_token) or parse_level(level_token)
+        if column in scores:
             raise ParseError(
-                f"duplicate score for {technique!r} at {level.name}")
-        row.scores[level] = score
+                f"duplicate {level_token} score for {technique!r}"
+                if isinstance(column, BlurFlag) else
+                f"duplicate score for {technique!r} at {column.name}")
+        scores[column] = score
 
-    canonical = [t.value for t in Technique]
-    ordered = sorted(
-        by_technique.values(),
-        key=lambda r: (canonical.index(r.technique)
-                       if r.technique in canonical else len(canonical)),
-    )
-    try:
-        return ScoreTable(ordered)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    rank = {t.value: i for i, t in enumerate(Technique)}
+    ordered = sorted(table, key=lambda t: rank.get(t, len(rank)))
+    for technique in ordered:
+        missing = [l.name for l in BlurLevel if l not in table[technique]]
+        if missing:
+            raise ParseError(f"row {technique!r} lacks levels: {missing}")
+    return {technique: table[technique] for technique in ordered}
 
 
 # ---------------------------------------------------------------------------
@@ -171,20 +145,18 @@ def _render(header: list[str], rows: list[list], format: str) -> str:
     return "".join("| " + " | ".join(line) + " |\n" for line in cells)
 
 
-def render_score_table(table: ScoreTable, format: str = "markdown") -> str:
+def render_score_table(table: Scores, format: str = "markdown") -> str:
     if format == "csv":
-        rows = []
-        for r in table.rows:
-            rows += [[r.technique, l.name, _fmt(r.scores[l])] for l in BlurLevel]
-            rows += [[r.technique, f.value, _fmt(r.subsets[f])]
-                     for f in BlurFlag if f in r.subsets]
-        return _render(SCORES_HEADER, rows, format)
-    flags = list(BlurFlag) if any(r.subsets for r in table.rows) else []
+        return _render(SCORES_HEADER, [
+            [t, token, _fmt(scores[column])] for t, scores in table.items()
+            for column, token in _TOKEN.items() if column in scores], format)
+    flags = (list(BlurFlag) if any(f in scores for scores in table.values()
+                                   for f in BlurFlag) else [])
     header = ["Training approach", *(l.name for l in BlurLevel),
               *(_HEADING[f] for f in flags)]
-    rows = [[r.technique, *(_fmt(r.scores[l]) for l in BlurLevel),
-             *(_fmt(r.subsets[f]) if f in r.subsets else "" for f in flags)]
-            for r in table.rows]
+    rows = [[t, *(_fmt(scores[l]) for l in BlurLevel),
+             *(_fmt(scores[f]) if f in scores else "" for f in flags)]
+            for t, scores in table.items()]
     return _render(header, rows, format)
 
 
@@ -199,15 +171,15 @@ def render_deltas(deltas: dict[str, dict[BlurLevel, float]],
                     for t, by_level in deltas.items()], format)
 
 
-def render_subset_table(table: ScoreTable, format: str = "markdown") -> str:
+def render_subset_table(table: Scores, format: str = "markdown") -> str:
     """One column per flag subset; every row must carry all of them."""
-    incomplete = [r.technique for r in table.rows if len(r.subsets) < len(BlurFlag)]
+    incomplete = [t for t, s in table.items() if any(f not in s for f in BlurFlag)]
     if incomplete:
         raise ValueError(f"rows without subset scores: {incomplete}")
     header = (["technique", *(f.value for f in BlurFlag)] if format == "csv"
               else ["Training approach", *_HEADING.values()])
-    return _render(header, [[r.technique, *(_fmt(r.subsets[f]) for f in BlurFlag)]
-                            for r in table.rows], format)
+    return _render(header, [[t, *(_fmt(scores[f]) for f in BlurFlag)]
+                            for t, scores in table.items()], format)
 
 
 def render_histograms(level: BlurLevel, bins: dict[int, int], bin_width: int) -> str:

@@ -128,6 +128,18 @@ class TestBlurCommand:
             run("blur", tmp_path, "--levels", "MB8")
         assert excinfo.value.code == 2
 
+    def test_empty_level_list_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run("blur", tmp_path, "--levels", ",")
+        assert excinfo.value.code == 2
+        assert "no blur levels given" in capsys.readouterr().err
+
+    def test_missing_input_fails_and_writes_nothing(self, tmp_path, capsys):
+        missing, out = tmp_path / "absent.ppm", tmp_path / "out"
+        assert run("--out", out, "blur", missing) == 1
+        assert capsys.readouterr() == ("", f"error: no such input {missing}\n")
+        assert not out.exists()
+
     def test_peak_grows_with_one_variant(self, tmp_path, monkeypatch):
         """A level's variant is dropped before the next level blurs:
         quadrupling the height adds at most 2.5x the extra image bytes.
@@ -429,6 +441,21 @@ class TestScoreCommand:
         assert "No-Aug,with_blur," in text
         assert "No-Aug,no_blur," in text
 
+    def test_empty_flag_subset_skipped(self, tmp_path, data_dir, toy_dataset,
+                                       capsys):
+        flags = tmp_path / "flags.csv"
+        flags.write_text("image_id,flag\n" + "".join(
+            f"{i},with_blur\n" for i in toy_dataset.image_ids()))
+        out = tmp_path / "out"
+        assert run("--out", out, "score", data_dir / "toy_captions.json",
+                   data_dir / "toy_predictions.json", "--flags", flags) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: no images flagged no_blur; subset row skipped"]
+        rows = dict(line.split(",")[1:] for line in
+                    (out / "scores.csv").read_text().splitlines()[2:])
+        assert list(rows) == ["MB0", "MB1", "MB2", "MB3", "with_blur"]
+        assert rows["with_blur"] == rows["MB0"]
+
 
 class TestReportCommand:
     def write_inputs(self, tmp_path, data_dir, subset=True):
@@ -478,6 +505,15 @@ class TestReportCommand:
         assert run("--out", tmp_path / "out", "report", scores, features,
                    "--flags", data_dir / "toy_flags.csv") == 1
         assert "subset" in capsys.readouterr().err
+
+    def test_duplicate_subset_score_fails(self, tmp_path, data_dir, capsys):
+        scores, features = self.write_inputs(tmp_path, data_dir)
+        scores.write_text(scores.read_text() + "Cap-Aug,with_blur,49.5\n")
+        out = tmp_path / "out"
+        assert run("--out", out, "report", scores, features) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: duplicate with_blur score for 'Cap-Aug'"]
+        assert not out.exists()
 
     def test_malformed_scores_fail(self, tmp_path, data_dir):
         scores = tmp_path / "scores.csv"
@@ -624,7 +660,7 @@ class TestReportCommand:
         def refuse(*columns):
             raise AssertionError("valid table parsed row by row")
 
-        monkeypatch.setattr(ingest, "_parse_feature_rows", refuse)
+        monkeypatch.setattr(ingest, "_raise_first_bad_row", refuse)
         scores, features = self.write_inputs(tmp_path, data_dir)
         large = tmp_path / "large.csv"  # several read_csv chunks
         large.write_text("image_id,level,count\n" + "".join(

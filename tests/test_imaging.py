@@ -227,6 +227,14 @@ class TestNetpbm:
         with pytest.raises(FormatError, match="maxval"):
             load_image(b"P6 2 2 254 " + bytes(12))
 
+    @pytest.mark.parametrize("data,message", [
+        (b"P5 2", "truncated header"),
+        (b"P5 0 1 255\n", "non-positive dimensions"),
+        (b"P5 1 1 255", "missing delimiter after maxval")])
+    def test_bad_header_rejected(self, data, message):
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            load_image(data)
+
     def test_header_comments_accepted(self):
         data = b"P5\n# made by hand\n3 1\n255\n" + bytes([9, 8, 7])
         img = load_image(data)

@@ -165,6 +165,11 @@ class TestParsePredictions:
         doc = b'[{"image_id": 7, "blur_level": "MB0", "caption": "a"}]'
         assert parse_predictions(doc) == {("7", BlurLevel.MB0): "a"}
 
+    def test_non_array_document_rejected(self):
+        with pytest.raises(ParseError,
+                           match="^prediction document must be a JSON array$"):
+            parse_predictions(b"{}")
+
     def test_unknown_level_rejected(self):
         doc = b'[{"image_id": "1", "blur_level": "MB9", "caption": "a"}]'
         with pytest.raises(ParseError, match="MB9"):

@@ -1,5 +1,7 @@
 """Degradation tables, histograms, and rendering."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,8 +9,6 @@ from hypothesis import strategies as st
 from blurbench.imaging import BlurLevel
 from blurbench.ingest import BlurFlag, ParseError
 from blurbench.report import (
-    ScoreRow,
-    ScoreTable,
     build_histograms,
     degradation_deltas,
     degradation_warnings,
@@ -24,28 +24,29 @@ LEVELS = list(BlurLevel)
 WITH, WITHOUT = BlurFlag.WITH_BLUR, BlurFlag.NO_BLUR
 
 
-def row(technique, mb0, mb1, mb2, mb3, **kwargs):
-    return ScoreRow(technique, dict(zip(LEVELS, (mb0, mb1, mb2, mb3))), **kwargs)
+def row(mb0, mb1, mb2, mb3, subsets=None):
+    """One technique's scores: `{column: score}`."""
+    return {**dict(zip(LEVELS, (mb0, mb1, mb2, mb3))), **(subsets or {})}
 
 
-COCO_TABLE = ScoreTable([
-    row("No-Aug", 117.1, 111.4, 95.0, 48.4),
-    row("ObjDet-Aug", 116.6, 114.6, 111.7, 100.2),
-    row("Cap-Aug", 116.8, 115.0, 108.8, 85.1),
-    row("ObjDet-Cap-Aug", 117.4, 116.0, 113.4, 105.7),
-])
+COCO_TABLE = {
+    "No-Aug": row(117.1, 111.4, 95.0, 48.4),
+    "ObjDet-Aug": row(116.6, 114.6, 111.7, 100.2),
+    "Cap-Aug": row(116.8, 115.0, 108.8, 85.1),
+    "ObjDet-Cap-Aug": row(117.4, 116.0, 113.4, 105.7),
+}
 
-VIZWIZ_TABLE = ScoreTable([
-    row("No-Aug", 48.8, 47.0, 40.9, 26.4, subsets={WITH: 47.2, WITHOUT: 53.0}),
-    row("ObjDet-Aug", 48.9, 48.1, 45.6, 39.5, subsets={WITH: 47.0, WITHOUT: 53.3}),
-    row("Cap-Aug", 50.0, 49.2, 46.9, 38.2, subsets={WITH: 49.0, WITHOUT: 53.2}),
-    row("ObjDet-Cap-Aug", 50.3, 49.9, 48.1, 43.5, subsets={WITH: 48.9, WITHOUT: 54.1}),
-])
+VIZWIZ_TABLE = {
+    "No-Aug": row(48.8, 47.0, 40.9, 26.4, {WITH: 47.2, WITHOUT: 53.0}),
+    "ObjDet-Aug": row(48.9, 48.1, 45.6, 39.5, {WITH: 47.0, WITHOUT: 53.3}),
+    "Cap-Aug": row(50.0, 49.2, 46.9, 38.2, {WITH: 49.0, WITHOUT: 53.2}),
+    "ObjDet-Cap-Aug": row(50.3, 49.9, 48.1, 43.5, {WITH: 48.9, WITHOUT: 54.1}),
+}
 
 
 def flat_table(names):
-    return ScoreTable([row(n, 40.0, 30.0, 20.0, 10.0,
-                           subsets={WITH: 35.0, WITHOUT: 45.0}) for n in names])
+    return {n: row(40.0, 30.0, 20.0, 10.0, {WITH: 35.0, WITHOUT: 45.0})
+            for n in names}
 
 
 def scores_text(technique):
@@ -80,34 +81,32 @@ class TestDegradationDeltas:
 
     def test_mb0_delta_is_zero(self):
         deltas = degradation_deltas(COCO_TABLE)
-        assert list(deltas) == [r.technique for r in COCO_TABLE.rows]
+        assert list(deltas) == list(COCO_TABLE)
         for by_level in deltas.values():
             assert list(by_level) == LEVELS and by_level[BlurLevel.MB0] == 0.0
 
     def test_flat_row_all_zero(self):
-        table = ScoreTable([row("X", 50.0, 50.0, 50.0, 50.0)])
+        table = {"X": row(50.0, 50.0, 50.0, 50.0)}
         assert degradation_deltas(table) == {"X": dict.fromkeys(LEVELS, 0.0)}
 
     def test_anti_monotone_in_scores(self):
-        lower = degradation_deltas(ScoreTable([row("X", 100.0, 90.0, 80.0, 40.0)]))
-        higher = degradation_deltas(ScoreTable([row("X", 100.0, 90.0, 80.0, 41.0)]))
+        lower = degradation_deltas({"X": row(100.0, 90.0, 80.0, 40.0)})
+        higher = degradation_deltas({"X": row(100.0, 90.0, 80.0, 41.0)})
         assert lower["X"][BlurLevel.MB3] > higher["X"][BlurLevel.MB3]
 
     def test_deltas_use_rendered_precision(self):
         # raw floats that round to 117.1 and 48.4 give exactly 68.7
-        table = ScoreTable([row("X", 117.1049, 111.4, 95.0, 48.3951)])
+        table = {"X": row(117.1049, 111.4, 95.0, 48.3951)}
         assert degradation_deltas(table)["X"][BlurLevel.MB3] == 68.7
 
     def test_missing_level_rejected(self):
-        with pytest.raises(ValueError, match="lacks levels"):
-            ScoreTable([ScoreRow("X", {BlurLevel.MB0: 1.0})])
-
-    def test_repeated_technique_rejected(self):
-        """Deltas are keyed by technique, so a table holds each once."""
-        with pytest.raises(ValueError, match="repeated techniques"):
-            ScoreTable([row("X", 4.0, 3.0, 2.0, 1.0),
-                        row("Y", 4.0, 3.0, 2.0, 1.0),
-                        row("X", 5.0, 4.0, 3.0, 2.0)])
+        """No table without every level reaches the deltas; the error names
+        the first such row in table order, after canonical ordering."""
+        text = ("technique,level,score\nX,MB0,1.0\nX,MB1,1.0\n"
+                "No-Aug,MB0,1.0\nNo-Aug,MB2,1.0\n")
+        with pytest.raises(ParseError, match=re.escape(
+                "row 'No-Aug' lacks levels: ['MB1', 'MB3']")):
+            parse_scores_csv(text)
 
 
 class TestWarnings:
@@ -115,7 +114,7 @@ class TestWarnings:
         assert degradation_warnings(COCO_TABLE) == []
 
     def test_rising_score_warns_not_raises(self):
-        table = ScoreTable([row("X", 50.0, 52.0, 40.0, 30.0)])
+        table = {"X": row(50.0, 52.0, 40.0, 30.0)}
         warnings = degradation_warnings(table)
         assert len(warnings) == 1
         assert "MB0->MB1" in warnings[0]
@@ -220,9 +219,8 @@ class TestRendering:
     def test_csv_round_trips_through_parser(self):
         text = render_score_table(VIZWIZ_TABLE, "csv")
         table = parse_scores_csv(text)
-        assert [r.technique for r in table.rows] == \
-            [r.technique for r in VIZWIZ_TABLE.rows]
-        assert table.rows[0].subsets[WITH] == 47.2
+        assert list(table) == list(VIZWIZ_TABLE)
+        assert table["No-Aug"][WITH] == 47.2
 
     def test_subset_table(self):
         text = render_subset_table(VIZWIZ_TABLE, "markdown")
@@ -263,9 +261,7 @@ class TestRendering:
             with pytest.raises(ParseError, match="NUL"):
                 parse_scores_csv(text)
             return
-        table = parse_scores_csv(text)
-        assert sorted(r.technique for r in table.rows) == sorted(names)
-        assert table.rows == flat_table([r.technique for r in table.rows]).rows
+        assert parse_scores_csv(text) == flat_table(names)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format"):
@@ -285,7 +281,7 @@ class TestParseScoresCsv:
                 "No-Aug,MB2,95.0\n"
                 "No-Aug,MB3,48.4\n")
         table = parse_scores_csv(text)
-        assert [r.technique for r in table.rows] == ["No-Aug", "ObjDet-Cap-Aug"]
+        assert list(table) == ["No-Aug", "ObjDet-Cap-Aug"]
 
     def test_missing_level_rejected(self):
         text = "technique,level,score\nNo-Aug,MB0,10\n"
@@ -299,6 +295,12 @@ class TestParseScoresCsv:
         with pytest.raises(ParseError, match="duplicate"):
             parse_scores_csv(text)
 
+    def test_duplicate_subset_rejected(self):
+        text = scores_text("X") + "X,with_blur,1.0\nX,with_blur,2.0\n"
+        with pytest.raises(ParseError,
+                           match=r"^duplicate with_blur score for 'X'$"):
+            parse_scores_csv(text)
+
     def test_bad_header_rejected(self):
         with pytest.raises(ParseError, match="header"):
             parse_scores_csv("tech,lvl,val\n")
@@ -308,11 +310,11 @@ class TestParseScoresCsv:
         "A\u2029B", "#1"])
     def test_technique_read_whole(self, technique):
         table = parse_scores_csv("# seed=0\n" + scores_text(technique))
-        assert [r.technique for r in table.rows] == [technique]
+        assert list(table) == [technique]
 
     def test_quoted_carriage_return_kept(self):
         table = parse_scores_csv(scores_text('"A\rB"'))
-        assert [r.technique for r in table.rows] == ["A\rB"]
+        assert list(table) == ["A\rB"]
 
     def test_hash_line_after_header_rejected(self):
         text = scores_text("No-Aug").replace("\nNo-Aug,MB2", "\n# note\nNo-Aug,MB2")
