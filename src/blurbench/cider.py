@@ -38,9 +38,6 @@ import numpy as np
 from .imaging import BlurLevel
 from .ingest import Dataset
 
-TokenSeq = list[str]
-NGram = tuple[str, ...]
-
 _TOKEN = re.compile(r"[a-z0-9]+")
 
 #: Images per scoring block in `corpus_cider_d`; bounds the size of the
@@ -48,7 +45,7 @@ _TOKEN = re.compile(r"[a-z0-9]+")
 _BLOCK_IMAGES = 1000
 
 
-def tokenize(text: str) -> TokenSeq:
+def tokenize(text: str) -> list[str]:
     """Lowercase, replace every character outside [a-z0-9] by a space, split."""
     return _TOKEN.findall(text.lower())
 
@@ -72,25 +69,15 @@ class CiderConfig:
             raise ValueError("max_n must be >= 1")
         if not 0.0 < self.sigma < math.inf:
             raise ValueError("sigma must be positive and finite")
+        if 2.0 * self.sigma * self.sigma == 0.0:  # 0 / 0 at equal lengths
+            raise ValueError("sigma is too small: 2 * sigma**2 underflows to 0")
         if not 0.0 < self.scale < math.inf:
             raise ValueError("scale must be positive and finite")
+        if self.scale > 1e291:  # fewer than 2**53 such scores sum finite
+            raise ValueError("scale must be at most 1e291")
 
 
 DEFAULT_CONFIG = CiderConfig()
-
-
-def _unique(keys: np.ndarray):
-    """Sorted distinct values of `keys`, the index of each key among them,
-    and the number of keys equal to each."""
-    order = np.argsort(keys)
-    ordered = keys[order]
-    first = np.empty(len(keys), dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    inverse = np.empty(len(keys), dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    starts = np.flatnonzero(first)
-    return ordered[first], inverse, np.diff(starts, append=len(keys))
 
 
 def _intern(texts: Iterable[Sequence[str]], max_n: int):
@@ -127,7 +114,8 @@ def _intern(texts: Iterable[Sequence[str]], max_n: int):
     for n in range(2, min(max_n, max(lengths, default=0)) + 1):
         keep = left[start] >= n
         start = start[keep]
-        keys, ids, _ = _unique(ids[keep] * len(vocab) + tokens[start + n - 1])
+        keys, ids = np.unique(ids[keep] * len(vocab) + tokens[start + n - 1],
+                              return_inverse=True)
         orders.append((text[start], ids, keys))
     return vocab, sizes, orders
 
@@ -138,18 +126,20 @@ class IdfTable:
     The table keeps the corpus vocabulary and, per n, the sorted n-gram
     keys that `_intern` gives the corpus, each with its idf. `build_idf`
     compiles the arrays: `counts[n - 1][j]` is the number of corpus images
-    containing the n-gram of key `keys[n - 1][j]`.
+    containing the n-gram of key `keys[n - 1][j]`. The table counted the
+    orders n = 1..max_n, so it scores no larger max_n.
     """
 
-    def __init__(self, corpus_size: int, vocab: list[str],
+    def __init__(self, corpus_size: int, max_n: int, vocab: list[str],
                  keys: list[np.ndarray], counts: list[np.ndarray]):
         self.corpus_size = corpus_size
+        self.max_n = max_n
         self._vocab = {token: i for i, token in enumerate(vocab)}
         self._keys = keys
         self._idf = [np.log(corpus_size / np.maximum(c, 1)) for c in counts]
         self._unseen = math.log(corpus_size)
 
-    def idf(self, gram: NGram) -> float:
+    def idf(self, gram: tuple[str, ...]) -> float:
         if not gram:
             return self._unseen
         vocab, _, orders = _intern([gram], len(gram))
@@ -195,22 +185,28 @@ def build_idf(ds: Dataset, max_n: int = 4) -> IdfTable:
     counts = []
     for text, ids, keys in orders:
         width = max(len(keys), 1)
-        pairs, _, _ = _unique(image_of_text[text] * width + ids)
+        # counts keep np.unique on its sort path, faster here than hashing
+        pairs, _ = np.unique(image_of_text[text] * width + ids,
+                             return_counts=True)
         counts.append(np.bincount(pairs % width, minlength=len(keys)))
-    return IdfTable(len(image_ids), vocab, [k for _, _, k in orders], counts)
+    return IdfTable(len(image_ids), max_n, vocab, [k for _, _, k in orders],
+                    counts)
 
 
 def length_penalty(candidate_len, ref_len, sigma: float):
     """Gaussian penalty on the token-count difference, 1 at equal lengths;
     elementwise on arrays of lengths."""
     delta = candidate_len - ref_len
-    return np.exp(-(delta * delta) / (2.0 * sigma * sigma))
+    with np.errstate(over="ignore"):  # a tiny sigma gives exp(-inf) == 0
+        return np.exp(-(delta * delta) / (2.0 * sigma * sigma))
 
 
 def _score_block(candidates: list[Sequence[str]],
                  refs: list[Sequence[Sequence[str]]],
                  idf: IdfTable, cfg: CiderConfig) -> np.ndarray:
     """Score of candidates[i] against refs[i], for every i."""
+    if cfg.max_n > idf.max_n:
+        raise ValueError(f"idf table has max_n {idf.max_n}, not {cfg.max_n}")
     n_images = len(candidates)
     per_image = np.array([len(r) for r in refs], dtype=np.int64)
     image_of_ref = np.repeat(np.arange(n_images), per_image)
@@ -223,8 +219,8 @@ def _score_block(candidates: list[Sequence[str]],
     weights = idf._lookup(vocab, [k for _, _, k in orders])
     for (text, ids, keys), idf_of_gram in zip(orders, weights):
         width = max(len(keys), 1)
-        rows, _, tf = _unique(text * width + ids)  # distinct (text, n-gram)
-        row_text, row_gram = np.divmod(rows, width)
+        rows, tf = np.unique(text * width + ids, return_counts=True)
+        row_text, row_gram = np.divmod(rows, width)  # distinct (text, n-gram)
         weight = tf * idf_of_gram[row_gram]
         norm = np.sqrt(np.bincount(row_text, weight * weight,
                                    minlength=len(lengths)))

@@ -211,6 +211,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     dataset = parse_captions(args.dataset.read_bytes())
     preds = parse_predictions(args.predictions.read_bytes())
+    if not preds:
+        raise ValueError(f"no predictions in {args.predictions}")
     metric = CiderConfig(max_n=args.max_n, sigma=args.sigma, scale=args.scale)
     known = set(dataset.image_ids())
     outside = sum(1 for image_id, _ in preds if image_id not in known)

@@ -14,6 +14,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -183,26 +184,21 @@ def apply_blur(img: Image, kernel: BlurKernel) -> Image:
 # ---------------------------------------------------------------------------
 
 _MAGIC_CHANNELS = {b"P5": 1, b"P6": 3}
+#: A header token follows blanks (whitespace but line ends) at the start,
+#: or else a line end and blanks; a comment ('#' to a line end) holds no
+#: token. Only single bytes repeat, so no state stacks up per comment.
+_HEADER_TOKEN = re.compile(
+    rb"(?:[%(blank)s]*|.*?[\r\n][%(blank)s]*)([^%(space)s#][^%(space)s]*)"
+    % {b"blank": re.escape(_WHITESPACE.translate(None, b"\r\n")),
+       b"space": re.escape(_WHITESPACE)}, re.DOTALL)
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     """Next header token, skipping whitespace and '#' comments."""
-    n = len(data)
-    while pos < n:
-        ch = data[pos]
-        if ch in _WHITESPACE:
-            pos += 1
-        elif ch == ord("#"):
-            while pos < n and data[pos] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and data[pos] not in _WHITESPACE:
-        pos += 1
-    if start == pos:
+    match = _HEADER_TOKEN.match(data, pos)
+    if match is None:
         raise FormatError("truncated header")
-    return data[start:pos], pos
+    return match[1], match.end()
 
 
 def _int_token(data: bytes, pos: int) -> tuple[int, int]:

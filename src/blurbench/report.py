@@ -116,6 +116,8 @@ def parse_scores_csv(text: str) -> Scores:
                 f"duplicate score for {technique!r} at {column.name}")
         scores[column] = score
 
+    if not table:
+        raise ParseError("no score rows")
     rank = {t.value: i for i, t in enumerate(Technique)}
     ordered = sorted(table, key=lambda t: rank.get(t, len(rank)))
     for technique in ordered:

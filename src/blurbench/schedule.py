@@ -26,15 +26,15 @@ not depend on iteration order or platform. A plan encodes each key once
 and copies one keyed hasher per stage for each key; a schedule with no
 limits puts every draw on MB0, so it hashes nothing.
 
-A manifest is JSON lines: a header object, then one object per entry.
-In memory its entries are three columns: the keys, and one byte each for
-the stage, its index in `tuple(Stage)`, and the level, its `BlurLevel`
-value; `ManifestEntry` objects are built only on demand.
-`read_manifest` parses the body in chunks of lines, one `json.loads` per
-chunk. It keeps a chunk's records when the chunk holds one `{` per line,
-which shows that each line parses alone to its record; otherwise it
-parses the chunk again line by line, so every error text, line number
-included, is the one a line-by-line read gives.
+A manifest is JSON lines: a header object, then one object per entry; in
+memory, three columns: the keys, and one byte each for the stage (its
+index in `tuple(Stage)`) and the level (its `BlurLevel` value).
+`read_manifest` reads a body as written: it checks each entry, not that
+the body has the layout `plan_dataset` writes. It parses the body in
+chunks, one `json.loads` per chunk, kept when the chunk holds one `{` per
+line (so each line parses alone to its record); otherwise it parses the
+chunk again line by line, so every error text, line number included, is
+the one a line-by-line read gives.
 """
 
 from __future__ import annotations

@@ -77,6 +77,28 @@ def blur_windows(arr: np.ndarray, kw: int, kh: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Netpbm header token reference: a byte-at-a-time scan
+# ---------------------------------------------------------------------------
+
+def pnm_token(data: bytes, pos: int):
+    """(token, end) of the next header token at or after `pos`, skipping
+    whitespace and comments ('#' up to a CR or LF), or None at the end."""
+    space = b" \t\r\n\x0b\x0c"
+    while pos < len(data):
+        if data[pos] in space:
+            pos += 1
+        elif data[pos] == ord("#"):
+            while pos < len(data) and data[pos] not in b"\r\n":
+                pos += 1
+        else:
+            break
+    start = pos
+    while pos < len(data) and data[pos] not in space:
+        pos += 1
+    return (data[start:pos], pos) if pos > start else None
+
+
+# ---------------------------------------------------------------------------
 # CIDEr-D direct-formula reference
 # ---------------------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -291,6 +292,23 @@ class TestCorpusCiderD:
         with pytest.raises(ValueError, match="img05"):
             corpus_cider_d(partial, toy_dataset, BlurLevel.MB2)
 
+    def test_idf_table_scores_only_the_orders_it_counted(self, toy_dataset,
+                                                         toy_predictions):
+        """A table counted for n = 1 would give orders 2..4 the unseen idf
+        ln N; it refuses them instead. A smaller max_n reads the table's
+        first orders, which do not depend on how many it counted."""
+        unigram = build_idf(toy_dataset, 1)
+        assert (unigram.max_n, build_idf(toy_dataset).max_n) == (1, 4)
+        with pytest.raises(ValueError, match="^idf table has max_n 1, not 4$"):
+            corpus_cider_d(toy_predictions, toy_dataset, BlurLevel.MB0,
+                           CiderConfig(max_n=4), idf=unigram)
+        with pytest.raises(ValueError, match="^idf table has max_n 1, not 2$"):
+            cider_d(["a"], [["a"]], unigram, CiderConfig(max_n=2))
+        one = CiderConfig(max_n=1)
+        assert corpus_cider_d(toy_predictions, toy_dataset, BlurLevel.MB0, one,
+                              idf=build_idf(toy_dataset, 4)) == corpus_cider_d(
+            toy_predictions, toy_dataset, BlurLevel.MB0, one, idf=unigram)
+
 
 # Few distinct words, so n-grams repeat within and across texts (clipping),
 # and texts down to empty, shorter than max_n.
@@ -359,8 +377,31 @@ class TestCiderConfig:
     @pytest.mark.parametrize("kwargs", [
         {"max_n": 0}, {"sigma": 0.0}, {"sigma": -1.0}, {"scale": 0.0},
         {"sigma": math.nan}, {"sigma": math.inf}, {"scale": math.nan},
-        {"scale": math.inf},
+        {"scale": math.inf}, {"sigma": 1e-162}, {"scale": 2e291},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             CiderConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs,oracle_checks", [
+        ({"sigma": 1.2e-162}, 0), ({"sigma": 1e-160}, 3), ({"sigma": 1e300}, 0),
+        ({"scale": 1e291}, 3)])
+    def test_extreme_accepted_settings_score_finite_silently(
+            self, toy_dataset, toy_predictions, kwargs, oracle_checks):
+        """Finite scores and no numpy warning; the oracle's `sigma ** 2`
+        overflows or underflows at the other two sigmas."""
+        cfg = CiderConfig(**kwargs)
+        corpus = corpus_tokens(toy_dataset)
+        idf = build_idf(toy_dataset)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for level in BlurLevel:
+                assert math.isfinite(corpus_cider_d(toy_predictions, toy_dataset,
+                                                    level, cfg, idf=idf))
+            for i in toy_dataset.image_ids()[:oracle_checks]:
+                candidate = tokenize(toy_predictions[(i, BlurLevel.MB1)])
+                refs = [tokenize(r) for r in toy_dataset.references[i]]
+                oracle = cider_d_formula(candidate, refs, corpus,
+                                         sigma=cfg.sigma, scale=cfg.scale)
+                assert cider_d(candidate, refs, idf, cfg) == pytest.approx(
+                    oracle, rel=1e-9, abs=1e-9)

@@ -343,24 +343,28 @@ class TestScoreCommand:
 
     @pytest.mark.parametrize("flag,value", [
         ("--sigma", "nan"), ("--scale", "inf"), ("--scale", "nan"),
-        ("--sigma", "-1"), ("--max-n", "0")])
+        ("--sigma", "-1"), ("--max-n", "0"), ("--sigma", "1e-320"),
+        ("--scale", "1e308")])
     def test_non_finite_metric_settings_fail(self, tmp_path, capsys,
                                              flag, value):
-        """An out-of-range metric setting fails before any input is read:
-        a usage error as a flag, one `error:` line from a config file."""
+        """An out-of-range metric setting, or one that would write a NaN or
+        inf score, fails before any input is read: a usage error as a
+        flag, one `error:` line from a config file."""
         name = flag[2:].replace("-", "_")
-        rule = ("must be >= 1" if name == "max_n"
-                else "must be positive and finite")
+        rule = {"0": "max_n must be >= 1",
+                "1e-320": "sigma is too small: 2 * sigma**2 underflows to 0",
+                "1e308": "scale must be at most 1e291",
+                }.get(value, f"{name} must be positive and finite")
         out = tmp_path / "out"
         missing = [tmp_path / "no_captions.json", tmp_path / "no_preds.json"]
         with pytest.raises(SystemExit) as excinfo:
             run("--out", out, "score", *missing, flag, value)
         assert excinfo.value.code == 2
-        assert f"argument {flag}: {name} {rule}" in capsys.readouterr().err
+        assert f"argument {flag}: {rule}" in capsys.readouterr().err
         config = tmp_path / "bench.cfg"
         config.write_text(f"{name} = {value}\n")
         assert run("--config", config, "--out", out, "score", *missing) == 1
-        assert capsys.readouterr().err == f"error: {name} {rule}\n"
+        assert capsys.readouterr() == ("", f"error: {rule}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["images", "annotations"])
@@ -456,6 +460,26 @@ class TestScoreCommand:
         assert list(rows) == ["MB0", "MB1", "MB2", "MB3", "with_blur"]
         assert rows["with_blur"] == rows["MB0"]
 
+    def test_no_predictions_fail_before_writing(self, tmp_path, capsys):
+        dataset, preds = write_corpus(tmp_path, TINY_REFS, {})
+        out = tmp_path / "out"
+        assert run("--out", out, "score", dataset, preds) == 1
+        assert capsys.readouterr() == ("", f"error: no predictions in {preds}\n")
+        assert not out.exists()
+
+    def test_unwritable_scores_file_leaves_no_temp_file(self, tmp_path,
+                                                        data_dir, capsys):
+        """`scores.csv` is a directory, so the final rename fails; the
+        temporary file it would have replaced is removed."""
+        out = tmp_path / "out"
+        (out / "scores.csv").mkdir(parents=True)
+        assert run("--out", out, "score", data_dir / "toy_captions.json",
+                   data_dir / "toy_predictions.json") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert [p.name for p in out.iterdir()] == ["scores.csv"]
+        assert not any((out / "scores.csv").iterdir())
+
 
 class TestReportCommand:
     def write_inputs(self, tmp_path, data_dir, subset=True):
@@ -513,6 +537,28 @@ class TestReportCommand:
         assert run("--out", out, "report", scores, features) == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: duplicate with_blur score for 'Cap-Aug'"]
+        assert not out.exists()
+
+    def test_score_rising_with_blur_warns(self, tmp_path, data_dir, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("technique,level,score\nNo-Aug,MB0,7.0\n"
+                          "No-Aug,MB1,5.0\nNo-Aug,MB2,6.0\nNo-Aug,MB3,4.0\n")
+        out = tmp_path / "out"
+        assert run("--out", out, "report", scores,
+                   data_dir / "toy_feature_counts.csv") == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: No-Aug: score rises MB1->MB2 (5.0 -> 6.0)"]
+        assert "| No-Aug | 0.0 | 2.0 | 1.0 | 3.0 |" in (
+            out / "degradation.md").read_text()
+
+    def test_scores_without_rows_fail_before_writing(self, tmp_path, data_dir,
+                                                     capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("# seed=0\ntechnique,level,score\n")
+        out = tmp_path / "out"
+        assert run("--out", out, "report", scores,
+                   data_dir / "toy_feature_counts.csv") == 1
+        assert capsys.readouterr() == ("", "error: no score rows\n")
         assert not out.exists()
 
     def test_malformed_scores_fail(self, tmp_path, data_dir):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blurbench import imaging
@@ -22,7 +22,7 @@ from blurbench.imaging import (
     save_image,
 )
 from conftest import random_image
-from oracles import blur_loops, blur_windows
+from oracles import blur_loops, blur_windows, pnm_token
 
 
 class TestMakeKernel:
@@ -239,6 +239,38 @@ class TestNetpbm:
         data = b"P5\n# made by hand\n3 1\n255\n" + bytes([9, 8, 7])
         img = load_image(data)
         assert img.samples.ravel().tolist() == [9, 8, 7]
+
+    @given(st.binary(max_size=24).map(
+               lambda raw: bytes(b" \t\r\n\x0b\x0c#P5x"[b % 10] for b in raw)),
+           st.integers(0, 24))
+    @example(b"P5#x 1", 0)
+    @example(b"P5 #c", 2)
+    @example(b"#c\r\x0b\x0cP6 #\n", 0)
+    @example(b" \n#a#b\n\n# x\rx#", 0)
+    @settings(max_examples=300, deadline=None)
+    def test_header_tokens_match_byte_scan(self, data, pos):
+        """A token may hold '#' but not start with one; a comment runs to a
+        CR or LF, and a header that ends inside one has no next token."""
+        pos = min(pos, len(data))
+        expected = pnm_token(data, pos)
+        if expected is None:
+            with pytest.raises(FormatError, match="^truncated header$"):
+                imaging._next_token(data, pos)
+        else:
+            assert imaging._next_token(data, pos) == expected
+
+    def test_many_header_comments_scan_in_constant_memory(self):
+        """A regex that repeats a group per comment keeps backtracking state
+        for each one, about 400 bytes a line; the scan keeps none."""
+        data = b"P5\n" + b"# c\n" * 100_000 + b"1 1\n255\n" + bytes([7])
+        tracemalloc.start()
+        try:
+            img = load_image(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert img.samples.ravel().tolist() == [7]
+        assert peak < 100_000
 
     def test_payload_copied_out_of_input(self):
         data = b"P5 2 1 255\n" + bytes([4, 5])

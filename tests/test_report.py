@@ -305,6 +305,12 @@ class TestParseScoresCsv:
         with pytest.raises(ParseError, match="header"):
             parse_scores_csv("tech,lvl,val\n")
 
+    @pytest.mark.parametrize("text", ["technique,level,score\n",
+                                      "# seed=0\ntechnique,level,score\n\n"])
+    def test_table_without_rows_rejected(self, text):
+        with pytest.raises(ParseError, match="^no score rows$"):
+            parse_scores_csv(text)
+
     @pytest.mark.parametrize("technique", [
         "A\x0cB", "A\x0bB", "A\x1cB", "A\x1dB", "A\x1eB", "A\x85B", "A\u2028B",
         "A\u2029B", "#1"])

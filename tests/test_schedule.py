@@ -383,6 +383,27 @@ class TestManifestSerialization:
         with pytest.raises(ValueError, match="empty"):
             read_manifest("")
 
+    @pytest.mark.parametrize("body,levels", [
+        ([("detector", "MB0"), ("captioner", "MB0"), ("captioner", "MB2")],
+         [0, 0, 2]),
+        ([("detector", "MB0")], [0]),
+        ([("detector", "MB3"), ("captioner", "MB0")], [3, 0]),
+    ], ids=["stage-twice", "stage-missing", "level-without-mass"])
+    def test_body_read_as_written(self, data_dir, body, levels):
+        """Each entry is checked, not the layout `plan_dataset` writes: a
+        (key, stage) given twice, a key without a captioner entry, and a
+        detector MB3 that the Cap-Aug detector schedule gives no mass all
+        read back as they stand."""
+        golden = data_dir / "manifest_golden" / "Cap-Aug_seed7.jsonl"
+        header = golden.read_text().split("\n", 1)[0]
+        lines = [json.dumps({"sample_key": "a", "stage": stage, "level": level})
+                 for stage, level in body]
+        manifest = read_manifest("\n".join([header, *lines]) + "\n")
+        assert manifest.keys == ("a",) * len(body)
+        assert list(manifest.stages) == [
+            0 if stage == "detector" else 1 for stage, _ in body]
+        assert list(manifest.levels) == levels
+
     def test_bad_entry_rejected(self):
         manifest = plan_dataset(["a"], technique_plan("No-Aug"), 0)
         text = write_manifest(manifest).replace('"MB0"', '"MB9"')
