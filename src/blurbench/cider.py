@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .imaging import BlurLevel
-from .ingest import Dataset
+from .ingest import Split
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 
@@ -139,12 +139,6 @@ class IdfTable:
         self._idf = [np.log(corpus_size / np.maximum(c, 1)) for c in counts]
         self._unseen = math.log(corpus_size)
 
-    def idf(self, gram: tuple[str, ...]) -> float:
-        if not gram:
-            return self._unseen
-        vocab, _, orders = _intern([gram], len(gram))
-        return float(self._lookup(vocab, [k for _, _, k in orders])[-1][0])
-
     def _lookup(self, vocab: list[str],
                 keys: list[np.ndarray]) -> list[np.ndarray]:
         """idf of each n-gram interned by `_intern` (its vocabulary and its
@@ -173,15 +167,14 @@ class IdfTable:
         return result
 
 
-def build_idf(ds: Dataset, max_n: int = 4) -> IdfTable:
+def build_idf(split: Split, max_n: int = 4) -> IdfTable:
     """df(g) = number of images with g in at least one reference caption."""
-    if not ds.images:
+    if not split:
         raise ValueError("empty dataset")
-    image_ids = ds.image_ids()
-    image_of_text = np.repeat(np.arange(len(image_ids)),
-                              [len(ds.references[i]) for i in image_ids])
+    image_of_text = np.repeat(np.arange(len(split)),
+                              [len(refs) for refs in split.values()])
     vocab, _, orders = _intern(
-        (tokenize(c) for i in image_ids for c in ds.references[i]), max_n)
+        (tokenize(c) for refs in split.values() for c in refs), max_n)
     counts = []
     for text, ids, keys in orders:
         width = max(len(keys), 1)
@@ -189,7 +182,7 @@ def build_idf(ds: Dataset, max_n: int = 4) -> IdfTable:
         pairs, _ = np.unique(image_of_text[text] * width + ids,
                              return_counts=True)
         counts.append(np.bincount(pairs % width, minlength=len(keys)))
-    return IdfTable(len(image_ids), max_n, vocab, [k for _, _, k in orders],
+    return IdfTable(len(split), max_n, vocab, [k for _, _, k in orders],
                     counts)
 
 
@@ -255,28 +248,28 @@ def cider_d(candidate: Sequence[str], refs: Sequence[Sequence[str]],
     return float(_score_block([candidate], [refs], idf, cfg)[0])
 
 
-def corpus_cider_d(preds: dict[tuple[str, BlurLevel], str], ds: Dataset,
+def corpus_cider_d(preds: dict[tuple[str, BlurLevel], str], split: Split,
                    level: BlurLevel, cfg: CiderConfig = DEFAULT_CONFIG,
                    idf: IdfTable | None = None) -> float:
     """Mean per-image score at one blur level.
 
-    The idf table comes from the dataset's own references unless an
+    The idf table comes from the split's own references unless an
     explicit one is passed (e.g. to reuse across levels). `preds` maps
     (image id, level) to a caption, as `parse_predictions` returns it;
-    every dataset image must have a candidate at `level`.
+    every image of the split must have a candidate at `level`.
     """
     if idf is None:
-        idf = build_idf(ds, cfg.max_n)
-    missing = [i for i in ds.image_ids() if (i, level) not in preds]
+        idf = build_idf(split, cfg.max_n)
+    missing = [i for i in split if (i, level) not in preds]
     if missing:
         raise ValueError(
             f"missing predictions at {level.name} for images: {missing}")
-    image_ids = ds.image_ids()
+    image_ids = list(split)
     scores: list[float] = []
     for start in range(0, len(image_ids), _BLOCK_IMAGES):
         block = image_ids[start:start + _BLOCK_IMAGES]
         scores += _score_block(
             [tokenize(preds[(i, level)]) for i in block],
-            [[tokenize(r) for r in ds.references[i]] for i in block],
+            [[tokenize(r) for r in split[i]] for i in block],
             idf, cfg).tolist()
     return sum(scores) / len(scores)

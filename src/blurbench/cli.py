@@ -29,7 +29,10 @@ seed is echoed in every output header; all files are written atomically.
 split, and with ``--flags`` one MB0 row per flag subset, scored with idf
 recounted over that subset's own references (each subset row is the
 corpus score of the subset as a split of its own). Predictions for images
-outside the split are ignored, with one warning line giving their count.
+outside the split are ignored, with one warning line giving their count:
+the levels scored are those of predictions for split images. A split with
+no images, or predictions of which none names a split image, is one
+``error:`` line, and nothing is written.
 """
 
 from __future__ import annotations
@@ -210,19 +213,22 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     dataset = parse_captions(args.dataset.read_bytes())
+    if not dataset:
+        raise ValueError(f"no images in {args.dataset}")
     preds = parse_predictions(args.predictions.read_bytes())
     if not preds:
         raise ValueError(f"no predictions in {args.predictions}")
     metric = CiderConfig(max_n=args.max_n, sigma=args.sigma, scale=args.scale)
-    known = set(dataset.image_ids())
-    outside = sum(1 for image_id, _ in preds if image_id not in known)
-    if outside:
-        print(f"warning: {outside} prediction(s) for images not in the split "
-              f"ignored", file=sys.stderr)
+    levels = [level for image_id, level in preds if image_id in dataset]
+    if len(levels) < len(preds):
+        print(f"warning: {len(preds) - len(levels)} prediction(s) for images "
+              f"not in the split ignored", file=sys.stderr)
+    if not levels:
+        raise ValueError(f"no predictions for images in {args.predictions}")
     idf = build_idf(dataset, metric.max_n)
 
     rows = []
-    for level in sorted({level for _, level in preds}):
+    for level in sorted(set(levels)):
         score = corpus_cider_d(preds, dataset, level, metric, idf=idf)
         rows.append([args.technique, level.name, score])
         print(f"{args.technique} {level.name}: {score:.4f}")
@@ -230,7 +236,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         flags = parse_blur_flags(args.flags.read_bytes())
         for flag in BlurFlag:
             subset = filter_by_blur_flag(dataset, flags, flag)
-            if not subset.images:
+            if not subset:
                 print(f"warning: no images flagged {flag.value}; "
                       f"subset row skipped", file=sys.stderr)
                 continue

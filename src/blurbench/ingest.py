@@ -3,7 +3,9 @@
 Formats handled:
 
 * caption JSON: ``{"split": ..., "images": [{"id", "file_name"}],
-  "annotations": [{"image_id", "caption"}]}``
+  "annotations": [{"image_id", "caption"}]}``, parsed into a `Split`:
+  ``{image_id: [caption, ...]}`` in the file's image order, each image's
+  references in the file's annotation order
 * prediction JSON: array of ``{"image_id", "blur_level", "caption"}``,
   parsed into a plain ``{(image_id, level): caption}`` dict
 * feature-count CSV: header ``image_id,level,count``, one row per
@@ -15,14 +17,14 @@ Image ids are opaque strings throughout (integer ids are stringified), so
 one code path serves datasets that key images by number and by filename.
 Any other JSON id (null, a bool, a float, a list or an object) is a
 `ParseError` naming its record. Captions, file names and the optional
-split name must be JSON strings, kept verbatim; tokenization happens in
-the metric, not here. Every CSV, read or written, goes through `read_csv`
-and `write_csv`, which hold the one CSV dialect of the package.
-`read_csv` returns a table as columns, one list per header field, filled
-a few hundred rows at a time. `parse_feature_counts` checks whole columns
-at once and goes row by row only to raise the first bad row's error.
-Every parser has a serializer, and parse -> serialize -> parse gives the
-input back, ids holding commas, quotes or line breaks included.
+split name must be JSON strings; captions are kept verbatim (tokenization
+happens in the metric, not here), while file names and the split name
+are checked and dropped, since scoring needs only each image's
+references. Every CSV, read or written, goes through `read_csv` and
+`write_csv`, which hold the one CSV dialect of the package. `read_csv`
+returns a table as columns, one list per header field, filled a few
+hundred rows at a time. `parse_feature_counts` checks whole columns at
+once and goes row by row only to raise the first bad row's error.
 """
 
 from __future__ import annotations
@@ -49,30 +51,8 @@ class BlurFlag(Enum):
 
 
 FLAG_BY_VALUE = {flag.value: flag for flag in BlurFlag}
-
-
-@dataclass
-class Dataset:
-    """Images of one split with their reference captions."""
-
-    images: list[tuple[str, str]]
-    references: dict[str, list[str]]
-    split_name: str = ""
-
-    def __post_init__(self):
-        ids = [image_id for image_id, _ in self.images]
-        if len(set(ids)) != len(ids):
-            raise ParseError("duplicate image ids")
-        known = set(ids)
-        unknown = sorted(set(self.references) - known)
-        if unknown:
-            raise ParseError(f"references for unknown images: {unknown}")
-        missing = [i for i in ids if not self.references.get(i)]
-        if missing:
-            raise ParseError(f"images without captions: {missing}")
-
-    def image_ids(self) -> list[str]:
-        return [image_id for image_id, _ in self.images]
+#: The images of a split, each with its reference captions, in file order
+Split = dict[str, list[str]]
 
 
 @dataclass(frozen=True)
@@ -124,43 +104,43 @@ def _load_json(document: bytes):
 # Captions
 # ---------------------------------------------------------------------------
 
-def parse_captions(document: bytes) -> Dataset:
+def parse_captions(document: bytes) -> Split:
     doc = _load_json(document)
     if not isinstance(doc, dict) or not all(
             isinstance(doc.get(key), list) for key in ("images", "annotations")):
         raise ParseError("caption document needs 'images' and 'annotations' lists")
-    images = []
+    split: Split = {}
     for item in doc["images"]:
         try:
-            images.append((_image_id(item, "id", "image"),
-                           _string(item, "file_name", "image")))
+            image_id = _image_id(item, "id", "image")
+            _string(item, "file_name", "image")
         except (TypeError, KeyError) as exc:
             raise ParseError(f"bad image record {item!r}") from exc
-    references: dict[str, list[str]] = {}
+        split[image_id] = []
+    unknown = set()
     for item in doc["annotations"]:
         try:
             image_id = _image_id(item, "image_id", "annotation")
             caption = _string(item, "caption", "annotation")
         except (TypeError, KeyError) as exc:
             raise ParseError(f"bad annotation record {item!r}") from exc
-        references.setdefault(image_id, []).append(caption)
-    split = doc.get("split", "")
-    if not isinstance(split, str):
-        raise ParseError(f"split must be a string, not {split!r}")
-    return Dataset(images, references, split)
-
-
-def serialize_captions(ds: Dataset) -> bytes:
-    doc = {
-        "split": ds.split_name,
-        "images": [{"id": i, "file_name": f} for i, f in ds.images],
-        "annotations": [
-            {"image_id": image_id, "caption": caption}
-            for image_id, _ in ds.images
-            for caption in ds.references[image_id]
-        ],
-    }
-    return json.dumps(doc, indent=2).encode("utf-8")
+        references = split.get(image_id)
+        if references is None:
+            unknown.add(image_id)
+        else:
+            references.append(caption)
+    split_name = doc.get("split", "")
+    if not isinstance(split_name, str):
+        raise ParseError(f"split must be a string, not {split_name!r}")
+    if len(split) != len(doc["images"]):
+        raise ParseError("duplicate image ids")
+    if unknown:
+        raise ParseError(f"references for unknown images: {sorted(unknown)}")
+    missing = [image_id for image_id, references in split.items()
+               if not references]
+    if missing:
+        raise ParseError(f"images without captions: {missing}")
+    return split
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +165,6 @@ def parse_predictions(document: bytes) -> dict[tuple[str, BlurLevel], str]:
                 f"duplicate prediction for image {image_id!r} at {level.name}")
         candidates[pair] = caption
     return candidates
-
-
-def serialize_predictions(preds: dict[tuple[str, BlurLevel], str]) -> bytes:
-    items = [
-        {"image_id": image_id, "blur_level": level.name, "caption": caption}
-        for (image_id, level), caption in sorted(preds.items())
-    ]
-    return json.dumps(items, indent=2).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +266,6 @@ def _raise_first_bad_row(image_ids: list[str], level_tokens: list[str],
         seen.add((image_id, level))
 
 
-def serialize_feature_counts(features: FeatureCounts) -> bytes:
-    return write_csv(_FEATURE_COUNTS, [
-        [image_id, BlurLevel(level).name, count] for image_id, level, count
-        in zip(features.image_ids, features.levels, features.counts)
-    ]).encode("utf-8")
-
-
 def parse_blur_flags(document: bytes) -> dict[str, BlurFlag]:
     flags: dict[str, BlurFlag] = {}
     for image_id, flag_token in zip(
@@ -314,26 +279,19 @@ def parse_blur_flags(document: bytes) -> dict[str, BlurFlag]:
     return flags
 
 
-def serialize_blur_flags(flags: dict[str, BlurFlag]) -> bytes:
-    return write_csv(_BLUR_FLAGS, [
-        [image_id, flag.value] for image_id, flag in sorted(flags.items())
-    ]).encode("utf-8")
-
-
 # ---------------------------------------------------------------------------
 # Subsetting
 # ---------------------------------------------------------------------------
 
-def filter_by_blur_flag(ds: Dataset, flags: dict[str, BlurFlag],
-                        flag: BlurFlag) -> Dataset:
-    """Sub-dataset of exactly the images carrying `flag`.
+def filter_by_blur_flag(split: Split, flags: dict[str, BlurFlag],
+                        flag: BlurFlag) -> Split:
+    """The images of `split` carrying `flag`, with their references.
 
-    Every dataset image must be annotated; image order and references are
-    preserved.
+    Every image of the split must be annotated; image order is preserved
+    and the reference lists are shared, not copied.
     """
-    unflagged = [i for i in ds.image_ids() if i not in flags]
+    unflagged = [i for i in split if i not in flags]
     if unflagged:
         raise ParseError(f"images without blur flag: {unflagged}")
-    images = [(i, f) for i, f in ds.images if flags[i] is flag]
-    references = {i: list(ds.references[i]) for i, _ in images}
-    return Dataset(images, references, ds.split_name)
+    return {i: references for i, references in split.items()
+            if flags[i] is flag}

@@ -2,7 +2,9 @@
 
 Nothing in here imports from blurbench: these are deliberately separate
 code paths (different data structures, different summation order) so that
-agreement with the library is meaningful evidence, not tautology.
+agreement with the library is meaningful evidence, not tautology. The one
+exception, `idf_of`, is no oracle: it reads one n-gram's idf out of a
+compiled `blurbench.cider.IdfTable`, so that tests can compare it with one.
 """
 
 import hashlib
@@ -121,6 +123,19 @@ def document_frequency(corpus_refs, max_n: int = 4) -> dict:
         for g in seen:
             df[g] = df.get(g, 0) + 1
     return df
+
+
+def idf_of(table, gram) -> float:
+    """The idf `table` gives the n-gram `gram`, ln(corpus_size) where the
+    table's corpus lacks it; a ValueError for a gram longer than the
+    orders the table counted, which it cannot look up."""
+    from blurbench.cider import _intern
+
+    if not 1 <= len(gram) <= table.max_n:
+        raise ValueError(f"a {len(gram)}-gram, but the table counted "
+                         f"n = 1..{table.max_n}")
+    vocab, _, orders = _intern([gram], len(gram))
+    return float(table._lookup(vocab, [keys for _, _, keys in orders])[-1][0])
 
 
 def per_reference_similarities(candidate, ref, df, num_images,

@@ -30,10 +30,7 @@ from blurbench.ingest import (
     parse_captions,
     parse_feature_counts,
     parse_predictions,
-    serialize_blur_flags,
-    serialize_captions,
-    serialize_feature_counts,
-    serialize_predictions,
+    write_csv,
 )
 from blurbench.report import build_histograms
 from blurbench.schedule import (
@@ -44,8 +41,8 @@ from blurbench.schedule import (
     technique_plan,
     write_manifest,
 )
-from conftest import feature_rows, random_image
-from oracles import blur_windows, cider_d_formula
+from conftest import feature_counts, feature_rows, random_image
+from oracles import blur_windows, cider_d_formula, idf_of
 
 COCO_ROWS = {
     "No-Aug": (117.1, 111.4, 95.0, 48.4),
@@ -97,14 +94,13 @@ def test_cider_oracle_equivalence(toy_dataset, toy_predictions):
     """20 hand-written candidates on the 10-image toy corpus agree with
     the direct-formula oracle within 1e-9 per image."""
     idf = build_idf(toy_dataset)
-    corpus = [[tokenize(r) for r in toy_dataset.references[i]]
-              for i in toy_dataset.image_ids()]
-    candidates = [(i, level) for i in toy_dataset.image_ids()
+    corpus = [[tokenize(r) for r in refs] for refs in toy_dataset.values()]
+    candidates = [(i, level) for i in toy_dataset
                   for level in (BlurLevel.MB0, BlurLevel.MB3)]
     assert len(candidates) == 20
     for image_id, level in candidates:
         candidate = tokenize(toy_predictions[(image_id, level)])
-        refs = [tokenize(r) for r in toy_dataset.references[image_id]]
+        refs = [tokenize(r) for r in toy_dataset[image_id]]
         mine = cider_d(candidate, refs, idf)
         oracle = cider_d_formula(candidate, refs, corpus)
         assert abs(mine - oracle) < 1e-9, (image_id, level.name)
@@ -115,15 +111,15 @@ def test_cider_boundary_values(toy_dataset):
     idf = build_idf(toy_dataset)
     # "snow capped peaks rise above the blue lake": 8 tokens, and none of
     # its n-grams appear in any other toy image, so idf > 0 throughout
-    candidate = tokenize(toy_dataset.references["img09"][3])
+    candidate = tokenize(toy_dataset["img09"][3])
     assert len(candidate) >= 4
-    assert all(idf.idf(g) > 0
+    assert all(idf_of(idf, g) > 0
                for n in range(1, 5)
                for g in [tuple(candidate[k:k + n])
                          for k in range(len(candidate) - n + 1)])
     assert abs(cider_d(candidate, [candidate], idf) - 10.0) < 1e-9
 
-    refs = [tokenize(r) for r in toy_dataset.references["img00"]]
+    refs = [tokenize(r) for r in toy_dataset["img00"]]
     assert cider_d(tokenize("qq ww ee rr tt"), refs, idf) == 0.0
 
 
@@ -207,23 +203,44 @@ def test_histogram_conservation(toy_feature_records):
     assert all(a > b for a, b in zip(means, means[1:])), means
 
 
-def test_ingest_round_trip(toy_dataset, toy_predictions, toy_feature_records,
-                           toy_flags):
-    """parse -> serialize -> parse is the identity on all formats, and the
-    blur-flag split partitions the dataset."""
-    assert parse_captions(serialize_captions(toy_dataset)) == toy_dataset
-    assert parse_predictions(
-        serialize_predictions(toy_predictions)) == toy_predictions
-    assert parse_feature_counts(
-        serialize_feature_counts(toy_feature_records)) == toy_feature_records
-    assert parse_blur_flags(serialize_blur_flags(toy_flags)) == toy_flags
+def test_ingest_round_trip(toy_dataset, toy_flags):
+    """Documents written from in-memory values, with `json.dumps` and
+    `write_csv`, parse back to those values, ids holding commas, quotes
+    and line breaks included; and the blur-flag subsets partition the
+    split."""
+    ids = ["img00", "a,b", 'say "hi"', "x\ny", "x\r\ny", "7"]
+    split = {i: [f"caption {k} of {i}" for k in range(1 + n % 3)]
+             for n, i in enumerate(ids)}
+    captions = {"split": "val",
+                "images": [{"id": i, "file_name": f"{i}.ppm"} for i in split],
+                "annotations": [{"image_id": i, "caption": c}
+                                for i, refs in split.items() for c in refs]}
+    parsed = parse_captions(json.dumps(captions).encode())
+    assert parsed == split and list(parsed) == ids
 
-    with_blur = filter_by_blur_flag(toy_dataset, toy_flags, BlurFlag.WITH_BLUR)
-    no_blur = filter_by_blur_flag(toy_dataset, toy_flags, BlurFlag.NO_BLUR)
-    with_ids = set(with_blur.image_ids())
-    without_ids = set(no_blur.image_ids())
-    assert with_ids.isdisjoint(without_ids)
-    assert with_ids | without_ids == set(toy_dataset.image_ids())
+    preds = {(i, level): f"{i} at {level.name}"
+             for i in ids for level in BlurLevel}
+    assert parse_predictions(json.dumps([
+        {"image_id": i, "blur_level": level.name, "caption": caption}
+        for (i, level), caption in preds.items()]).encode()) == preds
+
+    rows = [(i, level, n % 50) for n, (i, level) in enumerate(preds)]
+    assert parse_feature_counts(write_csv(
+        ["image_id", "level", "count"],
+        [[i, level.name, count] for i, level, count in rows]).encode()) == \
+        feature_counts(rows)
+
+    flags = {i: list(BlurFlag)[n % 2] for n, i in enumerate(ids)}
+    assert parse_blur_flags(write_csv(
+        ["image_id", "flag"],
+        [[i, flag.value] for i, flag in flags.items()]).encode()) == flags
+
+    for ds, by_image in ((split, flags), (toy_dataset, toy_flags)):
+        with_blur = filter_by_blur_flag(ds, by_image, BlurFlag.WITH_BLUR)
+        no_blur = filter_by_blur_flag(ds, by_image, BlurFlag.NO_BLUR)
+        assert with_blur and no_blur
+        assert set(with_blur).isdisjoint(no_blur)
+        assert {**with_blur, **no_blur} == ds
 
 
 def _end_to_end(base, data_dir):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import blurbench.cider
 from blurbench.cider import (
     CiderConfig,
-    IdfTable,
     build_idf,
     cider_d,
     corpus_cider_d,
@@ -20,8 +19,7 @@ from blurbench.cider import (
     tokenize,
 )
 from blurbench.imaging import BlurLevel
-from blurbench.ingest import Dataset
-from oracles import cider_d_formula, document_frequency
+from oracles import cider_d_formula, document_frequency, idf_of
 
 # Oracle outputs on the bundled toy corpus, frozen after computing them
 # with tests/oracles.py (direct-formula evaluation with recounted df).
@@ -41,8 +39,7 @@ _WORDS = st.text(alphabet="abcdefgh", min_size=1, max_size=5)
 
 
 def corpus_tokens(dataset):
-    return [[tokenize(r) for r in dataset.references[i]]
-            for i in dataset.image_ids()]
+    return [[tokenize(r) for r in refs] for refs in dataset.values()]
 
 
 class TestTokenize:
@@ -88,28 +85,36 @@ class TestNgramCounts:
 
 
 def tiny_dataset(captions_per_image):
-    images = [(f"i{k}", f"i{k}.ppm") for k in range(len(captions_per_image))]
-    refs = {f"i{k}": caps for k, caps in enumerate(captions_per_image)}
-    return Dataset(images, refs)
+    return {f"i{k}": caps for k, caps in enumerate(captions_per_image)}
 
 
 class TestBuildIdf:
     def test_shared_ngram_has_zero_idf(self):
         ds = tiny_dataset([["a cat sits"], ["a cat sleeps"]])
-        assert build_idf(ds).idf(("a", "cat")) == 0.0
+        assert idf_of(build_idf(ds), ("a", "cat")) == 0.0
 
     def test_unique_ngram_idf_is_ln2(self):
         ds = tiny_dataset([["a cat sits"], ["a dog runs"]])
         idf = build_idf(ds)
-        assert idf.idf(("cat",)) == pytest.approx(math.log(2))
+        assert idf_of(idf, ("cat",)) == pytest.approx(math.log(2))
 
     def test_unseen_ngram_gets_full_weight(self):
         ds = tiny_dataset([["a cat"], ["a dog"]])
-        assert build_idf(ds).idf(("zebra",)) == pytest.approx(math.log(2))
+        assert idf_of(build_idf(ds), ("zebra",)) == pytest.approx(math.log(2))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            build_idf(Dataset([], {}))
+            build_idf({})
+
+    def test_gram_longer_than_the_table_counted_is_refused(self, toy_dataset):
+        """A unigram table holds no bigram, so it cannot say that "on a"
+        is in 5 of the 10 toy images; it refuses the lookup rather than
+        give the unseen idf ln 10."""
+        assert idf_of(build_idf(toy_dataset), ("on", "a")) == pytest.approx(
+            math.log(2), abs=1e-12)
+        with pytest.raises(ValueError, match="^a 2-gram, but the table "
+                                             "counted n = 1..1$"):
+            idf_of(build_idf(toy_dataset, 1), ("on", "a"))
 
     def test_toy_corpus_matches_recount(self, toy_dataset):
         """idf = ln(N / df) with df recounted by the oracle for every
@@ -118,12 +123,12 @@ class TestBuildIdf:
         recount = document_frequency(corpus_tokens(toy_dataset))
         assert idf.corpus_size == 10
         for gram, df in recount.items():
-            assert idf.idf(gram) == pytest.approx(math.log(10 / df),
+            assert idf_of(idf, gram) == pytest.approx(math.log(10 / df),
                                                   abs=1e-12), gram
         for gram in [("zebra",), ("a", "zebra"), ("kitchen", "a"),
                      ("a", "a", "a", "a")]:
             assert gram not in recount
-            assert idf.idf(gram) == pytest.approx(math.log(10), abs=1e-12)
+            assert idf_of(idf, gram) == pytest.approx(math.log(10), abs=1e-12)
 
 
 class TestCiderD:
@@ -137,7 +142,7 @@ class TestCiderD:
 
     def test_disjoint_candidate_scores_zero(self, toy_dataset):
         idf = build_idf(toy_dataset)
-        refs = [tokenize(r) for r in toy_dataset.references["img00"]]
+        refs = [tokenize(r) for r in toy_dataset["img00"]]
         score = cider_d(tokenize("zebras juggle purple xylophones"), refs, idf)
         assert score == 0.0
 
@@ -147,7 +152,7 @@ class TestCiderD:
 
     def test_empty_candidate_scores_zero_not_nan(self, toy_dataset):
         idf = build_idf(toy_dataset)
-        refs = [tokenize(r) for r in toy_dataset.references["img00"]]
+        refs = [tokenize(r) for r in toy_dataset["img00"]]
         assert cider_d([], refs, idf) == 0.0
 
     def test_matches_oracle_on_all_toy_candidates(self, toy_dataset,
@@ -156,7 +161,7 @@ class TestCiderD:
         corpus = corpus_tokens(toy_dataset)
         for (image_id, level), caption in toy_predictions.items():
             candidate = tokenize(caption)
-            refs = [tokenize(r) for r in toy_dataset.references[image_id]]
+            refs = [tokenize(r) for r in toy_dataset[image_id]]
             mine = cider_d(candidate, refs, idf)
             oracle = cider_d_formula(candidate, refs, corpus)
             assert abs(mine - oracle) < 1e-9, (image_id, level)
@@ -165,14 +170,14 @@ class TestCiderD:
         idf = build_idf(toy_dataset)
         for (image_id, level), expected in FROZEN_SCORES.items():
             candidate = tokenize(toy_predictions[(image_id, level)])
-            refs = [tokenize(r) for r in toy_dataset.references[image_id]]
+            refs = [tokenize(r) for r in toy_dataset[image_id]]
             assert cider_d(candidate, refs, idf) == pytest.approx(
                 expected, abs=1e-9)
 
     def test_reference_order_irrelevant(self, toy_dataset, toy_predictions):
         idf = build_idf(toy_dataset)
         candidate = tokenize(toy_predictions[("img04", BlurLevel.MB1)])
-        refs = [tokenize(r) for r in toy_dataset.references["img04"]]
+        refs = [tokenize(r) for r in toy_dataset["img04"]]
         assert cider_d(candidate, refs, idf) == \
             cider_d(candidate, list(reversed(refs)), idf)
 
@@ -181,7 +186,7 @@ class TestCiderD:
         idf = build_idf(toy_dataset)
         corpus = corpus_tokens(toy_dataset)
         candidate = tokenize(toy_predictions[("img06", BlurLevel.MB0)])
-        refs = [tokenize(r) for r in toy_dataset.references["img06"]]
+        refs = [tokenize(r) for r in toy_dataset["img06"]]
         extended = refs + [refs[2]]
         mine = cider_d(candidate, extended, idf)
         assert abs(mine - cider_d_formula(candidate, extended, corpus)) < 1e-9
@@ -196,12 +201,12 @@ class TestCiderD:
         ds = tiny_dataset([["a dog sleeps here"], ["owls watch green rivers"]])
         idf = build_idf(ds)
         ref = tokenize("a dog sleeps here")
-        weight = idf.idf(("dog",))
+        weight = idf_of(idf, ("dog",))
         assert min(4 * weight, 1 * weight) * weight == weight * weight
         score = cider_d(tokenize("dog dog dog dog"), [ref], idf)
         # only the unigram share can be nonzero; reconstruct it by hand
         ref_norm = math.sqrt(sum(w * w for w in (
-            idf.idf(g) for g in ngram_counts(ref)[1])))
+            idf_of(idf, g) for g in ngram_counts(ref)[1])))
         expected = 10.0 / 4.0 * (weight * weight) / (4 * weight * ref_norm)
         assert score == pytest.approx(expected, abs=1e-12)
         # stuffing more copies cannot raise the score: the numerator is
@@ -211,7 +216,7 @@ class TestCiderD:
 
     def test_score_range_property(self, toy_dataset):
         idf = build_idf(toy_dataset)
-        refs = [tokenize(r) for r in toy_dataset.references["img02"]]
+        refs = [tokenize(r) for r in toy_dataset["img02"]]
         for text in ("a", "a kitchen", "white cabinets and a stove in a kitchen",
                      "entirely unrelated words", ""):
             score = cider_d(tokenize(text), refs, idf)
@@ -222,10 +227,9 @@ class TestCiderD:
            st.lists(_WORDS, max_size=8))
     @settings(max_examples=60, deadline=None)
     def test_score_range_random(self, ref_token_lists, candidate):
-        images = [("i0", "i0.ppm"), ("i1", "i1.ppm")]
         refs = {"i0": [" ".join(toks) for toks in ref_token_lists],
                 "i1": ["completely different text here"]}
-        idf = build_idf(Dataset(images, refs))
+        idf = build_idf(refs)
         score = cider_d(candidate, ref_token_lists, idf)
         assert 0.0 <= score <= 10.0 + 1e-12
 
@@ -250,12 +254,12 @@ class TestCorpusCiderD:
         ds = tiny_dataset([["a black dog runs fast"],
                            ["purple trains hum at night"],
                            ["seven owls watch green rivers"]])
-        preds = {(i, BlurLevel.MB0): ds.references[i][0] for i in ds.image_ids()}
+        preds = {(i, BlurLevel.MB0): ds[i][0] for i in ds}
         assert corpus_cider_d(preds, ds, BlurLevel.MB0) == pytest.approx(
             10.0, abs=1e-9)
 
     def test_disjoint_candidates_score_zero(self, toy_dataset):
-        preds = {(i, BlurLevel.MB0): "qqq www eee" for i in toy_dataset.image_ids()}
+        preds = {(i, BlurLevel.MB0): "qqq www eee" for i in toy_dataset}
         assert corpus_cider_d(preds, toy_dataset, BlurLevel.MB0) == 0.0
 
     def test_toy_corpus_means_match_oracle(self, toy_dataset, toy_predictions):
@@ -265,9 +269,9 @@ class TestCorpusCiderD:
             oracle = sum(
                 cider_d_formula(
                     tokenize(toy_predictions[(i, level)]),
-                    [tokenize(r) for r in toy_dataset.references[i]],
+                    [tokenize(r) for r in toy_dataset[i]],
                     corpus)
-                for i in toy_dataset.image_ids()) / 10
+                for i in toy_dataset) / 10
             assert abs(mine - oracle) < 1e-9
             assert mine == pytest.approx(expected, abs=1e-9)
 
@@ -275,7 +279,7 @@ class TestCorpusCiderD:
                                                   toy_predictions):
         """Orders past the longest reference add 0 but still count in the
         mean over n, and are never interned."""
-        longest = max(len(tokenize(r)) for refs in toy_dataset.references.values()
+        longest = max(len(tokenize(r)) for refs in toy_dataset.values()
                       for r in refs)
         at_longest = corpus_cider_d(toy_predictions, toy_dataset, BlurLevel.MB1,
                                     CiderConfig(max_n=longest))
@@ -345,7 +349,7 @@ class TestKernelMatchesFormula:
             assert abs(score - oracle) < 1e-9
             per_image.append(score)
         preds = {(i, BlurLevel.MB2): " ".join(candidate)
-                 for i, (candidate, _) in zip(ds.image_ids(), scored)}
+                 for i, (candidate, _) in zip(ds, scored)}
         mean = corpus_cider_d(preds, ds, BlurLevel.MB2, cfg,
                               idf=None if idf_images is None else idf)
         assert mean == sum(per_image) / len(per_image)
@@ -355,7 +359,6 @@ class TestKernelMatchesFormula:
         def per_ngram(*args):
             raise AssertionError("per-n-gram call on the scoring path")
 
-        monkeypatch.setattr(IdfTable, "idf", per_ngram)
         monkeypatch.setattr(blurbench.cider, "ngram_counts", per_ngram)
         mean = corpus_cider_d(toy_predictions, toy_dataset, BlurLevel.MB0)
         assert mean == pytest.approx(FROZEN_CORPUS_MEANS[BlurLevel.MB0],
@@ -398,9 +401,9 @@ class TestCiderConfig:
             for level in BlurLevel:
                 assert math.isfinite(corpus_cider_d(toy_predictions, toy_dataset,
                                                     level, cfg, idf=idf))
-            for i in toy_dataset.image_ids()[:oracle_checks]:
+            for i in list(toy_dataset)[:oracle_checks]:
                 candidate = tokenize(toy_predictions[(i, BlurLevel.MB1)])
-                refs = [tokenize(r) for r in toy_dataset.references[i]]
+                refs = [tokenize(r) for r in toy_dataset[i]]
                 oracle = cider_d_formula(candidate, refs, corpus,
                                          sigma=cfg.sigma, scale=cfg.scale)
                 assert cider_d(candidate, refs, idf, cfg) == pytest.approx(

@@ -419,8 +419,8 @@ class TestScoreCommand:
         rows = {level: float(score) for _, level, score in (
             line.split(",") for line in
             (out / "scores.csv").read_text().splitlines()[2:])}
-        ids = toy_dataset.image_ids()
-        refs = {i: [tokenize(r) for r in toy_dataset.references[i]] for i in ids}
+        ids = list(toy_dataset)
+        refs = {i: [tokenize(r) for r in toy_dataset[i]] for i in ids}
 
         def corpus_score(image_ids, idf_ids):
             corpus = [refs[i] for i in idf_ids]
@@ -449,7 +449,7 @@ class TestScoreCommand:
                                        capsys):
         flags = tmp_path / "flags.csv"
         flags.write_text("image_id,flag\n" + "".join(
-            f"{i},with_blur\n" for i in toy_dataset.image_ids()))
+            f"{i},with_blur\n" for i in toy_dataset))
         out = tmp_path / "out"
         assert run("--out", out, "score", data_dir / "toy_captions.json",
                    data_dir / "toy_predictions.json", "--flags", flags) == 0
@@ -465,6 +465,41 @@ class TestScoreCommand:
         out = tmp_path / "out"
         assert run("--out", out, "score", dataset, preds) == 1
         assert capsys.readouterr() == ("", f"error: no predictions in {preds}\n")
+        assert not out.exists()
+
+    def test_levels_come_from_predictions_of_split_images(self, tmp_path,
+                                                          data_dir, capsys):
+        """A prediction for an image outside the split adds no level."""
+        doc = [item for item in json.loads(
+            (data_dir / "toy_predictions.json").read_text())
+            if item["blur_level"] != "MB3"]
+        doc.append({"image_id": "zzz", "blur_level": "MB3", "caption": "x"})
+        preds = tmp_path / "preds.json"
+        preds.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run("--out", out, "score", data_dir / "toy_captions.json",
+                   preds) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: 1 prediction(s) for images not in the split ignored"]
+        rows = (out / "scores.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[1] for row in rows] == ["MB0", "MB1", "MB2"]
+
+    def test_no_prediction_for_a_split_image_fails_before_writing(
+            self, tmp_path, capsys):
+        dataset, preds = write_corpus(tmp_path, TINY_REFS,
+                                      {("zz", "MB0"): "x", ("yy", "MB2"): "y"})
+        out = tmp_path / "out"
+        assert run("--out", out, "score", dataset, preds) == 1
+        assert capsys.readouterr() == ("", (
+            "warning: 2 prediction(s) for images not in the split ignored\n"
+            f"error: no predictions for images in {preds}\n"))
+        assert not out.exists()
+
+    def test_empty_split_fails_first(self, tmp_path, capsys):
+        dataset, preds = write_corpus(tmp_path, {}, {("a", "MB0"): "x"})
+        out = tmp_path / "out"
+        assert run("--out", out, "score", dataset, preds) == 1
+        assert capsys.readouterr() == ("", f"error: no images in {dataset}\n")
         assert not out.exists()
 
     def test_unwritable_scores_file_leaves_no_temp_file(self, tmp_path,

@@ -1,4 +1,4 @@
-"""Dataset, prediction, and side-file parsing."""
+"""Caption, prediction, and side-file parsing."""
 
 import json
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from blurbench.imaging import BlurLevel
 from blurbench.ingest import (
     BlurFlag,
-    Dataset,
     ParseError,
     filter_by_blur_flag,
     parse_blur_flags,
@@ -17,12 +16,12 @@ from blurbench.ingest import (
     parse_feature_counts,
     parse_predictions,
     read_csv,
-    serialize_blur_flags,
-    serialize_captions,
-    serialize_feature_counts,
-    serialize_predictions,
+    write_csv,
 )
 from conftest import CSV_READS_NUL, feature_counts, feature_rows
+
+FEATURES_HEADER = ["image_id", "level", "count"]
+FLAGS_HEADER = ["image_id", "flag"]
 
 
 def caption_doc(num_images, captions_per_image=1, split="val"):
@@ -60,18 +59,14 @@ def test_non_string_text_rejected(parse, record, key, value):
 class TestParseCaptions:
     def test_single_image_five_captions(self):
         ds = parse_captions(caption_doc(1, captions_per_image=5))
-        assert len(ds.images) == 1
-        assert len(ds.references["im0"]) == 5
-        assert ds.split_name == "val"
+        assert ds == {"im0": [f"caption {j} for image 0" for j in range(5)]}
 
     def test_integer_ids_become_strings(self):
         doc = json.dumps({
             "images": [{"id": 42, "file_name": "x.jpg"}],
             "annotations": [{"image_id": 42, "caption": "a thing"}],
         }).encode()
-        ds = parse_captions(doc)
-        assert ds.image_ids() == ["42"]
-        assert ds.split_name == ""
+        assert parse_captions(doc) == {"42": ["a thing"]}
 
     @pytest.mark.parametrize("split", [None, 7, True, ["val"], {"name": "val"}])
     def test_non_string_split_rejected(self, split):
@@ -123,21 +118,60 @@ class TestParseCaptions:
         with pytest.raises(ParseError, match="duplicate"):
             parse_captions(doc)
 
+    @pytest.mark.parametrize("doc,error", [
+        ({"images": [{"id": "a"}], "annotations": [{"image_id": 1.5}]},
+         "bad image record {'id': 'a'}"),
+        ({"images": [{"id": "a", "file_name": "a"}],
+          "annotations": [{"image_id": 1.5}], "split": 3},
+         "bad annotation record {'image_id': 1.5}: image_id must be a "
+         "string or an integer"),
+        ({"images": [{"id": "a", "file_name": "a"}] * 2,
+          "annotations": [], "split": None}, "split must be a string, not None"),
+        ({"images": [{"id": "b", "file_name": "b"}, {"id": "b", "file_name": "c"}],
+          "annotations": [{"image_id": "z", "caption": "c"}]},
+         "duplicate image ids"),
+        ({"images": [{"id": "c", "file_name": "c"}, {"id": "a", "file_name": "a"}],
+          "annotations": [{"image_id": "z", "caption": "c"},
+                          {"image_id": "b", "caption": "c"}]},
+         "references for unknown images: ['b', 'z']"),
+        ({"images": [{"id": "c", "file_name": "c"}, {"id": "b", "file_name": "b"},
+                     {"id": "a", "file_name": "a"}],
+          "annotations": [{"image_id": "b", "caption": "c"}]},
+         "images without captions: ['c', 'a']"),
+    ], ids=["image-before-annotation", "annotation-before-split",
+            "split-before-duplicate", "duplicate-before-unknown",
+            "unknown-before-uncaptioned", "uncaptioned-in-image-order"])
+    def test_first_check_failed_is_reported(self, doc, error):
+        """Each document breaks two rules (the last, one); the error is
+        the earlier rule's: records of images, of annotations, the split
+        name, then repeated ids, unknown images and uncaptioned images."""
+        with pytest.raises(ParseError) as info:
+            parse_captions(json.dumps(doc).encode())
+        assert str(info.value) == error
+
     def test_karpathy_sized_fixture(self):
         ds = parse_captions(caption_doc(5000))
-        assert len(ds.images) == 5000
+        assert len(ds) == 5000
 
     def test_vizwiz_sized_fixture(self):
         ds = parse_captions(caption_doc(7542))
-        assert len(ds.images) == 7542
+        assert len(ds) == 7542
 
     def test_image_count_equals_reference_keys(self, toy_dataset):
-        assert len(toy_dataset.images) == len(toy_dataset.references)
+        assert len(toy_dataset) == 10
+        assert all(len(refs) == 5 for refs in toy_dataset.values())
 
     def test_round_trip_idempotent(self, toy_dataset):
-        again = parse_captions(serialize_captions(toy_dataset))
+        """A document written from a split parses back to it, in its
+        image order and each image's reference order."""
+        doc = {"images": [{"id": i, "file_name": f"{i}.ppm"}
+                          for i in reversed(toy_dataset)],
+               "annotations": [{"image_id": i, "caption": refs[k]}
+                               for k in range(5) for i, refs in
+                               toy_dataset.items()]}
+        again = parse_captions(json.dumps(doc).encode())
         assert again == toy_dataset
-        assert serialize_captions(again) == serialize_captions(toy_dataset)
+        assert list(again) == list(reversed(toy_dataset))
 
 
 class TestParsePredictions:
@@ -179,10 +213,10 @@ class TestParsePredictions:
         assert sorted({level for _, level in toy_predictions}) == list(BlurLevel)
 
     def test_round_trip_idempotent(self, toy_predictions):
-        again = parse_predictions(serialize_predictions(toy_predictions))
-        assert again == toy_predictions
-        assert serialize_predictions(again) == \
-            serialize_predictions(toy_predictions)
+        doc = [{"image_id": image_id, "blur_level": level.name,
+                "caption": caption}
+               for (image_id, level), caption in toy_predictions.items()]
+        assert parse_predictions(json.dumps(doc).encode()) == toy_predictions
 
 
 class TestParseFeatureCounts:
@@ -256,9 +290,10 @@ class TestParseFeatureCounts:
         assert str(info.value) == error
 
     def test_round_trip_idempotent(self, toy_feature_records):
-        data = serialize_feature_counts(toy_feature_records)
+        rows = [[image_id, level.name, count] for image_id, level, count
+                in feature_rows(toy_feature_records)]
+        data = write_csv(FEATURES_HEADER, rows).encode()
         assert parse_feature_counts(data) == toy_feature_records
-        assert serialize_feature_counts(parse_feature_counts(data)) == data
 
 
 class TestParseBlurFlags:
@@ -275,14 +310,15 @@ class TestParseBlurFlags:
             parse_blur_flags(b"image_id,flag\na,with_blur\na,no_blur\n")
 
     def test_round_trip_idempotent(self, toy_flags):
-        data = serialize_blur_flags(toy_flags)
+        rows = [[image_id, flag.value] for image_id, flag in toy_flags.items()]
+        data = write_csv(FLAGS_HEADER, rows).encode()
         assert parse_blur_flags(data) == toy_flags
-        assert serialize_blur_flags(parse_blur_flags(data)) == data
 
 
-def assert_round_trip(parse, serialize, value, ids):
-    """parse(serialize(value)) == value, or a ParseError where csv reads no NUL."""
-    data = serialize(value)
+def assert_round_trip(parse, header, rows, value, ids):
+    """parse(the CSV of `rows`) == value, or a ParseError where csv reads
+    no NUL."""
+    data = write_csv(header, rows).encode()
     if not CSV_READS_NUL and any("\x00" in i for i in ids):
         with pytest.raises(ParseError, match="NUL"):
             parse(data)
@@ -298,9 +334,12 @@ class TestCsvDialect:
         " padded ", "A\x0cB", "A\x85B", "A\u2028B", "\x1c\x1d\x1e"])
     def test_serializers_round_trip_awkward_ids(self, image_id):
         records = feature_counts([(image_id, BlurLevel.MB2, 7)])
-        assert parse_feature_counts(serialize_feature_counts(records)) == records
+        data = write_csv(FEATURES_HEADER, [[image_id, "MB2", 7]]).encode()
+        assert parse_feature_counts(data) == records
         flags = {image_id: BlurFlag.WITH_BLUR, "plain": BlurFlag.NO_BLUR}
-        assert parse_blur_flags(serialize_blur_flags(flags)) == flags
+        data = write_csv(FLAGS_HEADER, [[image_id, "with_blur"],
+                                        ["plain", "no_blur"]]).encode()
+        assert parse_blur_flags(data) == flags
 
     @given(pairs=st.lists(st.tuples(st.text(),
                                     st.sampled_from(list(BlurLevel))),
@@ -308,17 +347,19 @@ class TestCsvDialect:
            counts=st.lists(st.integers(0, 10**6), min_size=6, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_feature_counts_round_trip_any_id(self, pairs, counts):
+        rows = [[image_id, level.name, count]
+                for (image_id, level), count in zip(pairs, counts)]
         records = feature_counts(
-            (image_id, level, count)
-            for (image_id, level), count in zip(pairs, counts))
-        assert_round_trip(parse_feature_counts, serialize_feature_counts,
-                          records, [image_id for image_id, _ in pairs])
+            (image_id, BlurLevel[level], count) for image_id, level, count in rows)
+        assert_round_trip(parse_feature_counts, FEATURES_HEADER, rows, records,
+                          [image_id for image_id, _ in pairs])
 
     @given(flags=st.dictionaries(st.text(), st.sampled_from(list(BlurFlag)),
                                  max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_blur_flags_round_trip_any_id(self, flags):
-        assert_round_trip(parse_blur_flags, serialize_blur_flags, flags, flags)
+        rows = [[image_id, flag.value] for image_id, flag in flags.items()]
+        assert_round_trip(parse_blur_flags, FLAGS_HEADER, rows, flags, flags)
 
     def test_metadata_before_header_and_crlf_rows(self):
         text = "# seed=3\r\n#\n\nimage_id,flag\r\n\r\na,with_blur\r\n"
@@ -363,13 +404,13 @@ class TestFilterByBlurFlag:
 
     def test_subset_sizes(self):
         ds, ann = self.make(2, 3)
-        assert len(filter_by_blur_flag(ds, ann, BlurFlag.WITH_BLUR).images) == 2
-        assert len(filter_by_blur_flag(ds, ann, BlurFlag.NO_BLUR).images) == 3
+        assert len(filter_by_blur_flag(ds, ann, BlurFlag.WITH_BLUR)) == 2
+        assert len(filter_by_blur_flag(ds, ann, BlurFlag.NO_BLUR)) == 3
 
     def test_empty_subset_allowed(self):
         ds, ann = self.make(0, 5)
         subset = filter_by_blur_flag(ds, ann, BlurFlag.WITH_BLUR)
-        assert subset.images == []
+        assert subset == {}
 
     def test_missing_flag_rejected(self):
         ds, _ = self.make(2, 3)
@@ -380,31 +421,36 @@ class TestFilterByBlurFlag:
     def test_partition_disjoint_and_exhaustive(self, toy_dataset, toy_flags):
         with_blur = filter_by_blur_flag(toy_dataset, toy_flags, BlurFlag.WITH_BLUR)
         no_blur = filter_by_blur_flag(toy_dataset, toy_flags, BlurFlag.NO_BLUR)
-        with_ids = set(with_blur.image_ids())
-        without_ids = set(no_blur.image_ids())
-        assert with_ids.isdisjoint(without_ids)
-        assert with_ids | without_ids == set(toy_dataset.image_ids())
+        assert set(with_blur).isdisjoint(no_blur)
+        assert set(with_blur) | set(no_blur) == set(toy_dataset)
 
     def test_references_carried_over(self, toy_dataset, toy_flags):
+        """The subset keeps the split's image order and its references."""
         subset = filter_by_blur_flag(toy_dataset, toy_flags, BlurFlag.WITH_BLUR)
-        for image_id in subset.image_ids():
-            assert subset.references[image_id] == \
-                toy_dataset.references[image_id]
+        assert subset == {image_id: refs for image_id, refs in
+                          toy_dataset.items()
+                          if toy_flags[image_id] is BlurFlag.WITH_BLUR}
+        assert list(subset) == [image_id for image_id in toy_dataset
+                                if toy_flags[image_id] is BlurFlag.WITH_BLUR]
 
     def test_vizwiz_scale_split(self):
         # ~4.5K flagged with blur, ~3K without
         ds, ann = self.make(4500, 3042)
         with_blur = filter_by_blur_flag(ds, ann, BlurFlag.WITH_BLUR)
         no_blur = filter_by_blur_flag(ds, ann, BlurFlag.NO_BLUR)
-        assert len(with_blur.images) == 4500
-        assert len(no_blur.images) == 3042
-        assert len(with_blur.images) + len(no_blur.images) == len(ds.images)
+        assert len(with_blur) == 4500
+        assert len(no_blur) == 3042
+        assert len(with_blur) + len(no_blur) == len(ds)
 
 
 class TestDatasetInvariants:
     def test_reference_for_unknown_image_rejected(self):
-        with pytest.raises(ParseError, match="unknown"):
-            Dataset([("a", "a.jpg")], {"a": ["x"], "b": ["y"]})
+        doc = {"images": [{"id": "a", "file_name": "a.jpg"}],
+               "annotations": [{"image_id": image_id, "caption": "x"}
+                               for image_id in ("a", "b")]}
+        with pytest.raises(ParseError) as info:
+            parse_captions(json.dumps(doc).encode())
+        assert str(info.value) == "references for unknown images: ['b']"
 
     def test_negative_feature_count_rejected(self):
         with pytest.raises(ParseError, match="negative feature count for a$"):
