@@ -77,9 +77,6 @@ class CiderConfig:
             raise ValueError("scale must be at most 1e291")
 
 
-DEFAULT_CONFIG = CiderConfig()
-
-
 def _intern(texts: Iterable[Sequence[str]], max_n: int):
     """Integer ids of every n-gram occurrence in `texts`, for n = 1 up to
     max_n or the longest text's length, whichever is smaller.
@@ -167,7 +164,7 @@ class IdfTable:
         return result
 
 
-def build_idf(split: Split, max_n: int = 4) -> IdfTable:
+def build_idf(split: Split, max_n: int = CiderConfig.max_n) -> IdfTable:
     """df(g) = number of images with g in at least one reference caption."""
     if not split:
         raise ValueError("empty dataset")
@@ -241,7 +238,7 @@ def _score_block(candidates: list[Sequence[str]],
 
 
 def cider_d(candidate: Sequence[str], refs: Sequence[Sequence[str]],
-            idf: IdfTable, cfg: CiderConfig = DEFAULT_CONFIG) -> float:
+            idf: IdfTable, cfg: CiderConfig = CiderConfig()) -> float:
     """Score one tokenized candidate against its tokenized references."""
     if not refs:
         raise ValueError("empty reference list")
@@ -249,17 +246,15 @@ def cider_d(candidate: Sequence[str], refs: Sequence[Sequence[str]],
 
 
 def corpus_cider_d(preds: dict[tuple[str, BlurLevel], str], split: Split,
-                   level: BlurLevel, cfg: CiderConfig = DEFAULT_CONFIG,
-                   idf: IdfTable | None = None) -> float:
+                   level: BlurLevel, idf: IdfTable,
+                   cfg: CiderConfig = CiderConfig()) -> float:
     """Mean per-image score at one blur level.
 
-    The idf table comes from the split's own references unless an
-    explicit one is passed (e.g. to reuse across levels). `preds` maps
-    (image id, level) to a caption, as `parse_predictions` returns it;
-    every image of the split must have a candidate at `level`.
+    The caller passes the idf table: `build_idf` of the split itself, or
+    of the larger split it was cut from. `preds` maps (image id, level) to
+    a caption, as `parse_predictions` returns it; every image of the split
+    must have a candidate at `level`.
     """
-    if idf is None:
-        idf = build_idf(split, cfg.max_n)
     missing = [i for i in split if (i, level) not in preds]
     if missing:
         raise ValueError(

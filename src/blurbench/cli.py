@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -68,9 +69,12 @@ from .report import (
     render_score_table,
     render_subset_table,
 )
-from .schedule import parse_technique, plan_dataset, technique_plan, write_manifest
+from .schedule import (check_seed, parse_technique, plan_dataset,
+                       technique_plan, write_manifest)
 
 SEED_ENV_VAR = "BLURBENCH_SEED"
+#: A config comment starts at a `#` that begins a line or follows whitespace
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def _out_directory(text: str) -> Path:
@@ -79,17 +83,10 @@ def _out_directory(text: str) -> Path:
     return Path(text)
 
 
-def _seed(text: str) -> int:
-    seed = int(text)
-    if not 0 <= seed < 2 ** 64:  # the hash key is the seed's 8 bytes
-        raise ValueError(f"seed must be in [0, 2**64), not {seed}")
-    return seed
-
-
 #: Setting name (its config key) -> (converter of its flag, config-file or
 #: environment text, which raises ValueError; default).
 _SETTINGS = {
-    "seed": (_seed, 0),
+    "seed": (lambda text: check_seed(int(text)), 0),
     "technique": (lambda text: parse_technique(text).value, "No-Aug"),
     "out": (_out_directory, Path(".")),
     "bin_width": (lambda text: check_bin_width(int(text)), 10),
@@ -117,8 +114,8 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 def _load_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    for raw in path.read_bytes().decode("utf-8").split("\n"):
-        line = raw.split("#", 1)[0].strip()
+    for raw in path.read_bytes().decode("utf-8-sig").split("\n"):
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
@@ -196,7 +193,7 @@ def cmd_blur(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    lines = args.keys.read_bytes().decode("utf-8").split("\n")
+    lines = args.keys.read_bytes().decode("utf-8-sig").split("\n")
     keys = list(filter(None, map(str.strip, lines)))
     if "\r" in "".join(keys):
         number = next(n for n, line in enumerate(lines, 1) if "\r" in line.strip())
@@ -229,7 +226,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     rows = []
     for level in sorted(set(levels)):
-        score = corpus_cider_d(preds, dataset, level, metric, idf=idf)
+        score = corpus_cider_d(preds, dataset, level, idf, metric)
         rows.append([args.technique, level.name, score])
         print(f"{args.technique} {level.name}: {score:.4f}")
     if args.flags is not None:
@@ -240,7 +237,8 @@ def cmd_score(args: argparse.Namespace) -> int:
                 print(f"warning: no images flagged {flag.value}; "
                       f"subset row skipped", file=sys.stderr)
                 continue
-            score = corpus_cider_d(preds, subset, BlurLevel.MB0, metric)
+            score = corpus_cider_d(preds, subset, BlurLevel.MB0,
+                                   build_idf(subset, metric.max_n), metric)
             rows.append([args.technique, flag.value, score])
             print(f"{args.technique} {flag.value} (MB0): {score:.4f}")
 

@@ -30,14 +30,6 @@ _BAND_BYTES = 128 << 10
 _BAND_FLOOR = 4
 
 
-class FormatError(ValueError):
-    """Malformed or unsupported raster bytes."""
-
-
-class DimensionError(ValueError):
-    """Kernel does not fit inside the image."""
-
-
 class BlurLevel(IntEnum):
     """Additional blur intensity, ordered none < low < medium < high."""
 
@@ -157,7 +149,7 @@ def apply_blur(img: Image, kernel: BlurKernel) -> Image:
         return img
     h = img.height
     if kw > img.width or kh > h:
-        raise DimensionError(
+        raise ValueError(
             f"kernel {kw}x{kh} larger than image {img.width}x{h}")
     ax, ay = kw // 2, kh // 2
     x_pad = (ax, kw - 1 - ax)
@@ -197,14 +189,14 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     """Next header token, skipping whitespace and '#' comments."""
     match = _HEADER_TOKEN.match(data, pos)
     if match is None:
-        raise FormatError("truncated header")
+        raise ValueError("truncated header")
     return match[1], match.end()
 
 
 def _int_token(data: bytes, pos: int) -> tuple[int, int]:
     token, pos = _next_token(data, pos)
     if not token.isdigit():
-        raise FormatError(f"expected integer header token, got {token!r}")
+        raise ValueError(f"expected integer header token, got {token!r}")
     return int(token), pos
 
 
@@ -213,25 +205,25 @@ def load_image(data: bytes) -> Image:
     data = bytes(data)
     magic, pos = _next_token(data, 0)
     if magic not in _MAGIC_CHANNELS:
-        raise FormatError(f"bad magic {magic!r}; expected P5 or P6")
+        raise ValueError(f"bad magic {magic!r}; expected P5 or P6")
     width, pos = _int_token(data, pos)
     height, pos = _int_token(data, pos)
     maxval, pos = _int_token(data, pos)
     if width < 1 or height < 1:
-        raise FormatError("non-positive dimensions")
+        raise ValueError("non-positive dimensions")
     if maxval != 255:
-        raise FormatError(f"unsupported maxval {maxval}; only 255")
+        raise ValueError(f"unsupported maxval {maxval}; only 255")
     # exactly one whitespace byte separates the header from the payload
     if pos >= len(data) or data[pos] not in _WHITESPACE:
-        raise FormatError("missing delimiter after maxval")
+        raise ValueError("missing delimiter after maxval")
     payload_size = len(data) - pos - 1
     channels = _MAGIC_CHANNELS[magic]
     expected = width * height * channels
     if payload_size < expected:
-        raise FormatError(
+        raise ValueError(
             f"truncated payload: {payload_size} bytes, expected {expected}")
     if payload_size > expected:
-        raise FormatError(
+        raise ValueError(
             f"trailing data: {payload_size} bytes, expected {expected}")
     samples = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos + 1)
     return Image(samples.reshape(height, width, channels).copy())

@@ -16,7 +16,7 @@ Formats handled:
 Image ids are opaque strings throughout (integer ids are stringified), so
 one code path serves datasets that key images by number and by filename.
 Any other JSON id (null, a bool, a float, a list or an object) is a
-`ParseError` naming its record. Captions, file names and the optional
+`ValueError` naming its record. Captions, file names and the optional
 split name must be JSON strings; captions are kept verbatim (tokenization
 happens in the metric, not here), while file names and the split name
 are checked and dropped, since scoring needs only each image's
@@ -39,10 +39,6 @@ from types import SimpleNamespace
 from typing import NoReturn
 
 from .imaging import LEVEL_BY_NAME, BlurLevel
-
-
-class ParseError(ValueError):
-    """Malformed input document."""
 
 
 class BlurFlag(Enum):
@@ -72,7 +68,7 @@ def parse_level(token: str) -> BlurLevel:
     try:
         return BlurLevel[token]
     except KeyError:
-        raise ParseError(f"unknown blur level {token!r}") from None
+        raise ValueError(f"unknown blur level {token!r}") from None
 
 
 def _image_id(item, key: str, kind: str) -> str:
@@ -81,7 +77,7 @@ def _image_id(item, key: str, kind: str) -> str:
     if isinstance(value, str) or (
             isinstance(value, int) and not isinstance(value, bool)):
         return str(value)
-    raise ParseError(f"bad {kind} record {item!r}: "
+    raise ValueError(f"bad {kind} record {item!r}: "
                      f"{key} must be a string or an integer")
 
 
@@ -90,14 +86,14 @@ def _string(item, key: str, kind: str) -> str:
     value = item[key]
     if isinstance(value, str):
         return value
-    raise ParseError(f"bad {kind} record {item!r}: {key} must be a string")
+    raise ValueError(f"bad {kind} record {item!r}: {key} must be a string")
 
 
 def _load_json(document: bytes):
     try:
         return json.loads(document.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
+        raise ValueError(f"malformed JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +104,14 @@ def parse_captions(document: bytes) -> Split:
     doc = _load_json(document)
     if not isinstance(doc, dict) or not all(
             isinstance(doc.get(key), list) for key in ("images", "annotations")):
-        raise ParseError("caption document needs 'images' and 'annotations' lists")
+        raise ValueError("caption document needs 'images' and 'annotations' lists")
     split: Split = {}
     for item in doc["images"]:
         try:
             image_id = _image_id(item, "id", "image")
             _string(item, "file_name", "image")
         except (TypeError, KeyError) as exc:
-            raise ParseError(f"bad image record {item!r}") from exc
+            raise ValueError(f"bad image record {item!r}") from exc
         split[image_id] = []
     unknown = set()
     for item in doc["annotations"]:
@@ -123,7 +119,7 @@ def parse_captions(document: bytes) -> Split:
             image_id = _image_id(item, "image_id", "annotation")
             caption = _string(item, "caption", "annotation")
         except (TypeError, KeyError) as exc:
-            raise ParseError(f"bad annotation record {item!r}") from exc
+            raise ValueError(f"bad annotation record {item!r}") from exc
         references = split.get(image_id)
         if references is None:
             unknown.add(image_id)
@@ -131,15 +127,15 @@ def parse_captions(document: bytes) -> Split:
             references.append(caption)
     split_name = doc.get("split", "")
     if not isinstance(split_name, str):
-        raise ParseError(f"split must be a string, not {split_name!r}")
+        raise ValueError(f"split must be a string, not {split_name!r}")
     if len(split) != len(doc["images"]):
-        raise ParseError("duplicate image ids")
+        raise ValueError("duplicate image ids")
     if unknown:
-        raise ParseError(f"references for unknown images: {sorted(unknown)}")
+        raise ValueError(f"references for unknown images: {sorted(unknown)}")
     missing = [image_id for image_id, references in split.items()
                if not references]
     if missing:
-        raise ParseError(f"images without captions: {missing}")
+        raise ValueError(f"images without captions: {missing}")
     return split
 
 
@@ -150,7 +146,7 @@ def parse_captions(document: bytes) -> Split:
 def parse_predictions(document: bytes) -> dict[tuple[str, BlurLevel], str]:
     doc = _load_json(document)
     if not isinstance(doc, list):
-        raise ParseError("prediction document must be a JSON array")
+        raise ValueError("prediction document must be a JSON array")
     candidates: dict[tuple[str, BlurLevel], str] = {}
     for item in doc:
         try:
@@ -158,10 +154,10 @@ def parse_predictions(document: bytes) -> dict[tuple[str, BlurLevel], str]:
             level = parse_level(str(item["blur_level"]))
             caption = _string(item, "caption", "prediction")
         except (TypeError, KeyError) as exc:
-            raise ParseError(f"bad prediction record {item!r}") from exc
+            raise ValueError(f"bad prediction record {item!r}") from exc
         pair = (image_id, level)
         if pair in candidates:
-            raise ParseError(
+            raise ValueError(
                 f"duplicate prediction for image {image_id!r} at {level.name}")
         candidates[pair] = caption
     return candidates
@@ -182,7 +178,7 @@ def read_csv(text: str, header: list[str]) -> list[list[str]]:
     """The data columns of a CSV table whose first row must be `header`.
 
     Lines end at ``\\n`` or ``\\r\\n``; ``#`` lines before the header and
-    empty lines are skipped. A `csv.Error` anywhere is a `ParseError` that
+    empty lines are skipped. A `csv.Error` anywhere is a `ValueError` that
     names its line in `text`; failing that, so is a wrong header, then the
     first row of the wrong width. Rows go into the columns
     `_CSV_CHUNK_ROWS` at a time.
@@ -204,10 +200,10 @@ def read_csv(text: str, header: list[str]) -> list[list[str]]:
             for column, values in zip(columns, zip(*chunk)):
                 column.extend(values)
     except csv.Error as exc:
-        raise ParseError(
+        raise ValueError(
             f"bad CSV on line {metadata + reader.line_num}: {exc}") from None
     if problem is not None:
-        raise ParseError(problem)
+        raise ValueError(problem)
     return columns
 
 
@@ -256,12 +252,12 @@ def _raise_first_bad_row(image_ids: list[str], level_tokens: list[str],
             image_ids, level_tokens, count_tokens):
         count = _count(count_token)
         if count is None:
-            raise ParseError(f"non-integer count {count_token!r}")
+            raise ValueError(f"non-integer count {count_token!r}")
         level = parse_level(level_token)
         if count < 0:
-            raise ParseError(f"negative feature count for {image_id}")
+            raise ValueError(f"negative feature count for {image_id}")
         if (image_id, level) in seen:
-            raise ParseError(f"duplicate feature count for image {image_id!r} "
+            raise ValueError(f"duplicate feature count for image {image_id!r} "
                              f"at {level.name}")
         seen.add((image_id, level))
 
@@ -272,9 +268,9 @@ def parse_blur_flags(document: bytes) -> dict[str, BlurFlag]:
             *read_csv(document.decode("utf-8"), _BLUR_FLAGS)):
         flag = FLAG_BY_VALUE.get(flag_token)
         if flag is None:
-            raise ParseError(f"unknown blur flag {flag_token!r}")
+            raise ValueError(f"unknown blur flag {flag_token!r}")
         if image_id in flags:
-            raise ParseError(f"duplicate flag for image {image_id!r}")
+            raise ValueError(f"duplicate flag for image {image_id!r}")
         flags[image_id] = flag
     return flags
 
@@ -292,6 +288,6 @@ def filter_by_blur_flag(split: Split, flags: dict[str, BlurFlag],
     """
     unflagged = [i for i in split if i not in flags]
     if unflagged:
-        raise ParseError(f"images without blur flag: {unflagged}")
+        raise ValueError(f"images without blur flag: {unflagged}")
     return {i: references for i, references in split.items()
             if flags[i] is flag}

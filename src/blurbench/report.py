@@ -18,8 +18,8 @@ from collections import Counter
 from decimal import Decimal
 
 from .imaging import BlurLevel
-from .ingest import (FLAG_BY_VALUE, BlurFlag, FeatureCounts, ParseError,
-                     parse_level, read_csv, write_csv)
+from .ingest import (FLAG_BY_VALUE, BlurFlag, FeatureCounts, parse_level,
+                     read_csv, write_csv)
 from .schedule import Technique
 
 FORMATS = ("markdown", "csv")
@@ -76,7 +76,7 @@ def check_bin_width(bin_width: int) -> int:
 
 
 def build_histograms(features: FeatureCounts,
-                     bin_width: int = 10) -> dict[BlurLevel, dict[int, int]]:
+                     bin_width: int) -> dict[BlurLevel, dict[int, int]]:
     """Images per bin of each level present; bin index = count // bin_width."""
     check_bin_width(bin_width)
     tally = Counter(zip(features.levels,
@@ -104,26 +104,26 @@ def parse_scores_csv(text: str) -> Scores:
         try:
             score = float(score_token)
         except ValueError:
-            raise ParseError(f"bad score {score_token!r}") from None
+            raise ValueError(f"bad score {score_token!r}") from None
         if not math.isfinite(score):
-            raise ParseError(f"non-finite score in row {raw!r}")
+            raise ValueError(f"non-finite score in row {raw!r}")
         scores = table.setdefault(technique, {})
         column = FLAG_BY_VALUE.get(level_token) or parse_level(level_token)
         if column in scores:
-            raise ParseError(
+            raise ValueError(
                 f"duplicate {level_token} score for {technique!r}"
                 if isinstance(column, BlurFlag) else
                 f"duplicate score for {technique!r} at {column.name}")
         scores[column] = score
 
     if not table:
-        raise ParseError("no score rows")
+        raise ValueError("no score rows")
     rank = {t.value: i for i, t in enumerate(Technique)}
     ordered = sorted(table, key=lambda t: rank.get(t, len(rank)))
     for technique in ordered:
         missing = [l.name for l in BlurLevel if l not in table[technique]]
         if missing:
-            raise ParseError(f"row {technique!r} lacks levels: {missing}")
+            raise ValueError(f"row {technique!r} lacks levels: {missing}")
     return {technique: table[technique] for technique in ordered}
 
 
@@ -147,7 +147,7 @@ def _render(header: list[str], rows: list[list], format: str) -> str:
     return "".join("| " + " | ".join(line) + " |\n" for line in cells)
 
 
-def render_score_table(table: Scores, format: str = "markdown") -> str:
+def render_score_table(table: Scores, format: str) -> str:
     if format == "csv":
         return _render(SCORES_HEADER, [
             [t, token, _fmt(scores[column])] for t, scores in table.items()
@@ -163,7 +163,7 @@ def render_score_table(table: Scores, format: str = "markdown") -> str:
 
 
 def render_deltas(deltas: dict[str, dict[BlurLevel, float]],
-                  format: str = "markdown") -> str:
+                  format: str) -> str:
     if format == "csv":
         rows = [[t, l.name, _fmt(d)] for t, by_level in deltas.items()
                 for l, d in by_level.items()]
@@ -173,7 +173,7 @@ def render_deltas(deltas: dict[str, dict[BlurLevel, float]],
                     for t, by_level in deltas.items()], format)
 
 
-def render_subset_table(table: Scores, format: str = "markdown") -> str:
+def render_subset_table(table: Scores, format: str) -> str:
     """One column per flag subset; every row must carry all of them."""
     incomplete = [t for t, s in table.items() if any(f not in s for f in BlurFlag)]
     if incomplete:

@@ -10,7 +10,7 @@ captioner-stage schedule, listed once in `_TECHNIQUE_SCHEDULES`:
     ObjDet-Cap-Aug  detector [0.8, 0.1, 0.1, 0]  captioner [0.5, 0.2, 0.2, 0.1]
 
 Level draws are a pure function of (seed, sample key, stage): the key is
-hashed with BLAKE2b-64 (seed mod 2**64 as the hash key, stage as
+hashed with BLAKE2b-64 (a seed in [0, 2**64) as the hash key, stage as
 personalization) and the top 53 bits are the draw d, read as the uniform
 number u = d * 2**-53 in [0, 1). The level is the first one whose running
 float CDF sum c satisfies u <= c, so a tie goes to the lower level. In
@@ -47,13 +47,12 @@ from enum import Enum
 from functools import partial
 from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import eq, getitem
+from operator import eq, getitem, index
 from typing import Iterable
 
 from .imaging import LEVEL_BY_NAME, BlurLevel
 
 _SUM_TOLERANCE = 1e-9
-_U64 = 0xFFFFFFFFFFFFFFFF
 _DRAWS = 2 ** 53  # draws are the top 53 bits of a 64-bit digest
 _LEVELS = tuple(BlurLevel)
 
@@ -156,11 +155,18 @@ def technique_plan(name: str) -> TechniquePlan:
     return TechniquePlan(parse_technique(name))
 
 
+def check_seed(seed: int) -> int:
+    """`seed` if in [0, 2**64); ValueError if not, TypeError if not an int."""
+    if not 0 <= index(seed) < 2 ** 64:  # its 8 bytes key the level hash
+        raise ValueError(f"seed must be in [0, 2**64), not {seed}")
+    return seed
+
+
 def _draw_levels(encoded_keys: list[bytes], schedule: Schedule, seed: int,
                  stage: str) -> bytes:
     """The level index of each UTF-8 key by the module docstring's rule."""
     hasher = hashlib.blake2b(digest_size=8,
-                             key=(seed & _U64).to_bytes(8, "big"),
+                             key=check_seed(seed).to_bytes(8, "big"),
                              person=stage.encode("utf-8"))
     if not schedule.limits:  # every draw lands on the lowest level
         return bytes(len(encoded_keys))
@@ -211,7 +217,7 @@ def plan_dataset(sample_keys: Iterable[str], plan: TechniquePlan,
     """Assign one blur level per (key, stage), independently per stage.
 
     Entries come out sorted by (key, stage) with the detector stage first;
-    duplicate keys are rejected.
+    duplicate keys and a seed `check_seed` rejects are rejected.
     """
     keys = sorted(sample_keys)
     if any(map(eq, keys, keys[1:])):
@@ -269,6 +275,7 @@ def read_manifest(text: str) -> AugmentationManifest:
         seed = header["seed"]
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ValueError(f"seed must be a JSON integer, not {seed!r}")
+        check_seed(seed)
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValueError(
             f"bad manifest header on line {first + 1}: {exc}") from exc

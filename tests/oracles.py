@@ -191,10 +191,10 @@ def cider_d_formula(candidate, refs, corpus_refs,
 # ---------------------------------------------------------------------------
 
 def draw53(seed: int, sample_key: str, stage: str = "") -> int:
-    """Top 53 bits of BLAKE2b-64(key=seed mod 2**64, person=stage, data=key)."""
+    """Top 53 bits of BLAKE2b-64(key=seed's 8 bytes, person=stage, data=key)."""
     digest = hashlib.blake2b(
         sample_key.encode("utf-8"), digest_size=8,
-        key=(seed % 2 ** 64).to_bytes(8, "big"), person=stage.encode("utf-8"),
+        key=seed.to_bytes(8, "big"), person=stage.encode("utf-8"),
     ).digest()
     return int.from_bytes(digest, "big") >> 11
 

@@ -255,17 +255,19 @@ class TestCorpusCiderD:
                            ["purple trains hum at night"],
                            ["seven owls watch green rivers"]])
         preds = {(i, BlurLevel.MB0): ds[i][0] for i in ds}
-        assert corpus_cider_d(preds, ds, BlurLevel.MB0) == pytest.approx(
-            10.0, abs=1e-9)
+        assert corpus_cider_d(preds, ds, BlurLevel.MB0,
+                              build_idf(ds)) == pytest.approx(10.0, abs=1e-9)
 
     def test_disjoint_candidates_score_zero(self, toy_dataset):
         preds = {(i, BlurLevel.MB0): "qqq www eee" for i in toy_dataset}
-        assert corpus_cider_d(preds, toy_dataset, BlurLevel.MB0) == 0.0
+        assert corpus_cider_d(preds, toy_dataset, BlurLevel.MB0,
+                              build_idf(toy_dataset)) == 0.0
 
     def test_toy_corpus_means_match_oracle(self, toy_dataset, toy_predictions):
         corpus = corpus_tokens(toy_dataset)
+        idf = build_idf(toy_dataset)
         for level, expected in FROZEN_CORPUS_MEANS.items():
-            mine = corpus_cider_d(toy_predictions, toy_dataset, level)
+            mine = corpus_cider_d(toy_predictions, toy_dataset, level, idf)
             oracle = sum(
                 cider_d_formula(
                     tokenize(toy_predictions[(i, level)]),
@@ -282,10 +284,12 @@ class TestCorpusCiderD:
         longest = max(len(tokenize(r)) for refs in toy_dataset.values()
                       for r in refs)
         at_longest = corpus_cider_d(toy_predictions, toy_dataset, BlurLevel.MB1,
+                                    build_idf(toy_dataset, longest),
                                     CiderConfig(max_n=longest))
         for max_n in (longest + 1, 10**9):
             start = time.perf_counter()
             score = corpus_cider_d(toy_predictions, toy_dataset, BlurLevel.MB1,
+                                   build_idf(toy_dataset, max_n),
                                    CiderConfig(max_n=max_n))
             assert time.perf_counter() - start < 1.0
             assert abs(score * max_n - at_longest * longest) < 1e-9
@@ -294,7 +298,8 @@ class TestCorpusCiderD:
         partial = {pair: caption for pair, caption in toy_predictions.items()
                    if pair != ("img05", BlurLevel.MB2)}
         with pytest.raises(ValueError, match="img05"):
-            corpus_cider_d(partial, toy_dataset, BlurLevel.MB2)
+            corpus_cider_d(partial, toy_dataset, BlurLevel.MB2,
+                           build_idf(toy_dataset))
 
     def test_idf_table_scores_only_the_orders_it_counted(self, toy_dataset,
                                                          toy_predictions):
@@ -305,13 +310,13 @@ class TestCorpusCiderD:
         assert (unigram.max_n, build_idf(toy_dataset).max_n) == (1, 4)
         with pytest.raises(ValueError, match="^idf table has max_n 1, not 4$"):
             corpus_cider_d(toy_predictions, toy_dataset, BlurLevel.MB0,
-                           CiderConfig(max_n=4), idf=unigram)
+                           unigram, CiderConfig(max_n=4))
         with pytest.raises(ValueError, match="^idf table has max_n 1, not 2$"):
             cider_d(["a"], [["a"]], unigram, CiderConfig(max_n=2))
         one = CiderConfig(max_n=1)
-        assert corpus_cider_d(toy_predictions, toy_dataset, BlurLevel.MB0, one,
-                              idf=build_idf(toy_dataset, 4)) == corpus_cider_d(
-            toy_predictions, toy_dataset, BlurLevel.MB0, one, idf=unigram)
+        assert corpus_cider_d(toy_predictions, toy_dataset, BlurLevel.MB0,
+                              build_idf(toy_dataset, 4), one) == corpus_cider_d(
+            toy_predictions, toy_dataset, BlurLevel.MB0, unigram, one)
 
 
 # Few distinct words, so n-grams repeat within and across texts (clipping),
@@ -350,8 +355,7 @@ class TestKernelMatchesFormula:
             per_image.append(score)
         preds = {(i, BlurLevel.MB2): " ".join(candidate)
                  for i, (candidate, _) in zip(ds, scored)}
-        mean = corpus_cider_d(preds, ds, BlurLevel.MB2, cfg,
-                              idf=None if idf_images is None else idf)
+        mean = corpus_cider_d(preds, ds, BlurLevel.MB2, idf, cfg)
         assert mean == sum(per_image) / len(per_image)
 
     def test_scoring_makes_no_per_ngram_calls(self, toy_dataset,
@@ -360,16 +364,18 @@ class TestKernelMatchesFormula:
             raise AssertionError("per-n-gram call on the scoring path")
 
         monkeypatch.setattr(blurbench.cider, "ngram_counts", per_ngram)
-        mean = corpus_cider_d(toy_predictions, toy_dataset, BlurLevel.MB0)
+        mean = corpus_cider_d(toy_predictions, toy_dataset, BlurLevel.MB0,
+                              build_idf(toy_dataset))
         assert mean == pytest.approx(FROZEN_CORPUS_MEANS[BlurLevel.MB0],
                                      abs=1e-9)
 
     def test_block_boundaries_do_not_change_scores(self, toy_dataset,
                                                    toy_predictions, monkeypatch):
-        whole = corpus_cider_d(toy_predictions, toy_dataset, BlurLevel.MB1)
+        idf = build_idf(toy_dataset)
+        whole = corpus_cider_d(toy_predictions, toy_dataset, BlurLevel.MB1, idf)
         monkeypatch.setattr(blurbench.cider, "_BLOCK_IMAGES", 3)
         assert corpus_cider_d(toy_predictions, toy_dataset,
-                              BlurLevel.MB1) == whole
+                              BlurLevel.MB1, idf) == whole
 
 
 class TestCiderConfig:
@@ -400,7 +406,7 @@ class TestCiderConfig:
             warnings.simplefilter("error")
             for level in BlurLevel:
                 assert math.isfinite(corpus_cider_d(toy_predictions, toy_dataset,
-                                                    level, cfg, idf=idf))
+                                                    level, idf, cfg))
             for i in list(toy_dataset)[:oracle_checks]:
                 candidate = tokenize(toy_predictions[(i, BlurLevel.MB1)])
                 refs = [tokenize(r) for r in toy_dataset[i]]

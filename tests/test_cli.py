@@ -264,6 +264,17 @@ class TestPlanCommand:
         assert "line 2" in err[0]
         assert not out.exists()
 
+    def test_byte_order_mark_is_not_key_text(self, tmp_path, data_dir):
+        """A UTF-8 BOM before the first key is dropped: the manifest is the
+        one of the same keys without it."""
+        keys = tmp_path / "keys.txt"
+        keys.write_bytes(b"\xef\xbb\xbf"
+                         + (data_dir / "toy_keys.txt").read_bytes())
+        out = tmp_path / "out"
+        assert run("--out", out, "plan", keys) == 0
+        golden = data_dir / "manifest_golden" / "No-Aug_seed0.jsonl"
+        assert (out / "manifest.jsonl").read_bytes() == golden.read_bytes()
+
     @pytest.mark.parametrize("keys,seed,technique,golden", [
         *(pytest.param("toy_keys.txt", seed, technique.value,
                        f"{technique.value}_seed{seed}.jsonl",
@@ -866,6 +877,22 @@ class TestConfigFile:
         assert run("--config", config, "plan", keys) == 0
         manifest = tmp_path / "run\u2028two" / "manifest.jsonl"
         assert read_manifest(manifest.read_text()).seed == 4
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"],
+                             ids=["plain", "bom"])
+    def test_comment_starts_only_after_whitespace(self, tmp_path, bom):
+        """A `#` starts a comment at the start of a line or after
+        whitespace; inside a value it is kept. A leading UTF-8 BOM is not
+        key text."""
+        keys = tmp_path / "keys.txt"
+        keys.write_text("a\n")
+        config = tmp_path / "bench.cfg"
+        config.write_bytes(bom + (f"# run two\nseed = 7  # note\n"
+                                  f"out = {tmp_path}/runs#2\n").encode())
+        assert run("--config", config, "plan", keys) == 0
+        manifest = tmp_path / "runs#2" / "manifest.jsonl"
+        assert read_manifest(manifest.read_text()).seed == 7
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("config,env,flag", [
         ("seed = x", None, ["--seed", "3"]),

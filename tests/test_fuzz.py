@@ -1,7 +1,7 @@
 """Mutated input documents: every parser raises nothing but ValueError.
 
-`cli.main` turns a ValueError (ParseError, FormatError, a JSON or UTF-8
-decoding error) into one `error:` line and exit code 1; any other
+`cli.main` turns a ValueError (every parser's, a JSON or UTF-8 decoding
+error included) into one `error:` line and exit code 1; any other
 exception escapes as a traceback. Each valid fixture gets a few byte
 insertions, deletions and replacements, drawn mostly from bytes that CSV,
 JSON and netpbm treat specially. The same mutations, fed to whole
@@ -33,7 +33,6 @@ from blurbench.imaging import load_image, save_image
 import blurbench.ingest as ingest_mod
 from blurbench.ingest import (
     BlurFlag,
-    ParseError,
     parse_blur_flags,
     parse_captions,
     parse_feature_counts,
@@ -174,6 +173,8 @@ def read_manifest_by_line(text: str) -> AugmentationManifest:
         seed = header["seed"]
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ValueError(f"seed must be a JSON integer, not {seed!r}")
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), not {seed}")
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValueError(
             f"bad manifest header on line {number}: {exc}") from exc
@@ -345,13 +346,13 @@ def read_rows_whole(text: str, header: list[str]) -> list[list[str]]:
     try:
         rows = [row for row in reader if row]
     except csv.Error as exc:
-        raise ParseError(
+        raise ValueError(
             f"bad CSV on line {metadata + reader.line_num}: {exc}") from None
     if not rows or rows[0] != header:
-        raise ParseError(f"expected header {','.join(header)!r}")
+        raise ValueError(f"expected header {','.join(header)!r}")
     for row in rows[1:]:
         if len(row) != len(header):
-            raise ParseError(f"bad row {row!r}")
+            raise ValueError(f"bad row {row!r}")
     return rows[1:]
 
 
@@ -368,14 +369,14 @@ def feature_counts_by_row(document: bytes):
                 raise ValueError
             count = int(count_token)
         except ValueError:
-            raise ParseError(f"non-integer count {count_token!r}") from None
+            raise ValueError(f"non-integer count {count_token!r}") from None
         if level_token not in BlurLevel.__members__:
-            raise ParseError(f"unknown blur level {level_token!r}")
+            raise ValueError(f"unknown blur level {level_token!r}")
         level = BlurLevel[level_token]
         if count < 0:
-            raise ParseError(f"negative feature count for {image_id}")
+            raise ValueError(f"negative feature count for {image_id}")
         if (image_id, level) in seen:
-            raise ParseError(f"duplicate feature count for image {image_id!r} "
+            raise ValueError(f"duplicate feature count for image {image_id!r} "
                              f"at {level.name}")
         seen.add((image_id, level))
         rows.append((image_id, level, count))
@@ -388,9 +389,9 @@ def blur_flags_by_row(document: bytes) -> dict[str, BlurFlag]:
     for image_id, flag_token in read_rows_whole(document.decode("utf-8"),
                                                 ["image_id", "flag"]):
         if flag_token not in {flag.value for flag in BlurFlag}:
-            raise ParseError(f"unknown blur flag {flag_token!r}")
+            raise ValueError(f"unknown blur flag {flag_token!r}")
         if image_id in flags:
-            raise ParseError(f"duplicate flag for image {image_id!r}")
+            raise ValueError(f"duplicate flag for image {image_id!r}")
         flags[image_id] = BlurFlag(flag_token)
     return flags
 

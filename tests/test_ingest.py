@@ -1,6 +1,7 @@
 """Caption, prediction, and side-file parsing."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from blurbench.imaging import BlurLevel
 from blurbench.ingest import (
     BlurFlag,
-    ParseError,
     filter_by_blur_flag,
     parse_blur_flags,
     parse_captions,
@@ -51,7 +51,7 @@ def test_non_string_text_rejected(parse, record, key, value):
         doc = [{"image_id": "im0", "blur_level": "MB0", "caption": "a dog"}]
         item = doc[0]
     item[key] = value
-    with pytest.raises(ParseError, match=f"{key} must be a string") as excinfo:
+    with pytest.raises(ValueError, match=f"{key} must be a string") as excinfo:
         parse(json.dumps(doc).encode())
     assert repr(item) in str(excinfo.value)
 
@@ -70,7 +70,7 @@ class TestParseCaptions:
 
     @pytest.mark.parametrize("split", [None, 7, True, ["val"], {"name": "val"}])
     def test_non_string_split_rejected(self, split):
-        with pytest.raises(ParseError, match="split must be a string"):
+        with pytest.raises(ValueError, match="split must be a string"):
             parse_captions(caption_doc(1, split=split))
 
     @pytest.mark.parametrize("bad_id", [None, True, 4.0, [1], {"id": 1}])
@@ -79,7 +79,7 @@ class TestParseCaptions:
         doc = json.loads(caption_doc(1))
         key = "id" if record == "images" else "image_id"
         doc[record][0][key] = bad_id
-        with pytest.raises(ParseError, match=f"{key} must be a string or an "
+        with pytest.raises(ValueError, match=f"{key} must be a string or an "
                                              f"integer") as excinfo:
             parse_captions(json.dumps(doc).encode())
         assert repr(doc[record][0]) in str(excinfo.value)
@@ -89,7 +89,7 @@ class TestParseCaptions:
             "images": [{"id": "a", "file_name": "a.jpg"}],
             "annotations": [{"image_id": "x", "caption": "stray"}],
         }).encode()
-        with pytest.raises(ParseError, match="unknown image"):
+        with pytest.raises(ValueError, match="unknown image"):
             parse_captions(doc)
 
     def test_image_without_captions_rejected(self):
@@ -98,16 +98,16 @@ class TestParseCaptions:
                        {"id": "b", "file_name": "b.jpg"}],
             "annotations": [{"image_id": "a", "caption": "only one"}],
         }).encode()
-        with pytest.raises(ParseError, match="without captions"):
+        with pytest.raises(ValueError, match="without captions"):
             parse_captions(doc)
 
     def test_malformed_json_rejected(self):
-        with pytest.raises(ParseError, match="JSON"):
+        with pytest.raises(ValueError, match="JSON"):
             parse_captions(b"{not json")
 
     @pytest.mark.parametrize("parse", [parse_captions, parse_predictions])
     def test_deeply_nested_json_rejected(self, parse):
-        with pytest.raises(ParseError, match="malformed JSON"):
+        with pytest.raises(ValueError, match="malformed JSON"):
             parse(b"[" * 100_000)
 
     def test_duplicate_image_ids_rejected(self):
@@ -115,7 +115,7 @@ class TestParseCaptions:
             "images": [{"id": "a", "file_name": "a.jpg"}] * 2,
             "annotations": [{"image_id": "a", "caption": "c"}],
         }).encode()
-        with pytest.raises(ParseError, match="duplicate"):
+        with pytest.raises(ValueError, match="duplicate"):
             parse_captions(doc)
 
     @pytest.mark.parametrize("doc,error", [
@@ -145,7 +145,7 @@ class TestParseCaptions:
         """Each document breaks two rules (the last, one); the error is
         the earlier rule's: records of images, of annotations, the split
         name, then repeated ids, unknown images and uncaptioned images."""
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(ValueError, match=re.escape(error)) as info:
             parse_captions(json.dumps(doc).encode())
         assert str(info.value) == error
 
@@ -185,14 +185,14 @@ class TestParsePredictions:
             {"image_id": "1", "blur_level": "MB0", "caption": "a"},
             {"image_id": "1", "blur_level": "MB0", "caption": "b"},
         ]).encode()
-        with pytest.raises(ParseError, match="duplicate"):
+        with pytest.raises(ValueError, match="duplicate"):
             parse_predictions(doc)
 
     @pytest.mark.parametrize("bad_id", [None, False, 1.5, [], {}])
     def test_non_string_non_integer_ids_rejected(self, bad_id):
         doc = json.dumps([{"image_id": bad_id, "blur_level": "MB0",
                            "caption": "a"}]).encode()
-        with pytest.raises(ParseError, match="bad prediction record"):
+        with pytest.raises(ValueError, match="bad prediction record"):
             parse_predictions(doc)
 
     def test_integer_ids_become_strings(self):
@@ -200,13 +200,13 @@ class TestParsePredictions:
         assert parse_predictions(doc) == {("7", BlurLevel.MB0): "a"}
 
     def test_non_array_document_rejected(self):
-        with pytest.raises(ParseError,
+        with pytest.raises(ValueError,
                            match="^prediction document must be a JSON array$"):
             parse_predictions(b"{}")
 
     def test_unknown_level_rejected(self):
         doc = b'[{"image_id": "1", "blur_level": "MB9", "caption": "a"}]'
-        with pytest.raises(ParseError, match="MB9"):
+        with pytest.raises(ValueError, match="MB9"):
             parse_predictions(doc)
 
     def test_levels_sorted(self, toy_predictions):
@@ -226,19 +226,19 @@ class TestParseFeatureCounts:
         assert len(records) == 1
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ParseError, match="negative"):
+        with pytest.raises(ValueError, match="negative"):
             parse_feature_counts(b"image_id,level,count\n1,MB3,-2\n")
 
     def test_non_integer_count_rejected(self):
-        with pytest.raises(ParseError, match="non-integer"):
+        with pytest.raises(ValueError, match="non-integer"):
             parse_feature_counts(b"image_id,level,count\n1,MB0,many\n")
 
     def test_bad_level_rejected(self):
-        with pytest.raises(ParseError, match="unknown blur level"):
+        with pytest.raises(ValueError, match="unknown blur level"):
             parse_feature_counts(b"image_id,level,count\n1,MB7,3\n")
 
     def test_missing_header_rejected(self):
-        with pytest.raises(ParseError, match="header"):
+        with pytest.raises(ValueError, match="header"):
             parse_feature_counts(b"1,MB0,36\n")
 
     def test_one_record_per_level(self):
@@ -249,22 +249,23 @@ class TestParseFeatureCounts:
 
     def test_repeated_image_and_level_rejected(self):
         doc = b"image_id,level,count\na,MB0,9\nb,MB0,9\na,MB1,8\na,MB0,7\n"
-        with pytest.raises(ParseError) as info:
+        error = "duplicate feature count for image 'a' at MB0"
+        with pytest.raises(ValueError, match=re.escape(error)) as info:
             parse_feature_counts(doc)
-        assert str(info.value) == \
-            "duplicate feature count for image 'a' at MB0"
+        assert str(info.value) == error
 
     @pytest.mark.parametrize("token", [
         "1_000", " 7", "7 ", "+7", "\u0663", "7.0", "0x1f", "", "-", "--7"])
     def test_count_must_be_ascii_digits(self, token):
         doc = f"image_id,level,count\na,MB0,{token}\n".encode()
-        with pytest.raises(ParseError) as info:
+        error = f"non-integer count {token!r}"
+        with pytest.raises(ValueError, match=re.escape(error)) as info:
             parse_feature_counts(doc)
-        assert str(info.value) == f"non-integer count {token!r}"
+        assert str(info.value) == error
 
     def test_count_past_int_digit_limit_is_non_integer(self):
         token = "1" * 5000
-        with pytest.raises(ParseError, match="^non-integer count '1111"):
+        with pytest.raises(ValueError, match="^non-integer count '1111"):
             parse_feature_counts(
                 f"image_id,level,count\na,MB0,{token}\n".encode())
 
@@ -285,7 +286,7 @@ class TestParseFeatureCounts:
         """The first bad row's error; within a row, the count's form, the
         level, the count's sign, then the (image, level) pair."""
         doc = f"image_id,level,count\na,MB0,1\n{body}\n".encode()
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(ValueError, match=re.escape(error)) as info:
             parse_feature_counts(doc)
         assert str(info.value) == error
 
@@ -302,11 +303,11 @@ class TestParseBlurFlags:
         assert flags == {"a": BlurFlag.WITH_BLUR, "b": BlurFlag.NO_BLUR}
 
     def test_unknown_flag_rejected(self):
-        with pytest.raises(ParseError, match="unknown blur flag"):
+        with pytest.raises(ValueError, match="unknown blur flag"):
             parse_blur_flags(b"image_id,flag\na,kind_of_blurry\n")
 
     def test_duplicate_rejected(self):
-        with pytest.raises(ParseError, match="duplicate"):
+        with pytest.raises(ValueError, match="duplicate"):
             parse_blur_flags(b"image_id,flag\na,with_blur\na,no_blur\n")
 
     def test_round_trip_idempotent(self, toy_flags):
@@ -316,11 +317,11 @@ class TestParseBlurFlags:
 
 
 def assert_round_trip(parse, header, rows, value, ids):
-    """parse(the CSV of `rows`) == value, or a ParseError where csv reads
+    """parse(the CSV of `rows`) == value, or a ValueError where csv reads
     no NUL."""
     data = write_csv(header, rows).encode()
     if not CSV_READS_NUL and any("\x00" in i for i in ids):
-        with pytest.raises(ParseError, match="NUL"):
+        with pytest.raises(ValueError, match="NUL"):
             parse(data)
     else:
         assert parse(data) == value
@@ -368,7 +369,7 @@ class TestCsvDialect:
 
     def test_error_names_the_line_in_the_file(self):
         text = "# seed=0\n\n# more\nimage_id,flag\na,with\rblur\n"
-        with pytest.raises(ParseError, match="bad CSV on line 5:"):
+        with pytest.raises(ValueError, match="bad CSV on line 5:"):
             read_csv(text, ["image_id", "flag"])
 
     def test_columns_one_list_per_header_field(self):
@@ -389,7 +390,7 @@ class TestCsvDialect:
     def test_error_precedence(self, text, error):
         """A csv.Error anywhere comes first, then the header, then the
         first row of the wrong width."""
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(ValueError, match=re.escape(error)) as info:
             read_csv(text, ["image_id", "flag"])
         assert str(info.value).startswith(error)
 
@@ -415,7 +416,7 @@ class TestFilterByBlurFlag:
     def test_missing_flag_rejected(self):
         ds, _ = self.make(2, 3)
         partial = {"im0": BlurFlag.WITH_BLUR}
-        with pytest.raises(ParseError, match="without blur flag"):
+        with pytest.raises(ValueError, match="without blur flag"):
             filter_by_blur_flag(ds, partial, BlurFlag.WITH_BLUR)
 
     def test_partition_disjoint_and_exhaustive(self, toy_dataset, toy_flags):
@@ -448,10 +449,11 @@ class TestDatasetInvariants:
         doc = {"images": [{"id": "a", "file_name": "a.jpg"}],
                "annotations": [{"image_id": image_id, "caption": "x"}
                                for image_id in ("a", "b")]}
-        with pytest.raises(ParseError) as info:
+        error = "references for unknown images: ['b']"
+        with pytest.raises(ValueError, match=re.escape(error)) as info:
             parse_captions(json.dumps(doc).encode())
-        assert str(info.value) == "references for unknown images: ['b']"
+        assert str(info.value) == error
 
     def test_negative_feature_count_rejected(self):
-        with pytest.raises(ParseError, match="negative feature count for a$"):
+        with pytest.raises(ValueError, match="negative feature count for a$"):
             parse_feature_counts(b"image_id,level,count\na,MB0,-1\n")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blurbench.imaging import BlurLevel
-from blurbench.ingest import BlurFlag, ParseError
+from blurbench.ingest import BlurFlag
 from blurbench.report import (
     build_histograms,
     degradation_deltas,
@@ -104,7 +104,7 @@ class TestDegradationDeltas:
         the first such row in table order, after canonical ordering."""
         text = ("technique,level,score\nX,MB0,1.0\nX,MB1,1.0\n"
                 "No-Aug,MB0,1.0\nNo-Aug,MB2,1.0\n")
-        with pytest.raises(ParseError, match=re.escape(
+        with pytest.raises(ValueError, match=re.escape(
                 "row 'No-Aug' lacks levels: ['MB1', 'MB3']")):
             parse_scores_csv(text)
 
@@ -258,7 +258,7 @@ class TestRendering:
     def test_csv_gives_back_every_technique_name(self, names):
         text = render_score_table(flat_table(names), "csv")
         if not CSV_READS_NUL and any("\x00" in n for n in names):
-            with pytest.raises(ParseError, match="NUL"):
+            with pytest.raises(ValueError, match="NUL"):
                 parse_scores_csv(text)
             return
         assert parse_scores_csv(text) == flat_table(names)
@@ -285,30 +285,30 @@ class TestParseScoresCsv:
 
     def test_missing_level_rejected(self):
         text = "technique,level,score\nNo-Aug,MB0,10\n"
-        with pytest.raises(ParseError, match="lacks levels"):
+        with pytest.raises(ValueError, match="lacks levels"):
             parse_scores_csv(text)
 
     def test_duplicate_rejected(self):
         text = ("technique,level,score\n" +
                 "".join(f"No-Aug,MB{i},10\n" for i in range(4)) +
                 "No-Aug,MB0,11\n")
-        with pytest.raises(ParseError, match="duplicate"):
+        with pytest.raises(ValueError, match="duplicate"):
             parse_scores_csv(text)
 
     def test_duplicate_subset_rejected(self):
         text = scores_text("X") + "X,with_blur,1.0\nX,with_blur,2.0\n"
-        with pytest.raises(ParseError,
+        with pytest.raises(ValueError,
                            match=r"^duplicate with_blur score for 'X'$"):
             parse_scores_csv(text)
 
     def test_bad_header_rejected(self):
-        with pytest.raises(ParseError, match="header"):
+        with pytest.raises(ValueError, match="header"):
             parse_scores_csv("tech,lvl,val\n")
 
     @pytest.mark.parametrize("text", ["technique,level,score\n",
                                       "# seed=0\ntechnique,level,score\n\n"])
     def test_table_without_rows_rejected(self, text):
-        with pytest.raises(ParseError, match="^no score rows$"):
+        with pytest.raises(ValueError, match="^no score rows$"):
             parse_scores_csv(text)
 
     @pytest.mark.parametrize("technique", [
@@ -324,14 +324,14 @@ class TestParseScoresCsv:
 
     def test_hash_line_after_header_rejected(self):
         text = scores_text("No-Aug").replace("\nNo-Aug,MB2", "\n# note\nNo-Aug,MB2")
-        with pytest.raises(ParseError, match=r"bad row \['# note'\]"):
+        with pytest.raises(ValueError, match=r"bad row \['# note'\]"):
             parse_scores_csv(text)
 
     def test_carriage_return_line_ends_rejected(self):
-        with pytest.raises(ParseError, match="bad CSV on line 1:"):
+        with pytest.raises(ValueError, match="bad CSV on line 1:"):
             parse_scores_csv(scores_text("No-Aug").replace("\n", "\r"))
 
     def test_bad_score_rejected(self):
         text = "technique,level,score\nNo-Aug,MB0,lots\n"
-        with pytest.raises(ParseError, match="bad score"):
+        with pytest.raises(ValueError, match="bad score"):
             parse_scores_csv(text)

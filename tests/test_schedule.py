@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from collections import Counter
 from itertools import accumulate
 
@@ -27,6 +28,11 @@ from blurbench.schedule import (
 )
 from conftest import pack_manifest
 from oracles import draw53, level_by_float_walk
+
+
+def seed_error(seed) -> str:
+    """The pattern of the error for a seed outside [0, 2**64)."""
+    return re.escape(f"seed must be in [0, 2**64), not {seed}")
 
 
 def level_at(schedule, draw):
@@ -88,6 +94,14 @@ class TestSampleLevel:
         for seed in (0, 1, 2**63):
             for key in ("a", "b", "some-image-123"):
                 assert sample_level(key, NO_AUG_SCHEDULE, seed) is BlurLevel.MB0
+
+    @pytest.mark.parametrize("schedule", [NO_AUG_SCHEDULE,
+                                          CAPTIONER_AUG_SCHEDULE],
+                             ids=["no-aug", "captioner-aug"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_range_rejected(self, schedule, seed):
+        with pytest.raises(ValueError, match=f"^{seed_error(seed)}$"):
+            sample_level("img42", schedule, seed)
 
     def test_deterministic(self):
         first = sample_level("img42", CAPTIONER_AUG_SCHEDULE, 7)
@@ -208,6 +222,10 @@ class TestDrawMatchesFloatWalk:
     @example(_CDF_FLOORS_TO_LAST_DRAW, "caf\u00e9", -1, "captioner")
     @settings(max_examples=300)
     def test_sample_level(self, schedule, key, seed, stage):
+        if not 0 <= seed < 2**64:
+            with pytest.raises(ValueError, match=seed_error(seed)):
+                sample_level(key, schedule, seed, stage=stage)
+            return
         expected = level_by_float_walk(schedule.probs,
                                        draw53(seed, key, stage))
         assert sample_level(key, schedule, seed, stage=stage) is \
@@ -283,6 +301,10 @@ class TestPlanDataset:
         """One draw rule: a planned level is the level `sample_level`
         draws for the same key, seed, stage and schedule."""
         plan = technique_plan(technique.value)
+        if not 0 <= seed < 2**64:
+            with pytest.raises(ValueError, match=seed_error(seed)):
+                plan_dataset(keys, plan, seed)
+            return
         manifest = plan_dataset(keys, plan, seed)
         assert len(manifest.entries) == 2 * len(keys)
         for entry in manifest.entries:
@@ -306,6 +328,16 @@ class TestPlanDataset:
         whose stages hash no key, included."""
         with pytest.raises(TypeError):
             plan_dataset(["a"], technique_plan(technique.value), seed)
+
+    @pytest.mark.parametrize("technique", list(Technique),
+                             ids=lambda technique: technique.value)
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_range_rejected(self, technique, seed):
+        """Every technique rejects the seeds the CLI rejects, with its
+        text, also for an empty key list."""
+        for keys in (["a"], []):
+            with pytest.raises(ValueError, match=f"^{seed_error(seed)}$"):
+                plan_dataset(keys, technique_plan(technique.value), seed)
 
     @pytest.mark.parametrize("technique", list(Technique),
                              ids=lambda technique: technique.value)
@@ -427,6 +459,19 @@ class TestManifestSerialization:
         text = write_manifest(plan_dataset(["a"], technique_plan("No-Aug"), 0))
         with pytest.raises(ValueError, match="bad manifest header on line 1"):
             read_manifest(text.replace('"seed": 0', f'"seed": {seed}'))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**128])
+    def test_seed_outside_range_rejected(self, seed):
+        """A header seed gets the range rule of `plan_dataset`."""
+        text = write_manifest(plan_dataset(["a"], technique_plan("No-Aug"), 0))
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "bad manifest header on line 1: seed must be in "
+                f"[0, 2**64), not {seed}") + "$"):
+            read_manifest(text.replace('"seed": 0', f'"seed": {seed}'))
+
+    def test_largest_seed_read(self):
+        manifest = plan_dataset(["a"], technique_plan("Cap-Aug"), 2**64 - 1)
+        assert read_manifest(write_manifest(manifest)) == manifest
 
     @pytest.mark.parametrize("key", [None, 5, True, [1], {"x": 1}],
                              ids=["null", "5", "true", "list", "object"])
