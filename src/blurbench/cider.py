@@ -12,6 +12,10 @@ mean still divides by max_n: for every max_n M at or above the longest
 reference's length L, score(M) * M == score(L) * L, and a huge max_n
 costs no more time than L.
 
+Tokens are the runs of [a-z0-9] in the lowercased text: every other
+character, non-ASCII letters and digits included, separates tokens, so
+"Café №9" gives ["caf", "9"].
+
 Document frequencies count images, not captions: an n-gram's df is the
 number of images whose reference set contains it at least once, and
 idf(g) = ln(corpus_size / max(1, df(g))), so unseen n-grams fall back to
@@ -28,7 +32,6 @@ sorted n-gram keys.
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -38,7 +41,9 @@ import numpy as np
 from .imaging import BlurLevel
 from .ingest import Split
 
-_TOKEN = re.compile(r"[a-z0-9]+")
+#: `tokenize`'s byte table: the bytes of [a-z0-9] kept, all others spaces
+_SEPARATORS = bytes(b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789"
+                    else 32 for b in range(256))
 
 #: Images per scoring block in `corpus_cider_d`; bounds the size of the
 #: interned arrays, and so peak memory, whatever the split size.
@@ -47,7 +52,10 @@ _BLOCK_IMAGES = 1000
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, replace every character outside [a-z0-9] by a space, split."""
-    return _TOKEN.findall(text.lower())
+    # non-ASCII UTF-8 bytes are >= 0x80, so separators; surrogatepass takes
+    # the lone surrogates that a JSON escape can give
+    return (text.lower().encode("utf-8", "surrogatepass")
+            .translate(_SEPARATORS).decode("ascii").split())
 
 
 def ngram_counts(tokens: Sequence[str], max_n: int = 4) -> dict[int, Counter]:

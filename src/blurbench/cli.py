@@ -250,7 +250,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    table = parse_scores_csv(args.scores.read_bytes().decode("utf-8"))
+    table = parse_scores_csv(args.scores.read_bytes().decode("utf-8-sig"))
     for warning in degradation_warnings(table):
         print(f"warning: {warning}", file=sys.stderr)
     deltas = degradation_deltas(table)

@@ -227,7 +227,7 @@ def _count(token: str) -> int | None:
 
 
 def parse_feature_counts(document: bytes) -> FeatureCounts:
-    columns = read_csv(document.decode("utf-8"), _FEATURE_COUNTS)
+    columns = read_csv(document.decode("utf-8-sig"), _FEATURE_COUNTS)
     image_ids, level_tokens, count_tokens = columns
     value_of = {token: _count(token) for token in set(count_tokens)}
     if (all(value is not None and value >= 0 for value in value_of.values())
@@ -265,7 +265,7 @@ def _raise_first_bad_row(image_ids: list[str], level_tokens: list[str],
 def parse_blur_flags(document: bytes) -> dict[str, BlurFlag]:
     flags: dict[str, BlurFlag] = {}
     for image_id, flag_token in zip(
-            *read_csv(document.decode("utf-8"), _BLUR_FLAGS)):
+            *read_csv(document.decode("utf-8-sig"), _BLUR_FLAGS)):
         flag = FLAG_BY_VALUE.get(flag_token)
         if flag is None:
             raise ValueError(f"unknown blur flag {flag_token!r}")

@@ -157,6 +157,8 @@ def technique_plan(name: str) -> TechniquePlan:
 
 def check_seed(seed: int) -> int:
     """`seed` if in [0, 2**64); ValueError if not, TypeError if not an int."""
+    if isinstance(seed, bool):  # index(True) is 1
+        raise TypeError("seed must be an int, not a bool")
     if not 0 <= index(seed) < 2 ** 64:  # its 8 bytes key the level hash
         raise ValueError(f"seed must be in [0, 2**64), not {seed}")
     return seed

@@ -104,6 +104,19 @@ def pnm_token(data: bytes, pos: int):
 # CIDEr-D direct-formula reference
 # ---------------------------------------------------------------------------
 
+def tokens(text: str) -> list[str]:
+    """The maximal runs of a-z and 0-9 in text.lower(), one character at
+    a time."""
+    result, run = [], ""
+    for ch in text.lower():
+        if "a" <= ch <= "z" or "0" <= ch <= "9":
+            run += ch
+        elif run:
+            result.append(run)
+            run = ""
+    return result + [run] if run else result
+
+
 def ngram_list(tokens, n: int):
     return [tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
 

@@ -19,7 +19,8 @@ from blurbench.cider import (
     tokenize,
 )
 from blurbench.imaging import BlurLevel
-from oracles import cider_d_formula, document_frequency, idf_of
+from blurbench.ingest import parse_captions
+from oracles import cider_d_formula, document_frequency, idf_of, tokens
 
 # Oracle outputs on the bundled toy corpus, frozen after computing them
 # with tests/oracles.py (direct-formula evaluation with recounted df).
@@ -55,6 +56,32 @@ class TestTokenize:
 
     def test_digits_kept(self):
         assert tokenize("route 66!") == ["route", "66"]
+
+    @pytest.mark.parametrize("text,expected", [
+        ("Caf\u00e9 \u21169", ["caf", "9"]),
+        ("\u212aelvin", ["kelvin"]),  # the Kelvin sign lowercases to k
+        ("\u0130stanbul", ["i", "stanbul"]),  # to i + combining dot
+        ("Stra\u00dfe", ["stra", "e"]),
+        ("route \uff11\uff12", ["route"]),  # fullwidth digits
+        ("\u0663 dogs", ["dogs"]),  # an Arabic-Indic digit
+        ("a\x00b\tc\nd\r\ne\x0bf\x0cg", ["a", "b", "c", "d", "e", "f", "g"]),
+    ], ids=["cafe", "kelvin", "dotted-i", "sharp-s", "fullwidth",
+            "arabic-indic", "controls"])
+    def test_non_ascii_and_control_characters(self, text, expected):
+        assert tokenize(text) == tokens(text) == expected
+
+    def test_lone_surrogate_from_a_json_escape(self):
+        split = parse_captions(b'{"images": [{"id": 1, "file_name": "a"}], '
+                               b'"annotations": [{"image_id": 1, '
+                               b'"caption": "Dog\\ud800cat \\udfff"}]}')
+        assert split["1"] == ["Dog\ud800cat \udfff"]
+        assert tokenize(split["1"][0]) == ["dog", "cat"]
+
+    @given(st.text(st.characters(exclude_categories=()), max_size=60))
+    @settings(max_examples=300)
+    def test_matches_the_character_loop(self, text):
+        """Any text, lone surrogates included."""
+        assert tokenize(text) == tokens(text)
 
     @given(st.text(max_size=60))
     @settings(max_examples=150)

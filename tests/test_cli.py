@@ -456,6 +456,23 @@ class TestScoreCommand:
         assert "No-Aug,with_blur," in text
         assert "No-Aug,no_blur," in text
 
+    @pytest.mark.parametrize("corpus,flags,golden", [
+        ("toy", True, "toy_flags_scores.csv"),
+        ("odd", False, "odd_text_scores.csv"),
+    ])
+    def test_scores_match_golden(self, tmp_path, data_dir, corpus, flags,
+                                 golden):
+        """`scores.csv` byte for byte. The odd captions mix case, digits,
+        punctuation, non-ASCII letters, CJK, emoji, control characters
+        and lone-surrogate escapes."""
+        out = tmp_path / "out"
+        assert run("--out", out, "score", data_dir / f"{corpus}_captions.json",
+                   data_dir / f"{corpus}_predictions.json",
+                   *(["--flags", data_dir / "toy_flags.csv"] if flags else [])
+                   ) == 0
+        assert (out / "scores.csv").read_bytes() == (
+            data_dir / "score_golden" / golden).read_bytes()
+
     def test_empty_flag_subset_skipped(self, tmp_path, data_dir, toy_dataset,
                                        capsys):
         flags = tmp_path / "flags.csv"
@@ -596,6 +613,21 @@ class TestReportCommand:
             "warning: No-Aug: score rises MB1->MB2 (5.0 -> 6.0)"]
         assert "| No-Aug | 0.0 | 2.0 | 1.0 | 3.0 |" in (
             out / "degradation.md").read_text()
+
+    def test_byte_order_mark_before_scores_dropped(self, tmp_path, data_dir):
+        """A UTF-8 BOM before the `# seed` line of a scores CSV is not
+        text: the outputs are those of the file without it."""
+        scores = data_dir / "score_golden" / "toy_flags_scores.csv"
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + scores.read_bytes())
+        features = data_dir / "toy_feature_counts.csv"
+        assert run("--out", tmp_path / "plain", "report", scores, features) == 0
+        assert run("--out", tmp_path / "bom", "report", bom, features) == 0
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert sorted(p.name for p in (tmp_path / "bom").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "bom" / name).read_bytes() == (
+                tmp_path / "plain" / name).read_bytes()
 
     def test_scores_without_rows_fail_before_writing(self, tmp_path, data_dir,
                                                      capsys):

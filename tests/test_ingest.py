@@ -296,6 +296,13 @@ class TestParseFeatureCounts:
         data = write_csv(FEATURES_HEADER, rows).encode()
         assert parse_feature_counts(data) == toy_feature_records
 
+    def test_byte_order_mark_dropped(self, data_dir, toy_feature_records):
+        """A UTF-8 BOM before the metadata or header line is not text."""
+        data = (data_dir / "toy_feature_counts.csv").read_bytes()
+        for text in (data, b"# seed=0\n" + data):
+            assert parse_feature_counts(b"\xef\xbb\xbf" + text) == \
+                toy_feature_records
+
 
 class TestParseBlurFlags:
     def test_basic(self):
@@ -314,6 +321,10 @@ class TestParseBlurFlags:
         rows = [[image_id, flag.value] for image_id, flag in toy_flags.items()]
         data = write_csv(FLAGS_HEADER, rows).encode()
         assert parse_blur_flags(data) == toy_flags
+
+    def test_byte_order_mark_dropped(self, data_dir, toy_flags):
+        data = (data_dir / "toy_flags.csv").read_bytes()
+        assert parse_blur_flags(b"\xef\xbb\xbf" + data) == toy_flags
 
 
 def assert_round_trip(parse, header, rows, value, ids):

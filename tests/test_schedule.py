@@ -322,10 +322,11 @@ class TestPlanDataset:
 
     @pytest.mark.parametrize("technique", list(Technique),
                              ids=lambda technique: technique.value)
-    @pytest.mark.parametrize("seed", ["7", 1.5, None], ids=repr)
+    @pytest.mark.parametrize("seed", ["7", 1.5, None, True, False], ids=repr)
     def test_non_int_seed_rejected(self, technique, seed):
         """Every technique rejects a seed that is not an int, No-Aug,
-        whose stages hash no key, included."""
+        whose stages hash no key, included; a bool is not an int here,
+        though `operator.index(True)` is 1."""
         with pytest.raises(TypeError):
             plan_dataset(["a"], technique_plan(technique.value), seed)
 
