@@ -6,4 +6,20 @@ dataset/prediction parsing (`ingest`), CIDEr-D scoring (`cider`),
 degradation tables and feature histograms (`report`), and a CLI (`cli`).
 """
 
+import importlib.util
+import sys
+
 __version__ = "0.1.0"
+
+
+def _lazy_import(name: str):
+    """Module `name`, executed on first attribute access: only `blur` and
+    `score` use numpy, the bulk of a cold start. A module-level `np.` use
+    would execute it at import again (tests/test_startup.py fails then)."""
+    if name not in sys.modules and (spec := importlib.util.find_spec(name)):
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    if sys.modules.get(name) is None:  # no spec, or blocked by a None entry
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    return sys.modules[name]

@@ -36,10 +36,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from . import _lazy_import
 from .imaging import BlurLevel
 from .ingest import Split
+
+np = _lazy_import("numpy")
 
 #: `tokenize`'s byte table: the bytes of [a-z0-9] kept, all others spaces
 _SEPARATORS = bytes(b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789"

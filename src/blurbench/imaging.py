@@ -18,7 +18,9 @@ import re
 from dataclasses import dataclass
 from enum import IntEnum
 
-import numpy as np
+from . import _lazy_import
+
+np = _lazy_import("numpy")
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 #: Input bytes per blur band: small enough that a band's window sums stay

@@ -91,7 +91,7 @@ def _string(item, key: str, kind: str) -> str:
 
 def _load_json(document: bytes):
     try:
-        return json.loads(document.decode("utf-8"))
+        return json.loads(document.decode("utf-8-sig"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed JSON: {exc}") from exc
 

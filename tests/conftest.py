@@ -1,9 +1,13 @@
+import os
+import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blurbench
 from blurbench.imaging import BlurLevel, Image
 from blurbench.ingest import (
     FeatureCounts,
@@ -15,6 +19,8 @@ from blurbench.ingest import (
 from blurbench.schedule import AugmentationManifest, Stage
 
 DATA_DIR = Path(__file__).parent / "data"
+#: The directory that holds the `blurbench` package under test.
+PACKAGE_ROOT = Path(blurbench.__file__).resolve().parent.parent
 #: Python 3.10's csv reader raises "line contains NUL"; 3.11 reads NUL.
 CSV_READS_NUL = sys.version_info >= (3, 11)
 
@@ -72,6 +78,45 @@ def pack_manifest(seed, plan, entries) -> AugmentationManifest:
         seed, plan, tuple(entry.sample_key for entry in entries),
         bytes(list(Stage).index(entry.stage) for entry in entries),
         bytes(list(BlurLevel).index(entry.level) for entry in entries))
+
+
+@dataclass
+class Process:
+    """A finished interpreter: exit code, output streams, and the numpy
+    modules it imported."""
+    code: int
+    stdout: str
+    stderr: str  # without the `-X importtime` lines
+    numpy_modules: list[str]
+
+
+def run_python(*args, cwd=None, env=None) -> Process:
+    """`python -X importtime *args` in a fresh interpreter that imports
+    the `blurbench` under test, with `BLURBENCH_SEED` unset unless `env`
+    sets it. Import-time lines name each module as it is executed, so a
+    module that is only bound lazily is not among `numpy_modules`."""
+    environ = {key: value for key, value in os.environ.items()
+               if key != "BLURBENCH_SEED"}
+    environ["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE_ROOT)] + [p for p in [environ.get("PYTHONPATH")] if p])
+    environ.update(env or {})
+    done = subprocess.run([sys.executable, "-X", "importtime", *map(str, args)],
+                          cwd=cwd, env=environ, capture_output=True,
+                          text=True, timeout=120)
+    stderr, numpy_modules = [], []
+    for line in done.stderr.splitlines(keepends=True):
+        if line.startswith("import time:"):
+            name = line.rsplit("|", 1)[1].strip()
+            if name.split(".")[0] == "numpy":
+                numpy_modules.append(name)
+        else:
+            stderr.append(line)
+    return Process(done.returncode, done.stdout, "".join(stderr), numpy_modules)
+
+
+def run_cli(*argv, cwd=None, env=None) -> Process:
+    """`python -m blurbench.cli *argv` in a fresh interpreter (`run_python`)."""
+    return run_python("-m", "blurbench.cli", *argv, cwd=cwd, env=env)
 
 
 def pytest_runtest_logreport(report):

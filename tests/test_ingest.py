@@ -173,6 +173,11 @@ class TestParseCaptions:
         assert again == toy_dataset
         assert list(again) == list(reversed(toy_dataset))
 
+    def test_byte_order_mark_dropped(self, data_dir, toy_dataset):
+        """A UTF-8 BOM before the document is not JSON text."""
+        data = (data_dir / "toy_captions.json").read_bytes()
+        assert parse_captions(b"\xef\xbb\xbf" + data) == toy_dataset
+
 
 class TestParsePredictions:
     def test_single_candidate(self):
@@ -217,6 +222,11 @@ class TestParsePredictions:
                 "caption": caption}
                for (image_id, level), caption in toy_predictions.items()]
         assert parse_predictions(json.dumps(doc).encode()) == toy_predictions
+
+    def test_byte_order_mark_dropped(self, data_dir, toy_predictions):
+        """A UTF-8 BOM before the document is not JSON text."""
+        data = (data_dir / "toy_predictions.json").read_bytes()
+        assert parse_predictions(b"\xef\xbb\xbf" + data) == toy_predictions
 
 
 class TestParseFeatureCounts:
