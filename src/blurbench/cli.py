@@ -19,7 +19,12 @@ bad flag is a usage error (exit 2), a bad config or environment value one
 out of range (a ``seed`` outside [0, 2**64), an empty ``out``, a
 ``bin_width`` below 1, a metric setting ``CiderConfig`` rejects) is bad
 text. Every ``cmd_*`` reads the resolved settings from ``args``; the
-seed is echoed in every output header; all files are written atomically.
+seed is echoed in every output header; all files are written atomically,
+each with the mode ``open(path, "w")`` gives a new file (0666 less the
+umask), also where it replaces an existing file.
+
+``plan`` of a keys file that holds no key (only blank lines, or only a
+byte order mark) is one ``error:`` line, and nothing is written.
 
 ``blur`` on a directory skips files named like its own outputs
 (``<stem>.MB0``..``<stem>.MB3`` plus the extension), so rerunning it with
@@ -106,6 +111,9 @@ def _atomic_write(path: Path, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp's file is 0600
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -195,6 +203,8 @@ def cmd_blur(args: argparse.Namespace) -> int:
 def cmd_plan(args: argparse.Namespace) -> int:
     lines = args.keys.read_bytes().decode("utf-8-sig").split("\n")
     keys = list(filter(None, map(str.strip, lines)))
+    if not keys:
+        raise ValueError(f"no keys in {args.keys}")
     if "\r" in "".join(keys):
         number = next(n for n, line in enumerate(lines, 1) if "\r" in line.strip())
         raise ValueError(f"{args.keys} line {number}: key holds a carriage "

@@ -1,14 +1,17 @@
 """Command-line interface behavior."""
 
 import json
+import math
+import os
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blurbench import cli, ingest, schedule
+from blurbench import cli, imaging, ingest, schedule
 from blurbench.cli import main
 from blurbench.cider import tokenize
 from blurbench.imaging import BlurLevel, apply_blur, load_image, make_kernel, save_image
@@ -20,7 +23,7 @@ from blurbench.schedule import (
     technique_plan,
 )
 from conftest import random_image
-from oracles import cider_d_formula
+from oracles import blur_windows, cider_d_formula
 
 
 def run(*argv):
@@ -133,6 +136,25 @@ class TestBlurCommand:
             run("blur", tmp_path, "--levels", ",")
         assert excinfo.value.code == 2
         assert "no blur levels given" in capsys.readouterr().err
+
+    def test_multi_band_variants_match_oracle(self, tmp_path):
+        """With the real band constants, a 2736x144 raster spans 3 bands at
+        each of MB1-MB3; every variant equals the window-sum oracle, seams
+        included."""
+        width, height = 2736, 144
+        img = random_image(np.random.default_rng(5), width, height, 1)
+        src = tmp_path / "wide.pgm"
+        src.write_bytes(save_image(img))
+        out = tmp_path / "out"
+        assert run("--out", out, "blur", src, "--levels", "MB1,MB2,MB3") == 0
+        for level in (BlurLevel.MB1, BlurLevel.MB2, BlurLevel.MB3):
+            kernel = make_kernel(level)
+            kw, kh = kernel.tap_width, kernel.tap_height
+            assert height // max(imaging._BAND_FLOOR * kh,
+                                 imaging._BAND_BYTES // width) == 3
+            written = load_image((out / f"wide.{level.name}.pgm").read_bytes())
+            assert np.array_equal(written.samples,
+                                  blur_windows(img.samples, kw, kh))
 
     def test_missing_input_fails_and_writes_nothing(self, tmp_path, capsys):
         missing, out = tmp_path / "absent.ppm", tmp_path / "out"
@@ -264,6 +286,17 @@ class TestPlanCommand:
         assert "line 2" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [b"", b"\n  \n\t\r\n", b"\xef\xbb\xbf",
+                                      b"\xef\xbb\xbf\n \n"],
+                             ids=["empty", "blank", "bom", "bom_blank"])
+    def test_no_keys_fail_before_writing(self, tmp_path, capsys, text):
+        keys = tmp_path / "keys.txt"
+        keys.write_bytes(text)
+        out = tmp_path / "out"
+        assert run("--out", out, "plan", keys) == 1
+        assert capsys.readouterr() == ("", f"error: no keys in {keys}\n")
+        assert not out.exists()
+
     def test_byte_order_mark_is_not_key_text(self, tmp_path, data_dir):
         """A UTF-8 BOM before the first key is dropped: the manifest is the
         one of the same keys without it."""
@@ -360,7 +393,8 @@ class TestScoreCommand:
                                              flag, value):
         """An out-of-range metric setting, or one that would write a NaN or
         inf score, fails before any input is read: a usage error as a
-        flag, one `error:` line from a config file."""
+        flag, one `error:` line from a config file, also for `plan`, which
+        does not read it."""
         name = flag[2:].replace("-", "_")
         rule = {"0": "max_n must be >= 1",
                 "1e-320": "sigma is too small: 2 * sigma**2 underflows to 0",
@@ -374,9 +408,25 @@ class TestScoreCommand:
         assert f"argument {flag}: {rule}" in capsys.readouterr().err
         config = tmp_path / "bench.cfg"
         config.write_text(f"{name} = {value}\n")
-        assert run("--config", config, "--out", out, "score", *missing) == 1
-        assert capsys.readouterr() == ("", f"error: {rule}\n")
+        for argv in (["score", *missing], ["plan", tmp_path / "no_keys.txt"]):
+            assert run("--config", config, "--out", out, *argv) == 1
+            assert capsys.readouterr() == ("", f"error: {rule}\n")
         assert not out.exists()
+
+    def test_tiny_sigma_scores_finite_silently(self, tmp_path, data_dir,
+                                               capsys):
+        """The length penalty of a sigma near the smallest accepted one is
+        0 at unequal lengths: finite rows, no numpy warning."""
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("--out", out, "score", data_dir / "toy_captions.json",
+                       data_dir / "toy_predictions.json",
+                       "--sigma", "1e-160") == 0
+        assert capsys.readouterr().err == ""
+        rows = (out / "scores.csv").read_text().splitlines()[2:]
+        assert len(rows) == 4
+        assert all(math.isfinite(float(row.rsplit(",", 1)[1])) for row in rows)
 
     @pytest.mark.parametrize("key", ["images", "annotations"])
     def test_non_list_caption_field_fails(self, tmp_path, capsys, key):
@@ -792,6 +842,10 @@ class TestReportCommand:
             for i in range(600) for level in BlurLevel))
         for table in (features, large):
             assert run("--out", tmp_path / "out", "report", scores, table) == 0
+        for level in BlurLevel:  # every row of every chunk is counted
+            rows = (tmp_path / "out" / f"histogram_{level.name}.csv"
+                    ).read_text().splitlines()[2:]
+            assert sum(int(row.rsplit(",", 1)[1]) for row in rows) == 600
 
     def test_repeat_runs_identical(self, tmp_path, data_dir):
         scores, features = self.write_inputs(tmp_path, data_dir)
@@ -959,3 +1013,36 @@ class TestConfigFile:
             assert len(err) == 1 and err[0].startswith("error: ")
             assert named in err[0]
             assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("umask,replaces", [
+    (0o022, False), (0o077, False), (0o022, True)],
+    ids=["022", "077", "022-replaces-0644"])
+@pytest.mark.parametrize("command", ["plan", "score", "report", "blur"])
+def test_outputs_get_the_mode_of_a_new_file(tmp_path, data_dir, command,
+                                            umask, replaces):
+    """Each output file gets 0666 less the umask, as `open(path, "w")`
+    gives a new file, also where it replaces an existing one."""
+    raster = tmp_path / "raster.pgm"
+    raster.write_bytes(save_image(random_image(np.random.default_rng(6),
+                                               48, 16, 1)))
+    argv = {
+        "plan": ["plan", data_dir / "toy_keys.txt"],
+        "score": ["score", data_dir / "toy_captions.json",
+                  data_dir / "toy_predictions.json"],
+        "report": ["report", data_dir / "score_golden" / "toy_flags_scores.csv",
+                   data_dir / "toy_feature_counts.csv"],
+        "blur": ["blur", raster],
+    }[command]
+    out = tmp_path / "out"
+    if replaces:
+        assert run("--out", out, *argv) == 0
+        for path in out.iterdir():
+            path.chmod(0o644)
+    old = os.umask(umask)
+    try:
+        assert run("--out", out, *argv) == 0
+    finally:
+        os.umask(old)
+    modes = {path.name: path.stat().st_mode & 0o777 for path in out.iterdir()}
+    assert modes and set(modes.values()) == {0o666 & ~umask}, modes
