@@ -32,9 +32,8 @@ sorted n-gram keys.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 
 from . import _lazy_import
 from .imaging import BlurLevel
@@ -67,23 +66,23 @@ def ngram_counts(tokens: Sequence[str], max_n: int = 4) -> dict[int, Counter]:
     }
 
 
-@dataclass(frozen=True)
-class CiderConfig:
-    max_n: int = 4
-    sigma: float = 6.0
-    scale: float = 10.0
+class CiderConfig(namedtuple("CiderConfig", "max_n sigma scale")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_n < 1:
+    def __new__(cls, max_n: int = 4, sigma: float = 6.0, scale: float = 10.0):
+        if max_n < 1:
             raise ValueError("max_n must be >= 1")
-        if not 0.0 < self.sigma < math.inf:
+        if not 0.0 < sigma < math.inf:
             raise ValueError("sigma must be positive and finite")
-        if 2.0 * self.sigma * self.sigma == 0.0:  # 0 / 0 at equal lengths
+        if 2.0 * sigma * sigma == 0.0:  # 0 / 0 at equal lengths
             raise ValueError("sigma is too small: 2 * sigma**2 underflows to 0")
-        if not 0.0 < self.scale < math.inf:
+        if not 0.0 < scale < math.inf:
             raise ValueError("scale must be positive and finite")
-        if self.scale > 1e291:  # fewer than 2**53 such scores sum finite
+        if scale > 1e291:  # fewer than 2**53 such scores sum finite
             raise ValueError("scale must be at most 1e291")
+        return super().__new__(cls, max_n, sigma, scale)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # checks _replace too
 
 
 def _intern(texts: Iterable[Sequence[str]], max_n: int):
@@ -173,7 +172,7 @@ class IdfTable:
         return result
 
 
-def build_idf(split: Split, max_n: int = CiderConfig.max_n) -> IdfTable:
+def build_idf(split: Split, max_n: int = CiderConfig().max_n) -> IdfTable:
     """df(g) = number of images with g in at least one reference caption."""
     if not split:
         raise ValueError("empty dataset")

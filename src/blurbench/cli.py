@@ -46,7 +46,7 @@ import argparse
 import os
 import re
 import sys
-import tempfile
+from contextlib import suppress
 from pathlib import Path
 
 from .cider import CiderConfig, build_idf, corpus_cider_d
@@ -88,6 +88,7 @@ def _out_directory(text: str) -> Path:
     return Path(text)
 
 
+_METRIC = CiderConfig()  # its defaults are the metric settings' defaults
 #: Setting name (its config key) -> (converter of its flag, config-file or
 #: environment text, which raises ValueError; default).
 _SETTINGS = {
@@ -96,24 +97,22 @@ _SETTINGS = {
     "out": (_out_directory, Path(".")),
     "bin_width": (lambda text: check_bin_width(int(text)), 10),
     "format": (check_format, "markdown"),
-    "sigma": (lambda text: CiderConfig(sigma=float(text)).sigma,
-              CiderConfig.sigma),
-    "max_n": (lambda text: CiderConfig(max_n=int(text)).max_n,
-              CiderConfig.max_n),
-    "scale": (lambda text: CiderConfig(scale=float(text)).scale,
-              CiderConfig.scale),
+    "sigma": (lambda text: CiderConfig(sigma=float(text)).sigma, _METRIC.sigma),
+    "max_n": (lambda text: CiderConfig(max_n=int(text)).max_n, _METRIC.max_n),
+    "scale": (lambda text: CiderConfig(scale=float(text)).scale, _METRIC.scale),
 }
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    fd = None
+    while fd is None:  # a new file beside the target, so the umask applies
+        tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
+        with suppress(FileExistsError):  # the name is taken: draw another
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp's file is 0600
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -15,7 +15,7 @@ safe to share across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import IntEnum
 
 from . import _lazy_import
@@ -51,27 +51,27 @@ TAP_SIZES: dict[BlurLevel, tuple[int, int]] = {
 }
 
 
-@dataclass(frozen=True)
-class BlurKernel:
+class BlurKernel(namedtuple("BlurKernel", "tap_width tap_height")):
     """Normalized box kernel: every tap weighs 1/(tap_width*tap_height).
     Its anchor, the tap on the output pixel, is at each tap size // 2."""
 
-    tap_width: int
-    tap_height: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tap_width < 1 or self.tap_height < 1:
+    def __new__(cls, tap_width: int, tap_height: int):
+        if tap_width < 1 or tap_height < 1:
             raise ValueError("kernel taps must be >= 1")
+        return super().__new__(cls, tap_width, tap_height)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # checks _replace too
 
 
-@dataclass(eq=False)
 class Image:
     """8-bit raster, samples shaped (height, width, channels), row-major."""
 
-    samples: np.ndarray
+    __slots__ = ("samples",)
 
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples)
+    def __init__(self, samples: np.ndarray):
+        self.samples = np.asarray(samples)
         if self.samples.dtype != np.uint8:
             raise ValueError("samples must be uint8")
         if self.samples.ndim != 3 or self.channels not in (1, 3):

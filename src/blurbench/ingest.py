@@ -32,11 +32,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, islice
 from types import SimpleNamespace
-from typing import NoReturn
 
 from .imaging import LEVEL_BY_NAME, BlurLevel
 
@@ -51,17 +49,28 @@ FLAG_BY_VALUE = {flag.value: flag for flag in BlurFlag}
 Split = dict[str, list[str]]
 
 
-@dataclass(frozen=True)
 class FeatureCounts:
     """Region proposals the detector produced, one entry per (image,
-    level): `levels[i]` is a `BlurLevel` value."""
+    level): `levels[i]` is a `BlurLevel` value. The columns are read-only."""
 
-    image_ids: tuple[str, ...]
-    levels: bytes
-    counts: tuple[int, ...]
+    __slots__ = ("_columns",)
+
+    def __init__(self, image_ids: tuple[str, ...], levels: bytes,
+                 counts: tuple[int, ...]):
+        self._columns = (image_ids, levels, counts)
+
+    image_ids = property(lambda self: self._columns[0])
+    levels = property(lambda self: self._columns[1])
+    counts = property(lambda self: self._columns[2])
 
     def __len__(self) -> int:
         return len(self.image_ids)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is FeatureCounts and self._columns == other._columns
+
+    def __hash__(self) -> int:
+        return hash(self._columns)
 
 
 def parse_level(token: str) -> BlurLevel:
@@ -245,7 +254,7 @@ def parse_feature_counts(document: bytes) -> FeatureCounts:
 
 
 def _raise_first_bad_row(image_ids: list[str], level_tokens: list[str],
-                         count_tokens: list[str]) -> NoReturn:
+                         count_tokens: list[str]):
     """Raise the first bad row's error in a table the column checks rejected."""
     seen: set[tuple[str, BlurLevel]] = set()
     for image_id, level_token, count_token in zip(

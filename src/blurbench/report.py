@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from decimal import Decimal
 
 from .imaging import BlurLevel
 from .ingest import (FLAG_BY_VALUE, BlurFlag, FeatureCounts, parse_level,
@@ -37,8 +36,8 @@ _TOKEN = {**{l: l.name for l in BlurLevel}, **{f: f.value for f in BlurFlag}}
 
 
 def _tenths(value: float) -> int:
-    """Integer tenths of the value as rendered at one decimal."""
-    return int(Decimal(f"{value:.1f}") * 10)
+    """Integer tenths of the value as rendered at one decimal, read exactly."""
+    return int(f"{value:.1f}".replace(".", ""))
 
 
 def _fmt(value: float) -> str:

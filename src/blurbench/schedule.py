@@ -42,13 +42,13 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable
 from enum import Enum
 from functools import partial
 from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import eq, getitem, index
-from typing import Iterable
 
 from .imaging import LEVEL_BY_NAME, BlurLevel
 
@@ -68,7 +68,6 @@ _STAGES = tuple(Stage)
 _STAGE_BY_VALUE = {stage.value: index for index, stage in enumerate(Stage)}
 
 
-@dataclass(frozen=True)
 class Schedule:
     """Probability per blur level, in MB0..MB3 order.
 
@@ -78,12 +77,10 @@ class Schedule:
     and `limits` hold the module docstring's CDF bounds and digest limits.
     """
 
-    probs: tuple[float, float, float, float]
-    bounds: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    limits: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("_probs", "_bounds", "_limits")
 
-    def __post_init__(self):
-        values = tuple(float(p) for p in self.probs)
+    def __init__(self, probs: tuple[float, float, float, float]):
+        values = tuple(float(p) for p in probs)
         if len(values) != len(BlurLevel):
             raise ValueError(
                 f"need {len(BlurLevel)} probabilities, got {len(values)}")
@@ -96,11 +93,22 @@ class Schedule:
         top = max(k for k, p in enumerate(probs) if p > 0.0)
         bounds = tuple(min(int(c * _DRAWS), _DRAWS) if k < top else _DRAWS
                        for k, c in enumerate(accumulate(probs)))
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "limits", tuple(
-            (bound + 1 << 11).to_bytes(8, "big") for bound in bounds
-            if bound < _DRAWS - 1))
+        self._probs, self._bounds = probs, bounds
+        self._limits = tuple((bound + 1 << 11).to_bytes(8, "big")
+                             for bound in bounds if bound < _DRAWS - 1)
+
+    probs = property(lambda self: self._probs)
+    bounds = property(lambda self: self._bounds)
+    limits = property(lambda self: self._limits)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Schedule and self._probs == other._probs
+
+    def __hash__(self) -> int:
+        return hash(self._probs)
+
+    def __repr__(self) -> str:
+        return f"Schedule(probs={self._probs!r})"
 
     def level_indices(self, digests: Iterable[bytes]) -> bytes:
         """The level index of each 8-byte digest: the first level whose
@@ -140,11 +148,10 @@ def parse_technique(name: str) -> Technique:
     raise ValueError(f"unknown technique {name!r}; known: {known}")
 
 
-@dataclass(frozen=True)
-class TechniquePlan:
+class TechniquePlan(namedtuple("TechniquePlan", "name")):
     """A technique; its per-stage schedules are fixed by the technique."""
 
-    name: Technique
+    __slots__ = ()
 
     def schedule_for(self, stage: Stage) -> Schedule:
         detector, captioner = _TECHNIQUE_SCHEDULES[self.name]
@@ -180,38 +187,24 @@ def _draw_levels(encoded_keys: list[bytes], schedule: Schedule, seed: int,
     return schedule.level_indices(map(digest, encoded_keys))
 
 
-def sample_level(sample_key: str, schedule: Schedule, seed: int,
-                 stage: str = "") -> BlurLevel:
-    """Draw a blur level for a sample key by the module docstring's rule."""
-    return _LEVELS[_draw_levels([sample_key.encode()], schedule, seed, stage)[0]]
+ManifestEntry = namedtuple("ManifestEntry", "sample_key stage level")
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
-    sample_key: str
-    stage: Stage
-    level: BlurLevel
-
-
-@dataclass(frozen=True)
-class AugmentationManifest:
+class AugmentationManifest(namedtuple(
+        "AugmentationManifest", "seed plan keys stages levels")):
     """Deterministic per-sample, per-stage blur assignments.
 
     Entry i is stored across three columns: `keys[i]`, the index
     `stages[i]` into `tuple(Stage)` and the `BlurLevel` value `levels[i]`.
     """
 
-    seed: int
-    plan: TechniquePlan
-    keys: tuple[str, ...]
-    stages: bytes
-    levels: bytes
+    __slots__ = ()
 
     @property
     def entries(self) -> tuple[ManifestEntry, ...]:
-        return tuple(ManifestEntry(key, _STAGES[stage], _LEVELS[level])
-                     for key, stage, level
-                     in zip(self.keys, self.stages, self.levels))
+        return tuple(map(ManifestEntry, self.keys,
+                         map(_STAGES.__getitem__, self.stages),
+                         map(_LEVELS.__getitem__, self.levels)))
 
 
 def plan_dataset(sample_keys: Iterable[str], plan: TechniquePlan,

@@ -16,7 +16,8 @@ from blurbench.ingest import (
     parse_feature_counts,
     parse_predictions,
 )
-from blurbench.schedule import AugmentationManifest, Stage
+from blurbench.schedule import (AugmentationManifest, Stage, plan_dataset,
+                                technique_plan)
 
 DATA_DIR = Path(__file__).parent / "data"
 #: The directory that holds the `blurbench` package under test.
@@ -80,21 +81,37 @@ def pack_manifest(seed, plan, entries) -> AugmentationManifest:
         bytes(list(BlurLevel).index(entry.level) for entry in entries))
 
 
+def stage_levels(keys, technique: str, seed: int,
+                 stage: Stage) -> list[BlurLevel]:
+    """The level `plan_dataset` draws for each of `keys` at `stage`, in
+    the order of `keys`."""
+    manifest = plan_dataset(keys, technique_plan(technique), seed)
+    index = list(Stage).index(stage)
+    levels = {key: BlurLevel(level) for key, at, level
+              in zip(manifest.keys, manifest.stages, manifest.levels)
+              if at == index}
+    return [levels[key] for key in keys]
+
+
 @dataclass
 class Process:
-    """A finished interpreter: exit code, output streams, and the numpy
-    modules it imported."""
+    """A finished interpreter: exit code, output streams, and the modules
+    it executed, in order."""
     code: int
     stdout: str
     stderr: str  # without the `-X importtime` lines
-    numpy_modules: list[str]
+    modules: list[str]
+
+    @property
+    def numpy_modules(self) -> list[str]:
+        return [name for name in self.modules if name.split(".")[0] == "numpy"]
 
 
 def run_python(*args, cwd=None, env=None) -> Process:
     """`python -X importtime *args` in a fresh interpreter that imports
     the `blurbench` under test, with `BLURBENCH_SEED` unset unless `env`
     sets it. Import-time lines name each module as it is executed, so a
-    module that is only bound lazily is not among `numpy_modules`."""
+    module that is only bound lazily is not among `modules`."""
     environ = {key: value for key, value in os.environ.items()
                if key != "BLURBENCH_SEED"}
     environ["PYTHONPATH"] = os.pathsep.join(
@@ -103,15 +120,15 @@ def run_python(*args, cwd=None, env=None) -> Process:
     done = subprocess.run([sys.executable, "-X", "importtime", *map(str, args)],
                           cwd=cwd, env=environ, capture_output=True,
                           text=True, timeout=120)
-    stderr, numpy_modules = [], []
+    stderr, modules = [], []
     for line in done.stderr.splitlines(keepends=True):
         if line.startswith("import time:"):
             name = line.rsplit("|", 1)[1].strip()
-            if name.split(".")[0] == "numpy":
-                numpy_modules.append(name)
+            if name != "imported package":  # the column header
+                modules.append(name)
         else:
             stderr.append(line)
-    return Process(done.returncode, done.stdout, "".join(stderr), numpy_modules)
+    return Process(done.returncode, done.stdout, "".join(stderr), modules)
 
 
 def run_cli(*argv, cwd=None, env=None) -> Process:

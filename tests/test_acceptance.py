@@ -34,14 +34,12 @@ from blurbench.ingest import (
 )
 from blurbench.report import build_histograms
 from blurbench.schedule import (
-    CAPTIONER_AUG_SCHEDULE,
-    DETECTOR_AUG_SCHEDULE,
+    Stage,
     plan_dataset,
-    sample_level,
     technique_plan,
     write_manifest,
 )
-from conftest import feature_counts, feature_rows, random_image
+from conftest import feature_counts, feature_rows, random_image, stage_levels
 from oracles import blur_windows, cider_d_formula, idf_of
 
 COCO_ROWS = {
@@ -128,16 +126,16 @@ def test_schedule_convergence():
     schedule yields zero MB3; same-seed runs are byte-identical."""
     keys = [f"sample-{i:06d}" for i in range(100_000)]
 
-    captioner_draws = [sample_level(k, CAPTIONER_AUG_SCHEDULE, 0) for k in keys]
+    captioner_draws = stage_levels(keys, "Cap-Aug", 0, Stage.CAPTIONER)
     frequency = Counter(captioner_draws)
     for level, p in zip(BlurLevel, (0.5, 0.2, 0.2, 0.1)):
         empirical = frequency.get(level, 0) / len(keys)
         assert abs(empirical - p) <= 0.01, (level.name, empirical)
 
-    detector_draws = [sample_level(k, DETECTOR_AUG_SCHEDULE, 0) for k in keys]
+    detector_draws = stage_levels(keys, "ObjDet-Aug", 0, Stage.DETECTOR)
     assert Counter(detector_draws)[BlurLevel.MB3] == 0
 
-    rerun = [sample_level(k, CAPTIONER_AUG_SCHEDULE, 0) for k in keys]
+    rerun = stage_levels(keys, "Cap-Aug", 0, Stage.CAPTIONER)
     assert "".join(l.name for l in rerun).encode() == \
         "".join(l.name for l in captioner_draws).encode()
     plan = technique_plan("ObjDet-Cap-Aug")

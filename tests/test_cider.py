@@ -1,5 +1,6 @@
 """CIDEr-D scoring against the direct-formula reference."""
 
+import inspect
 import math
 import time
 import warnings
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blurbench.cider
+from blurbench import cli
 from blurbench.cider import (
     CiderConfig,
     build_idf,
@@ -410,14 +412,34 @@ class TestCiderConfig:
         cfg = CiderConfig()
         assert (cfg.max_n, cfg.sigma, cfg.scale) == (4, 6.0, 10.0)
 
+    def test_value_semantics_and_one_home_of_the_defaults(self):
+        """A named tuple: built by position or keyword, equal to and hashed
+        as the plain tuple of its fields, read-only. The CLI settings and
+        `build_idf` take their defaults from `CiderConfig()`."""
+        cfg = CiderConfig(4, sigma=6.0)
+        assert cfg == CiderConfig() == (4, 6.0, 10.0)
+        assert hash(cfg) == hash((4, 6.0, 10.0))
+        assert repr(cfg) == "CiderConfig(max_n=4, sigma=6.0, scale=10.0)"
+        with pytest.raises(AttributeError):
+            cfg.sigma = 1.0
+        assert {name: cli._SETTINGS[name][1] for name in cfg._fields} == \
+            cfg._asdict()
+        assert inspect.signature(build_idf).parameters["max_n"].default == 4
+
     @pytest.mark.parametrize("kwargs", [
         {"max_n": 0}, {"sigma": 0.0}, {"sigma": -1.0}, {"scale": 0.0},
         {"sigma": math.nan}, {"sigma": math.inf}, {"scale": math.nan},
         {"scale": math.inf}, {"sigma": 1e-162}, {"scale": 2e291},
     ])
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            CiderConfig(**kwargs)
+        """By every construction path: the constructor, `_make` and
+        `_replace`."""
+        values = {**CiderConfig()._asdict(), **kwargs}
+        for build in (lambda: CiderConfig(**kwargs),
+                      lambda: CiderConfig._make(values.values()),
+                      lambda: CiderConfig()._replace(**kwargs)):
+            with pytest.raises(ValueError):
+                build()
 
     @pytest.mark.parametrize("kwargs,oracle_checks", [
         ({"sigma": 1.2e-162}, 0), ({"sigma": 1e-160}, 3), ({"sigma": 1e300}, 0),

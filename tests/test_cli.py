@@ -1015,14 +1015,24 @@ class TestConfigFile:
             assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("umask,replaces", [
-    (0o022, False), (0o077, False), (0o022, True)],
-    ids=["022", "077", "022-replaces-0644"])
-@pytest.mark.parametrize("command", ["plan", "score", "report", "blur"])
-def test_outputs_get_the_mode_of_a_new_file(tmp_path, data_dir, command,
-                                            umask, replaces):
+def umask_read(mask):
+    raise AssertionError("the process umask is read or set")
+
+
+@pytest.mark.parametrize("command,umask,replaces,umask_raises", [
+    *(pytest.param(command, umask, replaces, False, id=f"{command}-{name}")
+      for command in ("plan", "score", "report", "blur")
+      for umask, replaces, name in [(0o022, False, "022"), (0o077, False, "077"),
+                                    (0o022, True, "022-replaces-0644")]),
+    pytest.param("report", 0o027, False, True, id="report-027-umask-untouched"),
+])
+def test_outputs_get_the_mode_of_a_new_file(tmp_path, data_dir, monkeypatch,
+                                            command, umask, replaces,
+                                            umask_raises):
     """Each output file gets 0666 less the umask, as `open(path, "w")`
-    gives a new file, also where it replaces an existing one."""
+    gives a new file, also where it replaces an existing one. The kernel
+    applies the umask: with `umask_raises`, no write reads or sets it,
+    since setting it changes it for every thread of the process."""
     raster = tmp_path / "raster.pgm"
     raster.write_bytes(save_image(random_image(np.random.default_rng(6),
                                                48, 16, 1)))
@@ -1041,8 +1051,26 @@ def test_outputs_get_the_mode_of_a_new_file(tmp_path, data_dir, command,
             path.chmod(0o644)
     old = os.umask(umask)
     try:
-        assert run("--out", out, *argv) == 0
+        with monkeypatch.context() as patch:
+            if umask_raises:
+                patch.setattr(os, "umask", umask_read)
+            assert run("--out", out, *argv) == 0
     finally:
         os.umask(old)
     modes = {path.name: path.stat().st_mode & 0o777 for path in out.iterdir()}
     assert modes and set(modes.values()) == {0o666 & ~umask}, modes
+
+
+def test_atomic_write_draws_another_name_when_one_is_taken(tmp_path,
+                                                           monkeypatch):
+    """A temporary name that exists, another writer's file, is neither
+    opened nor replaced: the write draws names until one is free."""
+    target = tmp_path / "scores.csv"
+    taken = tmp_path / f"scores.csv.{'00' * 6}"
+    taken.write_bytes(b"another writer's")
+    draws = iter([bytes(6), bytes(6), b"\1" * 6])
+    monkeypatch.setattr(os, "urandom", lambda size: next(draws))
+    cli._atomic_write(target, b"ours")
+    assert target.read_bytes() == b"ours"
+    assert taken.read_bytes() == b"another writer's"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [target.name, taken.name]

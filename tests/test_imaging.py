@@ -44,6 +44,23 @@ class TestMakeKernel:
     def test_level_ordering(self):
         assert BlurLevel.MB0 < BlurLevel.MB1 < BlurLevel.MB2 < BlurLevel.MB3
 
+    @pytest.mark.parametrize("build", [
+        lambda width, height: BlurKernel(width, height),
+        lambda width, height: BlurKernel(tap_height=height, tap_width=width),
+        lambda width, height: BlurKernel._make((width, height)),
+        lambda width, height: BlurKernel(1, 1)._replace(tap_width=width,
+                                                        tap_height=height),
+    ], ids=["positional", "keyword", "_make", "_replace"])
+    def test_kernel_is_a_checked_named_tuple(self, build):
+        kernel = build(6, 1)
+        assert kernel == make_kernel(BlurLevel.MB1) == (6, 1)
+        assert hash(kernel) == hash((6, 1))
+        with pytest.raises(AttributeError):
+            kernel.tap_width = 2
+        for taps in ((0, 1), (1, 0), (-3, 4)):
+            with pytest.raises(ValueError, match="^kernel taps must be >= 1$"):
+                build(*taps)
+
     @pytest.mark.parametrize("level", list(BlurLevel)[1:],
                              ids=lambda level: level.name)
     def test_impulse_lights_centre_anchored_window(self, level):

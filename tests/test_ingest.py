@@ -1,6 +1,7 @@
 """Caption, prediction, and side-file parsing."""
 
 import json
+import pickle
 import re
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from blurbench.imaging import BlurLevel
 from blurbench.ingest import (
     BlurFlag,
+    FeatureCounts,
     filter_by_blur_flag,
     parse_blur_flags,
     parse_captions,
@@ -234,6 +236,21 @@ class TestParseFeatureCounts:
         records = parse_feature_counts(b"image_id,level,count\n1,MB0,36\n")
         assert records == feature_counts([("1", BlurLevel.MB0, 36)])
         assert len(records) == 1
+
+    def test_value_semantics(self):
+        """Equal and hashed by the three columns, which are read-only;
+        `len` is the entry count."""
+        records = FeatureCounts(image_ids=("a", "b"), levels=b"\0\3",
+                                counts=(5, 7))
+        same = FeatureCounts(("a", "b"), b"\0\3", (5, 7))
+        assert records == same and hash(records) == hash(same)
+        assert records != FeatureCounts(("a", "b"), b"\0\2", (5, 7))
+        assert records != (("a", "b"), b"\0\3", (5, 7))
+        assert len(records) == 2
+        for field in ("image_ids", "levels", "counts"):
+            with pytest.raises(AttributeError):
+                setattr(records, field, ())
+        assert pickle.loads(pickle.dumps(records)) == records
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="negative"):

@@ -1,11 +1,14 @@
 """Degradation tables, histograms, and rendering."""
 
 import re
+import sys
+from decimal import Decimal, Inexact, localcontext
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blurbench import report
 from blurbench.imaging import BlurLevel
 from blurbench.ingest import BlurFlag
 from blurbench.report import (
@@ -98,6 +101,22 @@ class TestDegradationDeltas:
         # raw floats that round to 117.1 and 48.4 give exactly 68.7
         table = {"X": row(117.1049, 111.4, 95.0, 48.3951)}
         assert degradation_deltas(table)["X"][BlurLevel.MB3] == 68.7
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-0.0)
+    @example(-0.04)  # renders as -0.0
+    @example(0.05)  # the float just above 0.05 renders as 0.1
+    @example(123456789012345678901234567890.1)  # 30 digits
+    @example(sys.float_info.max)
+    @example(-sys.float_info.max)
+    def test_tenths_read_the_rendered_digits_exactly(self, value):
+        """The oracle is `Decimal` with room for every digit a finite
+        float renders with (at most 310), and fails if it rounds."""
+        with localcontext() as context:
+            context.prec = 400
+            context.traps[Inexact] = True
+            expected = int(Decimal(f"{value:.1f}") * 10)
+        assert report._tenths(value) == expected
 
     def test_missing_level_rejected(self):
         """No table without every level reaches the deltas; the error names

@@ -1,7 +1,9 @@
 """Probability schedules, seeded sampling, and manifests."""
 
+import copy
 import json
 import math
+import pickle
 import re
 from collections import Counter
 from itertools import accumulate
@@ -22,11 +24,10 @@ from blurbench.schedule import (
     parse_technique,
     plan_dataset,
     read_manifest,
-    sample_level,
     technique_plan,
     write_manifest,
 )
-from conftest import pack_manifest
+from conftest import pack_manifest, stage_levels
 from oracles import draw53, level_by_float_walk
 
 
@@ -82,6 +83,21 @@ class TestValidateSchedule:
         s = Schedule([0.25, 0.25, 0.25, 0.25 + 4e-10])
         assert sum(s.probs) == pytest.approx(1.0, abs=1e-12)
 
+    def test_value_semantics(self):
+        """Read-only; equal, hashed and shown by `probs` alone; a copy or
+        a pickle keeps the stored values without rescaling them again."""
+        s = CAPTIONER_AUG_SCHEDULE
+        assert s == Schedule((0.5, 0.2, 0.2, 0.1))
+        assert hash(s) == hash(Schedule((0.5, 0.2, 0.2, 0.1)))
+        assert s != DETECTOR_AUG_SCHEDULE and s != s.probs
+        assert repr(s) == f"Schedule(probs={s.probs!r})"
+        for field in ("probs", "bounds", "limits"):
+            with pytest.raises(AttributeError):
+                setattr(s, field, ())
+        for twin in (copy.copy(s), pickle.loads(pickle.dumps(s))):
+            assert (twin.probs, twin.bounds, twin.limits) == (
+                s.probs, s.bounds, s.limits)
+
     def test_constants_keep_their_normalized_values(self):
         # manifest headers carry these exact values; normalizing the
         # stored probabilities again would change the first one to 0.5
@@ -90,30 +106,37 @@ class TestValidateSchedule:
 
 
 class TestSampleLevel:
+    """One level per (key, stage), drawn through `plan_dataset`."""
+
     def test_degenerate_schedule_always_mb0(self):
+        keys = ["a", "b", "some-image-123"]
         for seed in (0, 1, 2**63):
-            for key in ("a", "b", "some-image-123"):
-                assert sample_level(key, NO_AUG_SCHEDULE, seed) is BlurLevel.MB0
+            for stage in Stage:
+                assert stage_levels(keys, "No-Aug", seed, stage) == \
+                    [BlurLevel.MB0] * len(keys)
 
     @pytest.mark.parametrize("schedule", [NO_AUG_SCHEDULE,
                                           CAPTIONER_AUG_SCHEDULE],
                              ids=["no-aug", "captioner-aug"])
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_range_rejected(self, schedule, seed):
+        """The one-stage draw checks the seed, also for a schedule that
+        puts every draw on MB0 and so hashes nothing."""
         with pytest.raises(ValueError, match=f"^{seed_error(seed)}$"):
-            sample_level("img42", schedule, seed)
+            schedule_mod._draw_levels([b"img42"], schedule, seed, "captioner")
 
     def test_deterministic(self):
-        first = sample_level("img42", CAPTIONER_AUG_SCHEDULE, 7)
-        second = sample_level("img42", CAPTIONER_AUG_SCHEDULE, 7)
-        assert first is second
+        first = stage_levels(["img42"], "Cap-Aug", 7, Stage.CAPTIONER)
+        second = stage_levels(["img42"], "Cap-Aug", 7, Stage.CAPTIONER)
+        assert first == second
 
     def test_stage_changes_draw_for_some_keys(self):
+        """The stage keys the hash: the captioner levels of a plan are not
+        the levels its captioner schedule gives the detector stage's draws."""
         keys = [f"k{i}" for i in range(200)]
-        detector = [sample_level(k, CAPTIONER_AUG_SCHEDULE, 0, stage="detector")
-                    for k in keys]
-        captioner = [sample_level(k, CAPTIONER_AUG_SCHEDULE, 0, stage="captioner")
-                     for k in keys]
+        captioner = stage_levels(keys, "Cap-Aug", 0, Stage.CAPTIONER)
+        detector = [BlurLevel(level_by_float_walk(
+            CAPTIONER_AUG_SCHEDULE.probs, draw53(0, k, "detector"))) for k in keys]
         assert detector != captioner
 
     def test_boundary_ties_go_to_lower_level(self):
@@ -126,23 +149,23 @@ class TestSampleLevel:
             assert level_at(quarters, int(u * 2**53)) is expected
 
     def test_detector_schedule_never_yields_mb3(self):
-        levels = {sample_level(f"key-{i}", DETECTOR_AUG_SCHEDULE, 3)
-                  for i in range(20_000)}
+        levels = set(stage_levels([f"key-{i}" for i in range(20_000)],
+                                  "ObjDet-Aug", 3, Stage.DETECTOR))
         assert BlurLevel.MB3 not in levels
         assert levels == {BlurLevel.MB0, BlurLevel.MB1, BlurLevel.MB2}
 
     def test_frequencies_converge(self):
         n = 20_000
-        counts = Counter(sample_level(f"s{i}", CAPTIONER_AUG_SCHEDULE, 0)
-                         for i in range(n))
+        counts = Counter(stage_levels([f"s{i}" for i in range(n)], "Cap-Aug",
+                                      0, Stage.CAPTIONER))
         for level, p in zip(BlurLevel, CAPTIONER_AUG_SCHEDULE.probs):
             assert abs(counts[level] / n - p) < 0.015
 
     @given(st.text(max_size=30), st.integers(0, 2**64 - 1))
     @settings(max_examples=80)
     def test_always_returns_a_level(self, key, seed):
-        level = sample_level(key, CAPTIONER_AUG_SCHEDULE, seed)
-        assert level in BlurLevel
+        manifest = plan_dataset([key], technique_plan("Cap-Aug"), seed)
+        assert set(manifest.levels) <= {level.value for level in BlurLevel}
 
 
 #: Weights for random schedules: zero mass, any float in [0, 1], and tiny
@@ -214,23 +237,6 @@ class TestDrawMatchesFloatWalk:
         assert level_at(schedule, draw) == \
             level_by_float_walk(schedule.probs, draw)
 
-    @given(_schedules(), st.text(max_size=20),
-           st.one_of(st.integers(0, 2**64 - 1), st.integers(-(2**70), 2**70)),
-           st.sampled_from(["", *(stage.value for stage in Stage)]))
-    @example(_CDF_FLOORS_TO_LAST_DRAW, "", 0, "")
-    @example(_CDF_FLOORS_TO_LAST_DRAW, "img00", 2**64 - 1, "detector")
-    @example(_CDF_FLOORS_TO_LAST_DRAW, "caf\u00e9", -1, "captioner")
-    @settings(max_examples=300)
-    def test_sample_level(self, schedule, key, seed, stage):
-        if not 0 <= seed < 2**64:
-            with pytest.raises(ValueError, match=seed_error(seed)):
-                sample_level(key, schedule, seed, stage=stage)
-            return
-        expected = level_by_float_walk(schedule.probs,
-                                       draw53(seed, key, stage))
-        assert sample_level(key, schedule, seed, stage=stage) is \
-            BlurLevel(expected)
-
 
 class TestTechniques:
     def test_canonical_plans(self):
@@ -296,10 +302,14 @@ class TestPlanDataset:
                             max_size=12), max_size=8, unique=True),
            st.one_of(st.integers(0, 2**64 - 1), st.integers(-(2**70), 2**70)),
            st.sampled_from(list(Technique)))
+    @example(["", "img00", "caf\u00e9"], 0, Technique.OBJDET_CAP_AUG)
+    @example(["img00", "caf\u00e9"], 2**64 - 1, Technique.OBJDET_CAP_AUG)
+    @example(["caf\u00e9"], -1, Technique.CAP_AUG)
     @settings(max_examples=200)
-    def test_entries_drawn_by_sample_level(self, keys, seed, technique):
-        """One draw rule: a planned level is the level `sample_level`
-        draws for the same key, seed, stage and schedule."""
+    def test_entries_drawn_by_float_walk(self, keys, seed, technique):
+        """One draw rule: a planned level is the level the float CDF walk
+        picks for the draw `oracles.draw53` gives the same key, seed and
+        stage, under the stage's schedule."""
         plan = technique_plan(technique.value)
         if not 0 <= seed < 2**64:
             with pytest.raises(ValueError, match=seed_error(seed)):
@@ -308,9 +318,24 @@ class TestPlanDataset:
         manifest = plan_dataset(keys, plan, seed)
         assert len(manifest.entries) == 2 * len(keys)
         for entry in manifest.entries:
-            assert entry.level is sample_level(
-                entry.sample_key, plan.schedule_for(entry.stage), seed,
-                stage=entry.stage.value)
+            draw = draw53(seed, entry.sample_key, entry.stage.value)
+            assert entry.level is BlurLevel(level_by_float_walk(
+                plan.schedule_for(entry.stage).probs, draw))
+
+    def test_plans_and_manifests_are_named_tuples(self):
+        """Indexable, equal to the plain tuple of their fields, read-only,
+        and rebuilt equal by pickle."""
+        plan = technique_plan("Cap-Aug")
+        manifest = plan_dataset(["a"], plan, 3)
+        entry = manifest.entries[1]
+        assert plan == (Technique.CAP_AUG,) and plan[0] is plan.name
+        assert manifest == (3, plan, ("a", "a"), b"\0\1", manifest.levels)
+        assert entry == ("a", Stage.CAPTIONER, entry.level)
+        for value, field in ((plan, "name"), (manifest, "seed"),
+                             (entry, "level")):
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+            assert pickle.loads(pickle.dumps(value)) == value
 
     def test_columns_equal_their_packed_entries(self):
         """Equality and hash are the values', however a manifest is built."""

@@ -1,10 +1,15 @@
 """What a cold `blurbench` process loads, and the lazy numpy binding.
 
 Only `blur` and `score` use numpy, so importing the CLI, `--help`, usage
-errors, `plan` and `report` must execute no numpy module. Each case runs
-in a fresh interpreter (`conftest.run_python`), whose import-time lines
-name every module executed.
+errors, `plan` and `report` must execute no numpy module. blurbench
+itself imports none of the standard modules in `UNNEEDED`, so importing
+the CLI, `--help`, `plan` and `report` execute none of them beyond what
+the bare interpreter does. Each case runs in a fresh
+interpreter (`conftest.run_python`), whose import-time lines name every
+module executed.
 """
+
+from functools import cache
 
 import numpy as np
 import pytest
@@ -63,6 +68,36 @@ def test_report_loads_no_numpy(tmp_path, data_dir):
         assert (tmp_path / case / name).read_bytes() == (
             golden / case / name).read_bytes()
     assert done.numpy_modules == []
+
+
+#: Standard modules blurbench needs none of, each a cost to a cold start:
+#: `dataclasses` executes `inspect`, `dis`, `ast` and `tokenize` with it.
+UNNEEDED = {"dataclasses", "inspect", "typing", "decimal", "tempfile"}
+
+
+@cache
+def bare_modules() -> frozenset[str]:
+    """The modules `python -c pass` executes in the same environment:
+    `site` may execute some of `UNNEEDED` itself, through a `.pth` file."""
+    return frozenset(run_python("-c", "pass").modules)
+
+
+@pytest.mark.parametrize("start", ["import", "help", "plan", "report"])
+def test_executes_no_unneeded_module(tmp_path, data_dir, start):
+    done = {
+        "import": lambda: run_python("-c", "import blurbench.cli"),
+        "help": lambda: run_cli("--help"),
+        "plan": lambda: run_cli("--out", tmp_path, "plan",
+                                data_dir / "toy_keys.txt"),
+        "report": lambda: run_cli(
+            "--out", tmp_path, "report",
+            data_dir / "score_golden" / "toy_flags_scores.csv",
+            data_dir / "toy_feature_counts.csv",
+            "--flags", data_dir / "toy_flags.csv"),
+    }[start]()
+    assert done.code == 0
+    assert "blurbench.schedule" in done.modules  # the lines were read
+    assert sorted(UNNEEDED.intersection(done.modules) - bare_modules()) == []
 
 
 def test_score_loads_numpy(tmp_path, data_dir):
