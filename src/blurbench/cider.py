@@ -125,6 +125,14 @@ def _intern(texts: Iterable[Sequence[str]], max_n: int):
     return vocab, sizes, orders
 
 
+def _find(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Index of each key in the sorted array `table`, -1 where absent."""
+    at = np.searchsorted(table, keys)
+    found = at < len(table)
+    found[found] = table[at[found]] == keys[found]
+    return np.where(found, at, -1)
+
+
 class IdfTable:
     """Per-image document frequencies over a reference corpus, compiled.
 
@@ -159,12 +167,8 @@ class IdfTable:
             if n > 1:
                 prefix = ids[local // len(vocab)]
                 token = token_ids[local % len(vocab)]
-                key = np.where((prefix >= 0) & (token >= 0),
-                               prefix * size + token, -1)
-                at = np.searchsorted(table, key)
-                found = at < len(table)
-                found[found] = table[at[found]] == key[found]
-                ids = np.where(found, at, -1)
+                ids = _find(table, np.where((prefix >= 0) & (token >= 0),
+                                            prefix * size + token, -1))
             idf = np.full(len(local), self._unseen)
             if len(table):
                 idf[ids >= 0] = self._idf[n - 1][ids[ids >= 0]]
@@ -226,9 +230,8 @@ def _score_block(candidates: list[Sequence[str]],
         split = np.searchsorted(row_text, n_images)
         ref = row_text[split:] - n_images
         want = image_of_ref[ref] * width + row_gram[split:]
-        at = np.searchsorted(rows[:split], want)
-        found = at < split
-        found[found] = rows[at[found]] == want[found]
+        at = _find(rows[:split], want)
+        found = at >= 0
         cand_weight = np.zeros(len(want))
         cand_weight[found] = weight[at[found]]
         ref_weight = weight[split:]

@@ -21,7 +21,8 @@ from blurbench.cider import (
     tokenize,
 )
 from blurbench.imaging import BlurLevel
-from blurbench.ingest import parse_captions
+from blurbench.ingest import parse_captions, parse_predictions
+from conftest import DATA_DIR
 from oracles import cider_d_formula, document_frequency, idf_of, tokens
 
 # Oracle outputs on the bundled toy corpus, frozen after computing them
@@ -398,13 +399,22 @@ class TestKernelMatchesFormula:
         assert mean == pytest.approx(FROZEN_CORPUS_MEANS[BlurLevel.MB0],
                                      abs=1e-9)
 
-    def test_block_boundaries_do_not_change_scores(self, toy_dataset,
-                                                   toy_predictions, monkeypatch):
-        idf = build_idf(toy_dataset)
-        whole = corpus_cider_d(toy_predictions, toy_dataset, BlurLevel.MB1, idf)
-        monkeypatch.setattr(blurbench.cider, "_BLOCK_IMAGES", 3)
-        assert corpus_cider_d(toy_predictions, toy_dataset,
-                              BlurLevel.MB1, idf) == whole
+    def test_block_boundaries_do_not_change_scores(self, monkeypatch):
+        """An n-gram's id is the rank of its token tuple, so each text's
+        rows, and every sum over them, come in the same order whatever
+        block its image falls in: the corpus score is the same float."""
+        for name in ("toy", "odd"):
+            split = parse_captions(
+                (DATA_DIR / f"{name}_captions.json").read_bytes())
+            preds = parse_predictions(
+                (DATA_DIR / f"{name}_predictions.json").read_bytes())
+            idf = build_idf(split)
+            for level in BlurLevel:
+                scores = set()
+                for size in (1, 3, 7, 1000, len(split)):
+                    monkeypatch.setattr(blurbench.cider, "_BLOCK_IMAGES", size)
+                    scores.add(corpus_cider_d(preds, split, level, idf))
+                assert len(scores) == 1, (name, level, scores)
 
 
 class TestCiderConfig:

@@ -8,8 +8,8 @@ JSON and netpbm treat specially. The same mutations, fed to whole
 commands, must end in exit 0 or in one last `error:` line; `blur`, which
 fails one raster at a time, must name only the mutated raster and still
 write the intact one's variants. A manifest, mutated line by line too,
-reads the same through `read_manifest`'s bulk parse as through a parse
-of one line at a time. A feature-count or blur-flag table with mutated
+reads the same through `read_manifest`, which takes the writer's own
+lines directly, as through a parse of one line at a time. A feature-count or blur-flag table with mutated
 rows gives the same value or error as a reference parser that reads the
 whole table and then checks it row by row.
 """
@@ -161,7 +161,8 @@ def test_mutated_command_input_exits_cleanly(command, target, edits):
 
 def read_manifest_by_line(text: str) -> AugmentationManifest:
     """The reference reader: one `json.loads` per line, every error naming
-    its 1-based line, as `read_manifest` read before its bulk parse."""
+    its 1-based line: the rules `read_manifest` applies to every line
+    that is not the writer's own text."""
     numbered = ((number, line) for number, line
                 in enumerate(text.split("\n"), 1) if line.strip())
     number, line = next(numbered, (0, None))
@@ -206,8 +207,7 @@ def _outcome(reader, text: str):
         return f"ValueError: {exc}"
 
 
-#: A manifest of a dozen keys, two of them non-ASCII, so that small read
-#: chunks split it many ways.
+#: A manifest of a dozen keys, two of them non-ASCII.
 _DOZEN_MANIFEST = write_manifest(plan_dataset(
     [f"img{i:02d}" for i in range(10)] + ["caf\u00e9", "\u732b"],
     technique_plan("ObjDet-Cap-Aug"), 3))
@@ -241,33 +241,28 @@ def edit_lines(text: str, edits) -> str:
 
 @given(document=st.sampled_from([_MANIFEST, _DOZEN_MANIFEST]),
        edits=st.lists(_EDIT, max_size=3),
-       line_edits=st.lists(_LINE_EDIT, max_size=4),
-       chunk=st.sampled_from([1, 2, 3, 5, 4096]))
+       line_edits=st.lists(_LINE_EDIT, max_size=4))
 @settings(max_examples=300, deadline=None)
-def test_bulk_read_agrees_with_line_by_line(document, edits, line_edits,
-                                            chunk):
-    """Same manifest or the same error, line number included, whatever
-    chunk a mutated line falls in."""
+def test_bulk_read_agrees_with_line_by_line(document, edits, line_edits):
+    """Same manifest or the same error, line number included."""
     text = edit_lines(mutate(document.encode(), edits).decode(
         "utf-8", errors="surrogateescape"), line_edits)
-    with mock.patch.object(schedule_mod, "_READ_CHUNK_LINES", chunk):
-        got = _outcome(read_manifest, text)
-    assert got == _outcome(read_manifest_by_line, text)
+    assert (_outcome(read_manifest, text)
+            == _outcome(read_manifest_by_line, text))
 
 
-#: A manifest of over two read chunks (5 000 keys, 10 001 lines).
+#: A manifest of 5 000 keys (10 001 lines).
 _LARGE_MANIFEST = write_manifest(plan_dataset(
     [f"k{i:04d}" for i in range(5000)], technique_plan("Cap-Aug"), 11))
 
 
-@given(where=st.integers(2 * 4096 + 1, 10_000),
+@given(where=st.integers(8193, 10_000),
        edits=st.lists(_EDIT, max_size=2),
        line_edits=st.lists(_LINE_EDIT, min_size=1, max_size=2))
 @settings(max_examples=25, deadline=None)
 def test_bad_line_in_a_later_chunk_named(where, edits, line_edits):
-    """At the real chunk size, a line mutated in the third chunk gives the
-    error the line-by-line reader gives."""
-    assert schedule_mod._READ_CHUNK_LINES == 4096
+    """A line mutated deep in a large manifest gives the error the
+    line-by-line reader gives."""
     lines = _LARGE_MANIFEST.split("\n")
     line = mutate(lines[where].encode(), edits).decode(
         "utf-8", errors="surrogateescape")
@@ -278,24 +273,22 @@ def test_bad_line_in_a_later_chunk_named(where, edits, line_edits):
             == _outcome(read_manifest_by_line, text))
 
 
-#: Keys of the characters that the bulk read's checks hinge on: braces,
+#: Keys of the characters that a key's JSON string hinges on: braces,
 #: JSON escapes, and non-ASCII text that `json.dumps` escapes.
 _ODD_KEYS = st.lists(
     st.text(st.sampled_from('ab{}"\\\u00e9\u732b\u2028'), min_size=1,
             max_size=6), min_size=1, max_size=12, unique=True)
 
 
-@given(keys=_ODD_KEYS, line_edits=st.lists(_LINE_EDIT, max_size=2),
-       chunk=st.sampled_from([1, 3, 4096]))
+@given(keys=_ODD_KEYS, line_edits=st.lists(_LINE_EDIT, max_size=2))
 @settings(max_examples=300, deadline=None)
-def test_keys_holding_braces_read_like_line_by_line(keys, line_edits, chunk):
+def test_keys_holding_braces_read_like_line_by_line(keys, line_edits):
     """Same manifest or the same error as the line-by-line reader, for
     keys holding `{`, `}`, `"`, `\\` or non-ASCII characters."""
     text = edit_lines(write_manifest(plan_dataset(
         keys, technique_plan("ObjDet-Cap-Aug"), 5)), line_edits)
-    with mock.patch.object(schedule_mod, "_READ_CHUNK_LINES", chunk):
-        got = _outcome(read_manifest, text)
-    assert got == _outcome(read_manifest_by_line, text)
+    assert (_outcome(read_manifest, text)
+            == _outcome(read_manifest_by_line, text))
 
 
 _RECORD = '{"sample_key": "b", "stage": "detector", "level": "MB1"}'
@@ -318,22 +311,62 @@ _HEADER = _MANIFEST.split("\n", 1)[0]
 ], ids=["split-record", "spanning-string", "spanning-array", "repeated-key",
         "empty-objects"])
 def test_lines_a_bulk_parse_could_pair_up_are_rejected(body):
-    """Each body passes all but one of the bulk parse's checks, but its
-    first line is not a record on its own."""
+    """Joined into one JSON array, each body would parse to records, but
+    its first line is not a record on its own."""
     text = "\n".join([_HEADER, *body]) + "\n"
     got = _outcome(read_manifest, text)
     assert got.startswith("ValueError: bad manifest entry on line 2 ")
     assert got == _outcome(read_manifest_by_line, text)
 
 
-def test_nested_extra_field_read_like_line_by_line():
-    """A record may carry a nested extra field; the line-by-line reader
-    ignores it, and so does the bulk read."""
-    text = _HEADER + "\n" + _RECORD[:-1] + ', "meta": {"x": [1, {}]}}\n'
-    assert (_outcome(read_manifest, text)
-            == _outcome(read_manifest_by_line, text))
-    assert read_manifest(text).entries == (
-        ManifestEntry("b", Stage.DETECTOR, BlurLevel.MB1),)
+_TAIL = ', "stage": "detector", "level": "MB1"}'
+
+
+@pytest.mark.parametrize("line, reads", [
+    ('{"sample_key":"b","stage":"detector","level":"MB1"}', True),
+    ('{"stage": "detector", "level": "MB1", "sample_key": "b"}', True),
+    ('{"sample_key": "b", "meta": {"x": [1, {}]}' + _TAIL, True),
+    (' \t{"sample_key": "b"' + _TAIL + " \t", True),
+    ('{"sample_key": "caf\u00e9\u732b"' + _TAIL, True),
+    ('{"sample_key": "\\ud800"' + _TAIL, True),
+    ('{"sample_key": "b' + _TAIL, False),
+    ('{"sample_key": "b', False),
+    ('{"sample_key": "a\tb"' + _TAIL, False),
+    ('{"sample_key": "a\x00b"' + _TAIL, False),
+    ('{"sample_key": "\\x41"' + _TAIL, False),
+    ('{"sample_key": "b", "stage": "detector", "level": "MB9"}', False),
+    ('{"sample_key": "b"' + _TAIL + "}", False),
+    ('{"sample_key": "b"' + _TAIL + " x", False),
+], ids=["compact", "reordered", "nested-extra", "spaced", "raw-non-ascii",
+        "lone-surrogate", "unterminated-in-tail", "unterminated",
+        "raw-tab", "raw-nul", "hex-escape", "level-MB9", "junk-brace",
+        "junk-text"])
+def test_other_writers_lines_read_like_line_by_line(line, reads):
+    """Lines that `write_manifest` never writes, and look-alikes of its
+    lines: the same manifest or the same error as the line-by-line
+    reader."""
+    text = f"{_HEADER}\n{line}\n"
+    got = _outcome(read_manifest, text)
+    assert got == _outcome(read_manifest_by_line, text)
+    assert isinstance(got, AugmentationManifest) is reads
+    if not reads:
+        assert got.startswith("ValueError: bad manifest entry on line 2 ")
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+def test_planned_manifests_skip_the_per_line_parse(line_end, monkeypatch):
+    """Every entry line `write_manifest` gives, odd keys included, is read
+    without the per-line parse, with LF or CRLF line ends."""
+    def per_line(*args):
+        raise AssertionError("per-line parse of a planned entry line")
+
+    monkeypatch.setattr(schedule_mod, "_line_entry", per_line)
+    keys = ["{", "b{1}", '"', "\\", 'q"\\{', "caf\u00e9", "\u732b",
+            "\u2028", "tab\there", "\x7f", " "]
+    for technique in Technique:
+        manifest = plan_dataset(keys, TechniquePlan(technique), 9)
+        text = write_manifest(manifest).replace("\n", line_end)
+        assert read_manifest(text) == manifest
 
 
 def read_rows_whole(text: str, header: list[str]) -> list[list[str]]:
