@@ -47,6 +47,7 @@ import os
 import re
 import sys
 from contextlib import suppress
+from functools import cache
 from pathlib import Path
 
 from .cider import CiderConfig, build_idf, corpus_cider_d
@@ -101,6 +102,12 @@ _SETTINGS = {
     "max_n": (lambda text: CiderConfig(max_n=int(text)).max_n, _METRIC.max_n),
     "scale": (lambda text: CiderConfig(scale=float(text)).scale, _METRIC.scale),
 }
+
+
+def _shown(path: Path) -> str:
+    """`path` as stdout prints it: a byte that is not UTF-8 as a `\\xNN`
+    escape, so that a strict UTF-8 stdout prints every path."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -195,7 +202,8 @@ def cmd_blur(args: argparse.Namespace) -> int:
             del variant  # not held while the next level blurs
             written += 1
         del img  # not held while the next file decodes
-        print(f"{path}: wrote {written} variant(s) to {args.out}")
+        print(f"{_shown(path)}: wrote {written} variant(s) to "
+              f"{_shown(args.out)}")
     return 1 if failures else 0
 
 
@@ -212,8 +220,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
     manifest = plan_dataset(keys, plan, args.seed)
     target = args.out / "manifest.jsonl"
     _atomic_write(target, write_manifest(manifest).encode("utf-8"))
-    print(f"wrote {target}: technique={plan.name.value} seed={args.seed} "
-          f"entries={len(manifest.keys)}")
+    print(f"wrote {_shown(target)}: technique={plan.name.value} "
+          f"seed={args.seed} entries={len(manifest.keys)}")
     return 0
 
 
@@ -254,7 +262,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     target = args.out / "scores.csv"
     _atomic_write(target, (f"# seed={args.seed}\n"
                            + write_csv(SCORES_HEADER, rows)).encode("utf-8"))
-    print(f"wrote {target}")
+    print(f"wrote {_shown(target)}")
     return 0
 
 
@@ -285,7 +293,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if name.endswith(".csv"):
             text = f"# seed={args.seed}\n" + text
         _atomic_write(args.out / name, text.encode("utf-8"))
-    print(f"wrote {len(outputs)} file(s) to {args.out}")
+    print(f"wrote {len(outputs)} file(s) to {_shown(args.out)}")
     extension = "csv" if args.format == "csv" else "md"
     print(outputs[f"score_table.{extension}"] + outputs[f"degradation.{extension}"],
           end="")
@@ -329,7 +337,11 @@ def _add_setting(parser: argparse.ArgumentParser, name: str, **kwargs) -> None:
                         type=flag_type, default=None, **kwargs)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call in a process (so not at
+    import) and shared by every later `main` call: parsing leaves it as
+    it was, and each default is immutable."""
     parser = argparse.ArgumentParser(
         prog="blurbench",
         description="Motion-blur robustness toolkit: blur variants, "
@@ -347,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_blur = sub.add_parser("blur", help="write blur variants of PGM/PPM images")
     p_blur.add_argument("input", type=Path, help="image file or directory")
     p_blur.add_argument("--levels", type=_levels_argument,
-                        default=list(BlurLevel),
+                        default=tuple(BlurLevel),
                         help="comma-separated levels (default all)")
     p_blur.set_defaults(func=cmd_blur)
 

@@ -29,16 +29,20 @@ limits puts every draw on MB0, so it hashes nothing.
 A manifest is JSON lines: a header object, then one object per entry; in
 memory, three columns: the keys, and one byte each for the stage (its
 index in `tuple(Stage)`) and the level (its `BlurLevel` value).
-`read_manifest` reads a body as written: it checks each entry, not that
-the body has the layout `plan_dataset` writes. A line that is the
-writer's own text, `{"sample_key": `, a JSON string, then one of the
-writer's entry tails (a `\r` before the line end allowed), is taken
-directly: the key is decoded by `json.decoder.scanstring`, the strict
-routine `json.loads` uses, and the tail gives the stage and level. Any
-other line, one from a writer with other separators or field order say,
-goes through `json.loads` and the per-entry checks, so every error text,
-line number included, is the one a line-by-line read gives; such lines
-read about 3x slower.
+`write_manifest` writes a manifest in the layout `plan_dataset` gives
+(stage indices 0, 1 repeated, each such run of entries sharing one key)
+from its key grid, encoding each key once; any other manifest it writes
+entry by entry, to the same text. `read_manifest` reads a body as
+written: it checks each entry, not that the body has the layout
+`plan_dataset` writes. A line that is the writer's own text,
+`{"sample_key": `, a JSON string, then one of the writer's entry tails
+(a `\r` before the line end allowed), is taken directly: the key is
+decoded by `json.decoder.scanstring`, the strict routine `json.loads`
+uses, and the tail gives the stage and level. Any other line, one from a
+writer with other separators or field order say, goes through
+`json.loads` and the per-entry checks, so every error text, line number
+included, is the one a line-by-line read gives; such lines read about 3x
+slower.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from enum import Enum
 from functools import partial
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, islice
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 from operator import eq, getitem, index
@@ -245,6 +249,9 @@ _ENTRY_HEAD = '{"sample_key": '
 _ENTRY_TAILS = tuple(
     tuple(f', "stage": "{stage.value}", "level": "{level.name}"}}\n'
           for level in BlurLevel) for stage in Stage)
+#: Each tail followed by the next line's `_ENTRY_HEAD`, in the same order.
+_TAIL_HEADS = tuple(tuple(tail + _ENTRY_HEAD for tail in tails)
+                    for tails in _ENTRY_TAILS)
 #: Each tail without its `\n`, bare or ending in `\r`, to the stage index
 #: and the level value it gives.
 _TAIL_ENTRY = {tail[:-1] + end: (stage, level)
@@ -253,16 +260,34 @@ _TAIL_ENTRY = {tail[:-1] + end: (stage, level)
 
 
 def write_manifest(manifest: AugmentationManifest) -> str:
+    """The manifest's text; a manifest in `plan_dataset`'s layout is
+    written from its key grid, encoding each key once."""
     header = {"seed": manifest.seed, "technique": manifest.plan.name.value}
     for stage in Stage:
         header[f"{stage.value}_schedule"] = list(
             manifest.plan.schedule_for(stage).probs)
-    tails = map(getitem, map(_ENTRY_TAILS.__getitem__, manifest.stages),
-                manifest.levels)
-    lines = zip(repeat(_ENTRY_HEAD),
-                map(encode_basestring_ascii, manifest.keys), tails)
-    return "".join(chain((json.dumps(header), "\n"),
-                         chain.from_iterable(lines)))
+    header_line = json.dumps(header) + "\n"
+    keys, stages, levels = manifest.keys, manifest.stages, manifest.levels
+    if not keys:
+        return header_line
+    # the header line and the first head, then per entry its key and its
+    # tail with the next entry's head; the last entry's tail stands bare
+    parts = [header_line + _ENTRY_HEAD] + [None] * (2 * len(keys))
+    width = len(_STAGES)
+    runs = keys[::width]
+    if (stages == bytes(range(width)) * len(runs)
+            and all(keys[stage::width] == runs for stage in range(1, width))):
+        encoded = list(map(encode_basestring_ascii, runs))
+        for stage, tail_heads in enumerate(_TAIL_HEADS):
+            parts[1 + 2 * stage::2 * width] = encoded
+            parts[2 + 2 * stage::2 * width] = map(tail_heads.__getitem__,
+                                                  levels[stage::width])
+    else:
+        parts[1::2] = map(encode_basestring_ascii, keys)
+        parts[2::2] = map(getitem, map(_TAIL_HEADS.__getitem__, stages),
+                          levels)
+    parts[-1] = _ENTRY_TAILS[stages[-1]][levels[-1]]
+    return "".join(parts)
 
 
 def read_manifest(text: str) -> AugmentationManifest:

@@ -22,7 +22,7 @@ from blurbench.schedule import (
     read_manifest,
     technique_plan,
 )
-from conftest import random_image
+from conftest import random_image, run_cli
 from oracles import blur_windows, cider_d_formula
 
 
@@ -1013,6 +1013,70 @@ class TestConfigFile:
             assert len(err) == 1 and err[0].startswith("error: ")
             assert named in err[0]
             assert not (tmp_path / "out").exists()
+
+    def test_main_calls_in_one_process_resolve_their_own_settings(
+            self, tmp_path, monkeypatch):
+        """Every `main` call in a process shares one parser; a flag given
+        to one call, its `--levels` list included, is not a default of
+        the next, which resolves its own flags and environment."""
+        monkeypatch.delenv("BLURBENCH_SEED", raising=False)
+        keys = tmp_path / "keys.txt"
+        keys.write_text("a\nb\n")
+        raster = tmp_path / "r.pgm"
+        raster.write_bytes(save_image(random_image(np.random.default_rng(2),
+                                                   48, 16, 1)))
+        assert run("--seed", "3", "--out", tmp_path / "p1", "plan", keys,
+                   "--technique", "Cap-Aug") == 0
+        assert run("--out", tmp_path / "b1", "blur", "--levels", "MB2",
+                   raster) == 0
+        monkeypatch.setenv("BLURBENCH_SEED", "5")
+        assert run("--out", tmp_path / "p2", "plan", keys) == 0
+        assert run("--out", tmp_path / "b2", "blur", raster) == 0
+        first, second = (
+            read_manifest((tmp_path / name / "manifest.jsonl").read_text())
+            for name in ("p1", "p2"))
+        assert (first.plan.name, first.seed) == (Technique.CAP_AUG, 3)
+        assert (second.plan.name, second.seed) == (Technique.NO_AUG, 5)
+        assert [p.name for p in (tmp_path / "b1").iterdir()] == ["r.MB2.pgm"]
+        assert sorted(p.name for p in (tmp_path / "b2").iterdir()) == [
+            f"r.{level.name}.pgm" for level in BlurLevel]
+        assert cli.build_parser() is cli.build_parser()
+        assert cli.build_parser().parse_args(["blur", "x"]).levels == tuple(
+            BlurLevel)
+
+
+def test_paths_not_utf8_printed_under_strict_stdout(tmp_path, data_dir):
+    """With a strict UTF-8 stdout, every path a command prints shows a
+    byte that is not UTF-8 as a `\\xNN` escape, and `blur` goes on to the
+    next file."""
+    odd = os.fsdecode(b"\xff")
+    src = tmp_path / "in"
+    src.mkdir()
+    raster = save_image(random_image(np.random.default_rng(4), 48, 16, 3))
+    for name in ("b", f"c{odd}", "d"):
+        (src / f"{name}.ppm").write_bytes(raster)
+    out = tmp_path / f"out{odd}"
+    shown = re.escape(f"{tmp_path}/out\\xff")
+    strict = {"PYTHONIOENCODING": "utf-8"}
+    done = run_cli("--out", out, "blur", src, env=strict)
+    assert (done.code, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [
+        f"{src}/{name}.ppm: wrote 4 variant(s) to {tmp_path}/out\\xff"
+        for name in ("b", "c\\xff", "d")]
+    assert len(list(out.iterdir())) == 12
+    for argv, printed in [
+        (["plan", data_dir / "toy_keys.txt"],
+         f"wrote {shown}/manifest\\.jsonl: technique=No-Aug .*"),
+        (["score", data_dir / "toy_captions.json",
+          data_dir / "toy_predictions.json"], f"wrote {shown}/scores\\.csv"),
+        (["report", data_dir / "score_golden" / "toy_flags_scores.csv",
+          data_dir / "toy_feature_counts.csv"],
+         f"wrote \\d+ file\\(s\\) to {shown}"),
+    ]:
+        done = run_cli("--out", out, *argv, env=strict)
+        assert (done.code, done.stderr) == (0, "")
+        assert any(re.fullmatch(printed, line)
+                   for line in done.stdout.splitlines()), done.stdout
 
 
 def umask_read(mask):

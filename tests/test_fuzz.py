@@ -9,9 +9,12 @@ commands, must end in exit 0 or in one last `error:` line; `blur`, which
 fails one raster at a time, must name only the mutated raster and still
 write the intact one's variants. A manifest, mutated line by line too,
 reads the same through `read_manifest`, which takes the writer's own
-lines directly, as through a parse of one line at a time. A feature-count or blur-flag table with mutated
-rows gives the same value or error as a reference parser that reads the
-whole table and then checks it row by row.
+lines directly, as through a parse of one line at a time; and
+`write_manifest`, which writes a planned manifest from its key grid,
+writes every manifest as `json.dumps` of one record per line does. A
+feature-count or blur-flag table with mutated rows gives the same value
+or error as a reference parser that reads the whole table and then
+checks it row by row.
 """
 
 import csv
@@ -20,6 +23,7 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from unittest import mock
 
@@ -243,7 +247,7 @@ def edit_lines(text: str, edits) -> str:
        edits=st.lists(_EDIT, max_size=3),
        line_edits=st.lists(_LINE_EDIT, max_size=4))
 @settings(max_examples=300, deadline=None)
-def test_bulk_read_agrees_with_line_by_line(document, edits, line_edits):
+def test_mutated_manifest_reads_like_line_by_line(document, edits, line_edits):
     """Same manifest or the same error, line number included."""
     text = edit_lines(mutate(document.encode(), edits).decode(
         "utf-8", errors="surrogateescape"), line_edits)
@@ -260,7 +264,7 @@ _LARGE_MANIFEST = write_manifest(plan_dataset(
        edits=st.lists(_EDIT, max_size=2),
        line_edits=st.lists(_LINE_EDIT, min_size=1, max_size=2))
 @settings(max_examples=25, deadline=None)
-def test_bad_line_in_a_later_chunk_named(where, edits, line_edits):
+def test_bad_line_deep_in_a_large_manifest_named(where, edits, line_edits):
     """A line mutated deep in a large manifest gives the error the
     line-by-line reader gives."""
     lines = _LARGE_MANIFEST.split("\n")
@@ -310,7 +314,7 @@ _HEADER = _MANIFEST.split("\n", 1)[0]
     ['{"sample_key": [{}', '{}], ' + _RECORD[1:], f"{_RECORD}, {_RECORD}"],
 ], ids=["split-record", "spanning-string", "spanning-array", "repeated-key",
         "empty-objects"])
-def test_lines_a_bulk_parse_could_pair_up_are_rejected(body):
+def test_records_split_or_joined_across_lines_are_rejected(body):
     """Joined into one JSON array, each body would parse to records, but
     its first line is not a record on its own."""
     text = "\n".join([_HEADER, *body]) + "\n"
@@ -367,6 +371,83 @@ def test_planned_manifests_skip_the_per_line_parse(line_end, monkeypatch):
         manifest = plan_dataset(keys, TechniquePlan(technique), 9)
         text = write_manifest(manifest).replace("\n", line_end)
         assert read_manifest(text) == manifest
+
+
+def write_manifest_by_line(manifest: AugmentationManifest) -> str:
+    """The reference writer: `json.dumps` of the header object, then of
+    each entry's record, one per line."""
+    header = {"seed": manifest.seed, "technique": manifest.plan.name.value}
+    for stage in Stage:
+        header[f"{stage.value}_schedule"] = list(
+            manifest.plan.schedule_for(stage).probs)
+    records = [header] + [{"sample_key": entry.sample_key,
+                           "stage": entry.stage.value,
+                           "level": entry.level.name}
+                          for entry in manifest.entries]
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
+#: Keys of the characters that JSON escapes or that `json.dumps` writes
+#: as `\u` escapes: quotes, backslashes, control characters, non-ASCII
+#: (a surrogate pair among them) and U+2028; no keys at all included.
+_WRITTEN_KEYS = st.lists(
+    st.text(st.sampled_from('ab"\\\x00\x1f\t\n\r\x7f\u00e9\u732b\u2028'
+                            '\U0001f600'), max_size=6),
+    max_size=12, unique=True)
+
+
+@given(keys=_WRITTEN_KEYS, technique=st.sampled_from(Technique),
+       seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=200, deadline=None)
+def test_planned_manifests_written_like_json_dumps(keys, technique, seed):
+    manifest = plan_dataset(keys, TechniquePlan(technique), seed)
+    assert write_manifest(manifest) == write_manifest_by_line(manifest)
+
+
+@given(keys=_WRITTEN_KEYS.filter(lambda keys: len(keys) > 1),
+       technique=st.sampled_from(Technique), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_read_manifests_written_like_json_dumps(keys, technique, data):
+    """Manifests not in `plan_dataset`'s layout, read back from a file
+    with its body lines shuffled, with one stage's lines only, or with
+    each key's captioner line given the next key's: the per-entry path."""
+    lines = write_manifest(plan_dataset(
+        keys, TechniquePlan(technique), 13)).split("\n")
+    header, body = lines[0], lines[1:-1]
+    edit = data.draw(st.sampled_from(["shuffle", "one-stage", "two-keys"]))
+    if edit == "shuffle":
+        body = data.draw(st.permutations(body))
+    elif edit == "one-stage":
+        body = body[data.draw(st.sampled_from([0, 1]))::2]
+    else:
+        body[1::2] = body[3::2] + body[1:2]
+    text = "\n".join([header, *body]) + "\n"
+    manifest = read_manifest(text)
+    assert write_manifest(manifest) == write_manifest_by_line(manifest) == text
+
+
+def test_planned_manifests_encode_each_key_once(monkeypatch):
+    """A planned manifest of n keys is written with n key encodings, one
+    per key; a manifest whose stage pair holds two keys, with one per
+    entry."""
+    encoded = []
+
+    def counting(key):
+        encoded.append(key)
+        return encode_basestring_ascii(key)
+
+    monkeypatch.setattr(schedule_mod, "encode_basestring_ascii", counting)
+    keys = ["{", "b{1}", '"', "\\", 'q"\\{', "caf\u00e9", "\u732b",
+            "\u2028", "tab\there", "\x7f", " "]
+    for technique in Technique:
+        manifest = plan_dataset(keys, TechniquePlan(technique), 9)
+        encoded.clear()
+        assert write_manifest(manifest) == write_manifest_by_line(manifest)
+        assert sorted(encoded) == sorted(keys)
+        crossed = manifest._replace(keys=manifest.keys[1:] + manifest.keys[:1])
+        encoded.clear()
+        assert write_manifest(crossed) == write_manifest_by_line(crossed)
+        assert encoded == list(crossed.keys)
 
 
 def read_rows_whole(text: str, header: list[str]) -> list[list[str]]:

@@ -70,6 +70,28 @@ def test_report_loads_no_numpy(tmp_path, data_dir):
     assert done.numpy_modules == []
 
 
+def test_parser_built_on_the_first_main_call(tmp_path, data_dir):
+    """Importing the CLI builds no parser; the first `main` call builds
+    the top-level parser and one per command, and later calls reuse them."""
+    done = run_python("-c", (
+        "import argparse, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import blurbench.cli\n"
+        "counts = [len(built)]\n"
+        "for out in sys.argv[2:]:\n"
+        "    blurbench.cli.main(['--out', out, 'plan', sys.argv[1]])\n"
+        "    counts.append(len(built))\n"
+        "print(counts)"), data_dir / "toy_keys.txt", tmp_path / "a",
+        tmp_path / "b")
+    assert (done.code, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "[0, 5, 5]"
+
+
 #: Standard modules blurbench needs none of, each a cost to a cold start:
 #: `dataclasses` executes `inspect`, `dis`, `ast` and `tokenize` with it.
 UNNEEDED = {"dataclasses", "inspect", "typing", "decimal", "tempfile"}
