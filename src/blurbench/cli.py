@@ -105,8 +105,9 @@ _SETTINGS = {
 
 
 def _shown(path: Path) -> str:
-    """`path` as stdout prints it: a byte that is not UTF-8 as a `\\xNN`
-    escape, so that a strict UTF-8 stdout prints every path."""
+    """`path` as the CLI prints it, on stdout and stderr alike: a byte that
+    is not UTF-8 as a `\\xNN` escape, so that a strict UTF-8 stdout prints
+    every path."""
     return os.fsencode(path).decode("utf-8", "backslashreplace")
 
 
@@ -175,10 +176,11 @@ def cmd_blur(args: argparse.Namespace) -> int:
     elif args.input.exists():
         files = [args.input]
     else:
-        print(f"error: no such input {args.input}", file=sys.stderr)
+        print(f"error: no such input {_shown(args.input)}", file=sys.stderr)
         return 1
     if not files:
-        print(f"warning: no PGM/PPM files in {args.input}", file=sys.stderr)
+        print(f"warning: no PGM/PPM files in {_shown(args.input)}",
+              file=sys.stderr)
         return 0
 
     failures = 0
@@ -187,14 +189,15 @@ def cmd_blur(args: argparse.Namespace) -> int:
         try:
             img = load_image(path.read_bytes())
         except (OSError, ValueError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
+            print(f"error: {_shown(path)}: {exc}", file=sys.stderr)
             failures += 1
             continue
         for level in args.levels:
             try:
                 variant = apply_blur(img, make_kernel(level))
             except ValueError as exc:
-                print(f"error: {path} at {level.name}: {exc}", file=sys.stderr)
+                print(f"error: {_shown(path)} at {level.name}: {exc}",
+                      file=sys.stderr)
                 failures += 1
                 continue
             target = args.out / f"{path.stem}.{level.name}{path.suffix}"

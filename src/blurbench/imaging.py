@@ -143,31 +143,42 @@ def apply_blur(img: Image, kernel: BlurKernel) -> Image:
     preallocated output, so peak memory is input + output + O(band)
     whatever the height. A band reads its rows plus the `kh - 1` rows its
     windows reach and mirrors only where it meets the top or bottom edge.
-    As a band holds at least `kh` rows, each mirror stays inside its own
-    slice. 640x480 RGB takes 7 bands, 320x240 RGB one.
+    A band and its mirrored border are laid out by slice copies in one
+    buffer that every band of the call reuses, so the peak is still
+    input + output + one band. As a band holds at least `kh` rows, each
+    mirror stays inside its own slice. 640x480 RGB takes 7 bands, 320x240
+    RGB one.
     """
     kw, kh = kernel.tap_width, kernel.tap_height
     if kw == kh == 1:
         return img
-    h = img.height
-    if kw > img.width or kh > h:
-        raise ValueError(
-            f"kernel {kw}x{kh} larger than image {img.width}x{h}")
+    src = img.samples
+    h, w, c = src.shape
+    if kw > w or kh > h:
+        raise ValueError(f"kernel {kw}x{kh} larger than image {w}x{h}")
     ax, ay = kw // 2, kh // 2
-    x_pad = (ax, kw - 1 - ax)
     taps = kw * kh
     rows, cols = _accumulators(kw, taps)
-    out = np.empty(img.samples.shape, dtype=np.uint8)
-    band_rows = max(_BAND_FLOOR * kh,
-                    _BAND_BYTES // (img.width * img.channels))
+    out = np.empty(src.shape, dtype=np.uint8)
+    band_rows = max(_BAND_FLOOR * kh, _BAND_BYTES // (w * c))
     bands = max(1, h // band_rows)
+    buf = np.empty((-(-h // bands) + kh - 1, w + kw - 1, c), dtype=np.uint8)
     for k in range(bands):
         r0, r1 = k * h // bands, (k + 1) * h // bands
         lo, hi = r0 - ay, r1 + kh - 1 - ay
-        pad = ((max(-lo, 0), max(hi - h, 0)), x_pad, (0, 0))
-        padded = np.pad(img.samples[max(lo, 0):min(hi, h)], pad,
-                        mode="reflect")
-        sums = _window_sums(_window_sums(padded, kw, 1, rows), kh, 0, cols)
+        # band rows [top, end) hold source rows; each mirror is written
+        # through a reversed view of its target, so no slice stop is < 0
+        n = hi - lo
+        band, top, end = buf[:n], max(-lo, 0), n - max(hi - h, 0)
+        part = src[max(lo, 0):min(hi, h)]
+        band[top:end, ax:ax + w] = part
+        band[top:end, :ax][:, ::-1] = part[:, 1:ax + 1]
+        band[top:end, ax + w:][:, ::-1] = part[:, w - kw + ax:w - 1]
+        band[:top][::-1] = band[top + 1:2 * top + 1]
+        band[end:][::-1] = band[2 * end - n - 1:end - 1]
+        # with kw == 1 the row sums are `band` itself: used up here, as
+        # the next band overwrites `buf`
+        sums = _window_sums(_window_sums(band, kw, 1, rows), kh, 0, cols)
         np.floor_divide(sums + taps // 2, taps, out=out[r0:r1],
                         casting="unsafe")
     return Image(out)

@@ -1079,6 +1079,38 @@ def test_paths_not_utf8_printed_under_strict_stdout(tmp_path, data_dir):
                    for line in done.stdout.splitlines()), done.stdout
 
 
+def test_blur_spells_a_path_alike_on_stdout_and_stderr(tmp_path):
+    """`blur`'s error and warning lines on stderr spell a path that is not
+    UTF-8 as its stdout lines do: a 4x3 `c\\xff.pgm` that no blur kernel
+    fits reads `c\\xff.pgm` on both streams."""
+    odd = os.fsdecode(b"\xff")
+    src = tmp_path / "in"
+    src.mkdir()
+    raster = save_image(random_image(np.random.default_rng(5), 4, 3, 1))
+    for name in ("b", f"c{odd}", "d"):
+        (src / f"{name}.pgm").write_bytes(raster)
+    (src / f"e{odd}.pgm").write_bytes(b"P2 4 3 255\n")
+    out = tmp_path / "out"
+    strict = {"PYTHONIOENCODING": "utf-8"}
+    done = run_cli("--out", out, "blur", "--levels", "MB0,MB1", src,
+                   env=strict)
+    assert done.code == 1
+    assert done.stdout.splitlines() == [
+        f"{src}/{name}.pgm: wrote 1 variant(s) to {out}"
+        for name in ("b", "c\\xff", "d")]
+    assert done.stderr.splitlines() == [
+        f"error: {src}/{name}.pgm at MB1: kernel 6x1 larger than image 4x3"
+        for name in ("b", "c\\xff", "d")] + [
+        f"error: {src}/e\\xff.pgm: bad magic b'P2'; expected P5 or P6"]
+    (tmp_path / f"empty{odd}").mkdir()
+    for name, line in [
+        (f"in/gone{odd}.pgm", f"error: no such input {src}/gone\\xff.pgm"),
+        (f"empty{odd}", f"warning: no PGM/PPM files in {tmp_path}/empty\\xff"),
+    ]:
+        done = run_cli("--out", out, "blur", tmp_path / name, env=strict)
+        assert (done.stdout, done.stderr.splitlines()) == ("", [line])
+
+
 def umask_read(mask):
     raise AssertionError("the process umask is read or set")
 

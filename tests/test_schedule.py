@@ -412,7 +412,7 @@ class TestManifestSerialization:
                                 technique_plan("Cap-Aug"), 99)
         assert read_manifest(write_manifest(manifest)) == manifest
 
-    def test_round_trip_across_read_chunks(self):
+    def test_round_trip_of_5003_keys_with_escaped_keys(self):
         manifest = plan_dataset([f"k{i}" for i in range(5000)]
                                 + ["caf\u00e9", "\u732b", 'q"\\'],
                                 technique_plan("ObjDet-Cap-Aug"), 11)
