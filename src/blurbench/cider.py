@@ -26,14 +26,18 @@ gets an integer id (`_intern`), occurrences collapse into distinct
 (text, n-gram, tf) rows, and norms, clipped dot products and the means
 over references are numpy segment sums over those rows. An `IdfTable`
 is compiled the same way, so idf lookups are binary searches into
-sorted n-gram keys.
+sorted n-gram keys. `_intern` keeps one string per distinct token and
+gives one order at a time, so `build_idf` holds one order's occurrence
+arrays at once. A corpus score is the mean of its per-image scores,
+summed by `math.fsum`, so it is the same float on every Python version.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from collections.abc import Iterable, Sequence
+from itertools import count
 
 from . import _lazy_import
 from .imaging import BlurLevel
@@ -94,35 +98,39 @@ def _intern(texts: Iterable[Sequence[str]], max_n: int):
     its last token), and its id is the rank of that key among the
     distinct keys, so ids depend on the set of n-grams, not on text order.
 
-    Returns the vocabulary, the token count of each text, and per n the
-    arrays (text of each occurrence, n-gram id of each occurrence,
-    n-gram key of each id). Keys stay below len(tokens) ** 2, so int64
-    holds them for any corpus that fits in memory.
+    Returns the vocabulary, the token count of each text, and an iterator
+    that computes, per n in turn, the arrays (text of each occurrence, n-gram
+    id of each occurrence, n-gram key of each id). Keys stay below
+    len(tokens) ** 2, so int64 holds them for any corpus that fits in memory.
     """
     lengths: list[int] = []
-    flat: list[str] = []
+    flat: list[int] = []
+    # each distinct token, held once, numbered in the order first seen
+    first = defaultdict(count().__next__)
     for text in texts:
         lengths.append(len(text))
-        flat += text
-    vocab = sorted(set(flat))
-    index = dict(zip(vocab, range(len(vocab))))
-    tokens = np.fromiter(map(index.__getitem__, flat), dtype=np.int64,
-                         count=len(flat))
+        flat += map(first.__getitem__, text)
+    vocab = sorted(first)
+    # a token's rank in `vocab` is the argsort of the numbers in that order
+    seen = np.fromiter(map(first.__getitem__, vocab), np.int64, len(vocab))
+    tokens = np.argsort(seen)[np.fromiter(flat, np.int64, len(flat))]
     sizes = np.array(lengths, dtype=np.int64)
 
-    text = np.repeat(np.arange(len(sizes)), sizes)
-    # tokens from each position to the end of its text
-    left = np.repeat(np.cumsum(sizes), sizes) - np.arange(len(tokens))
-    start = np.arange(len(tokens))
-    ids = tokens
-    orders = [(text, ids, np.arange(len(vocab)))]
-    for n in range(2, min(max_n, max(lengths, default=0)) + 1):
-        keep = left[start] >= n
-        start = start[keep]
-        keys, ids = np.unique(ids[keep] * len(vocab) + tokens[start + n - 1],
-                              return_inverse=True)
-        orders.append((text[start], ids, keys))
-    return vocab, sizes, orders
+    def orders():
+        text = np.repeat(np.arange(len(sizes)), sizes)
+        yield text, tokens, np.arange(len(vocab))
+        # tokens from each position to the end of its text
+        left = np.repeat(np.cumsum(sizes), sizes) - np.arange(len(tokens))
+        start = np.arange(len(tokens))
+        ids = tokens
+        for n in range(2, min(max_n, max(lengths, default=0)) + 1):
+            keep = left[start] >= n
+            start = start[keep]
+            keys, ids = np.unique(ids[keep] * len(vocab)
+                                  + tokens[start + n - 1], return_inverse=True)
+            yield text[start], ids, keys
+
+    return vocab, sizes, orders()
 
 
 def _find(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -184,15 +192,16 @@ def build_idf(split: Split, max_n: int = CiderConfig().max_n) -> IdfTable:
                               [len(refs) for refs in split.values()])
     vocab, _, orders = _intern(
         (tokenize(c) for refs in split.values() for c in refs), max_n)
-    counts = []
-    for text, ids, keys in orders:
-        width = max(len(keys), 1)
+    keys, counts = [], []
+    for text, ids, order_keys in orders:
+        width = max(len(order_keys), 1)
         # counts keep np.unique on its sort path, faster here than hashing
         pairs, _ = np.unique(image_of_text[text] * width + ids,
                              return_counts=True)
-        counts.append(np.bincount(pairs % width, minlength=len(keys)))
-    return IdfTable(len(split), max_n, vocab, [k for _, _, k in orders],
-                    counts)
+        keys.append(order_keys)
+        counts.append(np.bincount(pairs % width, minlength=len(order_keys)))
+        del text, ids, pairs  # not held while the next order is computed
+    return IdfTable(len(split), max_n, vocab, keys, counts)
 
 
 def length_penalty(candidate_len, ref_len, sigma: float):
@@ -215,6 +224,7 @@ def _score_block(candidates: list[Sequence[str]],
     n_refs = len(image_of_ref)
     vocab, lengths, orders = _intern(
         [*candidates, *(r for image_refs in refs for r in image_refs)], cfg.max_n)
+    orders = list(orders)
     penalty = length_penalty(lengths[image_of_ref], lengths[n_images:], cfg.sigma)
 
     totals = np.zeros(n_images)
@@ -278,4 +288,4 @@ def corpus_cider_d(preds: dict[tuple[str, BlurLevel], str], split: Split,
             [tokenize(preds[(i, level)]) for i in block],
             [[tokenize(r) for r in split[i]] for i in block],
             idf, cfg).tolist()
-    return sum(scores) / len(scores)
+    return math.fsum(scores) / len(scores)

@@ -138,7 +138,7 @@ def _load_config_file(path: Path) -> dict[str, str]:
             raise ValueError(f"bad config line {raw!r}; expected key = value")
         key = key.strip()
         if key in values:
-            raise ValueError(f"config key {key!r} set twice in {path}")
+            raise ValueError(f"config key {key!r} set twice in {_shown(path)}")
         values[key] = value.strip()
     return values
 
@@ -148,7 +148,7 @@ def _resolve_config(args: argparse.Namespace) -> None:
     file_values = _load_config_file(args.config) if args.config else {}
     unknown = sorted(set(file_values) - set(_SETTINGS))
     if unknown:
-        raise ValueError(f"unknown config key(s) in {args.config}: "
+        raise ValueError(f"unknown config key(s) in {_shown(args.config)}: "
                          f"{', '.join(unknown)}")
     env_values = {"seed": os.environ.get(SEED_ENV_VAR) or None}
     for name, (convert, default) in _SETTINGS.items():
@@ -214,11 +214,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
     lines = args.keys.read_bytes().decode("utf-8-sig").split("\n")
     keys = list(filter(None, map(str.strip, lines)))
     if not keys:
-        raise ValueError(f"no keys in {args.keys}")
+        raise ValueError(f"no keys in {_shown(args.keys)}")
     if "\r" in "".join(keys):
         number = next(n for n, line in enumerate(lines, 1) if "\r" in line.strip())
-        raise ValueError(f"{args.keys} line {number}: key holds a carriage "
-                         "return; lines must end in \\n or \\r\\n")
+        raise ValueError(f"{_shown(args.keys)} line {number}: key holds a "
+                         "carriage return; lines must end in \\n or \\r\\n")
     plan = technique_plan(args.technique)
     manifest = plan_dataset(keys, plan, args.seed)
     target = args.out / "manifest.jsonl"
@@ -231,17 +231,17 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     dataset = parse_captions(args.dataset.read_bytes())
     if not dataset:
-        raise ValueError(f"no images in {args.dataset}")
+        raise ValueError(f"no images in {_shown(args.dataset)}")
     preds = parse_predictions(args.predictions.read_bytes())
     if not preds:
-        raise ValueError(f"no predictions in {args.predictions}")
+        raise ValueError(f"no predictions in {_shown(args.predictions)}")
     metric = CiderConfig(max_n=args.max_n, sigma=args.sigma, scale=args.scale)
     levels = [level for image_id, level in preds if image_id in dataset]
     if len(levels) < len(preds):
         print(f"warning: {len(preds) - len(levels)} prediction(s) for images "
               f"not in the split ignored", file=sys.stderr)
     if not levels:
-        raise ValueError(f"no predictions for images in {args.predictions}")
+        raise ValueError(f"no predictions for images in {_shown(args.predictions)}")
     idf = build_idf(dataset, metric.max_n)
 
     rows = []

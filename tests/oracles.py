@@ -2,9 +2,11 @@
 
 Nothing in here imports from blurbench: these are deliberately separate
 code paths (different data structures, different summation order) so that
-agreement with the library is meaningful evidence, not tautology. The one
-exception, `idf_of`, is no oracle: it reads one n-gram's idf out of a
+agreement with the library is meaningful evidence, not tautology. Two
+exceptions are no oracles. `idf_of` reads one n-gram's idf out of a
 compiled `blurbench.cider.IdfTable`, so that tests can compare it with one.
+`intern_reference` is an earlier `blurbench.cider._intern`, kept so that
+tests can show that the current one gives the same arrays.
 """
 
 import hashlib
@@ -136,6 +138,38 @@ def document_frequency(corpus_refs, max_n: int = 4) -> dict:
         for g in seen:
             df[g] = df.get(g, 0) + 1
     return df
+
+
+def intern_reference(texts, max_n: int):
+    """`blurbench.cider._intern` as it was before it kept one string per
+    distinct token and gave the orders one at a time: every token string
+    and every order's arrays held at once, the orders returned as a list. Same ids, keys and arrays, by definition:
+    a token's id is its rank in the sorted vocabulary, an n-gram's key is
+    (prefix id) * len(vocabulary) + (last token id), and its id the rank
+    of that key among the distinct keys."""
+    lengths = []
+    flat = []
+    for text in texts:
+        lengths.append(len(text))
+        flat += text
+    vocab = sorted(set(flat))
+    index = dict(zip(vocab, range(len(vocab))))
+    tokens = np.fromiter(map(index.__getitem__, flat), dtype=np.int64,
+                         count=len(flat))
+    sizes = np.array(lengths, dtype=np.int64)
+
+    text = np.repeat(np.arange(len(sizes)), sizes)
+    left = np.repeat(np.cumsum(sizes), sizes) - np.arange(len(tokens))
+    start = np.arange(len(tokens))
+    ids = tokens
+    orders = [(text, ids, np.arange(len(vocab)))]
+    for n in range(2, min(max_n, max(lengths, default=0)) + 1):
+        keep = left[start] >= n
+        start = start[keep]
+        keys, ids = np.unique(ids[keep] * len(vocab) + tokens[start + n - 1],
+                              return_inverse=True)
+        orders.append((text[start], ids, keys))
+    return vocab, sizes, orders
 
 
 def idf_of(table, gram) -> float:

@@ -3,8 +3,10 @@
 import inspect
 import math
 import time
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ import blurbench.cider
 from blurbench import cli
 from blurbench.cider import (
     CiderConfig,
+    _intern,
     build_idf,
     cider_d,
     corpus_cider_d,
@@ -23,7 +26,8 @@ from blurbench.cider import (
 from blurbench.imaging import BlurLevel
 from blurbench.ingest import parse_captions, parse_predictions
 from conftest import DATA_DIR
-from oracles import cider_d_formula, document_frequency, idf_of, tokens
+from oracles import (cider_d_formula, document_frequency, idf_of,
+                     intern_reference, tokens)
 
 # Oracle outputs on the bundled toy corpus, frozen after computing them
 # with tests/oracles.py (direct-formula evaluation with recounted df).
@@ -118,6 +122,23 @@ def tiny_dataset(captions_per_image):
     return {f"i{k}": caps for k, caps in enumerate(captions_per_image)}
 
 
+def seeded_split(seed, n_images, vocabulary=2000):
+    """`n_images` images of 5 captions each, 8-14 words drawn with Zipf
+    weights from `vocabulary` three-syllable words."""
+    rng = np.random.default_rng(seed)
+    syllables = [c + v for c in "bcdfghklmnprstvwz" for v in "aeiou"]
+    words = sorted({"".join(rng.choice(syllables, size=3))
+                    for _ in range(vocabulary)})
+    weights = 1.0 / np.arange(1, len(words) + 1) ** 1.1
+    weights /= weights.sum()
+
+    def caption():
+        size = int(rng.integers(8, 15))
+        return " ".join(rng.choice(words, size=size, p=weights))
+
+    return {f"img{i}": [caption() for _ in range(5)] for i in range(n_images)}
+
+
 class TestBuildIdf:
     def test_shared_ngram_has_zero_idf(self):
         ds = tiny_dataset([["a cat sits"], ["a cat sleeps"]])
@@ -159,6 +180,68 @@ class TestBuildIdf:
                      ("a", "a", "a", "a")]:
             assert gram not in recount
             assert idf_of(idf, gram) == pytest.approx(math.log(10), abs=1e-12)
+
+    def test_peak_of_a_1000_image_split(self):
+        """`build_idf` holds one string per distinct token and one n-gram
+        order's arrays at a time: on 1 000 images (about 55 000 token
+        occurrences) it peaks near 108 bytes per occurrence. Holding every
+        token string and all four orders at once peaked near 177."""
+        split = seeded_split(7, 1000)
+        occurrences = sum(len(tokenize(c)) for refs in split.values()
+                          for c in refs)
+        build_idf(split)  # numpy's lazy imports and caches are not counted
+        tracemalloc.start()
+        try:
+            build_idf(split)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 140 * occurrences, peak / occurrences
+
+
+_TOKEN = st.one_of(st.sampled_from(["a", "b", "ab", "a b", "", "\udcff", "é"]),
+                   st.text(max_size=3))
+
+
+class TestIntern:
+    @given(st.lists(st.lists(_TOKEN, max_size=8), max_size=6),
+           st.integers(1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference_order_by_order(self, texts, max_n):
+        """Same vocabulary, sizes and per-order (text, ids, keys) arrays as
+        `intern_reference`, with repeated and odd tokens, empty texts and
+        max_n past the longest text."""
+        vocab, sizes, orders = _intern(iter(texts), max_n)
+        want_vocab, want_sizes, want_orders = intern_reference(texts, max_n)
+        assert vocab == want_vocab
+        assert sizes.dtype == want_sizes.dtype
+        assert sizes.tolist() == want_sizes.tolist()
+        orders = list(orders)
+        assert len(orders) == len(want_orders)
+        for got, want in zip(orders, want_orders):
+            for array, expected in zip(got, want):
+                assert array.dtype == expected.dtype
+                assert array.tolist() == expected.tolist()
+
+    def test_reading_holds_each_distinct_token_once(self):
+        """While `_intern` reads its texts it holds a number per token
+        occurrence and one string per distinct token: on 1 000 images,
+        near 13 bytes per occurrence. Holding every token string it read
+        took near 65."""
+        captions = [c for refs in seeded_split(7, 1000).values() for c in refs]
+        occurrences = sum(len(tokenize(c)) for c in captions)
+        held = []
+
+        def tokenized():
+            yield from map(tokenize, captions)
+            held.append(tracemalloc.get_traced_memory()[0])
+
+        tracemalloc.start()
+        try:
+            _intern(tokenized(), 4)
+        finally:
+            tracemalloc.stop()
+        assert held[0] < 32 * occurrences, held[0] / occurrences
 
 
 class TestCiderD:
@@ -386,7 +469,7 @@ class TestKernelMatchesFormula:
         preds = {(i, BlurLevel.MB2): " ".join(candidate)
                  for i, (candidate, _) in zip(ds, scored)}
         mean = corpus_cider_d(preds, ds, BlurLevel.MB2, idf, cfg)
-        assert mean == sum(per_image) / len(per_image)
+        assert mean == math.fsum(per_image) / len(per_image)
 
     def test_scoring_makes_no_per_ngram_calls(self, toy_dataset,
                                               toy_predictions, monkeypatch):

@@ -1111,6 +1111,53 @@ def test_blur_spells_a_path_alike_on_stdout_and_stderr(tmp_path):
         assert (done.stdout, done.stderr.splitlines()) == ("", [line])
 
 
+def test_error_lines_spell_a_path_as_stdout_does(tmp_path, data_dir):
+    """The `error:` lines that blurbench words itself show a path that is
+    not UTF-8 with a `\\xNN` escape, as stdout does. An `OSError` text is
+    Python's own, and shows such a byte as `\\udcff`."""
+    odd = os.fsdecode(b"\xff")
+    where = tmp_path / f"d{odd}"
+    shown = f"{tmp_path}/d\\xff"
+    for name, refs, preds in [("none", {}, {("a", "MB0"): "x"}),
+                              ("empty", {"a": ["x y"]}, {}),
+                              ("other", {"a": ["x y"]}, {("z", "MB0"): "x"})]:
+        (where / name).mkdir(parents=True)
+        write_corpus(where / name, refs, preds)
+    (where / "empty.txt").write_bytes(b"")
+    (where / "cr.txt").write_bytes(b"a\rb\n")
+    (where / "twice.cfg").write_text("seed = 1\nseed = 2\n")
+    (where / "unknown.cfg").write_text("colour = red\n")
+    keys = data_dir / "toy_keys.txt"
+    for argv, lines in [
+        (["plan", where / "empty.txt"], [f"error: no keys in {shown}/empty.txt"]),
+        (["plan", where / "cr.txt"],
+         [f"error: {shown}/cr.txt line 1: key holds a carriage return; "
+          "lines must end in \\n or \\r\\n"]),
+        (["score", where / "none" / "dataset.json",
+          where / "none" / "predictions.json"],
+         [f"error: no images in {shown}/none/dataset.json"]),
+        (["score", where / "empty" / "dataset.json",
+          where / "empty" / "predictions.json"],
+         [f"error: no predictions in {shown}/empty/predictions.json"]),
+        (["score", where / "other" / "dataset.json",
+          where / "other" / "predictions.json"],
+         ["warning: 1 prediction(s) for images not in the split ignored",
+          f"error: no predictions for images in {shown}/other/predictions.json"]),
+        (["--config", where / "twice.cfg", "plan", keys],
+         [f"error: config key 'seed' set twice in {shown}/twice.cfg"]),
+        (["--config", where / "unknown.cfg", "plan", keys],
+         [f"error: unknown config key(s) in {shown}/unknown.cfg: colour"]),
+        (["plan", where / "gone.txt"],
+         ["error: [Errno 2] No such file or directory: "
+          f"'{tmp_path}/d\\udcff/gone.txt'"]),
+    ]:
+        done = run_cli("--out", tmp_path / "out", *argv,
+                       env={"PYTHONIOENCODING": "utf-8"})
+        assert (done.code, done.stdout, done.stderr.splitlines()) == (
+            1, "", lines), argv
+    assert not (tmp_path / "out").exists()
+
+
 def umask_read(mask):
     raise AssertionError("the process umask is read or set")
 
