@@ -224,7 +224,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     target = args.out / "manifest.jsonl"
     _atomic_write(target, write_manifest(manifest).encode("utf-8"))
     print(f"wrote {_shown(target)}: technique={plan.name.value} "
-          f"seed={args.seed} entries={len(manifest.keys)}")
+          f"seed={args.seed} entries={len(manifest.levels)}")
     return 0
 
 

@@ -26,23 +26,13 @@ not depend on iteration order or platform. A plan encodes each key once
 and copies one keyed hasher per stage for each key; a schedule with no
 limits puts every draw on MB0, so it hashes nothing.
 
-A manifest is JSON lines: a header object, then one object per entry; in
-memory, three columns: the keys, and one byte each for the stage (its
-index in `tuple(Stage)`) and the level (its `BlurLevel` value).
-`write_manifest` writes a manifest in the layout `plan_dataset` gives
-(stage indices 0, 1 repeated, each such run of entries sharing one key)
-from its key grid, encoding each key once; any other manifest it writes
-entry by entry, to the same text. `read_manifest` reads a body as
-written: it checks each entry, not that the body has the layout
-`plan_dataset` writes. A line that is the writer's own text,
-`{"sample_key": `, a JSON string, then one of the writer's entry tails
-(a `\r` before the line end allowed), is taken directly: the key is
-decoded by `json.decoder.scanstring`, the strict routine `json.loads`
-uses, and the tail gives the stage and level. Any other line, one from a
-writer with other separators or field order say, goes through
-`json.loads` and the per-entry checks, so every error text, line number
-included, is the one a line-by-line read gives; such lines read about 3x
-slower.
+A manifest is JSON lines: a header object, then per key, in ascending
+`str` order, one detector entry and then one captioner entry; in memory,
+that key grid. `read_manifest` reads only that layout, at levels the
+header's schedules give mass. A line in the writer's own text goes
+through `json.decoder.scanstring` (the strict routine of `json.loads`)
+and one table; any other line through `json.loads`, about 3x slower,
+with the error texts of a line-by-line read.
 """
 
 from __future__ import annotations
@@ -57,7 +47,7 @@ from functools import partial
 from itertools import accumulate, chain, islice
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
-from operator import eq, getitem, index
+from operator import eq, ge, index
 
 from .imaging import BlurLevel
 
@@ -199,19 +189,19 @@ ManifestEntry = namedtuple("ManifestEntry", "sample_key stage level")
 
 
 class AugmentationManifest(namedtuple(
-        "AugmentationManifest", "seed plan keys stages levels")):
-    """Deterministic per-sample, per-stage blur assignments.
-
-    Entry i is stored across three columns: `keys[i]`, the index
-    `stages[i]` into `tuple(Stage)` and the `BlurLevel` value `levels[i]`.
-    """
+        "AugmentationManifest", "seed plan keys levels")):
+    """Deterministic per-sample, per-stage blur levels, as a key grid:
+    `keys` holds each sample key once, and `levels[len(Stage) * i + s]` is
+    the `BlurLevel` value of `keys[i]` at stage `tuple(Stage)[s]`."""
 
     __slots__ = ()
 
     @property
     def entries(self) -> tuple[ManifestEntry, ...]:
-        return tuple(map(ManifestEntry, self.keys,
-                         map(_STAGES.__getitem__, self.stages),
+        """One entry per (key, stage), in (key, stage) order."""
+        return tuple(map(ManifestEntry,
+                         chain.from_iterable(zip(*[self.keys] * len(_STAGES))),
+                         _STAGES * len(self.keys),
                          map(_LEVELS.__getitem__, self.levels)))
 
 
@@ -219,8 +209,8 @@ def plan_dataset(sample_keys: Iterable[str], plan: TechniquePlan,
                  seed: int) -> AugmentationManifest:
     """Assign one blur level per (key, stage), independently per stage.
 
-    Entries come out sorted by (key, stage) with the detector stage first;
-    duplicate keys and a seed `check_seed` rejects are rejected.
+    The keys come out sorted; duplicate keys and a seed `check_seed`
+    rejects are rejected.
     """
     keys = sorted(sample_keys)
     if any(map(eq, keys, keys[1:])):
@@ -232,15 +222,8 @@ def plan_dataset(sample_keys: Iterable[str], plan: TechniquePlan,
     for index, stage in enumerate(_STAGES):
         levels[index::width] = _draw_levels(encoded, plan.schedule_for(stage),
                                             seed, stage.value)
-    return AugmentationManifest(
-        seed, plan, tuple(chain.from_iterable(zip(*[keys] * width))),
-        bytes(range(width)) * len(keys), bytes(levels))
+    return AugmentationManifest(seed, plan, tuple(keys), bytes(levels))
 
-
-# ---------------------------------------------------------------------------
-# Manifest file format: JSON lines, one header object then one object per
-# entry.
-# ---------------------------------------------------------------------------
 
 #: What an entry line starts with, before the JSON-encoded key.
 _ENTRY_HEAD = '{"sample_key": '
@@ -260,38 +243,32 @@ _TAIL_ENTRY = {tail[:-1] + end: (stage, level)
 
 
 def write_manifest(manifest: AugmentationManifest) -> str:
-    """The manifest's text; a manifest in `plan_dataset`'s layout is
-    written from its key grid, encoding each key once."""
+    """The manifest's text, written from its key grid: each key is encoded
+    once, for all of its stages' lines."""
     header = {"seed": manifest.seed, "technique": manifest.plan.name.value}
     for stage in Stage:
         header[f"{stage.value}_schedule"] = list(
             manifest.plan.schedule_for(stage).probs)
     header_line = json.dumps(header) + "\n"
-    keys, stages, levels = manifest.keys, manifest.stages, manifest.levels
+    keys, levels = manifest.keys, manifest.levels
     if not keys:
         return header_line
     # the header line and the first head, then per entry its key and its
     # tail with the next entry's head; the last entry's tail stands bare
-    parts = [header_line + _ENTRY_HEAD] + [None] * (2 * len(keys))
+    parts = [header_line + _ENTRY_HEAD] + [None] * (2 * len(levels))
     width = len(_STAGES)
-    runs = keys[::width]
-    if (stages == bytes(range(width)) * len(runs)
-            and all(keys[stage::width] == runs for stage in range(1, width))):
-        encoded = list(map(encode_basestring_ascii, runs))
-        for stage, tail_heads in enumerate(_TAIL_HEADS):
-            parts[1 + 2 * stage::2 * width] = encoded
-            parts[2 + 2 * stage::2 * width] = map(tail_heads.__getitem__,
-                                                  levels[stage::width])
-    else:
-        parts[1::2] = map(encode_basestring_ascii, keys)
-        parts[2::2] = map(getitem, map(_TAIL_HEADS.__getitem__, stages),
-                          levels)
-    parts[-1] = _ENTRY_TAILS[stages[-1]][levels[-1]]
+    encoded = list(map(encode_basestring_ascii, keys))
+    for stage, tail_heads in enumerate(_TAIL_HEADS):
+        parts[1 + 2 * stage::2 * width] = encoded
+        parts[2 + 2 * stage::2 * width] = map(tail_heads.__getitem__,
+                                              levels[stage::width])
+    parts[-1] = _ENTRY_TAILS[-1][levels[-1]]
     return "".join(parts)
 
 
 def read_manifest(text: str) -> AugmentationManifest:
-    """Parse `write_manifest` output; errors name the 1-based line."""
+    """Parse `write_manifest` output; errors name the 1-based line, and a
+    line that does not parse comes before any out of the layout."""
     lines = text.split("\n")
     first = next((index for index, line in enumerate(lines) if line.strip()),
                  None)
@@ -328,8 +305,29 @@ def read_manifest(text: str) -> AugmentationManifest:
                 continue
         if line.strip():
             _line_entry(line, number, keys, stages, levels)
-    return AugmentationManifest(seed, plan, tuple(keys), bytes(stages),
-                                bytes(levels))
+    width = len(_STAGES)
+    runs = keys[::width]
+    massed = [bytes(level for level, mass in enumerate(
+        plan.schedule_for(stage).probs) if mass) for stage in _STAGES]
+    if (stages != bytes(range(width)) * len(runs)
+            or any(keys[stage::width] != runs for stage in range(1, width))
+            or any(map(ge, runs, runs[1:]))
+            or any(levels[stage::width].translate(None, massed[stage])
+                   for stage in range(width))):
+        for index, (key, stage, level) in enumerate(zip(keys, stages, levels)):
+            if (stage != index % width or key != keys[index - stage]
+                    or not stage and index and key <= keys[index - width]
+                    or level not in massed[stage]):
+                break  # else the last entry: its key lacks a stage
+        number = next(islice((number for number, line in enumerate(
+            islice(lines, first + 1, None), first + 2) if line.strip()),
+            index, None))
+        raise ValueError(
+            f"bad manifest entry on line {number}: {_STAGES[stage].value} "
+            f"{_LEVELS[level].name} of key {key!r} is out of the layout: "
+            "ascending keys, each with a detector and then a captioner "
+            f"entry, at levels the {plan.name.value} schedules give mass")
+    return AugmentationManifest(seed, plan, tuple(runs), bytes(levels))
 
 
 def _line_entry(line: str, number: int, keys: list[str], stages: bytearray,

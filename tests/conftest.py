@@ -73,11 +73,14 @@ def feature_rows(features: FeatureCounts) -> list[tuple[str, BlurLevel, int]]:
 
 
 def pack_manifest(seed, plan, entries) -> AugmentationManifest:
-    """The manifest of `entries` (`ManifestEntry` values), packed into
-    its key, stage-index and level-index columns."""
+    """The key grid of `entries` (`ManifestEntry` values, one per (key,
+    stage) in (key, stage) order): each key once, then every level."""
+    entries = list(entries)
+    keys = tuple(entry.sample_key for entry in entries[::len(Stage)])
+    assert [(entry.sample_key, entry.stage) for entry in entries] == [
+        (key, stage) for key in keys for stage in Stage]
     return AugmentationManifest(
-        seed, plan, tuple(entry.sample_key for entry in entries),
-        bytes(list(Stage).index(entry.stage) for entry in entries),
+        seed, plan, keys,
         bytes(list(BlurLevel).index(entry.level) for entry in entries))
 
 
@@ -86,10 +89,8 @@ def stage_levels(keys, technique: str, seed: int,
     """The level `plan_dataset` draws for each of `keys` at `stage`, in
     the order of `keys`."""
     manifest = plan_dataset(keys, technique_plan(technique), seed)
-    index = list(Stage).index(stage)
-    levels = {key: BlurLevel(level) for key, at, level
-              in zip(manifest.keys, manifest.stages, manifest.levels)
-              if at == index}
+    column = manifest.levels[list(Stage).index(stage)::len(Stage)]
+    levels = dict(zip(manifest.keys, map(BlurLevel, column)))
     return [levels[key] for key in keys]
 
 

@@ -240,7 +240,7 @@ class TestPlanCommand:
         assert run("--seed", 4, "--out", out, "plan", keys,
                    "--technique", "ObjDet-Cap-Aug") == 0
         manifest = read_manifest((out / "manifest.jsonl").read_text())
-        assert len(manifest.keys) == 2 * len(names)
+        assert len(manifest.levels) == 2 * len(names)
         assert manifest == plan_dataset(
             names, technique_plan("ObjDet-Cap-Aug"), 4)
 

@@ -9,9 +9,10 @@ commands, must end in exit 0 or in one last `error:` line; `blur`, which
 fails one raster at a time, must name only the mutated raster and still
 write the intact one's variants. A manifest, mutated line by line too,
 reads the same through `read_manifest`, which takes the writer's own
-lines directly, as through a parse of one line at a time; and
-`write_manifest`, which writes a planned manifest from its key grid,
-writes every manifest as `json.dumps` of one record per line does. A
+lines directly and checks the layout over its columns, as through a parse
+and check of one line at a time; and `write_manifest`, which writes a
+manifest from its key grid, writes it as `json.dumps` of one record per
+line does. A
 feature-count or blur-flag table with mutated rows gives the same value
 or error as a reference parser that reads the whole table and then
 checks it row by row.
@@ -21,6 +22,7 @@ import csv
 import functools
 import io
 import json
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from json.encoder import encode_basestring_ascii
@@ -166,7 +168,11 @@ def test_mutated_command_input_exits_cleanly(command, target, edits):
 def read_manifest_by_line(text: str) -> AugmentationManifest:
     """The reference reader: one `json.loads` per line, every error naming
     its 1-based line: the rules `read_manifest` applies to every line
-    that is not the writer's own text."""
+    that is not the writer's own text. Once every line parses, the first
+    entry out of `plan_dataset`'s layout (ascending keys, each with a
+    detector and then a captioner entry) or at a level its stage's
+    schedule gives no mass is named; failing that, the last entry if its
+    key lacks the captioner entry."""
     numbered = ((number, line) for number, line
                 in enumerate(text.split("\n"), 1) if line.strip())
     number, line = next(numbered, (0, None))
@@ -187,7 +193,7 @@ def read_manifest_by_line(text: str) -> AugmentationManifest:
            != list(plan.schedule_for(stage).probs) for stage in Stage):
         raise ValueError("bad manifest header: schedules do not match "
                          f"technique {plan.name.value}")
-    entries = []
+    entries, numbers = [], []
     for number, line in numbered:
         try:
             record = json.loads(line)
@@ -197,9 +203,29 @@ def read_manifest_by_line(text: str) -> AugmentationManifest:
                     f"sample_key must be a JSON string, not {key!r}")
             entries.append(ManifestEntry(
                 key, Stage(record["stage"]), BlurLevel[record["level"]]))
+            numbers.append(number)
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(
                 f"bad manifest entry on line {number} {line!r}: {exc}") from exc
+    for at, (number, entry) in enumerate(zip(numbers, entries)):
+        if at % 2 == 0:
+            fits = entry.stage is Stage.DETECTOR and (
+                at == 0 or entries[at - 2].sample_key < entry.sample_key)
+        else:
+            fits = (entry.stage is Stage.CAPTIONER
+                    and entry.sample_key == entries[at - 1].sample_key)
+        fits = fits and plan.schedule_for(entry.stage).probs[entry.level] > 0
+        if not fits:
+            break
+    else:
+        fits = len(entries) % 2 == 0
+    if not fits:
+        raise ValueError(
+            f"bad manifest entry on line {number}: {entry.stage.value} "
+            f"{entry.level.name} of key {entry.sample_key!r} is out of the "
+            "layout: ascending keys, each with a detector and then a "
+            f"captioner entry, at levels the {plan.name.value} schedules "
+            "give mass")
     return pack_manifest(seed, plan, entries)
 
 
@@ -347,9 +373,9 @@ _TAIL = ', "stage": "detector", "level": "MB1"}'
         "junk-text"])
 def test_other_writers_lines_read_like_line_by_line(line, reads):
     """Lines that `write_manifest` never writes, and look-alikes of its
-    lines: the same manifest or the same error as the line-by-line
-    reader."""
-    text = f"{_HEADER}\n{line}\n"
+    lines, each followed by its captioner twin: the same manifest or the
+    same error as the line-by-line reader."""
+    text = f"{_HEADER}\n{line}\n{line.replace('detector', 'captioner')}\n"
     got = _outcome(read_manifest, text)
     assert got == _outcome(read_manifest_by_line, text)
     assert isinstance(got, AugmentationManifest) is reads
@@ -401,35 +427,72 @@ _WRITTEN_KEYS = st.lists(
 @settings(max_examples=200, deadline=None)
 def test_planned_manifests_written_like_json_dumps(keys, technique, seed):
     manifest = plan_dataset(keys, TechniquePlan(technique), seed)
-    assert write_manifest(manifest) == write_manifest_by_line(manifest)
+    text = write_manifest(manifest)
+    assert text == write_manifest_by_line(manifest)
+    assert read_manifest(text) == manifest
 
 
 @given(keys=_WRITTEN_KEYS.filter(lambda keys: len(keys) > 1),
        technique=st.sampled_from(Technique), data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_read_manifests_written_like_json_dumps(keys, technique, data):
-    """Manifests not in `plan_dataset`'s layout, read back from a file
-    with its body lines shuffled, with one stage's lines only, or with
-    each key's captioner line given the next key's: the per-entry path."""
-    lines = write_manifest(plan_dataset(
-        keys, TechniquePlan(technique), 13)).split("\n")
+    """Bodies out of `plan_dataset`'s layout, each line `json.dumps` of
+    its record, are rejected, naming their first line out of it: lines
+    shuffled, one stage's lines only, each key's captioner line given the
+    next key's, two keys out of order, or a key given twice."""
+    manifest = plan_dataset(keys, TechniquePlan(technique), 13)
+    lines = write_manifest(manifest).split("\n")
     header, body = lines[0], lines[1:-1]
-    edit = data.draw(st.sampled_from(["shuffle", "one-stage", "two-keys"]))
+    pairs = [body[i:i + 2] for i in range(0, len(body), 2)]
+    at = data.draw(st.integers(0, len(pairs) - 2))
+    edit = data.draw(st.sampled_from(["shuffle", "detector-only",
+                                      "captioner-only", "two-keys",
+                                      "unsorted", "repeated"]))
     if edit == "shuffle":
         body = data.draw(st.permutations(body))
-    elif edit == "one-stage":
-        body = body[data.draw(st.sampled_from([0, 1]))::2]
-    else:
+    elif edit.endswith("-only"):
+        body = body[edit == "captioner-only"::2]
+    elif edit == "two-keys":
         body[1::2] = body[3::2] + body[1:2]
+    elif edit == "unsorted":
+        pairs[at:at + 2] = pairs[at + 1], pairs[at]
+        body = sum(pairs, [])
+    else:
+        pairs.insert(at + 1, pairs[at])
+        body = sum(pairs, [])
     text = "\n".join([header, *body]) + "\n"
-    manifest = read_manifest(text)
-    assert write_manifest(manifest) == write_manifest_by_line(manifest) == text
+    got = _outcome(read_manifest, text)
+    assert got == _outcome(read_manifest_by_line, text)
+    if body == lines[1:-1]:  # a shuffle that moved no line
+        assert got == manifest
+        return
+    line = {"shuffle": "", "detector-only": 3, "captioner-only": 2,
+            "two-keys": 3}.get(edit, 2 * at + 4)
+    assert got.startswith(f"ValueError: bad manifest entry on line {line}")
+    assert "is out of the layout" in got
+
+
+@given(technique=st.sampled_from(Technique), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_levels_without_mass_named_like_line_by_line(technique, data):
+    """Entries moved to levels their stage's schedule gives no mass: the
+    first such line is named, as the line-by-line reader names it."""
+    plan = TechniquePlan(technique)
+    lines = write_manifest(plan_dataset(
+        [f"k{i:02d}" for i in range(12)], plan, 6)).split("\n")
+    for at in data.draw(st.lists(st.integers(1, 24), min_size=1, max_size=3)):
+        level = data.draw(st.sampled_from(BlurLevel))
+        lines[at] = re.sub(r'"MB\d"', f'"{level.name}"', lines[at])
+    text = "\n".join(lines)
+    got = _outcome(read_manifest, text)
+    assert got == _outcome(read_manifest_by_line, text)
+    if not isinstance(got, AugmentationManifest):
+        assert re.match(r"ValueError: bad manifest entry on line \d+: \w+ "
+                        r"MB[1-3] of key 'k\d\d' is out of the layout", got)
 
 
 def test_planned_manifests_encode_each_key_once(monkeypatch):
-    """A planned manifest of n keys is written with n key encodings, one
-    per key; a manifest whose stage pair holds two keys, with one per
-    entry."""
+    """A manifest of n keys is written with n key encodings, one per key."""
     encoded = []
 
     def counting(key):
@@ -444,10 +507,6 @@ def test_planned_manifests_encode_each_key_once(monkeypatch):
         encoded.clear()
         assert write_manifest(manifest) == write_manifest_by_line(manifest)
         assert sorted(encoded) == sorted(keys)
-        crossed = manifest._replace(keys=manifest.keys[1:] + manifest.keys[:1])
-        encoded.clear()
-        assert write_manifest(crossed) == write_manifest_by_line(crossed)
-        assert encoded == list(crossed.keys)
 
 
 def read_rows_whole(text: str, header: list[str]) -> list[list[str]]:

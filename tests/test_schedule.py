@@ -27,7 +27,7 @@ from blurbench.schedule import (
     technique_plan,
     write_manifest,
 )
-from conftest import pack_manifest, stage_levels
+from conftest import DATA_DIR, pack_manifest, stage_levels
 from oracles import draw53, level_by_float_walk
 
 
@@ -329,7 +329,8 @@ class TestPlanDataset:
         manifest = plan_dataset(["a"], plan, 3)
         entry = manifest.entries[1]
         assert plan == (Technique.CAP_AUG,) and plan[0] is plan.name
-        assert manifest == (3, plan, ("a", "a"), b"\0\1", manifest.levels)
+        assert manifest == (3, plan, ("a",), manifest.levels)
+        assert len(manifest.levels) == 2
         assert entry == ("a", Stage.CAPTIONER, entry.level)
         for value, field in ((plan, "name"), (manifest, "seed"),
                              (entry, "level")):
@@ -394,8 +395,9 @@ class TestEmpiricalFrequencies:
 
     def test_one_entry_per_level(self):
         entries = tuple(
-            schedule_mod.ManifestEntry(f"k{i}", Stage.CAPTIONER, level)
-            for i, level in enumerate(BlurLevel))
+            schedule_mod.ManifestEntry(f"k{i}", stage, level)
+            for i, level in enumerate(BlurLevel)
+            for stage in Stage)
         manifest = pack_manifest(0, technique_plan("ObjDet-Cap-Aug"), entries)
         assert level_counts(manifest, Stage.CAPTIONER) == (1, 1, 1, 1)
 
@@ -429,6 +431,24 @@ class TestManifestSerialization:
                                      "level": e.level.name})
                          for e in manifest.entries]
 
+    @pytest.mark.parametrize("golden", sorted(
+        path.name for path in (DATA_DIR / "manifest_golden").iterdir()))
+    def test_golden_manifest_reads_back_as_planned(self, data_dir, golden):
+        """Each golden manifest reads back equal to `plan_dataset` of its
+        keys file, read as `plan` reads it, with its technique and seed;
+        writing that manifest gives the golden byte for byte."""
+        name, _, seed = golden.removesuffix(".jsonl").rpartition("_seed")
+        keys_file, technique = (("odd_keys.txt", name.removeprefix("odd_keys_"))
+                                if name.startswith("odd_keys_")
+                                else ("toy_keys.txt", name))
+        lines = (data_dir / keys_file).read_bytes().decode("utf-8-sig")
+        keys = list(filter(None, map(str.strip, lines.split("\n"))))
+        text = (data_dir / "manifest_golden" / golden).read_bytes()
+        manifest = read_manifest(text.decode("utf-8"))
+        assert manifest == plan_dataset(keys, technique_plan(technique),
+                                        int(seed))
+        assert write_manifest(manifest).encode("utf-8") == text
+
     def test_header_carries_seed_and_schedules(self):
         manifest = plan_dataset(["a"], technique_plan("ObjDet-Aug"), 12)
         header = write_manifest(manifest).splitlines()[0]
@@ -441,26 +461,27 @@ class TestManifestSerialization:
         with pytest.raises(ValueError, match="empty"):
             read_manifest("")
 
-    @pytest.mark.parametrize("body,levels", [
+    @pytest.mark.parametrize("body,line,entry", [
         ([("detector", "MB0"), ("captioner", "MB0"), ("captioner", "MB2")],
-         [0, 0, 2]),
-        ([("detector", "MB0")], [0]),
-        ([("detector", "MB3"), ("captioner", "MB0")], [3, 0]),
+         5, "captioner MB2"),
+        ([("detector", "MB0")], 3, "detector MB0"),
+        ([("detector", "MB3"), ("captioner", "MB0")], 3, "detector MB3"),
     ], ids=["stage-twice", "stage-missing", "level-without-mass"])
-    def test_body_read_as_written(self, data_dir, body, levels):
-        """Each entry is checked, not the layout `plan_dataset` writes: a
-        (key, stage) given twice, a key without a captioner entry, and a
-        detector MB3 that the Cap-Aug detector schedule gives no mass all
-        read back as they stand."""
+    def test_body_read_as_written(self, data_dir, body, line, entry):
+        """Only the layout `plan_dataset` writes is read: a (key, stage)
+        given twice, a key without a captioner entry, and a detector MB3
+        that the Cap-Aug detector schedule gives no mass are each one
+        error, naming the line (the blank line 2 counted) and the entry."""
         golden = data_dir / "manifest_golden" / "Cap-Aug_seed7.jsonl"
         header = golden.read_text().split("\n", 1)[0]
         lines = [json.dumps({"sample_key": "a", "stage": stage, "level": level})
                  for stage, level in body]
-        manifest = read_manifest("\n".join([header, *lines]) + "\n")
-        assert manifest.keys == ("a",) * len(body)
-        assert list(manifest.stages) == [
-            0 if stage == "detector" else 1 for stage, _ in body]
-        assert list(manifest.levels) == levels
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"bad manifest entry on line {line}: {entry} of key 'a' is "
+                "out of the layout: ascending keys, each with a detector and "
+                "then a captioner entry, at levels the Cap-Aug schedules "
+                "give mass") + "$"):
+            read_manifest("\n".join([header, "", *lines]) + "\n")
 
     def test_bad_entry_rejected(self):
         manifest = plan_dataset(["a"], technique_plan("No-Aug"), 0)
