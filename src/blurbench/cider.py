@@ -276,6 +276,8 @@ def corpus_cider_d(preds: dict[tuple[str, BlurLevel], str], split: Split,
     a caption, as `parse_predictions` returns it; every image of the split
     must have a candidate at `level`.
     """
+    if not split:
+        raise ValueError("empty dataset")
     missing = [i for i in split if (i, level) not in preds]
     if missing:
         raise ValueError(

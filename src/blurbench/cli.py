@@ -242,6 +242,11 @@ def cmd_score(args: argparse.Namespace) -> int:
               f"not in the split ignored", file=sys.stderr)
     if not levels:
         raise ValueError(f"no predictions for images in {_shown(args.predictions)}")
+    subsets = {}
+    if args.flags is not None:  # a bad flags file fails before any scoring
+        flags = parse_blur_flags(args.flags.read_bytes())
+        subsets = {flag: filter_by_blur_flag(dataset, flags, flag)
+                   for flag in BlurFlag}
     idf = build_idf(dataset, metric.max_n)
 
     rows = []
@@ -249,18 +254,15 @@ def cmd_score(args: argparse.Namespace) -> int:
         score = corpus_cider_d(preds, dataset, level, idf, metric)
         rows.append([args.technique, level.name, score])
         print(f"{args.technique} {level.name}: {score:.4f}")
-    if args.flags is not None:
-        flags = parse_blur_flags(args.flags.read_bytes())
-        for flag in BlurFlag:
-            subset = filter_by_blur_flag(dataset, flags, flag)
-            if not subset:
-                print(f"warning: no images flagged {flag.value}; "
-                      f"subset row skipped", file=sys.stderr)
-                continue
-            score = corpus_cider_d(preds, subset, BlurLevel.MB0,
-                                   build_idf(subset, metric.max_n), metric)
-            rows.append([args.technique, flag.value, score])
-            print(f"{args.technique} {flag.value} (MB0): {score:.4f}")
+    for flag, subset in subsets.items():
+        if not subset:
+            print(f"warning: no images flagged {flag.value}; "
+                  f"subset row skipped", file=sys.stderr)
+            continue
+        score = corpus_cider_d(preds, subset, BlurLevel.MB0,
+                               build_idf(subset, metric.max_n), metric)
+        rows.append([args.technique, flag.value, score])
+        print(f"{args.technique} {flag.value} (MB0): {score:.4f}")
 
     target = args.out / "scores.csv"
     _atomic_write(target, (f"# seed={args.seed}\n"

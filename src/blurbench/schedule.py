@@ -28,11 +28,9 @@ limits puts every draw on MB0, so it hashes nothing.
 
 A manifest is JSON lines: a header object, then per key, in ascending
 `str` order, one detector entry and then one captioner entry; in memory,
-that key grid. `read_manifest` reads only that layout, at levels the
-header's schedules give mass. A line in the writer's own text goes
-through `json.decoder.scanstring` (the strict routine of `json.loads`)
-and one table; any other line through `json.loads`, about 3x slower,
-with the error texts of a line-by-line read.
+that key grid. `read_manifest` reads only text `write_manifest` could
+have written, a `\r` before each `\n` allowed and a key spelt as any
+JSON string UTF-8 can encode (read by `json.decoder.scanstring`).
 """
 
 from __future__ import annotations
@@ -242,14 +240,17 @@ _TAIL_ENTRY = {tail[:-1] + end: (stage, level)
                for level, tail in enumerate(tails) for end in ("", "\r")}
 
 
+def _header_line(seed: int, plan: TechniquePlan) -> str:
+    """The header line of a manifest, without its line end."""
+    return json.dumps({"seed": seed, "technique": plan.name.value, **{
+        f"{stage.value}_schedule": list(plan.schedule_for(stage).probs)
+        for stage in Stage}})
+
+
 def write_manifest(manifest: AugmentationManifest) -> str:
     """The manifest's text, written from its key grid: each key is encoded
     once, for all of its stages' lines."""
-    header = {"seed": manifest.seed, "technique": manifest.plan.name.value}
-    for stage in Stage:
-        header[f"{stage.value}_schedule"] = list(
-            manifest.plan.schedule_for(stage).probs)
-    header_line = json.dumps(header) + "\n"
+    header_line = _header_line(manifest.seed, manifest.plan) + "\n"
     keys, levels = manifest.keys, manifest.levels
     if not keys:
         return header_line
@@ -270,41 +271,34 @@ def read_manifest(text: str) -> AugmentationManifest:
     """Parse `write_manifest` output; errors name the 1-based line, and a
     line that does not parse comes before any out of the layout."""
     lines = text.split("\n")
-    first = next((index for index, line in enumerate(lines) if line.strip()),
-                 None)
-    if first is None:
+    if lines.pop():
+        raise ValueError(f"bad manifest line {len(lines) + 1}: no line end")
+    if not lines:
         raise ValueError("empty manifest")
     try:
-        header = json.loads(lines[first])
+        header = json.loads(lines[0])
         plan = TechniquePlan(Technique(header["technique"]))
-        seed = header["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValueError(f"seed must be a JSON integer, not {seed!r}")
-        check_seed(seed)
+        seed = check_seed(header["seed"])
+        if lines[0].removesuffix("\r") != _header_line(seed, plan):
+            raise ValueError(f"not the header plan writes for technique "
+                             f"{plan.name.value} and seed {seed}")
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise ValueError(
-            f"bad manifest header on line {first + 1}: {exc}") from exc
-    if any(header.get(f"{stage.value}_schedule")
-           != list(plan.schedule_for(stage).probs) for stage in Stage):
-        raise ValueError("bad manifest header: schedules do not match "
-                         f"technique {plan.name.value}")
-    keys: list[str] = []
-    stages, levels = bytearray(), bytearray()
+        raise ValueError(f"bad manifest header on line 1: {exc}") from exc
+    keys, stages, levels = [], bytearray(), bytearray()
     head = _ENTRY_HEAD + '"'
-    for number, line in enumerate(islice(lines, first + 1, None), first + 2):
-        if line.startswith(head):  # the writer's own text, if it parses
-            try:
-                key, end = scanstring(line, len(head))
-                stage, level = _TAIL_ENTRY[line[end:]]
-            except (KeyError, ValueError):
-                pass
-            else:
-                keys.append(key)
-                stages.append(stage)
-                levels.append(level)
-                continue
-        if line.strip():
-            _line_entry(line, number, keys, stages, levels)
+    for number, line in enumerate(islice(lines, 1, None), 2):
+        try:
+            if not line.startswith(head):
+                raise ValueError
+            key, end = scanstring(line, len(head))
+            stage, level = _TAIL_ENTRY[line[end:]]
+        except (KeyError, ValueError):
+            raise ValueError(
+                f"bad manifest entry on line {number} {line!r}: not an "
+                "entry line as plan writes it") from None
+        keys.append(key)
+        stages.append(stage)
+        levels.append(level)
     width = len(_STAGES)
     runs = keys[::width]
     massed = [bytes(level for level, mass in enumerate(
@@ -319,31 +313,16 @@ def read_manifest(text: str) -> AugmentationManifest:
                     or not stage and index and key <= keys[index - width]
                     or level not in massed[stage]):
                 break  # else the last entry: its key lacks a stage
-        number = next(islice((number for number, line in enumerate(
-            islice(lines, first + 1, None), first + 2) if line.strip()),
-            index, None))
         raise ValueError(
-            f"bad manifest entry on line {number}: {_STAGES[stage].value} "
+            f"bad manifest entry on line {index + 2}: {_STAGES[stage].value} "
             f"{_LEVELS[level].name} of key {key!r} is out of the layout: "
             "ascending keys, each with a detector and then a captioner "
             f"entry, at levels the {plan.name.value} schedules give mass")
-    return AugmentationManifest(seed, plan, tuple(runs), bytes(levels))
-
-
-def _line_entry(line: str, number: int, keys: list[str], stages: bytearray,
-                levels: bytearray) -> None:
-    """Append the entry of line `number`, parsed on its own, to the
-    columns; a bad line raises, naming its number."""
     try:
-        record = json.loads(line)
-        key = record["sample_key"]
-        if not isinstance(key, str):
-            raise ValueError(f"sample_key must be a JSON string, not {key!r}")
-        stage = Stage(record["stage"])
-        level = BlurLevel[record["level"]]
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise ValueError(
-            f"bad manifest entry on line {number} {line!r}: {exc}") from exc
-    keys.append(key)
-    stages.append(_STAGES.index(stage))
-    levels.append(level.value)
+        "".join(runs).encode("utf-8")  # as `plan_dataset` encodes each key
+    except UnicodeEncodeError as exc:
+        index = bisect_right(list(accumulate(map(len, runs))), exc.start)
+        raise ValueError(f"bad manifest entry on line {width * index + 2}: key "
+                         f"{runs[index]!r} cannot be encoded as UTF-8: "
+                         f"{exc.reason}") from None
+    return AugmentationManifest(seed, plan, tuple(runs), bytes(levels))

@@ -407,6 +407,14 @@ class TestCorpusCiderD:
             assert time.perf_counter() - start < 1.0
             assert abs(score * max_n - at_longest * longest) < 1e-9
 
+    def test_empty_split_rejected(self, toy_dataset, toy_predictions):
+        """An empty split has no mean: the error `build_idf` gives."""
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            corpus_cider_d(toy_predictions, {}, BlurLevel.MB0,
+                           build_idf(toy_dataset))
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            corpus_cider_d({}, {}, BlurLevel.MB0, build_idf(toy_dataset))
+
     def test_missing_prediction_names_image(self, toy_dataset, toy_predictions):
         partial = {pair: caption for pair, caption in toy_predictions.items()
                    if pair != ("img05", BlurLevel.MB2)}

@@ -538,6 +538,24 @@ class TestScoreCommand:
         assert list(rows) == ["MB0", "MB1", "MB2", "MB3", "with_blur"]
         assert rows["with_blur"] == rows["MB0"]
 
+    @pytest.mark.parametrize("rows,error", [
+        ("img00,maybe\n", "unknown blur flag 'maybe'"),
+        ("img00,with_blur\nimg01,no_blur\n", "images without blur flag: "
+         "['img02', 'img03', 'img04', 'img05', 'img06', 'img07', 'img08', "
+         "'img09']"),
+    ], ids=["unknown-flag", "unflagged-images"])
+    def test_bad_flags_fail_before_scoring(self, tmp_path, data_dir, capsys,
+                                           rows, error):
+        """A flags file is read, and the split cut by it, before any level
+        is scored: no score line, and no output directory."""
+        flags = tmp_path / "flags.csv"
+        flags.write_text("image_id,flag\n" + rows)
+        out = tmp_path / "out"
+        assert run("--out", out, "score", data_dir / "toy_captions.json",
+                   data_dir / "toy_predictions.json", "--flags", flags) == 1
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert not out.exists()
+
     def test_no_predictions_fail_before_writing(self, tmp_path, capsys):
         dataset, preds = write_corpus(tmp_path, TINY_REFS, {})
         out = tmp_path / "out"

@@ -8,11 +8,11 @@ JSON and netpbm treat specially. The same mutations, fed to whole
 commands, must end in exit 0 or in one last `error:` line; `blur`, which
 fails one raster at a time, must name only the mutated raster and still
 write the intact one's variants. A manifest, mutated line by line too,
-reads the same through `read_manifest`, which takes the writer's own
-lines directly and checks the layout over its columns, as through a parse
-and check of one line at a time; and `write_manifest`, which writes a
-manifest from its key grid, writes it as `json.dumps` of one record per
-line does. A
+reads the same through `read_manifest`, which reads each line with
+`scanstring` and one table and checks the layout over its columns, as
+through a reference reader that matches each line on its own against the
+text `plan` writes, with `json.loads` for the header and each key; and `write_manifest`, which writes a manifest from
+its key grid, writes it as `json.dumps` of one record per line does. A
 feature-count or blur-flag table with mutated rows gives the same value
 or error as a reference parser that reads the whole table and then
 checks it row by row.
@@ -165,48 +165,53 @@ def test_mutated_command_input_exits_cleanly(command, target, edits):
     assert all(line.startswith("warning: ") for line in lines[:-1])
 
 
+#: An entry line as `plan` writes it, but with any text for its key's
+#: JSON string, stage and level; a `\r` before the line end allowed.
+_ENTRY_LINE = re.compile(
+    r'\{"sample_key": (".*"), "stage": "(\w+)", "level": "(\w+)"\}\r?')
+
+
 def read_manifest_by_line(text: str) -> AugmentationManifest:
-    """The reference reader: one `json.loads` per line, every error naming
-    its 1-based line: the rules `read_manifest` applies to every line
-    that is not the writer's own text. Once every line parses, the first
-    entry out of `plan_dataset`'s layout (ascending keys, each with a
-    detector and then a captioner entry) or at a level its stage's
-    schedule gives no mass is named; failing that, the last entry if its
-    key lacks the captioner entry."""
-    numbered = ((number, line) for number, line
-                in enumerate(text.split("\n"), 1) if line.strip())
-    number, line = next(numbered, (0, None))
-    if line is None:
+    """The reference reader: each line read on its own, with `json.loads`
+    of the header and of each key's JSON string, every error naming its
+    1-based line. Every line, the last included, ends in `\n`. The
+    header is `json.dumps` of the header object of its seed and technique,
+    and each entry line `json.dumps` of its record but for the spelling of
+    its key's JSON string. Once every line parses, the first entry out of
+    `plan_dataset`'s layout (ascending keys, each with a detector and then
+    a captioner entry) or at a level its stage's schedule gives no mass is
+    named; failing that, the last entry if its key lacks the captioner
+    entry; failing that, the first entry whose key UTF-8 cannot encode."""
+    lines = text.split("\n")
+    if lines[-1]:
+        raise ValueError(f"bad manifest line {len(lines)}: no line end")
+    if not text:
         raise ValueError("empty manifest")
     try:
-        header = json.loads(line)
+        header = json.loads(lines[0])
         plan = TechniquePlan(Technique(header["technique"]))
-        seed = header["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValueError(f"seed must be a JSON integer, not {seed!r}")
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), not {seed}")
+        seed = schedule_mod.check_seed(header["seed"])
+        written = {"seed": seed, "technique": plan.name.value}
+        for stage in Stage:
+            written[f"{stage.value}_schedule"] = list(
+                plan.schedule_for(stage).probs)
+        if lines[0].removesuffix("\r") != json.dumps(written):
+            raise ValueError(f"not the header plan writes for technique "
+                             f"{plan.name.value} and seed {seed}")
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValueError(
-            f"bad manifest header on line {number}: {exc}") from exc
-    if any(header.get(f"{stage.value}_schedule")
-           != list(plan.schedule_for(stage).probs) for stage in Stage):
-        raise ValueError("bad manifest header: schedules do not match "
-                         f"technique {plan.name.value}")
+            f"bad manifest header on line 1: {exc}") from exc
     entries, numbers = [], []
-    for number, line in numbered:
+    for number, line in enumerate(lines[1:-1], 2):
         try:
-            record = json.loads(line)
-            key = record["sample_key"]
-            if not isinstance(key, str):
-                raise ValueError(
-                    f"sample_key must be a JSON string, not {key!r}")
+            key, stage, level = _ENTRY_LINE.fullmatch(line).groups()
             entries.append(ManifestEntry(
-                key, Stage(record["stage"]), BlurLevel[record["level"]]))
+                json.loads(key), Stage(stage), BlurLevel[level]))
             numbers.append(number)
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        except (AttributeError, KeyError, ValueError) as exc:
             raise ValueError(
-                f"bad manifest entry on line {number} {line!r}: {exc}") from exc
+                f"bad manifest entry on line {number} {line!r}: not an "
+                "entry line as plan writes it") from exc
     for at, (number, entry) in enumerate(zip(numbers, entries)):
         if at % 2 == 0:
             fits = entry.stage is Stage.DETECTOR and (
@@ -226,6 +231,14 @@ def read_manifest_by_line(text: str) -> AugmentationManifest:
             "layout: ascending keys, each with a detector and then a "
             f"captioner entry, at levels the {plan.name.value} schedules "
             "give mass")
+    for number, entry in zip(numbers, entries):
+        try:
+            entry.sample_key.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(
+                f"bad manifest entry on line {number}: key "
+                f"{entry.sample_key!r} cannot be encoded as UTF-8: "
+                f"{exc.reason}") from exc
     return pack_manifest(seed, plan, entries)
 
 
@@ -353,12 +366,12 @@ _TAIL = ', "stage": "detector", "level": "MB1"}'
 
 
 @pytest.mark.parametrize("line, reads", [
-    ('{"sample_key":"b","stage":"detector","level":"MB1"}', True),
-    ('{"stage": "detector", "level": "MB1", "sample_key": "b"}', True),
-    ('{"sample_key": "b", "meta": {"x": [1, {}]}' + _TAIL, True),
-    (' \t{"sample_key": "b"' + _TAIL + " \t", True),
+    ('{"sample_key":"b","stage":"detector","level":"MB1"}', False),
+    ('{"stage": "detector", "level": "MB1", "sample_key": "b"}', False),
+    ('{"sample_key": "b", "meta": {"x": [1, {}]}' + _TAIL, False),
+    (' \t{"sample_key": "b"' + _TAIL + " \t", False),
     ('{"sample_key": "caf\u00e9\u732b"' + _TAIL, True),
-    ('{"sample_key": "\\ud800"' + _TAIL, True),
+    ('{"sample_key": "\\ud800"' + _TAIL, False),
     ('{"sample_key": "b' + _TAIL, False),
     ('{"sample_key": "b', False),
     ('{"sample_key": "a\tb"' + _TAIL, False),
@@ -367,30 +380,30 @@ _TAIL = ', "stage": "detector", "level": "MB1"}'
     ('{"sample_key": "b", "stage": "detector", "level": "MB9"}', False),
     ('{"sample_key": "b"' + _TAIL + "}", False),
     ('{"sample_key": "b"' + _TAIL + " x", False),
+    ('{"sample_kex": "b"' + _TAIL, False),
 ], ids=["compact", "reordered", "nested-extra", "spaced", "raw-non-ascii",
         "lone-surrogate", "unterminated-in-tail", "unterminated",
         "raw-tab", "raw-nul", "hex-escape", "level-MB9", "junk-brace",
-        "junk-text"])
+        "junk-text", "other-field-name"])
 def test_other_writers_lines_read_like_line_by_line(line, reads):
     """Lines that `write_manifest` never writes, and look-alikes of its
     lines, each followed by its captioner twin: the same manifest or the
-    same error as the line-by-line reader."""
+    same error as the line-by-line reader. Only a key spelt otherwise
+    than `json.dumps` spells it reads: another writer's separators, field
+    order or extra fields, and a key UTF-8 cannot encode, are errors
+    naming line 2."""
     text = f"{_HEADER}\n{line}\n{line.replace('detector', 'captioner')}\n"
     got = _outcome(read_manifest, text)
     assert got == _outcome(read_manifest_by_line, text)
     assert isinstance(got, AugmentationManifest) is reads
     if not reads:
-        assert got.startswith("ValueError: bad manifest entry on line 2 ")
+        assert re.match("ValueError: bad manifest entry on line 2[ :]", got)
 
 
 @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
-def test_planned_manifests_skip_the_per_line_parse(line_end, monkeypatch):
-    """Every entry line `write_manifest` gives, odd keys included, is read
-    without the per-line parse, with LF or CRLF line ends."""
-    def per_line(*args):
-        raise AssertionError("per-line parse of a planned entry line")
-
-    monkeypatch.setattr(schedule_mod, "_line_entry", per_line)
+def test_planned_odd_keys_read_back_with_lf_or_crlf(line_end):
+    """Every manifest `write_manifest` gives, odd keys included, reads
+    back equal, with LF or CRLF line ends."""
     keys = ["{", "b{1}", '"', "\\", 'q"\\{', "caf\u00e9", "\u732b",
             "\u2028", "tab\there", "\x7f", " "]
     for technique in Technique:

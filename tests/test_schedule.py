@@ -264,7 +264,9 @@ class TestTechniques:
         text = write_manifest(plan_dataset(["a"], technique_plan("Cap-Aug"), 0))
         swapped = text.replace('"technique": "Cap-Aug"',
                                '"technique": "ObjDet-Aug"')
-        with pytest.raises(ValueError, match="do not match technique ObjDet-Aug"):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "bad manifest header on line 1: not the header plan writes "
+                "for technique ObjDet-Aug and seed 0") + "$"):
             read_manifest(swapped)
 
 
@@ -458,20 +460,71 @@ class TestManifestSerialization:
         assert '"captioner_schedule"' in header
 
     def test_empty_text_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
+        """Only the empty text is empty: a blank line 1 is a bad header."""
+        with pytest.raises(ValueError, match="^empty manifest$"):
             read_manifest("")
+        text = write_manifest(plan_dataset(["a"], technique_plan("No-Aug"), 0))
+        for blank in ("\n", "\r\n", "\n" + text):
+            with pytest.raises(ValueError,
+                               match="^bad manifest header on line 1: "):
+                read_manifest(blank)
+
+    @pytest.mark.parametrize("spelling", [
+        lambda header: json.dumps(header, separators=(",", ":")),
+        lambda header: json.dumps(dict(reversed(header.items()))),
+        lambda header: json.dumps({**header, "note": "x"}),
+        lambda header: json.dumps(header, indent=None) + " ",
+        lambda header: " " + json.dumps(header),
+    ], ids=["compact", "reordered", "extra-field", "trailing-space",
+            "leading-space"])
+    def test_other_header_spellings_rejected(self, spelling):
+        """The header is the line `plan` writes for its seed and technique,
+        not another spelling of the same object."""
+        manifest = plan_dataset(["a"], technique_plan("Cap-Aug"), 5)
+        header, body = write_manifest(manifest).split("\n", 1)
+        assert read_manifest(header + "\r\n" + body) == manifest
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "bad manifest header on line 1: not the header plan writes "
+                "for technique Cap-Aug and seed 5") + "$"):
+            read_manifest(spelling(json.loads(header)) + "\n" + body)
+
+    def test_missing_final_line_end_rejected(self):
+        text = write_manifest(plan_dataset(["a"], technique_plan("No-Aug"), 0))
+        for cut in (text[:-1], text.split("\n", 1)[0]):
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"bad manifest line {cut.count(chr(10)) + 1}: no line "
+                    "end") + "$"):
+                read_manifest(cut)
+
+    @pytest.mark.parametrize("key,spelling,line", [
+        ("b", "b\\udc80", 4), ("c", "\\udc80", 6), ("c", "\udc80", 6),
+        ("c", "\\ud800\\udc80", None)])
+    def test_key_without_utf8_named(self, key, spelling, line):
+        """A lone surrogate, escaped or raw, is a JSON string but not UTF-8
+        text, so `plan_dataset` could not have drawn its levels; an
+        escaped surrogate pair is one character, and reads."""
+        manifest = plan_dataset(["a", "b", "c"], technique_plan("Cap-Aug"), 1)
+        text = write_manifest(manifest).replace(f'"{key}"', f'"{spelling}"')
+        decoded = json.loads(f'"{spelling}"')
+        if line is None:
+            assert read_manifest(text).keys == ("a", "b", "\U00010080")
+            return
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"bad manifest entry on line {line}: key {decoded!r} cannot "
+                "be encoded as UTF-8: surrogates not allowed") + "$"):
+            read_manifest(text)
 
     @pytest.mark.parametrize("body,line,entry", [
         ([("detector", "MB0"), ("captioner", "MB0"), ("captioner", "MB2")],
-         5, "captioner MB2"),
-        ([("detector", "MB0")], 3, "detector MB0"),
-        ([("detector", "MB3"), ("captioner", "MB0")], 3, "detector MB3"),
+         4, "captioner MB2"),
+        ([("detector", "MB0")], 2, "detector MB0"),
+        ([("detector", "MB3"), ("captioner", "MB0")], 2, "detector MB3"),
     ], ids=["stage-twice", "stage-missing", "level-without-mass"])
     def test_body_read_as_written(self, data_dir, body, line, entry):
         """Only the layout `plan_dataset` writes is read: a (key, stage)
         given twice, a key without a captioner entry, and a detector MB3
         that the Cap-Aug detector schedule gives no mass are each one
-        error, naming the line (the blank line 2 counted) and the entry."""
+        error, naming the line and the entry."""
         golden = data_dir / "manifest_golden" / "Cap-Aug_seed7.jsonl"
         header = golden.read_text().split("\n", 1)[0]
         lines = [json.dumps({"sample_key": "a", "stage": stage, "level": level})
@@ -481,7 +534,7 @@ class TestManifestSerialization:
                 "out of the layout: ascending keys, each with a detector and "
                 "then a captioner entry, at levels the Cap-Aug schedules "
                 "give mass") + "$"):
-            read_manifest("\n".join([header, "", *lines]) + "\n")
+            read_manifest("\n".join([header, *lines]) + "\n")
 
     def test_bad_entry_rejected(self):
         manifest = plan_dataset(["a"], technique_plan("No-Aug"), 0)
@@ -549,10 +602,15 @@ class TestManifestSerialization:
 
     def test_json_error_names_line(self):
         text = write_manifest(plan_dataset(["a", "b"], technique_plan("No-Aug"), 0))
-        lines = text.splitlines()
-        lines.insert(1, "")  # blank lines are skipped but still counted
-        lines[3] = lines[3][:-1]
-        with pytest.raises(ValueError, match="on line 4"):
+        lines = text.split("\n")
+        lines[2] = lines[2][:-1]
+        with pytest.raises(ValueError, match="on line 3"):
+            read_manifest("\n".join(lines))
+        lines = text.split("\n")
+        lines.insert(2, "")  # the writer writes no blank line
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "bad manifest entry on line 3 '': not an entry line as plan "
+                "writes it") + "$"):
             read_manifest("\n".join(lines))
         with pytest.raises(ValueError, match="on line 1"):
             read_manifest("{not json\n")
