@@ -23,3 +23,8 @@ def _lazy_import(name: str):
     if sys.modules.get(name) is None:  # no spec, or blocked by a None entry
         raise ModuleNotFoundError(f"No module named {name!r}", name=name)
     return sys.modules[name]
+
+
+def _id_list(ids: list) -> str:
+    """`ids` for an error line: the list, past 5 ids cut to 5 and a count."""
+    return repr(ids) if len(ids) <= 5 else f"{ids[:5]!r} and {len(ids) - 5} more"

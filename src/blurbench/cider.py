@@ -5,21 +5,21 @@ vectors for n = 1..4. Per reference, the candidate's weights are clipped
 to that reference's weights before the dot product (so stuffing a
 frequent n-gram cannot inflate the score), the cosine similarity is
 multiplied by a Gaussian penalty on the token-length difference, and the
-result is averaged over references, then over n, then scaled by 10.
-Scores therefore live in [0, 10]. An order n longer than the longest text
-has no n-grams and adds 0, so such orders are never interned, while the
-mean still divides by max_n: for every max_n M at or above the longest
-reference's length L, score(M) * M == score(L) * L, and a huge max_n
-costs no more time than L.
+result is averaged over references, then over n, then multiplied by
+`scale` (10 by default), so scores live in [0, scale]. An order n longer
+than the longest text has no n-grams and adds 0, so such orders are never
+interned, while the mean still divides by max_n: for every max_n M at or
+above the longest reference's length L, score(M) * M == score(L) * L,
+and a huge max_n costs no more time than L.
 
 Tokens are the runs of [a-z0-9] in the lowercased text: every other
 character, non-ASCII letters and digits included, separates tokens, so
 "Café №9" gives ["caf", "9"].
 
 Document frequencies count images, not captions: an n-gram's df is the
-number of images whose reference set contains it at least once, and
-idf(g) = ln(corpus_size / max(1, df(g))), so unseen n-grams fall back to
-the full ln(corpus_size) weight instead of dividing by zero.
+number of images whose reference set contains it at least once. Over a
+split of N images idf(g) = ln(N / df(g)), and an n-gram the split lacks
+takes the full ln N weight.
 
 Scoring is vectorized over a block of images. Every n-gram occurrence
 gets an integer id (`_intern`), occurrences collapse into distinct
@@ -39,7 +39,7 @@ from collections import Counter, defaultdict, namedtuple
 from collections.abc import Iterable, Sequence
 from itertools import count
 
-from . import _lazy_import
+from . import _id_list, _lazy_import
 from .imaging import BlurLevel
 from .ingest import Split
 
@@ -142,28 +142,28 @@ def _find(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 class IdfTable:
-    """Per-image document frequencies over a reference corpus, compiled.
+    """`split` (held, not copied) compiled for `cfg`: every score read from
+    the table uses its idf and `cfg`, and `corpus_cider_d` scores `split`.
 
-    The table keeps the corpus vocabulary and, per n, the sorted n-gram
-    keys that `_intern` gives the corpus, each with its idf. `build_idf`
-    compiles the arrays: `counts[n - 1][j]` is the number of corpus images
-    containing the n-gram of key `keys[n - 1][j]`. The table counted the
-    orders n = 1..max_n, so it scores no larger max_n.
+    The table keeps the split's vocabulary and, per n, the sorted n-gram
+    keys that `_intern` gives the split, each with its idf. `build_idf`
+    compiles the arrays: `counts[n - 1][j]`, at least 1, is the number of
+    images containing the n-gram of key `keys[n - 1][j]`.
     """
 
-    def __init__(self, corpus_size: int, max_n: int, vocab: list[str],
+    def __init__(self, split: Split, cfg: CiderConfig, vocab: list[str],
                  keys: list[np.ndarray], counts: list[np.ndarray]):
-        self.corpus_size = corpus_size
-        self.max_n = max_n
+        self.split = split
+        self.cfg = cfg
         self._vocab = {token: i for i, token in enumerate(vocab)}
         self._keys = keys
-        self._idf = [np.log(corpus_size / np.maximum(c, 1)) for c in counts]
-        self._unseen = math.log(corpus_size)
+        self._idf = [np.log(len(split) / c) for c in counts]
+        self._unseen = math.log(len(split))
 
     def _lookup(self, vocab: list[str],
                 keys: list[np.ndarray]) -> list[np.ndarray]:
         """idf of each n-gram interned by `_intern` (its vocabulary and its
-        keys per n), ln(corpus_size) where the table lacks the n-gram."""
+        keys per n), ln N where the split of N images lacks the n-gram."""
         size = len(self._vocab)
         token_ids = np.array([self._vocab.get(t, -1) for t in vocab],
                              dtype=np.int64)
@@ -184,14 +184,14 @@ class IdfTable:
         return result
 
 
-def build_idf(split: Split, max_n: int = CiderConfig().max_n) -> IdfTable:
-    """df(g) = number of images with g in at least one reference caption."""
+def build_idf(split: Split, cfg: CiderConfig = CiderConfig()) -> IdfTable:
+    """`split` compiled for `cfg`; df(g) = images with g in a reference."""
     if not split:
         raise ValueError("empty dataset")
     image_of_text = np.repeat(np.arange(len(split)),
                               [len(refs) for refs in split.values()])
     vocab, _, orders = _intern(
-        (tokenize(c) for refs in split.values() for c in refs), max_n)
+        (tokenize(c) for refs in split.values() for c in refs), cfg.max_n)
     keys, counts = [], []
     for text, ids, order_keys in orders:
         width = max(len(order_keys), 1)
@@ -201,7 +201,7 @@ def build_idf(split: Split, max_n: int = CiderConfig().max_n) -> IdfTable:
         keys.append(order_keys)
         counts.append(np.bincount(pairs % width, minlength=len(order_keys)))
         del text, ids, pairs  # not held while the next order is computed
-    return IdfTable(len(split), max_n, vocab, keys, counts)
+    return IdfTable(split, cfg, vocab, keys, counts)
 
 
 def length_penalty(candidate_len, ref_len, sigma: float):
@@ -214,10 +214,9 @@ def length_penalty(candidate_len, ref_len, sigma: float):
 
 def _score_block(candidates: list[Sequence[str]],
                  refs: list[Sequence[Sequence[str]]],
-                 idf: IdfTable, cfg: CiderConfig) -> np.ndarray:
+                 idf: IdfTable) -> np.ndarray:
     """Score of candidates[i] against refs[i], for every i."""
-    if cfg.max_n > idf.max_n:
-        raise ValueError(f"idf table has max_n {idf.max_n}, not {cfg.max_n}")
+    cfg = idf.cfg
     n_images = len(candidates)
     per_image = np.array([len(r) for r in refs], dtype=np.int64)
     image_of_ref = np.repeat(np.arange(n_images), per_image)
@@ -259,35 +258,33 @@ def _score_block(candidates: list[Sequence[str]],
 
 
 def cider_d(candidate: Sequence[str], refs: Sequence[Sequence[str]],
-            idf: IdfTable, cfg: CiderConfig = CiderConfig()) -> float:
+            idf: IdfTable) -> float:
     """Score one tokenized candidate against its tokenized references."""
     if not refs:
         raise ValueError("empty reference list")
-    return float(_score_block([candidate], [refs], idf, cfg)[0])
+    return float(_score_block([candidate], [refs], idf)[0])
 
 
-def corpus_cider_d(preds: dict[tuple[str, BlurLevel], str], split: Split,
-                   level: BlurLevel, idf: IdfTable,
-                   cfg: CiderConfig = CiderConfig()) -> float:
-    """Mean per-image score at one blur level.
-
-    The caller passes the idf table: `build_idf` of the split itself, or
-    of the larger split it was cut from. `preds` maps (image id, level) to
-    a caption, as `parse_predictions` returns it; every image of the split
-    must have a candidate at `level`.
-    """
-    if not split:
-        raise ValueError("empty dataset")
+def check_coverage(preds: dict[tuple[str, BlurLevel], str], split: Split,
+                   level: BlurLevel) -> None:
+    """Fail unless every image of `split` has a prediction at `level`."""
     missing = [i for i in split if (i, level) not in preds]
     if missing:
-        raise ValueError(
-            f"missing predictions at {level.name} for images: {missing}")
-    image_ids = list(split)
+        raise ValueError(f"missing predictions at {level.name} for images: "
+                         f"{_id_list(missing)}")
+
+
+def corpus_cider_d(preds: dict[tuple[str, BlurLevel], str], level: BlurLevel,
+                   idf: IdfTable) -> float:
+    """Mean per-image score of `idf.split` at one blur level. `preds` maps
+    (image id, level) to a caption, as `parse_predictions` returns it."""
+    check_coverage(preds, idf.split, level)
+    image_ids = list(idf.split)
     scores: list[float] = []
     for start in range(0, len(image_ids), _BLOCK_IMAGES):
         block = image_ids[start:start + _BLOCK_IMAGES]
         scores += _score_block(
             [tokenize(preds[(i, level)]) for i in block],
-            [[tokenize(r) for r in split[i]] for i in block],
-            idf, cfg).tolist()
+            [[tokenize(r) for r in idf.split[i]] for i in block],
+            idf).tolist()
     return math.fsum(scores) / len(scores)

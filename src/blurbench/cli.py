@@ -36,8 +36,9 @@ recounted over that subset's own references (each subset row is the
 corpus score of the subset as a split of its own). Predictions for images
 outside the split are ignored, with one warning line giving their count:
 the levels scored are those of predictions for split images. A split with
-no images, or predictions of which none names a split image, is one
-``error:`` line, and nothing is written.
+no images, predictions of which none names a split image, or a row that
+lacks the prediction of one of its images (every row is checked before
+any is scored) is one ``error:`` line, and nothing is written.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from contextlib import suppress
 from functools import cache
 from pathlib import Path
 
-from .cider import CiderConfig, build_idf, corpus_cider_d
+from .cider import CiderConfig, build_idf, check_coverage, corpus_cider_d
 from .imaging import BlurLevel, apply_blur, load_image, make_kernel, save_image
 from .ingest import (
     BlurFlag,
@@ -242,16 +243,19 @@ def cmd_score(args: argparse.Namespace) -> int:
               f"not in the split ignored", file=sys.stderr)
     if not levels:
         raise ValueError(f"no predictions for images in {_shown(args.predictions)}")
+    levels = sorted(set(levels))
     subsets = {}
     if args.flags is not None:  # a bad flags file fails before any scoring
         flags = parse_blur_flags(args.flags.read_bytes())
         subsets = {flag: filter_by_blur_flag(dataset, flags, flag)
                    for flag in BlurFlag}
-    idf = build_idf(dataset, metric.max_n)
+    for level in sorted({*levels, BlurLevel.MB0}) if subsets else levels:
+        check_coverage(preds, dataset, level)  # every row's, before any scoring
+    idf = build_idf(dataset, metric)
 
     rows = []
-    for level in sorted(set(levels)):
-        score = corpus_cider_d(preds, dataset, level, idf, metric)
+    for level in levels:
+        score = corpus_cider_d(preds, level, idf)
         rows.append([args.technique, level.name, score])
         print(f"{args.technique} {level.name}: {score:.4f}")
     for flag, subset in subsets.items():
@@ -259,8 +263,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             print(f"warning: no images flagged {flag.value}; "
                   f"subset row skipped", file=sys.stderr)
             continue
-        score = corpus_cider_d(preds, subset, BlurLevel.MB0,
-                               build_idf(subset, metric.max_n), metric)
+        score = corpus_cider_d(preds, BlurLevel.MB0, build_idf(subset, metric))
         rows.append([args.technique, flag.value, score])
         print(f"{args.technique} {flag.value} (MB0): {score:.4f}")
 

@@ -36,6 +36,7 @@ from enum import Enum
 from itertools import compress, islice
 from types import SimpleNamespace
 
+from . import _id_list
 from .imaging import LEVEL_BY_NAME, BlurLevel
 
 
@@ -140,11 +141,12 @@ def parse_captions(document: bytes) -> Split:
     if len(split) != len(doc["images"]):
         raise ValueError("duplicate image ids")
     if unknown:
-        raise ValueError(f"references for unknown images: {sorted(unknown)}")
+        raise ValueError("references for unknown images: "
+                         f"{_id_list(sorted(unknown))}")
     missing = [image_id for image_id, references in split.items()
                if not references]
     if missing:
-        raise ValueError(f"images without captions: {missing}")
+        raise ValueError(f"images without captions: {_id_list(missing)}")
     return split
 
 
@@ -297,6 +299,6 @@ def filter_by_blur_flag(split: Split, flags: dict[str, BlurFlag],
     """
     unflagged = [i for i in split if i not in flags]
     if unflagged:
-        raise ValueError(f"images without blur flag: {unflagged}")
+        raise ValueError(f"images without blur flag: {_id_list(unflagged)}")
     return {i: references for i, references in split.items()
             if flags[i] is flag}

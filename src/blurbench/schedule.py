@@ -47,6 +47,7 @@ from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 from operator import eq, ge, index
 
+from . import _id_list
 from .imaging import BlurLevel
 
 _SUM_TOLERANCE = 1e-9
@@ -213,7 +214,7 @@ def plan_dataset(sample_keys: Iterable[str], plan: TechniquePlan,
     keys = sorted(sample_keys)
     if any(map(eq, keys, keys[1:])):
         duplicates = sorted({a for a, b in zip(keys, keys[1:]) if a == b})
-        raise ValueError(f"duplicate sample keys: {duplicates}")
+        raise ValueError(f"duplicate sample keys: {_id_list(duplicates)}")
     encoded = list(map(str.encode, keys))  # UTF-8: fails under every technique
     width = len(_STAGES)
     levels = bytearray(width * len(keys))

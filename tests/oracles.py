@@ -178,9 +178,9 @@ def idf_of(table, gram) -> float:
     orders the table counted, which it cannot look up."""
     from blurbench.cider import _intern
 
-    if not 1 <= len(gram) <= table.max_n:
+    if not 1 <= len(gram) <= table.cfg.max_n:
         raise ValueError(f"a {len(gram)}-gram, but the table counted "
-                         f"n = 1..{table.max_n}")
+                         f"n = 1..{table.cfg.max_n}")
     vocab, _, orders = _intern([gram], len(gram))
     return float(table._lookup(vocab, [keys for _, _, keys in orders])[-1][0])
 

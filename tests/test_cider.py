@@ -17,6 +17,7 @@ from blurbench.cider import (
     CiderConfig,
     _intern,
     build_idf,
+    check_coverage,
     cider_d,
     corpus_cider_d,
     length_penalty,
@@ -165,14 +166,14 @@ class TestBuildIdf:
             math.log(2), abs=1e-12)
         with pytest.raises(ValueError, match="^a 2-gram, but the table "
                                              "counted n = 1..1$"):
-            idf_of(build_idf(toy_dataset, 1), ("on", "a"))
+            idf_of(build_idf(toy_dataset, CiderConfig(max_n=1)), ("on", "a"))
 
     def test_toy_corpus_matches_recount(self, toy_dataset):
         """idf = ln(N / df) with df recounted by the oracle for every
         n-gram of the corpus, and ln N for n-grams the corpus lacks."""
         idf = build_idf(toy_dataset)
         recount = document_frequency(corpus_tokens(toy_dataset))
-        assert idf.corpus_size == 10
+        assert (len(idf.split), idf.cfg) == (10, CiderConfig())
         for gram, df in recount.items():
             assert idf_of(idf, gram) == pytest.approx(math.log(10 / df),
                                                   abs=1e-12), gram
@@ -368,19 +369,19 @@ class TestCorpusCiderD:
                            ["purple trains hum at night"],
                            ["seven owls watch green rivers"]])
         preds = {(i, BlurLevel.MB0): ds[i][0] for i in ds}
-        assert corpus_cider_d(preds, ds, BlurLevel.MB0,
+        assert corpus_cider_d(preds, BlurLevel.MB0,
                               build_idf(ds)) == pytest.approx(10.0, abs=1e-9)
 
     def test_disjoint_candidates_score_zero(self, toy_dataset):
         preds = {(i, BlurLevel.MB0): "qqq www eee" for i in toy_dataset}
-        assert corpus_cider_d(preds, toy_dataset, BlurLevel.MB0,
+        assert corpus_cider_d(preds, BlurLevel.MB0,
                               build_idf(toy_dataset)) == 0.0
 
     def test_toy_corpus_means_match_oracle(self, toy_dataset, toy_predictions):
         corpus = corpus_tokens(toy_dataset)
         idf = build_idf(toy_dataset)
         for level, expected in FROZEN_CORPUS_MEANS.items():
-            mine = corpus_cider_d(toy_predictions, toy_dataset, level, idf)
+            mine = corpus_cider_d(toy_predictions, level, idf)
             oracle = sum(
                 cider_d_formula(
                     tokenize(toy_predictions[(i, level)]),
@@ -396,48 +397,75 @@ class TestCorpusCiderD:
         mean over n, and are never interned."""
         longest = max(len(tokenize(r)) for refs in toy_dataset.values()
                       for r in refs)
-        at_longest = corpus_cider_d(toy_predictions, toy_dataset, BlurLevel.MB1,
-                                    build_idf(toy_dataset, longest),
-                                    CiderConfig(max_n=longest))
+        at_longest = corpus_cider_d(
+            toy_predictions, BlurLevel.MB1,
+            build_idf(toy_dataset, CiderConfig(max_n=longest)))
         for max_n in (longest + 1, 10**9):
             start = time.perf_counter()
-            score = corpus_cider_d(toy_predictions, toy_dataset, BlurLevel.MB1,
-                                   build_idf(toy_dataset, max_n),
-                                   CiderConfig(max_n=max_n))
+            score = corpus_cider_d(
+                toy_predictions, BlurLevel.MB1,
+                build_idf(toy_dataset, CiderConfig(max_n=max_n)))
             assert time.perf_counter() - start < 1.0
             assert abs(score * max_n - at_longest * longest) < 1e-9
 
-    def test_empty_split_rejected(self, toy_dataset, toy_predictions):
-        """An empty split has no mean: the error `build_idf` gives."""
-        with pytest.raises(ValueError, match="^empty dataset$"):
-            corpus_cider_d(toy_predictions, {}, BlurLevel.MB0,
-                           build_idf(toy_dataset))
-        with pytest.raises(ValueError, match="^empty dataset$"):
-            corpus_cider_d({}, {}, BlurLevel.MB0, build_idf(toy_dataset))
+    def test_empty_split_rejected(self):
+        """An empty split has no mean: `build_idf` refuses it under every
+        config, so no table `corpus_cider_d` reads holds one."""
+        for cfg in (CiderConfig(), CiderConfig(max_n=1, scale=1.0)):
+            with pytest.raises(ValueError, match="^empty dataset$"):
+                build_idf({}, cfg)
 
     def test_missing_prediction_names_image(self, toy_dataset, toy_predictions):
         partial = {pair: caption for pair, caption in toy_predictions.items()
                    if pair != ("img05", BlurLevel.MB2)}
         with pytest.raises(ValueError, match="img05"):
-            corpus_cider_d(partial, toy_dataset, BlurLevel.MB2,
-                           build_idf(toy_dataset))
+            corpus_cider_d(partial, BlurLevel.MB2, build_idf(toy_dataset))
 
-    def test_idf_table_scores_only_the_orders_it_counted(self, toy_dataset,
-                                                         toy_predictions):
-        """A table counted for n = 1 would give orders 2..4 the unseen idf
-        ln N; it refuses them instead. A smaller max_n reads the table's
-        first orders, which do not depend on how many it counted."""
-        unigram = build_idf(toy_dataset, 1)
-        assert (unigram.max_n, build_idf(toy_dataset).max_n) == (1, 4)
-        with pytest.raises(ValueError, match="^idf table has max_n 1, not 4$"):
-            corpus_cider_d(toy_predictions, toy_dataset, BlurLevel.MB0,
-                           unigram, CiderConfig(max_n=4))
-        with pytest.raises(ValueError, match="^idf table has max_n 1, not 2$"):
-            cider_d(["a"], [["a"]], unigram, CiderConfig(max_n=2))
-        one = CiderConfig(max_n=1)
-        assert corpus_cider_d(toy_predictions, toy_dataset, BlurLevel.MB0,
-                              build_idf(toy_dataset, 4), one) == corpus_cider_d(
-            toy_predictions, toy_dataset, BlurLevel.MB0, unigram, one)
+    def test_many_missing_predictions_listed_on_one_short_line(
+            self, toy_dataset, toy_predictions):
+        """`check_coverage`, which `corpus_cider_d` calls, lists the first 5
+        images without a prediction and the count of the rest."""
+        error = ("missing predictions at MB2 for images: ['img00', 'img01', "
+                 "'img02', 'img04', 'img05'] and 4 more")
+        kept = {pair: caption for pair, caption in toy_predictions.items()
+                if pair[1] is not BlurLevel.MB2 or pair[0] == "img03"}
+        with pytest.raises(ValueError) as info:
+            check_coverage(kept, toy_dataset, BlurLevel.MB2)
+        assert str(info.value) == error
+        with pytest.raises(ValueError) as info:
+            corpus_cider_d(kept, BlurLevel.MB2, build_idf(toy_dataset))
+        assert str(info.value) == error
+        check_coverage(kept, toy_dataset, BlurLevel.MB1)
+
+    def test_unigram_table_scores_with_its_own_max_n(self, toy_dataset,
+                                                     toy_predictions):
+        """A table built for max_n = 1 scores unigrams only, divided by 1:
+        per image and in the corpus mean, as the formula with max_n = 1."""
+        unigram = build_idf(toy_dataset, CiderConfig(max_n=1))
+        corpus = corpus_tokens(toy_dataset)
+        oracle = []
+        for i in toy_dataset:
+            candidate = tokenize(toy_predictions[(i, BlurLevel.MB0)])
+            refs = [tokenize(r) for r in toy_dataset[i]]
+            oracle.append(cider_d_formula(candidate, refs, corpus, max_n=1))
+            assert abs(cider_d(candidate, refs, unigram) - oracle[-1]) < 1e-9
+        assert abs(corpus_cider_d(toy_predictions, BlurLevel.MB0, unigram)
+                   - math.fsum(oracle) / len(oracle)) < 1e-9
+
+    def test_subset_table_scores_the_subset_with_its_own_idf(
+            self, toy_dataset, toy_predictions):
+        """A table built from a subset scores that subset, with idf counted
+        over the subset's own references."""
+        subset = {i: toy_dataset[i] for i in list(toy_dataset)[::3]}
+        corpus = corpus_tokens(subset)
+        oracle = math.fsum(
+            cider_d_formula(tokenize(toy_predictions[(i, BlurLevel.MB0)]),
+                            [tokenize(r) for r in subset[i]], corpus)
+            for i in subset) / len(subset)
+        mean = corpus_cider_d(toy_predictions, BlurLevel.MB0, build_idf(subset))
+        assert abs(mean - oracle) < 1e-9
+        assert abs(mean - corpus_cider_d(toy_predictions, BlurLevel.MB0,
+                                         build_idf(toy_dataset))) > 1e-3
 
 
 # Few distinct words, so n-grams repeat within and across texts (clipping),
@@ -461,22 +489,24 @@ class TestKernelMatchesFormula:
            st.integers(1, 4))
     @settings(max_examples=200, deadline=None)
     def test_scores_match_direct_formula(self, scored, idf_images, max_n):
-        """Per-image and corpus scores against `cider_d_formula`; the idf
-        corpus is either the scored one or a different one, whose lookups
-        miss and fall back to ln(corpus_size)."""
+        """Per-image scores against `cider_d_formula`; the idf corpus is
+        either the scored one or a different one, whose lookups miss and
+        fall back to ln N. The corpus score of the scored split is the
+        mean of its per-image scores under its own table."""
         cfg = CiderConfig(max_n=max_n)
         ds = _dataset([refs for _, refs in scored])
         corpus = [refs for _, refs in (idf_images or scored)]
-        idf = build_idf(_dataset(corpus), max_n)
+        idf = build_idf(_dataset(corpus), cfg)
+        own = idf if idf_images is None else build_idf(ds, cfg)
         per_image = []
         for candidate, refs in scored:
-            score = cider_d(candidate, refs, idf, cfg)
+            score = cider_d(candidate, refs, idf)
             oracle = cider_d_formula(candidate, refs, corpus, max_n)
             assert abs(score - oracle) < 1e-9
-            per_image.append(score)
+            per_image.append(cider_d(candidate, refs, own))
         preds = {(i, BlurLevel.MB2): " ".join(candidate)
                  for i, (candidate, _) in zip(ds, scored)}
-        mean = corpus_cider_d(preds, ds, BlurLevel.MB2, idf, cfg)
+        mean = corpus_cider_d(preds, BlurLevel.MB2, own)
         assert mean == math.fsum(per_image) / len(per_image)
 
     def test_scoring_makes_no_per_ngram_calls(self, toy_dataset,
@@ -485,7 +515,7 @@ class TestKernelMatchesFormula:
             raise AssertionError("per-n-gram call on the scoring path")
 
         monkeypatch.setattr(blurbench.cider, "ngram_counts", per_ngram)
-        mean = corpus_cider_d(toy_predictions, toy_dataset, BlurLevel.MB0,
+        mean = corpus_cider_d(toy_predictions, BlurLevel.MB0,
                               build_idf(toy_dataset))
         assert mean == pytest.approx(FROZEN_CORPUS_MEANS[BlurLevel.MB0],
                                      abs=1e-9)
@@ -504,7 +534,7 @@ class TestKernelMatchesFormula:
                 scores = set()
                 for size in (1, 3, 7, 1000, len(split)):
                     monkeypatch.setattr(blurbench.cider, "_BLOCK_IMAGES", size)
-                    scores.add(corpus_cider_d(preds, split, level, idf))
+                    scores.add(corpus_cider_d(preds, level, idf))
                 assert len(scores) == 1, (name, level, scores)
 
 
@@ -516,7 +546,8 @@ class TestCiderConfig:
     def test_value_semantics_and_one_home_of_the_defaults(self):
         """A named tuple: built by position or keyword, equal to and hashed
         as the plain tuple of its fields, read-only. The CLI settings and
-        `build_idf` take their defaults from `CiderConfig()`."""
+        `build_idf` take their defaults from `CiderConfig()`, and
+        `build_idf` is the one scoring function that takes a config."""
         cfg = CiderConfig(4, sigma=6.0)
         assert cfg == CiderConfig() == (4, 6.0, 10.0)
         assert hash(cfg) == hash((4, 6.0, 10.0))
@@ -525,7 +556,9 @@ class TestCiderConfig:
             cfg.sigma = 1.0
         assert {name: cli._SETTINGS[name][1] for name in cfg._fields} == \
             cfg._asdict()
-        assert inspect.signature(build_idf).parameters["max_n"].default == 4
+        assert inspect.signature(build_idf).parameters["cfg"].default == cfg
+        for scorer in (corpus_cider_d, cider_d):
+            assert "cfg" not in inspect.signature(scorer).parameters
 
     @pytest.mark.parametrize("kwargs", [
         {"max_n": 0}, {"sigma": 0.0}, {"sigma": -1.0}, {"scale": 0.0},
@@ -551,16 +584,15 @@ class TestCiderConfig:
         overflows or underflows at the other two sigmas."""
         cfg = CiderConfig(**kwargs)
         corpus = corpus_tokens(toy_dataset)
-        idf = build_idf(toy_dataset)
+        idf = build_idf(toy_dataset, cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for level in BlurLevel:
-                assert math.isfinite(corpus_cider_d(toy_predictions, toy_dataset,
-                                                    level, idf, cfg))
+                assert math.isfinite(corpus_cider_d(toy_predictions, level, idf))
             for i in list(toy_dataset)[:oracle_checks]:
                 candidate = tokenize(toy_predictions[(i, BlurLevel.MB1)])
                 refs = [tokenize(r) for r in toy_dataset[i]]
                 oracle = cider_d_formula(candidate, refs, corpus,
                                          sigma=cfg.sigma, scale=cfg.scale)
-                assert cider_d(candidate, refs, idf, cfg) == pytest.approx(
+                assert cider_d(candidate, refs, idf) == pytest.approx(
                     oracle, rel=1e-9, abs=1e-9)

@@ -541,8 +541,7 @@ class TestScoreCommand:
     @pytest.mark.parametrize("rows,error", [
         ("img00,maybe\n", "unknown blur flag 'maybe'"),
         ("img00,with_blur\nimg01,no_blur\n", "images without blur flag: "
-         "['img02', 'img03', 'img04', 'img05', 'img06', 'img07', 'img08', "
-         "'img09']"),
+         "['img02', 'img03', 'img04', 'img05', 'img06'] and 3 more"),
     ], ids=["unknown-flag", "unflagged-images"])
     def test_bad_flags_fail_before_scoring(self, tmp_path, data_dir, capsys,
                                            rows, error):
@@ -553,6 +552,31 @@ class TestScoreCommand:
         out = tmp_path / "out"
         assert run("--out", out, "score", data_dir / "toy_captions.json",
                    data_dir / "toy_predictions.json", "--flags", flags) == 1
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dropped,flags,error", [
+        (lambda i, level: level == "MB2" and i != "img03", False,
+         "missing predictions at MB2 for images: ['img00', 'img01', 'img02', "
+         "'img04', 'img05'] and 4 more"),
+        (lambda i, level: level == "MB0", True,
+         "missing predictions at MB0 for images: ['img00', 'img01', 'img02', "
+         "'img03', 'img04'] and 5 more"),
+    ], ids=["level-gap", "no-MB0-with-flags"])
+    def test_missing_predictions_fail_before_scoring(
+            self, tmp_path, data_dir, capsys, dropped, flags, error):
+        """Every row to be scored, the MB0 subset rows of `--flags` too, is
+        checked for a prediction per image before any row is scored: one
+        short error line, no score line, and no output directory."""
+        doc = [item for item in json.loads(
+            (data_dir / "toy_predictions.json").read_text())
+            if not dropped(item["image_id"], item["blur_level"])]
+        preds = tmp_path / "preds.json"
+        preds.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run("--out", out, "score", data_dir / "toy_captions.json", preds,
+                   *(["--flags", data_dir / "toy_flags.csv"] if flags else [])
+                   ) == 1
         assert capsys.readouterr() == ("", f"error: {error}\n")
         assert not out.exists()
 

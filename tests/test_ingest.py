@@ -151,6 +151,21 @@ class TestParseCaptions:
             parse_captions(json.dumps(doc).encode())
         assert str(info.value) == error
 
+    @pytest.mark.parametrize("annotated,error", [
+        ([f"x{i}" for i in range(9, -1, -1)] + ["im0", "im1", "im2"],
+         "references for unknown images: ['x0', 'x1', 'x2', 'x3', 'x4'] "
+         "and 5 more"),
+        (["im3"], "images without captions: ['im0', 'im1', 'im2', 'im4', "
+                  "'im5'] and 3 more"),
+    ], ids=["unknown", "uncaptioned"])
+    def test_long_id_lists_cut_after_five(self, annotated, error):
+        """Past 5 ids an error lists the first 5 and the count of the rest."""
+        doc = json.loads(caption_doc(9))
+        doc["annotations"] = [{"image_id": i, "caption": "c"} for i in annotated]
+        with pytest.raises(ValueError) as info:
+            parse_captions(json.dumps(doc).encode())
+        assert str(info.value) == error
+
     def test_karpathy_sized_fixture(self):
         ds = parse_captions(caption_doc(5000))
         assert len(ds) == 5000

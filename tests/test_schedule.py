@@ -284,6 +284,15 @@ class TestPlanDataset:
         with pytest.raises(ValueError, match="duplicate"):
             plan_dataset(["a", "b", "a"], technique_plan("No-Aug"), 0)
 
+    def test_many_duplicate_keys_listed_on_one_short_line(self):
+        """Past 5 duplicates the error lists the first 5 and a count."""
+        keys = [f"key{i:05d}" for i in range(20000)] * 2
+        with pytest.raises(ValueError) as info:
+            plan_dataset(keys, technique_plan("No-Aug"), 0)
+        assert str(info.value) == (
+            "duplicate sample keys: ['key00000', 'key00001', 'key00002', "
+            "'key00003', 'key00004'] and 19995 more")
+
     def test_deterministic_and_key_order_independent(self):
         keys = [f"img{i}" for i in range(300)]
         plan = technique_plan("ObjDet-Cap-Aug")
