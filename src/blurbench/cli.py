@@ -59,6 +59,7 @@ from .ingest import (
     parse_blur_flags,
     parse_captions,
     parse_feature_counts,
+    parse_level,
     parse_predictions,
     write_csv,
 )
@@ -313,36 +314,28 @@ def cmd_report(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _levels_argument(text: str) -> list[BlurLevel]:
-    levels: list[BlurLevel] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            level = BlurLevel[token]
-        except KeyError:
-            raise argparse.ArgumentTypeError(
-                f"unknown level {token!r}; expected MB0..MB3") from None
-        if level not in levels:
-            levels.append(level)
-    if not levels:
-        raise argparse.ArgumentTypeError("no blur levels given")
-    return levels
+    """The levels named in comma-separated `text`, each once, in order."""
+    names = dict.fromkeys(filter(None, map(str.strip, text.split(","))))
+    if not names:
+        raise ValueError("no blur levels given")
+    return list(map(parse_level, names))
 
 
-def _add_setting(parser: argparse.ArgumentParser, name: str, **kwargs) -> None:
-    """Add setting `name`'s flag; a ValueError of its converter is a usage
-    error naming the flag."""
-    convert = _SETTINGS[name][0]
-
+def _usage_errors(convert):
+    """`convert` as an argparse type: its ValueError is a usage error."""
     def flag_type(text: str):
         try:
             return convert(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
+    return flag_type
 
-    parser.add_argument("--" + name.replace("_", "-"), dest=name,
-                        type=flag_type, default=None, **kwargs)
+
+def _add_setting(parser: argparse.ArgumentParser, name: str, **kwargs) -> None:
+    """Add setting `name`'s flag; a ValueError of its converter is a usage
+    error naming the flag."""
+    parser.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+                        type=_usage_errors(_SETTINGS[name][0]), **kwargs)
 
 
 @cache
@@ -366,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_blur = sub.add_parser("blur", help="write blur variants of PGM/PPM images")
     p_blur.add_argument("input", type=Path, help="image file or directory")
-    p_blur.add_argument("--levels", type=_levels_argument,
+    p_blur.add_argument("--levels", type=_usage_errors(_levels_argument),
                         default=tuple(BlurLevel),
                         help="comma-separated levels (default all)")
     p_blur.set_defaults(func=cmd_blur)

@@ -41,7 +41,7 @@ class BlurLevel(IntEnum):
     MB3 = 3
 
 
-LEVEL_BY_NAME = {level.name: level.value for level in BlurLevel}
+LEVEL_BY_NAME = {level.name: level for level in BlurLevel}
 #: Box kernel (width, height) per level.
 TAP_SIZES: dict[BlurLevel, tuple[int, int]] = {
     BlurLevel.MB0: (1, 1),

@@ -16,10 +16,10 @@ Formats handled:
 Image ids are opaque strings throughout (integer ids are stringified), so
 one code path serves datasets that key images by number and by filename.
 Any other JSON id (null, a bool, a float, a list or an object) is a
-`ValueError` naming its record. Captions, file names and the optional
-split name must be JSON strings; captions are kept verbatim (tokenization
-happens in the metric, not here), while file names and the split name
-are checked and dropped, since scoring needs only each image's
+`ValueError` naming its record. Captions, blur levels, file names and
+the optional split name must be JSON strings; captions are kept verbatim
+(tokenization happens in the metric, not here), while file names and the
+split name are checked and dropped, since scoring needs only each image's
 references. Every CSV, read or written, goes through `read_csv` and
 `write_csv`, which hold the one CSV dialect of the package. `read_csv`
 returns a table as columns, one list per header field, filled a few
@@ -76,7 +76,7 @@ class FeatureCounts:
 
 def parse_level(token: str) -> BlurLevel:
     try:
-        return BlurLevel[token]
+        return LEVEL_BY_NAME[token]
     except KeyError:
         raise ValueError(f"unknown blur level {token!r}") from None
 
@@ -162,7 +162,7 @@ def parse_predictions(document: bytes) -> dict[tuple[str, BlurLevel], str]:
     for item in doc:
         try:
             image_id = _image_id(item, "image_id", "prediction")
-            level = parse_level(str(item["blur_level"]))
+            level = parse_level(_string(item, "blur_level", "prediction"))
             caption = _string(item, "caption", "prediction")
         except (TypeError, KeyError) as exc:
             raise ValueError(f"bad prediction record {item!r}") from exc

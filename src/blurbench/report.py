@@ -2,11 +2,11 @@
 
 Scores are carried at full precision and rounded to one decimal only when
 rendered. Degradation deltas (baseline MB0 score minus blurred score) are
-computed on those rendered one-decimal values, in exact tenths, so the
-published-style headline numbers come out exactly rather than off by a
-float ulp. A score table comes as `{technique: {column: score}}`, whose
+computed on those rendered values in exact integer tenths, with no float
+in between, so the delta of any two finite scores is exact to its last
+digit. A score table comes as `{technique: {column: score}}`, whose
 columns are every `BlurLevel` and, for the MB0 score of a flag subset, any
-`BlurFlag`. Deltas come as `{technique: {level: delta}}` and histograms as
+`BlurFlag`. Deltas come as `{technique: {level: tenths}}` and histograms as
 `{level: {bin index: images}}`, in level and bin order; the bin width is
 the caller's setting, not a part of the histogram.
 """
@@ -44,14 +44,19 @@ def _fmt(value: float) -> str:
     return f"{value:.1f}"
 
 
-def degradation_deltas(table: Scores) -> dict[str, dict[BlurLevel, float]]:
-    """MB0 score minus per-level score, on one-decimal rendered values."""
+def _fmt_tenths(tenths: int) -> str:
+    """Integer tenths as one-decimal text, every digit exact."""
+    whole, tenth = divmod(abs(tenths), 10)
+    return f"{'-' if tenths < 0 else ''}{whole}.{tenth}"
+
+
+def degradation_deltas(table: Scores) -> dict[str, dict[BlurLevel, int]]:
+    """MB0 score minus per-level score, in integer tenths of rendered values."""
     deltas = {}
     for technique, scores in table.items():
         base = _tenths(scores[BlurLevel.MB0])
         deltas[technique] = {
-            level: (base - _tenths(scores[level])) / 10.0
-            for level in BlurLevel}
+            level: base - _tenths(scores[level]) for level in BlurLevel}
     return deltas
 
 
@@ -161,26 +166,28 @@ def render_score_table(table: Scores, format: str) -> str:
     return _render(header, rows, format)
 
 
-def render_deltas(deltas: dict[str, dict[BlurLevel, float]],
+def render_deltas(deltas: dict[str, dict[BlurLevel, int]],
                   format: str) -> str:
     if format == "csv":
-        rows = [[t, l.name, _fmt(d)] for t, by_level in deltas.items()
+        rows = [[t, l.name, _fmt_tenths(d)] for t, by_level in deltas.items()
                 for l, d in by_level.items()]
         return _render(["technique", "level", "delta"], rows, format)
     return _render(["Training approach", *(l.name for l in BlurLevel)],
-                   [[t, *map(_fmt, by_level.values())]
+                   [[t, *map(_fmt_tenths, by_level.values())]
                     for t, by_level in deltas.items()], format)
 
 
 def render_subset_table(table: Scores, format: str) -> str:
-    """One column per flag subset; every row must carry all of them."""
-    incomplete = [t for t, s in table.items() if any(f not in s for f in BlurFlag)]
+    """One column per flag subset, empty where a row lacks that subset;
+    every row must carry at least one of them."""
+    incomplete = [t for t, s in table.items() if not any(f in s for f in BlurFlag)]
     if incomplete:
         raise ValueError(f"rows without subset scores: {incomplete}")
     header = (["technique", *(f.value for f in BlurFlag)] if format == "csv"
               else ["Training approach", *_HEADING.values()])
-    return _render(header, [[t, *(_fmt(scores[f]) for f in BlurFlag)]
-                            for t, scores in table.items()], format)
+    return _render(header, [
+        [t, *(_fmt(scores[f]) if f in scores else "" for f in BlurFlag)]
+        for t, scores in table.items()], format)
 
 
 def render_histograms(level: BlurLevel, bins: dict[int, int], bin_width: int) -> str:

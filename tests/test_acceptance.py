@@ -179,11 +179,11 @@ def test_table_fixture_reproduction(tmp_path, data_dir):
         degradation = (out / "degradation.csv").read_text()
         for technique, expected in (worst, best):
             assert f"{technique},MB3,{expected}" in degradation, (name, technique)
-        # and numerically exact, not just textually
+        # and numerically exact, in integer tenths, not just textually
         from blurbench.report import degradation_deltas, parse_scores_csv
         deltas = degradation_deltas(parse_scores_csv(_scores_csv(rows)))
-        assert deltas[worst[0]][BlurLevel.MB3] == float(worst[1])
-        assert deltas[best[0]][BlurLevel.MB3] == float(best[1])
+        assert deltas[worst[0]][BlurLevel.MB3] == int(worst[1].replace(".", ""))
+        assert deltas[best[0]][BlurLevel.MB3] == int(best[1].replace(".", ""))
 
 
 def test_histogram_conservation(toy_feature_records):

@@ -685,6 +685,28 @@ class TestReportCommand:
                    "--flags", data_dir / "toy_flags.csv") == 1
         assert "subset" in capsys.readouterr().err
 
+    def test_reads_the_scores_of_score_with_an_empty_flag_subset(
+            self, tmp_path, data_dir, toy_dataset, capsys):
+        """`score --flags` skips an empty subset's row; `report --flags`
+        reads its file and leaves that subset's cell empty."""
+        flags = tmp_path / "flags.csv"
+        flags.write_text("image_id,flag\n" + "".join(
+            f"{i},with_blur\n" for i in toy_dataset))
+        out = tmp_path / "out"
+        assert run("--out", out, "score", data_dir / "toy_captions.json",
+                   data_dir / "toy_predictions.json", "--flags", flags) == 0
+        assert run("--out", out, "report", out / "scores.csv",
+                   data_dir / "toy_feature_counts.csv", "--flags", flags) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: no images flagged no_blur; subset row skipped"]
+        rows = dict(line.split(",")[1:] for line in
+                    (out / "scores.csv").read_text().splitlines()[2:])
+        with_blur = f"{float(rows['with_blur']):.1f}"
+        assert (out / "subset_table.md").read_text().splitlines()[2] == (
+            f"| No-Aug | {with_blur} |  |")
+        assert (out / "subset_table.csv").read_text().splitlines()[2] == (
+            f"No-Aug,{with_blur},")
+
     def test_duplicate_subset_score_fails(self, tmp_path, data_dir, capsys):
         scores, features = self.write_inputs(tmp_path, data_dir)
         scores.write_text(scores.read_text() + "Cap-Aug,with_blur,49.5\n")
@@ -1085,6 +1107,47 @@ class TestConfigFile:
         assert cli.build_parser() is cli.build_parser()
         assert cli.build_parser().parse_args(["blur", "x"]).levels == tuple(
             BlurLevel)
+
+
+@pytest.mark.parametrize("source,value", [
+    ("blur", "MB9"), ("predictions", "MB9"), ("features", "MB9"),
+    ("scores", "MB9"), ("predictions", 2), ("predictions", None),
+    ("predictions", ["MB0"])], ids=[
+        "blur", "predictions", "features", "scores", "predictions-int",
+        "predictions-null", "predictions-list"])
+def test_a_level_name_reads_alike_from_every_input(tmp_path, capsys, source,
+                                                   value):
+    """A bad level name gives one text from `blur --levels` (a usage
+    error), the prediction JSON, the feature-count CSV and the scores CSV;
+    a `blur_level` that is not a JSON string gives the text of any other
+    string field."""
+    out = tmp_path / "out"
+    if source == "blur":
+        with pytest.raises(SystemExit) as excinfo:
+            run("--out", out, "blur", tmp_path, "--levels", f"MB0, {value}")
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "blurbench blur: error: argument --levels: "
+            "unknown blur level 'MB9'")
+        return
+    record = {"image_id": "a", "blur_level": value, "caption": "a dog"}
+    dataset, preds = write_corpus(
+        tmp_path, TINY_REFS, {(i, "MB0"): refs[0] for i, refs in TINY_REFS.items()})
+    scores, features = tmp_path / "scores.csv", tmp_path / "features.csv"
+    scores.write_text("technique,level,score\n" + "".join(
+        f"X,MB{k},1.0\n" for k in range(4)))
+    features.write_text("image_id,level,count\na,MB0,3\n")
+    if source == "predictions":
+        preds.write_text(json.dumps([*json.loads(preds.read_text()), record]))
+        code = run("--out", out, "score", dataset, preds)
+    else:
+        path = scores if source == "scores" else features
+        path.write_text(path.read_text().replace("MB0", value))
+        code = run("--out", out, "report", scores, features)
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unknown blur level 'MB9'" if isinstance(value, str) else
+        f"error: bad prediction record {record!r}: blur_level must be a string"]
 
 
 def test_paths_not_utf8_printed_under_strict_stdout(tmp_path, data_dir):

@@ -1,14 +1,20 @@
 """Degradation tables, histograms, and rendering."""
 
+import csv
+import io
 import re
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal, Inexact, localcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blurbench import report
+from blurbench.cli import main
 from blurbench.imaging import BlurLevel
 from blurbench.ingest import BlurFlag
 from blurbench.report import (
@@ -21,7 +27,7 @@ from blurbench.report import (
     render_score_table,
     render_subset_table,
 )
-from conftest import CSV_READS_NUL, feature_counts, feature_rows
+from conftest import CSV_READS_NUL, DATA_DIR, feature_counts, feature_rows
 
 LEVELS = list(BlurLevel)
 WITH, WITHOUT = BlurFlag.WITH_BLUR, BlurFlag.NO_BLUR
@@ -76,21 +82,22 @@ def markdown_cells(line):
 class TestDegradationDeltas:
     def test_headline_deltas_exact(self):
         coco = degradation_deltas(COCO_TABLE)
-        assert coco["No-Aug"][BlurLevel.MB3] == 68.7
-        assert coco["ObjDet-Cap-Aug"][BlurLevel.MB3] == 11.7
+        assert coco["No-Aug"][BlurLevel.MB3] == 687
+        assert coco["ObjDet-Cap-Aug"][BlurLevel.MB3] == 117
         vizwiz = degradation_deltas(VIZWIZ_TABLE)
-        assert vizwiz["No-Aug"][BlurLevel.MB3] == 22.4
-        assert vizwiz["ObjDet-Cap-Aug"][BlurLevel.MB3] == 6.8
+        assert vizwiz["No-Aug"][BlurLevel.MB3] == 224
+        assert vizwiz["ObjDet-Cap-Aug"][BlurLevel.MB3] == 68
 
     def test_mb0_delta_is_zero(self):
         deltas = degradation_deltas(COCO_TABLE)
         assert list(deltas) == list(COCO_TABLE)
         for by_level in deltas.values():
-            assert list(by_level) == LEVELS and by_level[BlurLevel.MB0] == 0.0
+            assert list(by_level) == LEVELS and by_level[BlurLevel.MB0] == 0
+            assert all(type(delta) is int for delta in by_level.values())
 
     def test_flat_row_all_zero(self):
         table = {"X": row(50.0, 50.0, 50.0, 50.0)}
-        assert degradation_deltas(table) == {"X": dict.fromkeys(LEVELS, 0.0)}
+        assert degradation_deltas(table) == {"X": dict.fromkeys(LEVELS, 0)}
 
     def test_anti_monotone_in_scores(self):
         lower = degradation_deltas({"X": row(100.0, 90.0, 80.0, 40.0)})
@@ -100,7 +107,7 @@ class TestDegradationDeltas:
     def test_deltas_use_rendered_precision(self):
         # raw floats that round to 117.1 and 48.4 give exactly 68.7
         table = {"X": row(117.1049, 111.4, 95.0, 48.3951)}
-        assert degradation_deltas(table)["X"][BlurLevel.MB3] == 68.7
+        assert degradation_deltas(table)["X"][BlurLevel.MB3] == 687
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     @example(-0.0)
@@ -117,6 +124,41 @@ class TestDegradationDeltas:
             context.traps[Inexact] = True
             expected = int(Decimal(f"{value:.1f}") * 10)
         assert report._tenths(value) == expected
+
+    @given(st.lists(st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(2**53 / 10 - 4, 2**53 / 10 + 4).flatmap(
+            lambda v: st.sampled_from([v, -v])),
+        st.sampled_from([1.7e308, -1.7e308, sys.float_info.max,
+                         -sys.float_info.max, 5e-324, -0.0])),
+        min_size=4, max_size=4), min_size=1, max_size=3))
+    @example([[1.7e308, 0.0, 0.0, -1.7e308]])
+    @example([[2**53 / 10, 0.05, -2**53 / 10, 5e-324]])
+    @settings(max_examples=60, deadline=None)
+    def test_report_deltas_are_exact_for_any_finite_scores(self, rows):
+        """`report` exits 0, and each delta it writes is the exact decimal
+        difference of the MB0 and level scores that `score_table.csv`
+        holds."""
+        text = "technique,level,score\n" + "".join(
+            f"T{k},{level.name},{score!r}\n" for k, scores in enumerate(rows)
+            for level, score in zip(LEVELS, scores))
+        with tempfile.TemporaryDirectory() as tmp:
+            scores_csv, out = Path(tmp, "scores.csv"), Path(tmp, "out")
+            scores_csv.write_text(text)
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(["--out", str(out), "report", str(scores_csv),
+                             str(DATA_DIR / "toy_feature_counts.csv")])
+            assert code == 0
+            tables = [list(csv.reader((out / name).read_text().splitlines()[2:]))
+                      for name in ("score_table.csv", "degradation.csv")]
+        rendered = {(t, level): Decimal(value) for t, level, value in tables[0]}
+        assert len(tables[1]) == 4 * len(rows)
+        with localcontext() as context:
+            context.prec = 400
+            context.traps[Inexact] = True
+            for technique, level, delta in tables[1]:
+                assert Decimal(delta) == (rendered[technique, "MB0"]
+                                          - rendered[technique, level])
 
     def test_missing_level_rejected(self):
         """No table without every level reaches the deltas; the error names
@@ -251,6 +293,14 @@ class TestRendering:
         text = render_deltas(degradation_deltas(COCO_TABLE), "csv")
         assert "No-Aug,MB3,68.7" in text
         assert "ObjDet-Cap-Aug,MB3,11.7" in text
+        # every digit of the integer tenths, a very long negative included
+        deltas = {"X": dict(zip(LEVELS, (0, -3, 5, -(10**40 + 7))))}
+        assert render_deltas(deltas, "csv").splitlines()[1:] == [
+            "X,MB0,0.0", "X,MB1,-0.3", "X,MB2,0.5",
+            "X,MB3,-1000000000000000000000000000000000000000.7"]
+        assert render_deltas(deltas, "markdown").splitlines()[2] == (
+            "| X | 0.0 | -0.3 | 0.5 | "
+            "-1000000000000000000000000000000000000000.7 |")
 
     @given(names=st.lists(st.text(), min_size=1, max_size=4, unique=True))
     @settings(max_examples=150, deadline=None)
