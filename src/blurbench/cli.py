@@ -15,20 +15,20 @@ scale) is one ``_SETTINGS`` entry, its converter and default; its flag is
 (--config, flat ``name = value`` lines) > BLURBENCH_SEED (seed only) >
 default, and all text goes through the converter, whichever one wins: a
 bad flag is a usage error (exit 2), a bad config or environment value one
-``error:`` line (exit 1), as is an unknown or repeated config key. Text
-out of range (a ``seed`` outside [0, 2**64), an empty ``out``, a
-``bin_width`` below 1, a metric setting ``CiderConfig`` rejects) is bad
-text. Every ``cmd_*`` reads the resolved settings from ``args``; the
-seed is echoed in every output header; all files are written atomically,
-each with the mode ``open(path, "w")`` gives a new file (0666 less the
-umask), also where it replaces an existing file.
+``error:`` line naming its setting and source (exit 1), as is an unknown
+or repeated config key. Text out of range (a ``seed`` outside [0, 2**64),
+an empty ``out``, a ``bin_width`` below 1, a metric setting
+``CiderConfig`` rejects) is bad text. Every ``cmd_*`` reads the resolved
+settings from ``args``; the seed is echoed in every output header; all
+files are written atomically, each with the mode ``open(path, "w")`` gives
+a new file (0666 less the umask), also where it replaces an existing file.
 
 ``plan`` of a keys file that holds no key (only blank lines, or only a
 byte order mark) is one ``error:`` line, and nothing is written.
 
-``blur`` on a directory skips files named like its own outputs
-(``<stem>.MB0``..``<stem>.MB3`` plus the extension), so rerunning it with
-``--out`` set to the input directory writes the same files again.
+``blur`` on a directory skips subdirectories and files named like its own
+outputs (``<stem>.MB0``..``<stem>.MB3`` plus the extension), so rerunning
+it with ``--out`` set to the input directory writes the same files again.
 
 ``score`` writes one row per blur level, scored with idf from the whole
 split, and with ``--flags`` one MB0 row per flag subset, scored with idf
@@ -152,12 +152,17 @@ def _resolve_config(args: argparse.Namespace) -> None:
     if unknown:
         raise ValueError(f"unknown config key(s) in {_shown(args.config)}: "
                          f"{', '.join(unknown)}")
-    env_values = {"seed": os.environ.get(SEED_ENV_VAR) or None}
+    texts = {name: [(f"{name} in {_shown(args.config)}", text)]
+             for name, text in file_values.items()}
+    if env_seed := os.environ.get(SEED_ENV_VAR):
+        texts.setdefault("seed", []).append((SEED_ENV_VAR, env_seed))
     for name, (convert, default) in _SETTINGS.items():
-        # every text given is checked, also where a flag overrides it
-        values = [convert(text) for text in (file_values.get(name),
-                                             env_values.get(name))
-                  if text is not None]
+        values = []
+        for source, text in texts.get(name, ()):
+            try:  # every text given is checked, also where a flag overrides it
+                values.append(convert(text))
+            except ValueError as exc:
+                raise ValueError(f"{source}: {exc}") from None
         value = getattr(args, name, None)
         if value is None:
             value = values[0] if values else default
@@ -174,7 +179,7 @@ def cmd_blur(args: argparse.Namespace) -> int:
         outputs = tuple(f".{level.name}" for level in BlurLevel)
         files = sorted(p for p in args.input.iterdir()
                        if p.suffix.lower() in (".pgm", ".ppm")
-                       and not p.stem.endswith(outputs))
+                       and not p.stem.endswith(outputs) and not p.is_dir())
     elif args.input.exists():
         files = [args.input]
     else:

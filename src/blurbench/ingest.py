@@ -13,15 +13,17 @@ Formats handled:
 * blur-flag CSV: header ``image_id,flag`` with flag in {with_blur, no_blur},
   parsed into a plain ``{image_id: BlurFlag}`` dict
 
-Image ids are opaque strings throughout (integer ids are stringified), so
-one code path serves datasets that key images by number and by filename.
-Any other JSON id (null, a bool, a float, a list or an object) is a
-`ValueError` naming its record. Captions, blur levels, file names and
-the optional split name must be JSON strings; captions are kept verbatim
-(tokenization happens in the metric, not here), while file names and the
-split name are checked and dropped, since scoring needs only each image's
-references. Every CSV, read or written, goes through `read_csv` and
-`write_csv`, which hold the one CSV dialect of the package. `read_csv`
+One accessor, `_field`, reads every field of every JSON record: a JSON
+object holding each of its fields. Image ids are opaque strings (integer
+ids are stringified), so one code path serves datasets that key images by
+number and by filename. A record that is not an object, lacks a field or
+whose id is of another type (null, a bool, a float, a list or an object)
+is a `ValueError` naming it and what is wrong. Captions, blur levels, file
+names and the optional split name must be JSON strings; captions are kept
+verbatim (tokenization happens in the metric, not here), while file names
+and the split name are checked and dropped, since scoring needs only each
+image's references. Every CSV, read or written, goes through `read_csv`
+and `write_csv`, which hold the one CSV dialect of the package. `read_csv`
 returns a table as columns, one list per header field, filled a few
 hundred rows at a time. `parse_feature_counts` checks whole columns at
 once and goes row by row only to raise the first bad row's error.
@@ -81,22 +83,20 @@ def parse_level(token: str) -> BlurLevel:
         raise ValueError(f"unknown blur level {token!r}") from None
 
 
-def _image_id(item, key: str, kind: str) -> str:
-    """`item[key]` as an image id string; ids are JSON strings or integers."""
-    value = item[key]
-    if isinstance(value, str) or (
-            isinstance(value, int) and not isinstance(value, bool)):
-        return str(value)
-    raise ValueError(f"bad {kind} record {item!r}: "
-                     f"{key} must be a string or an integer")
-
-
-def _string(item, key: str, kind: str) -> str:
-    """`item[key]`, which must be a JSON string."""
-    value = item[key]
-    if isinstance(value, str):
+def _field(item, key: str, kind: str, ids: bool = False) -> str:
+    """`item[key]` of a JSON record: a JSON string, or with `ids` a JSON
+    string or integer, given as its decimal text."""
+    if not isinstance(item, dict):
+        problem = "not an object"
+    elif key not in item:
+        problem = f"no {key}"
+    elif isinstance(value := item[key], str):
         return value
-    raise ValueError(f"bad {kind} record {item!r}: {key} must be a string")
+    elif ids and isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    else:
+        problem = f"{key} must be a string{' or an integer' if ids else ''}"
+    raise ValueError(f"bad {kind} record {item!r}: {problem}")
 
 
 def _load_json(document: bytes):
@@ -117,19 +117,13 @@ def parse_captions(document: bytes) -> Split:
         raise ValueError("caption document needs 'images' and 'annotations' lists")
     split: Split = {}
     for item in doc["images"]:
-        try:
-            image_id = _image_id(item, "id", "image")
-            _string(item, "file_name", "image")
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"bad image record {item!r}") from exc
+        image_id = _field(item, "id", "image", ids=True)
+        _field(item, "file_name", "image")
         split[image_id] = []
     unknown = set()
     for item in doc["annotations"]:
-        try:
-            image_id = _image_id(item, "image_id", "annotation")
-            caption = _string(item, "caption", "annotation")
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"bad annotation record {item!r}") from exc
+        image_id = _field(item, "image_id", "annotation", ids=True)
+        caption = _field(item, "caption", "annotation")
         references = split.get(image_id)
         if references is None:
             unknown.add(image_id)
@@ -160,12 +154,9 @@ def parse_predictions(document: bytes) -> dict[tuple[str, BlurLevel], str]:
         raise ValueError("prediction document must be a JSON array")
     candidates: dict[tuple[str, BlurLevel], str] = {}
     for item in doc:
-        try:
-            image_id = _image_id(item, "image_id", "prediction")
-            level = parse_level(_string(item, "blur_level", "prediction"))
-            caption = _string(item, "caption", "prediction")
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"bad prediction record {item!r}") from exc
+        image_id = _field(item, "image_id", "prediction", ids=True)
+        level = parse_level(_field(item, "blur_level", "prediction"))
+        caption = _field(item, "caption", "prediction")
         pair = (image_id, level)
         if pair in candidates:
             raise ValueError(

@@ -99,13 +99,17 @@ def parse_scores_csv(text: str) -> Scores:
     """Read `technique,level,score` rows into a score table.
 
     The text is read by `ingest.read_csv`. A level may also be a `BlurFlag`
-    value, for the MB0 score of that flag subset. Known techniques come
-    out in canonical order, everything else in first-appearance order.
+    value, for the MB0 score of that flag subset; a score is ASCII text,
+    no `_` or outer whitespace, that `float` reads as a finite number.
+    Known techniques come out in canonical order, others as they appear.
     """
     table: Scores = {}
     for raw in map(list, zip(*read_csv(text, SCORES_HEADER))):
         technique, level_token, score_token = raw
-        try:
+        try:  # float() alone also reads `1_0`, ` 9` and `٨`
+            if (not score_token.isascii() or "_" in score_token
+                    or score_token != score_token.strip()):
+                raise ValueError
             score = float(score_token)
         except ValueError:
             raise ValueError(f"bad score {score_token!r}") from None

@@ -126,6 +126,23 @@ class TestBlurCommand:
                    "MB0") == 0
         assert [p.name for p in out.iterdir()] == ["pic.MB1.MB0.ppm"]
 
+    def test_subdirectory_named_like_raster_skipped(self, tmp_path, capsys):
+        """A subdirectory named like a raster holds none and is left out;
+        a dangling symlink named like one is read and fails."""
+        src = tmp_path / "in"
+        (src / "sub.ppm").mkdir(parents=True)
+        (src / "pic.ppm").write_bytes(save_image(random_image(
+            np.random.default_rng(6), 48, 16, 3)))
+        out = tmp_path / "out"
+        assert run("--out", out, "blur", src) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"pic.{level.name}.ppm" for level in BlurLevel]
+        assert capsys.readouterr().err == ""
+        (src / "gone.pgm").symlink_to(tmp_path / "absent.pgm")
+        assert run("--out", out, "blur", src) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {src}/gone.pgm: [Errno 2] No such file or directory")
+
     def test_unknown_level_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             run("blur", tmp_path, "--levels", "MB8")
@@ -393,8 +410,8 @@ class TestScoreCommand:
                                              flag, value):
         """An out-of-range metric setting, or one that would write a NaN or
         inf score, fails before any input is read: a usage error as a
-        flag, one `error:` line from a config file, also for `plan`, which
-        does not read it."""
+        flag, one `error:` line naming the key and file from a config file,
+        also for `plan`, which does not read it."""
         name = flag[2:].replace("-", "_")
         rule = {"0": "max_n must be >= 1",
                 "1e-320": "sigma is too small: 2 * sigma**2 underflows to 0",
@@ -410,7 +427,8 @@ class TestScoreCommand:
         config.write_text(f"{name} = {value}\n")
         for argv in (["score", *missing], ["plan", tmp_path / "no_keys.txt"]):
             assert run("--config", config, "--out", out, *argv) == 1
-            assert capsys.readouterr() == ("", f"error: {rule}\n")
+            assert capsys.readouterr() == (
+                "", f"error: {name} in {config}: {rule}\n")
         assert not out.exists()
 
     def test_tiny_sigma_scores_finite_silently(self, tmp_path, data_dir,
@@ -781,6 +799,20 @@ class TestReportCommand:
         assert len(err) == 1 and err[0].startswith(f"error: bad CSV on line {line}:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["1_0.5", " 9", "9\t", "\u0668"])
+    def test_score_not_plain_ascii_fails_before_writing(
+            self, tmp_path, data_dir, capsys, value):
+        """`float` alone reads each of these; a score is ASCII text with no
+        `_` and no whitespace around it."""
+        scores, features = self.write_inputs(tmp_path, data_dir)
+        scores.write_text(scores.read_text().replace("Cap-Aug,MB2,46.9",
+                                                     f"Cap-Aug,MB2,{value}"))
+        out = tmp_path / "out"
+        assert run("--out", out, "report", scores, features) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: bad score {value!r}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_score_fails_before_writing(self, tmp_path, data_dir,
                                                    capsys, value):
@@ -875,7 +907,8 @@ class TestReportCommand:
         out = tmp_path / "out"
         missing = [tmp_path / "no_scores.csv", tmp_path / "no_features.csv"]
         assert run("--config", config, "--out", out, "report", *missing) == 1
-        assert capsys.readouterr().err == "error: bin_width must be >= 1\n"
+        assert capsys.readouterr().err == (
+            f"error: bin_width in {config}: bin_width must be >= 1\n")
         assert not out.exists()
 
     def test_repeated_feature_row_rejected(self, tmp_path, data_dir, capsys):
@@ -1066,6 +1099,29 @@ class TestConfigFile:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "'x'" in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("source,error", [
+        ("config", "bin_width in c.cfg: invalid literal for int() with base "
+                   "10: 'x'"),
+        ("env", "BLURBENCH_SEED: invalid literal for int() with base 10: "
+                "'abc'"),
+    ])
+    def test_bad_text_names_setting_and_source(self, tmp_path, monkeypatch,
+                                               capsys, source, error):
+        """A bad config value names its key and file, a bad environment
+        value its variable, as a bad flag names the flag."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("BLURBENCH_SEED", raising=False)
+        (tmp_path / "keys.txt").write_text("a\n")
+        argv = ["--out", "out", "plan", "keys.txt"]
+        if source == "config":
+            (tmp_path / "c.cfg").write_text("bin_width = x\n")
+            argv = ["--config", "c.cfg", *argv]
+        else:
+            monkeypatch.setenv("BLURBENCH_SEED", "abc")
+        assert run(*argv) == 1
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_env_seed_checked_like_flag(self, tmp_path, monkeypatch, capsys):
         keys = tmp_path / "keys.txt"

@@ -58,6 +58,35 @@ def test_non_string_text_rejected(parse, record, key, value):
     assert repr(item) in str(excinfo.value)
 
 
+#: kind of JSON record -> a record of that kind that parses
+GOOD_RECORDS = {
+    "image": {"id": "im0", "file_name": "im0.jpg"},
+    "annotation": {"image_id": "im0", "caption": "caption 0 for image 0"},
+    "prediction": {"image_id": "im0", "blur_level": "MB0", "caption": "a dog"},
+}
+
+
+@pytest.mark.parametrize("kind,record,problem", [
+    *(pytest.param(kind, record, "not an object",
+                   id=f"{kind}-{json.dumps(record)}")
+      for kind in GOOD_RECORDS for record in (None, 1, "x", [])),
+    *(pytest.param(kind, {k: v for k, v in good.items() if k != key},
+                   f"no {key}", id=f"{kind}-no-{key}")
+      for kind, good in GOOD_RECORDS.items() for key in good),
+])
+def test_record_not_object_or_missing_key_named(kind, record, problem):
+    """A record of each kind must be a JSON object holding every field of
+    its kind; the error names the record and what is wrong with it."""
+    if kind == "prediction":
+        parse, doc = parse_predictions, [record]
+    else:
+        parse, doc = parse_captions, json.loads(caption_doc(1))
+        doc["images" if kind == "image" else "annotations"][0] = record
+    with pytest.raises(ValueError) as info:
+        parse(json.dumps(doc).encode())
+    assert str(info.value) == f"bad {kind} record {record!r}: {problem}"
+
+
 class TestParseCaptions:
     def test_single_image_five_captions(self):
         ds = parse_captions(caption_doc(1, captions_per_image=5))
@@ -122,7 +151,7 @@ class TestParseCaptions:
 
     @pytest.mark.parametrize("doc,error", [
         ({"images": [{"id": "a"}], "annotations": [{"image_id": 1.5}]},
-         "bad image record {'id': 'a'}"),
+         "bad image record {'id': 'a'}: no file_name"),
         ({"images": [{"id": "a", "file_name": "a"}],
           "annotations": [{"image_id": 1.5}], "split": 3},
          "bad annotation record {'image_id': 1.5}: image_id must be a "

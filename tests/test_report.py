@@ -400,6 +400,14 @@ class TestParseScoresCsv:
         with pytest.raises(ValueError, match="bad CSV on line 1:"):
             parse_scores_csv(scores_text("No-Aug").replace("\n", "\r"))
 
+    @pytest.mark.parametrize("token,score", [
+        ("1e2", 100.0), ("+3.5", 3.5), (".5", 0.5), ("-0.0", -0.0),
+        ("117.41234567890123", 117.41234567890123)])
+    def test_plain_ascii_score_read(self, token, score):
+        table = parse_scores_csv(scores_text("X").replace("MB0,1.0",
+                                                          f"MB0,{token}"))
+        assert table["X"][BlurLevel.MB0] == score
+
     def test_bad_score_rejected(self):
         text = "technique,level,score\nNo-Aug,MB0,lots\n"
         with pytest.raises(ValueError, match="bad score"):
