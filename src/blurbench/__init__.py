@@ -25,6 +25,13 @@ def _lazy_import(name: str):
     return sys.modules[name]
 
 
+def _error_text(exc: Exception) -> str:
+    """`exc`'s text for an error line: Python's integer digit limit is
+    named, but not the call that lifts it."""
+    return str(exc).removesuffix(
+        "; use sys.set_int_max_str_digits() to increase the limit")
+
+
 def _id_list(ids: list) -> str:
     """`ids` for an error line: the list, past 5 ids cut to 5 and a count."""
     return repr(ids) if len(ids) <= 5 else f"{ids[:5]!r} and {len(ids) - 5} more"

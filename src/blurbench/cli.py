@@ -51,10 +51,12 @@ from contextlib import suppress
 from functools import cache
 from pathlib import Path
 
+from . import _error_text
 from .cider import CiderConfig, build_idf, check_coverage, corpus_cider_d
 from .imaging import BlurLevel, apply_blur, load_image, make_kernel, save_image
 from .ingest import (
     BlurFlag,
+    decode_text,
     filter_by_blur_flag,
     parse_blur_flags,
     parse_captions,
@@ -131,7 +133,7 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 def _load_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    for raw in path.read_bytes().decode("utf-8-sig").split("\n"):
+    for raw in decode_text(path.read_bytes()).split("\n"):
         line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
@@ -162,7 +164,7 @@ def _resolve_config(args: argparse.Namespace) -> None:
             try:  # every text given is checked, also where a flag overrides it
                 values.append(convert(text))
             except ValueError as exc:
-                raise ValueError(f"{source}: {exc}") from None
+                raise ValueError(f"{source}: {_error_text(exc)}") from None
         value = getattr(args, name, None)
         if value is None:
             value = values[0] if values else default
@@ -218,7 +220,7 @@ def cmd_blur(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    lines = args.keys.read_bytes().decode("utf-8-sig").split("\n")
+    lines = decode_text(args.keys.read_bytes()).split("\n")
     keys = list(filter(None, map(str.strip, lines)))
     if not keys:
         raise ValueError(f"no keys in {_shown(args.keys)}")
@@ -281,7 +283,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    table = parse_scores_csv(args.scores.read_bytes().decode("utf-8-sig"))
+    table = parse_scores_csv(decode_text(args.scores.read_bytes()))
     for warning in degradation_warnings(table):
         print(f"warning: {warning}", file=sys.stderr)
     deltas = degradation_deltas(table)
@@ -332,7 +334,7 @@ def _usage_errors(convert):
         try:
             return convert(text)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+            raise argparse.ArgumentTypeError(_error_text(exc)) from None
     return flag_type
 
 

@@ -22,7 +22,9 @@ is a `ValueError` naming it and what is wrong. Captions, blur levels, file
 names and the optional split name must be JSON strings; captions are kept
 verbatim (tokenization happens in the metric, not here), while file names
 and the split name are checked and dropped, since scoring needs only each
-image's references. Every CSV, read or written, goes through `read_csv`
+image's references. Every input is decoded by `decode_text`: strict
+UTF-8, a leading byte order mark dropped, a byte that is not UTF-8 named
+by its line. Every CSV, read or written, goes through `read_csv`
 and `write_csv`, which hold the one CSV dialect of the package. `read_csv`
 returns a table as columns, one list per header field, filled a few
 hundred rows at a time. `parse_feature_counts` checks whole columns at
@@ -38,7 +40,7 @@ from enum import Enum
 from itertools import compress, islice
 from types import SimpleNamespace
 
-from . import _id_list
+from . import _error_text, _id_list
 from .imaging import LEVEL_BY_NAME, BlurLevel
 
 
@@ -99,11 +101,24 @@ def _field(item, key: str, kind: str, ids: bool = False) -> str:
     raise ValueError(f"bad {kind} record {item!r}: {problem}")
 
 
-def _load_json(document: bytes):
+def decode_text(document: bytes) -> str:
+    """`document` as strict UTF-8, a leading byte order mark dropped; a
+    byte that is not UTF-8 is a ValueError naming its 1-based line."""
     try:
-        return json.loads(document.decode("utf-8-sig"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"malformed JSON: {exc}") from exc
+        return document.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # `exc.object` is the text past a BOM
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        byte = exc.object[exc.start]
+        raise ValueError(f"not UTF-8 on line {line}: byte 0x{byte:02x}, "
+                         f"{exc.reason}") from None
+
+
+def _load_json(document: bytes):
+    text = decode_text(document)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # Python's digit limit too
+        raise ValueError(f"malformed JSON: {_error_text(exc)}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +244,7 @@ def _count(token: str) -> int | None:
 
 
 def parse_feature_counts(document: bytes) -> FeatureCounts:
-    columns = read_csv(document.decode("utf-8-sig"), _FEATURE_COUNTS)
+    columns = read_csv(decode_text(document), _FEATURE_COUNTS)
     image_ids, level_tokens, count_tokens = columns
     value_of = {token: _count(token) for token in set(count_tokens)}
     if (all(value is not None and value >= 0 for value in value_of.values())
@@ -267,7 +282,7 @@ def _raise_first_bad_row(image_ids: list[str], level_tokens: list[str],
 def parse_blur_flags(document: bytes) -> dict[str, BlurFlag]:
     flags: dict[str, BlurFlag] = {}
     for image_id, flag_token in zip(
-            *read_csv(document.decode("utf-8-sig"), _BLUR_FLAGS)):
+            *read_csv(decode_text(document), _BLUR_FLAGS)):
         flag = FLAG_BY_VALUE.get(flag_token)
         if flag is None:
             raise ValueError(f"unknown blur flag {flag_token!r}")

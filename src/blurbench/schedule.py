@@ -30,7 +30,11 @@ A manifest is JSON lines: a header object, then per key, in ascending
 `str` order, one detector entry and then one captioner entry; in memory,
 that key grid. `read_manifest` reads only text `write_manifest` could
 have written, a `\r` before each `\n` allowed and a key spelt as any
-JSON string UTF-8 can encode (read by `json.decoder.scanstring`).
+JSON string UTF-8 can encode. Text that is exactly `write_manifest`'s
+output is read in bulk (the keys sliced out and decoded by one
+`json.loads`, the grid checked and written back to compare); any other
+text, CRLF included, takes the line reader (`json.decoder.scanstring` per
+key), which gives the same grid or names the line of the error.
 """
 
 from __future__ import annotations
@@ -45,9 +49,9 @@ from functools import partial
 from itertools import accumulate, chain, islice
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
-from operator import eq, ge, index
+from operator import eq, ge, index, itemgetter
 
-from . import _id_list
+from . import _error_text, _id_list
 from .imaging import BlurLevel
 
 _SUM_TOLERANCE = 1e-9
@@ -239,6 +243,10 @@ _TAIL_HEADS = tuple(tuple(tail + _ENTRY_HEAD for tail in tails)
 _TAIL_ENTRY = {tail[:-1] + end: (stage, level)
                for stage, tails in enumerate(_ENTRY_TAILS)
                for level, tail in enumerate(tails) for end in ("", "\r")}
+#: Where a detector line's key JSON sits, between its head and its tail.
+_DETECTOR_KEY = slice(len(_ENTRY_HEAD), 1 - len(_ENTRY_TAILS[0][0]))
+#: Level digits `0`..`3` to the level values.
+_LEVEL_DIGITS = bytes.maketrans(b"0123", b"\0\1\2\3")
 
 
 def _header_line(seed: int, plan: TechniquePlan) -> str:
@@ -268,6 +276,32 @@ def write_manifest(manifest: AugmentationManifest) -> str:
     return "".join(parts)
 
 
+def _in_layout(runs, levels: bytes, massed: list[bytes]) -> bool:
+    """Whether keys `runs` ascend strictly, each stage's `levels` with mass."""
+    width = len(_STAGES)
+    return not (any(map(ge, runs, runs[1:]))
+                or any(levels[stage::width].translate(None, massed[stage])
+                       for stage in range(width)))
+
+
+def _sliced_grid(lines: list[str], massed: list[bytes]):
+    """The keys and levels of a manifest's lines, sliced from where
+    `write_manifest` puts them, if they pass the column checks; None if
+    not, or if a slice does not decode or a line is too short."""
+    try:
+        runs = json.loads("[" + ",".join(map(
+            itemgetter(_DETECTOR_KEY), islice(lines, 1, None, 2))) + "]")
+        levels = "".join(map(itemgetter(-3), islice(lines, 1, None))).encode(
+            "ascii").translate(_LEVEL_DIGITS)  # the digit of `"MBd"}`
+        "".join(runs).encode("utf-8")  # as `plan_dataset` encodes each key
+        if (len(levels) == len(_STAGES) * len(runs)
+                and _in_layout(runs, levels, massed)):
+            return tuple(runs), levels
+    except (IndexError, TypeError, ValueError, RecursionError):
+        pass  # not the writer's text
+    return None
+
+
 def read_manifest(text: str) -> AugmentationManifest:
     """Parse `write_manifest` output; errors name the 1-based line, and a
     line that does not parse comes before any out of the layout."""
@@ -284,7 +318,17 @@ def read_manifest(text: str) -> AugmentationManifest:
             raise ValueError(f"not the header plan writes for technique "
                              f"{plan.name.value} and seed {seed}")
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise ValueError(f"bad manifest header on line 1: {exc}") from exc
+        raise ValueError(
+            f"bad manifest header on line 1: {_error_text(exc)}") from exc
+    massed = [bytes(level for level, mass in enumerate(
+        plan.schedule_for(stage).probs) if mass) for stage in _STAGES]
+    if "\r" not in text and len(lines) % 2 and (
+            grid := _sliced_grid(lines, massed)):
+        del lines  # not held while the grid is written back
+        manifest = AugmentationManifest(seed, plan, *grid)
+        if write_manifest(manifest) == text:
+            return manifest
+        lines = text.split("\n")[:-1]
     keys, stages, levels = [], bytearray(), bytearray()
     head = _ENTRY_HEAD + '"'
     for number, line in enumerate(islice(lines, 1, None), 2):
@@ -302,13 +346,9 @@ def read_manifest(text: str) -> AugmentationManifest:
         levels.append(level)
     width = len(_STAGES)
     runs = keys[::width]
-    massed = [bytes(level for level, mass in enumerate(
-        plan.schedule_for(stage).probs) if mass) for stage in _STAGES]
     if (stages != bytes(range(width)) * len(runs)
             or any(keys[stage::width] != runs for stage in range(1, width))
-            or any(map(ge, runs, runs[1:]))
-            or any(levels[stage::width].translate(None, massed[stage])
-                   for stage in range(width))):
+            or not _in_layout(runs, levels, massed)):
         for index, (key, stage, level) in enumerate(zip(keys, stages, levels)):
             if (stage != index % width or key != keys[index - stage]
                     or not stage and index and key <= keys[index - width]

@@ -1206,6 +1206,78 @@ def test_a_level_name_reads_alike_from_every_input(tmp_path, capsys, source,
         f"error: bad prediction record {record!r}: blur_level must be a string"]
 
 
+#: file kind -> (its valid input, the argv that reads it with the others)
+UTF8_INPUTS = {
+    "keys": ("toy_keys.txt", ["plan", "keys"]),
+    "config": (None, ["--config", "config", "plan", "keys"]),
+    "scores": ("score_golden/toy_flags_scores.csv",
+               ["report", "scores", "features", "--flags", "flags"]),
+    "features": ("toy_feature_counts.csv",
+                 ["report", "scores", "features", "--flags", "flags"]),
+    "flags": ("toy_flags.csv",
+              ["report", "scores", "features", "--flags", "flags"]),
+    "captions": ("toy_captions.json", ["score", "captions", "predictions"]),
+    "predictions": ("toy_predictions.json",
+                    ["score", "captions", "predictions"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UTF8_INPUTS))
+def test_input_not_utf8_names_its_line(tmp_path, data_dir, capsys, kind):
+    """A byte that is not UTF-8, here the first of line 2, is one error
+    line naming that line, in every file kind; nothing is written."""
+    argv = []
+    for arg in UTF8_INPUTS[kind][1]:
+        if arg in UTF8_INPUTS:
+            name = UTF8_INPUTS[arg][0]
+            document = (data_dir / name).read_bytes() if name else (
+                b"# settings\nseed = 7\n")
+            if arg == kind:
+                document = document.replace(b"\n", b"\n\xff", 1)
+            arg = tmp_path / arg
+            arg.write_bytes(document)
+        argv.append(arg)
+    assert run("--out", tmp_path / "out", *argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: not UTF-8 on line 2: byte 0xff, invalid start byte"]
+    assert not (tmp_path / "out").exists()
+
+
+#: One digit past the longest integer text Python reads by default.
+LONG_DIGITS = "9" * 5001
+
+
+@pytest.mark.parametrize("source", ["predictions", "config", "flag"])
+def test_integer_past_the_digit_limit_named_without_a_python_call(
+        tmp_path, capsys, source):
+    """An integer longer than Python reads from text, as a prediction's
+    image id, a config seed or a `--seed` flag, is one error line that
+    names the limit but not the Python call that lifts it."""
+    dataset, preds = write_corpus(tmp_path, TINY_REFS, {})
+    keys, config = tmp_path / "keys.txt", tmp_path / "c.cfg"
+    keys.write_text("a\n")
+    config.write_text(f"seed = {LONG_DIGITS}\n")
+    preds.write_text(f'[{{"image_id": {LONG_DIGITS}, "blur_level": "MB0", '
+                     '"caption": "a dog"}]')
+    argv = {"predictions": ["score", dataset, preds],
+            "config": ["--config", config, "plan", keys],
+            "flag": ["--seed", LONG_DIGITS, "plan", keys]}[source]
+    if source == "flag":
+        with pytest.raises(SystemExit) as excinfo:
+            run("--out", tmp_path / "out", *argv)
+        assert excinfo.value.code == 2
+        line = capsys.readouterr().err.splitlines()[-1]
+    else:
+        assert run("--out", tmp_path / "out", *argv) == 1
+        [line] = capsys.readouterr().err.splitlines()
+    prefix = {"predictions": "error: malformed JSON: ",
+              "config": f"error: seed in {config}: ",
+              "flag": "blurbench: error: argument --seed: "}[source]
+    assert line.startswith(prefix + "Exceeds the limit (4300")
+    assert line.endswith("value has 5001 digits") and "sys." not in line
+    assert not (tmp_path / "out").exists()
+
+
 def test_paths_not_utf8_printed_under_strict_stdout(tmp_path, data_dir):
     """With a strict UTF-8 stdout, every path a command prints shows a
     byte that is not UTF-8 as a `\\xNN` escape, and `blur` goes on to the

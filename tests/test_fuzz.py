@@ -8,11 +8,13 @@ JSON and netpbm treat specially. The same mutations, fed to whole
 commands, must end in exit 0 or in one last `error:` line; `blur`, which
 fails one raster at a time, must name only the mutated raster and still
 write the intact one's variants. A manifest, mutated line by line too,
-reads the same through `read_manifest`, which reads each line with
-`scanstring` and one table and checks the layout over its columns, as
-through a reference reader that matches each line on its own against the
-text `plan` writes, with `json.loads` for the header and each key; and `write_manifest`, which writes a manifest from
-its key grid, writes it as `json.dumps` of one record per line does. A
+reads the same through `read_manifest`, which reads the writer's own text
+in bulk and any other text one line at a time with `scanstring` and one
+table, checking the layout over its columns, as through a reference
+reader that matches each line on its own against the text `plan` writes,
+with `json.loads` for the header and each key; and `write_manifest`,
+which writes a manifest from its key grid, writes it as `json.dumps` of
+one record per line does. A
 feature-count or blur-flag table with mutated rows gives the same value
 or error as a reference parser that reads the whole table and then
 checks it row by row.
@@ -24,6 +26,7 @@ import io
 import json
 import re
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -39,6 +42,7 @@ from blurbench.imaging import load_image, save_image
 import blurbench.ingest as ingest_mod
 from blurbench.ingest import (
     BlurFlag,
+    decode_text,
     parse_blur_flags,
     parse_captions,
     parse_feature_counts,
@@ -412,6 +416,86 @@ def test_planned_odd_keys_read_back_with_lf_or_crlf(line_end):
         assert read_manifest(text) == manifest
 
 
+def _no_scanstring(*args):
+    raise AssertionError("the line reader ran")
+
+
+def test_planned_manifests_read_in_bulk(monkeypatch):
+    """Text `write_manifest` gives reads back without the line reader:
+    ASCII keys, and the odd keys, which the writer escapes."""
+    monkeypatch.setattr(schedule_mod, "scanstring", _no_scanstring)
+    keys = [f"COCO_train2014_{i:012d}" for i in range(0, 3000, 7)]
+    for technique in Technique:
+        manifest = plan_dataset(keys, TechniquePlan(technique), 2)
+        assert read_manifest(write_manifest(manifest)) == manifest
+    test_planned_odd_keys_read_back_with_lf_or_crlf("\n")
+
+
+#: Keys whose JSON string can be spelt otherwise than `plan` spells it:
+#: `A` as `\u0041`, `/` as `\/`, and `\u00e9` and `\u2028` raw.
+_RESPELT_KEYS = ["A1", "a/b", "caf\u00e9", "k", "x\u2028y"]
+_RESPELLINGS = [("A", "\\u0041"), ("/", "\\/"), ("\\u00e9", "\u00e9"),
+                ("\\u2028", "\u2028")]
+#: Text in place of a key's JSON string: no string, an integer past
+#: Python's digit limit, two strings, an unterminated string.
+_NOT_A_KEY = ["1", "9" * 5001, '"a", "b"', '"a\\"']
+
+
+@given(technique=st.sampled_from(Technique), edits=st.lists(st.tuples(
+    st.sampled_from(["swap", "differ", "level", "respell", "replace"]),
+    st.integers(0, 1 << 16), st.integers(0, 1 << 16)), max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_shape_keeping_edits_read_like_line_by_line(technique, edits):
+    """Edits that keep each entry line's head and tail, so that only the
+    bulk read's own checks tell the text from `plan`'s: two lines' keys
+    swapped, a captioner line given another line's key, a level digit set
+    to 0-9, a key respelt or its JSON string replaced. The same manifest
+    or the same error as the line-by-line reader."""
+    header, *body, end = write_manifest(plan_dataset(
+        _RESPELT_KEYS, TechniquePlan(technique), 4)).split("\n")
+    entries = [list(_ENTRY_LINE.fullmatch(line).groups()) for line in body]
+    for op, i, j in edits:
+        entry, other = entries[i % len(entries)], entries[j % len(entries)]
+        if op == "swap":
+            entry[0], other[0] = other[0], entry[0]
+        elif op == "differ":
+            entries[i % len(entries) | 1][0] = other[0]
+        elif op == "level":
+            entry[2] = f"MB{j % 10}"
+        elif op == "respell":
+            entry[0] = entry[0].replace(*_RESPELLINGS[j % len(_RESPELLINGS)])
+        else:
+            entry[0] = _NOT_A_KEY[j % len(_NOT_A_KEY)]
+    text = "\n".join([header, *(
+        f'{{"sample_key": {key}, "stage": "{stage}", "level": "{level}"}}'
+        for key, stage, level in entries), end])
+    assert (_outcome(read_manifest, text)
+            == _outcome(read_manifest_by_line, text))
+
+
+def test_bulk_read_peaks_no_higher_than_the_line_reader(monkeypatch):
+    """The bulk read drops its line list before it writes the grid back,
+    so its tracemalloc peak on a 20 000-key Cap-Aug manifest is no higher
+    than the line reader's on the same text."""
+    keys = [f"COCO_train2014_{i:012d}" for i in range(20_000)]
+    manifest = plan_dataset(keys, technique_plan("Cap-Aug"), 3)
+    text = write_manifest(manifest)
+    peaks = []
+    for name, stub in (("scanstring", _no_scanstring),
+                       ("_sliced_grid", lambda *args: None)):
+        with monkeypatch.context() as patch:
+            patch.setattr(schedule_mod, name, stub)
+            tracemalloc.start()
+            try:
+                got = read_manifest(text)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert got == manifest
+    bulk, by_line = peaks
+    assert bulk <= by_line
+
+
 def write_manifest_by_line(manifest: AugmentationManifest) -> str:
     """The reference writer: `json.dumps` of the header object, then of
     each entry's record, one per line."""
@@ -548,7 +632,7 @@ def feature_counts_by_row(document: bytes):
     level, a count >= 0 and an (image, level) pair not seen before."""
     rows, seen = [], set()
     for image_id, level_token, count_token in read_rows_whole(
-            document.decode("utf-8"), ["image_id", "level", "count"]):
+            decode_text(document), ["image_id", "level", "count"]):
         digits = count_token[1:] if count_token[:1] == "-" else count_token
         try:
             if not (digits.isascii() and digits.isdigit()):
@@ -572,7 +656,7 @@ def feature_counts_by_row(document: bytes):
 def blur_flags_by_row(document: bytes) -> dict[str, BlurFlag]:
     """The reference blur-flag parser: one row at a time."""
     flags = {}
-    for image_id, flag_token in read_rows_whole(document.decode("utf-8"),
+    for image_id, flag_token in read_rows_whole(decode_text(document),
                                                 ["image_id", "flag"]):
         if flag_token not in {flag.value for flag in BlurFlag}:
             raise ValueError(f"unknown blur flag {flag_token!r}")

@@ -87,6 +87,22 @@ def test_record_not_object_or_missing_key_named(kind, record, problem):
     assert str(info.value) == f"bad {kind} record {record!r}: {problem}"
 
 
+@pytest.mark.parametrize("parse,document", [
+    (parse_captions, '{"images": [{"id": %s, "file_name": "a"}], '
+                     '"annotations": []}'),
+    (parse_predictions, '[{"image_id": %s, "blur_level": "MB0", '
+                        '"caption": "a dog"}]'),
+], ids=["captions", "predictions"])
+def test_integer_past_the_digit_limit_is_malformed_json(parse, document):
+    """An integer id longer than Python reads from text is malformed JSON,
+    named by its limit and not by the Python call that lifts it."""
+    with pytest.raises(ValueError) as info:
+        parse((document % ("9" * 5001)).encode())
+    text = str(info.value)
+    assert text.startswith("malformed JSON: Exceeds the limit (4300")
+    assert text.endswith("value has 5001 digits") and "sys." not in text
+
+
 class TestParseCaptions:
     def test_single_image_five_captions(self):
         ds = parse_captions(caption_doc(1, captions_per_image=5))

@@ -497,6 +497,17 @@ class TestManifestSerialization:
                 "for technique Cap-Aug and seed 5") + "$"):
             read_manifest(spelling(json.loads(header)) + "\n" + body)
 
+    def test_seed_past_the_digit_limit_named(self):
+        """A header seed longer than Python reads from text is a header
+        error naming the limit, not the Python call that lifts it."""
+        text = write_manifest(plan_dataset(["a"], technique_plan("No-Aug"), 0))
+        with pytest.raises(ValueError) as info:
+            read_manifest(text.replace('"seed": 0', '"seed": ' + "9" * 5001))
+        error = str(info.value)
+        assert error.startswith(
+            "bad manifest header on line 1: Exceeds the limit (4300")
+        assert error.endswith("value has 5001 digits") and "sys." not in error
+
     def test_missing_final_line_end_rejected(self):
         text = write_manifest(plan_dataset(["a"], technique_plan("No-Aug"), 0))
         for cut in (text[:-1], text.split("\n", 1)[0]):
