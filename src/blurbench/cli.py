@@ -198,15 +198,15 @@ def cmd_blur(args: argparse.Namespace) -> int:
         try:
             img = load_image(path.read_bytes())
         except (OSError, ValueError) as exc:
-            print(f"error: {_shown(path)}: {exc}", file=sys.stderr)
+            print(f"error: {_shown(path)}: {_error_text(exc)}", file=sys.stderr)
             failures += 1
             continue
         for level in args.levels:
             try:
                 variant = apply_blur(img, make_kernel(level))
             except ValueError as exc:
-                print(f"error: {_shown(path)} at {level.name}: {exc}",
-                      file=sys.stderr)
+                print(f"error: {_shown(path)} at {level.name}: "
+                      f"{_error_text(exc)}", file=sys.stderr)
                 failures += 1
                 continue
             target = args.out / f"{path.stem}.{level.name}{path.suffix}"
@@ -403,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
         _resolve_config(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 1
 
 

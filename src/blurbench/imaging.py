@@ -7,9 +7,11 @@ sums by shifted adds in the narrowest dtype that holds them, round-half-up
 on the mean), so results are deterministic across platforms and
 bit-comparable against a naive reference.
 
-An `Image` stores only its samples and a `BlurKernel` only its tap sizes.
-All functions are pure; Image instances are treated as immutable and are
-safe to share across threads.
+A raster is the `uint8` array shaped (height, width, 1 or 3 channels),
+row-major, that `load_image` returns; its MB0 variant is that same array.
+A `BlurKernel` stores only its tap sizes. All functions are pure; no
+function writes to a raster it is given, so rasters are safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -65,31 +67,6 @@ class BlurKernel(namedtuple("BlurKernel", "tap_width tap_height")):
     _make = classmethod(lambda cls, values: cls(*values))  # checks _replace too
 
 
-class Image:
-    """8-bit raster, samples shaped (height, width, channels), row-major."""
-
-    __slots__ = ("samples",)
-
-    def __init__(self, samples: np.ndarray):
-        self.samples = np.asarray(samples)
-        if self.samples.dtype != np.uint8:
-            raise ValueError("samples must be uint8")
-        if self.samples.ndim != 3 or self.channels not in (1, 3):
-            raise ValueError(f"samples shape {self.samples.shape} is not "
-                             "(height, width, 1 or 3 channels)")
-        if self.samples.size == 0:
-            raise ValueError("image dimensions must be positive")
-
-    height = property(lambda self: self.samples.shape[0])
-    width = property(lambda self: self.samples.shape[1])
-    channels = property(lambda self: self.samples.shape[2])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Image):
-            return NotImplemented
-        return np.array_equal(self.samples, other.samples)
-
-
 def make_kernel(level: BlurLevel) -> BlurKernel:
     """Box kernel of a blur level's tap sizes."""
     return BlurKernel(*TAP_SIZES[BlurLevel(level)])
@@ -125,13 +102,13 @@ def _accumulators(kw: int, taps: int) -> tuple[np.dtype, np.dtype]:
             np.min_scalar_type(taps * 255 + taps // 2))
 
 
-def apply_blur(img: Image, kernel: BlurKernel) -> Image:
+def apply_blur(samples: np.ndarray, kernel: BlurKernel) -> np.ndarray:
     """Convolve with a normalized box kernel.
 
     Each output sample is the rounded mean (round-half-up) of the kernel
     window placed so the anchor sits on the output pixel. Borders are
     mirrored without repeating the edge pixel. A 1x1 kernel is the
-    identity and returns `img` itself.
+    identity and returns `samples` itself.
 
     Exact window sums run along rows, then columns, each pass in the
     narrowest unsigned dtype holding its bound: `kw*255` for rows
@@ -151,15 +128,14 @@ def apply_blur(img: Image, kernel: BlurKernel) -> Image:
     """
     kw, kh = kernel.tap_width, kernel.tap_height
     if kw == kh == 1:
-        return img
-    src = img.samples
-    h, w, c = src.shape
+        return samples
+    h, w, c = samples.shape
     if kw > w or kh > h:
         raise ValueError(f"kernel {kw}x{kh} larger than image {w}x{h}")
     ax, ay = kw // 2, kh // 2
     taps = kw * kh
     rows, cols = _accumulators(kw, taps)
-    out = np.empty(src.shape, dtype=np.uint8)
+    out = np.empty(samples.shape, dtype=np.uint8)
     band_rows = max(_BAND_FLOOR * kh, _BAND_BYTES // (w * c))
     bands = max(1, h // band_rows)
     buf = np.empty((-(-h // bands) + kh - 1, w + kw - 1, c), dtype=np.uint8)
@@ -170,7 +146,7 @@ def apply_blur(img: Image, kernel: BlurKernel) -> Image:
         # through a reversed view of its target, so no slice stop is < 0
         n = hi - lo
         band, top, end = buf[:n], max(-lo, 0), n - max(hi - h, 0)
-        part = src[max(lo, 0):min(hi, h)]
+        part = samples[max(lo, 0):min(hi, h)]
         band[top:end, ax:ax + w] = part
         band[top:end, :ax][:, ::-1] = part[:, 1:ax + 1]
         band[top:end, ax + w:][:, ::-1] = part[:, w - kw + ax:w - 1]
@@ -181,7 +157,7 @@ def apply_blur(img: Image, kernel: BlurKernel) -> Image:
         sums = _window_sums(_window_sums(band, kw, 1, rows), kh, 0, cols)
         np.floor_divide(sums + taps // 2, taps, out=out[r0:r1],
                         casting="unsafe")
-    return Image(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +189,9 @@ def _int_token(data: bytes, pos: int) -> tuple[int, int]:
     return int(token), pos
 
 
-def load_image(data: bytes) -> Image:
-    """Decode binary PGM/PPM bytes (or any bytes-like object)."""
+def load_image(data: bytes) -> np.ndarray:
+    """Decode binary PGM/PPM bytes (or any bytes-like object) into a new
+    writable raster."""
     data = bytes(data)
     magic, pos = _next_token(data, 0)
     if magic not in _MAGIC_CHANNELS:
@@ -233,22 +210,26 @@ def load_image(data: bytes) -> Image:
     channels = _MAGIC_CHANNELS[magic]
     expected = width * height * channels
     if payload_size < expected:
+        if expected >= 10**30:  # by its digit count: `str` may refuse it
+            from decimal import Decimal
+            expected = f"a number of {Decimal(expected).adjusted() + 1} digits"
         raise ValueError(
             f"truncated payload: {payload_size} bytes, expected {expected}")
     if payload_size > expected:
         raise ValueError(
             f"trailing data: {payload_size} bytes, expected {expected}")
     samples = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos + 1)
-    return Image(samples.reshape(height, width, channels).copy())
+    return samples.reshape(height, width, channels).copy()
 
 
-def save_image(img: Image) -> bytes:
+def save_image(samples: np.ndarray) -> bytes:
     """Encode as binary PGM (1 channel) or PPM (3 channels).
 
     Emits the canonical header "P5|P6\\n<w> <h>\\n255\\n", so save/load
     round-trips are byte-identical. Contiguous samples are copied once,
     straight into the result.
     """
-    magic = b"P5" if img.channels == 1 else b"P6"
-    header = b"%s\n%d %d\n255\n" % (magic, img.width, img.height)
-    return b"".join((header, np.ascontiguousarray(img.samples)))
+    height, width, channels = samples.shape
+    magic = b"P5" if channels == 1 else b"P6"
+    header = b"%s\n%d %d\n255\n" % (magic, width, height)
+    return b"".join((header, np.ascontiguousarray(samples)))

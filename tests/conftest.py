@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import blurbench
-from blurbench.imaging import BlurLevel, Image
+from blurbench.imaging import BlurLevel
 from blurbench.ingest import (
     FeatureCounts,
     parse_blur_flags,
@@ -52,10 +52,9 @@ def toy_flags():
 
 
 def random_image(rng: np.random.Generator, width: int, height: int,
-                 channels: int) -> Image:
-    samples = rng.integers(0, 256, size=(height, width, channels),
-                           dtype=np.uint8)
-    return Image(samples)
+                 channels: int) -> np.ndarray:
+    return rng.integers(0, 256, size=(height, width, channels),
+                        dtype=np.uint8)
 
 
 def feature_counts(rows) -> FeatureCounts:

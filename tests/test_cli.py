@@ -90,7 +90,7 @@ class TestBlurCommand:
                          "pic.MB3.ppm"]
         for level in BlurLevel:
             written = load_image((out / f"pic.{level.name}.ppm").read_bytes())
-            assert written == apply_blur(img, make_kernel(level))
+            assert np.array_equal(written, apply_blur(img, make_kernel(level)))
 
     def test_empty_directory_warns_and_succeeds(self, tmp_path, capsys):
         src = tmp_path / "empty"
@@ -170,8 +170,7 @@ class TestBlurCommand:
             assert height // max(imaging._BAND_FLOOR * kh,
                                  imaging._BAND_BYTES // width) == 3
             written = load_image((out / f"wide.{level.name}.pgm").read_bytes())
-            assert np.array_equal(written.samples,
-                                  blur_windows(img.samples, kw, kh))
+            assert np.array_equal(written, blur_windows(img, kw, kh))
 
     def test_missing_input_fails_and_writes_nothing(self, tmp_path, capsys):
         missing, out = tmp_path / "absent.ppm", tmp_path / "out"
@@ -1247,21 +1246,26 @@ def test_input_not_utf8_names_its_line(tmp_path, data_dir, capsys, kind):
 LONG_DIGITS = "9" * 5001
 
 
-@pytest.mark.parametrize("source", ["predictions", "config", "flag"])
+@pytest.mark.parametrize("source", ["predictions", "config", "flag",
+                                    "raster"])
 def test_integer_past_the_digit_limit_named_without_a_python_call(
         tmp_path, capsys, source):
     """An integer longer than Python reads from text, as a prediction's
-    image id, a config seed or a `--seed` flag, is one error line that
-    names the limit but not the Python call that lifts it."""
+    image id, a config seed, a `--seed` flag or a raster's width, is one
+    error line that names the limit but not the Python call that lifts
+    it."""
     dataset, preds = write_corpus(tmp_path, TINY_REFS, {})
     keys, config = tmp_path / "keys.txt", tmp_path / "c.cfg"
+    raster = tmp_path / "big.ppm"
     keys.write_text("a\n")
     config.write_text(f"seed = {LONG_DIGITS}\n")
     preds.write_text(f'[{{"image_id": {LONG_DIGITS}, "blur_level": "MB0", '
                      '"caption": "a dog"}]')
+    raster.write_bytes(f"P6\n{LONG_DIGITS} 1\n255\n".encode() + bytes(3))
     argv = {"predictions": ["score", dataset, preds],
             "config": ["--config", config, "plan", keys],
-            "flag": ["--seed", LONG_DIGITS, "plan", keys]}[source]
+            "flag": ["--seed", LONG_DIGITS, "plan", keys],
+            "raster": ["blur", raster]}[source]
     if source == "flag":
         with pytest.raises(SystemExit) as excinfo:
             run("--out", tmp_path / "out", *argv)
@@ -1272,10 +1276,26 @@ def test_integer_past_the_digit_limit_named_without_a_python_call(
         [line] = capsys.readouterr().err.splitlines()
     prefix = {"predictions": "error: malformed JSON: ",
               "config": f"error: seed in {config}: ",
-              "flag": "blurbench: error: argument --seed: "}[source]
+              "flag": "blurbench: error: argument --seed: ",
+              "raster": f"error: {raster}: "}[source]
     assert line.startswith(prefix + "Exceeds the limit (4300")
     assert line.endswith("value has 5001 digits") and "sys." not in line
     assert not (tmp_path / "out").exists()
+
+
+def test_raster_size_past_the_digit_limit_is_a_truncated_payload(
+        tmp_path, capsys):
+    """Two 3 000-digit dimensions multiply to a payload size longer than
+    Python writes as text: the error line is the truncated payload's and
+    gives that size by its digit count."""
+    raster = tmp_path / "big.ppm"
+    raster.write_bytes(b"P6\n%s %s\n255\n" % (b"1" * 3000, b"2" * 3000)
+                       + bytes(6))
+    assert run("--out", tmp_path / "out", "blur", raster) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == (f"error: {raster}: truncated payload: 6 bytes, "
+                    "expected a number of 5999 digits")
+    assert len(line) < 200 and not (tmp_path / "out").exists()
 
 
 def test_paths_not_utf8_printed_under_strict_stdout(tmp_path, data_dir):

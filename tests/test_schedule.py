@@ -62,9 +62,14 @@ class TestValidateSchedule:
     def test_degenerate_valid(self):
         assert Schedule([1, 0, 0, 0]).probs == (1.0, 0.0, 0.0, 0.0)
 
-    def test_sum_off_by_half_rejected(self):
+    @pytest.mark.parametrize("probs", [
+        (0.5, 0.5, 0.5, 0.0),
+        (0.25, 0.25, 0.25, 0.25 + 1e-7),
+        (0.25, 0.25, 0.25, 0.25 + 2e-9),  # twice the 1e-9 tolerance
+    ], ids=["0.5", "1e-7", "2e-9"])
+    def test_sum_off_by_half_rejected(self, probs):
         with pytest.raises(ValueError, match="sum"):
-            Schedule([0.5, 0.5, 0.5, 0.0])
+            Schedule(probs)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="outside"):
