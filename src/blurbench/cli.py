@@ -16,10 +16,10 @@ scale) is one ``_SETTINGS`` entry, its converter and default; its flag is
 default, and all text goes through the converter, whichever one wins: a
 bad flag is a usage error (exit 2), a bad config or environment value one
 ``error:`` line naming its setting and source (exit 1), as is an unknown
-or repeated config key. Text out of range (a ``seed`` outside [0, 2**64),
-an empty ``out``, a ``bin_width`` below 1, a metric setting
-``CiderConfig`` rejects) is bad text. Every ``cmd_*`` reads the resolved
-settings from ``args``; the seed is echoed in every output header; all
+or repeated config key. Bad text is a number not spelt as in the input
+files (``ingest.parse_number``) or text out of range: a ``seed`` outside
+[0, 2**64), an empty ``out``, a ``bin_width`` below 1, a metric setting
+``CiderConfig`` rejects. The seed is echoed in every output header; all
 files are written atomically, each with the mode ``open(path, "w")`` gives
 a new file (0666 less the umask), also where it replaces an existing file.
 
@@ -32,13 +32,13 @@ it with ``--out`` set to the input directory writes the same files again.
 
 ``score`` writes one row per blur level, scored with idf from the whole
 split, and with ``--flags`` one MB0 row per flag subset, scored with idf
-recounted over that subset's own references (each subset row is the
-corpus score of the subset as a split of its own). Predictions for images
-outside the split are ignored, with one warning line giving their count:
+recounted over that subset's own references (each subset row is the corpus
+score of the subset as a split of its own). Predictions and flags for
+images outside the split are ignored, each kind counted in a warning line:
 the levels scored are those of predictions for split images. A split with
 no images, predictions of which none names a split image, or a row that
-lacks the prediction of one of its images (every row is checked before
-any is scored) is one ``error:`` line, and nothing is written.
+lacks the prediction of one of its images (every row is checked before any
+is scored) is one ``error:`` line, and nothing is written.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from .ingest import (
     parse_captions,
     parse_feature_counts,
     parse_level,
+    parse_number,
     parse_predictions,
     write_csv,
 )
@@ -97,14 +98,15 @@ _METRIC = CiderConfig()  # its defaults are the metric settings' defaults
 #: Setting name (its config key) -> (converter of its flag, config-file or
 #: environment text, which raises ValueError; default).
 _SETTINGS = {
-    "seed": (lambda text: check_seed(int(text)), 0),
+    "seed": (lambda text: check_seed(parse_number(text, int)), 0),
     "technique": (lambda text: parse_technique(text).value, "No-Aug"),
     "out": (_out_directory, Path(".")),
-    "bin_width": (lambda text: check_bin_width(int(text)), 10),
+    "bin_width": (lambda text: check_bin_width(parse_number(text, int)), 10),
     "format": (check_format, "markdown"),
-    "sigma": (lambda text: CiderConfig(sigma=float(text)).sigma, _METRIC.sigma),
-    "max_n": (lambda text: CiderConfig(max_n=int(text)).max_n, _METRIC.max_n),
-    "scale": (lambda text: CiderConfig(scale=float(text)).scale, _METRIC.scale),
+    "sigma": (lambda t: CiderConfig(sigma=parse_number(t)).sigma, _METRIC.sigma),
+    "max_n": (lambda t: CiderConfig(max_n=parse_number(t, int)).max_n,
+              _METRIC.max_n),
+    "scale": (lambda t: CiderConfig(scale=parse_number(t)).scale, _METRIC.scale),
 }
 
 
@@ -165,10 +167,8 @@ def _resolve_config(args: argparse.Namespace) -> None:
                 values.append(convert(text))
             except ValueError as exc:
                 raise ValueError(f"{source}: {_error_text(exc)}") from None
-        value = getattr(args, name, None)
-        if value is None:
-            value = values[0] if values else default
-        setattr(args, name, value)
+        if getattr(args, name, None) is None:  # no flag given
+            setattr(args, name, values[0] if values else default)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +255,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     subsets = {}
     if args.flags is not None:  # a bad flags file fails before any scoring
         flags = parse_blur_flags(args.flags.read_bytes())
+        if ignored := len(flags.keys() - dataset.keys()):
+            print(f"warning: {ignored} flag(s) for images not in the split "
+                  f"ignored", file=sys.stderr)
         subsets = {flag: filter_by_blur_flag(dataset, flags, flag)
                    for flag in BlurFlag}
     for level in sorted({*levels, BlurLevel.MB0}) if subsets else levels:

@@ -85,6 +85,14 @@ def parse_level(token: str) -> BlurLevel:
         raise ValueError(f"unknown blur level {token!r}") from None
 
 
+def parse_number(text: str, kind=float):
+    """`kind(text)` of a number spelt as in every input file: ASCII, no `_`
+    and no outer whitespace (`int` and `float` also read `1_0`, ` 7`, `٨`)."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return kind(text)
+
+
 def _field(item, key: str, kind: str, ids: bool = False) -> str:
     """`item[key]` of a JSON record: a JSON string, or with `ids` a JSON
     string or integer, given as its decimal text."""

@@ -1,14 +1,14 @@
 """Degradation tables and region-feature histograms.
 
-Scores are carried at full precision and rounded to one decimal only when
-rendered. Degradation deltas (baseline MB0 score minus blurred score) are
-computed on those rendered values in exact integer tenths, with no float
-in between, so the delta of any two finite scores is exact to its last
-digit. A score table comes as `{technique: {column: score}}`, whose
-columns are every `BlurLevel` and, for the MB0 score of a flag subset, any
-`BlurFlag`. Deltas come as `{technique: {level: tenths}}` and histograms as
-`{level: {bin index: images}}`, in level and bin order; the bin width is
-the caller's setting, not a part of the histogram.
+Scores are carried at full precision and rendered in integer tenths: a
+cell is the one-decimal text of the tenths its degradation delta (MB0
+score minus blurred score) is taken from, so no cell reads `-0.0`, and a
+delta of finite scores is exact to its last digit. A warning prints the
+scores it compared as read. A score table comes as `{technique: {column:
+score}}`, whose columns are every `BlurLevel` and, for the MB0 score of a
+flag subset, any `BlurFlag`. Deltas come as `{technique: {level: tenths}}`
+and histograms as `{level: {bin index: images}}`, in level and bin order;
+the bin width is the caller's setting, not a part of the histogram.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections import Counter
 
 from .imaging import BlurLevel
 from .ingest import (FLAG_BY_VALUE, BlurFlag, FeatureCounts, parse_level,
-                     read_csv, write_csv)
+                     parse_number, read_csv, write_csv)
 from .schedule import Technique
 
 FORMATS = ("markdown", "csv")
@@ -40,12 +40,8 @@ def _tenths(value: float) -> int:
     return int(f"{value:.1f}".replace(".", ""))
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.1f}"
-
-
 def _fmt_tenths(tenths: int) -> str:
-    """Integer tenths as one-decimal text, every digit exact."""
+    """Integer tenths as the one-decimal text of every cell, digits exact."""
     whole, tenth = divmod(abs(tenths), 10)
     return f"{'-' if tenths < 0 else ''}{whole}.{tenth}"
 
@@ -68,7 +64,7 @@ def degradation_warnings(table: Scores) -> list[str]:
             if scores[cur] > scores[prev]:
                 warnings.append(
                     f"{technique}: score rises {prev.name}->{cur.name} "
-                    f"({_fmt(scores[prev])} -> {_fmt(scores[cur])})")
+                    f"({scores[prev]!r} -> {scores[cur]!r})")
     return warnings
 
 
@@ -99,18 +95,15 @@ def parse_scores_csv(text: str) -> Scores:
     """Read `technique,level,score` rows into a score table.
 
     The text is read by `ingest.read_csv`. A level may also be a `BlurFlag`
-    value, for the MB0 score of that flag subset; a score is ASCII text,
-    no `_` or outer whitespace, that `float` reads as a finite number.
+    value, for the MB0 score of that flag subset; a score is a finite
+    number as `ingest.parse_number` reads it.
     Known techniques come out in canonical order, others as they appear.
     """
     table: Scores = {}
     for raw in map(list, zip(*read_csv(text, SCORES_HEADER))):
         technique, level_token, score_token = raw
-        try:  # float() alone also reads `1_0`, ` 9` and `٨`
-            if (not score_token.isascii() or "_" in score_token
-                    or score_token != score_token.strip()):
-                raise ValueError
-            score = float(score_token)
+        try:
+            score = parse_number(score_token)
         except ValueError:
             raise ValueError(f"bad score {score_token!r}") from None
         if not math.isfinite(score):
@@ -158,15 +151,16 @@ def _render(header: list[str], rows: list[list], format: str) -> str:
 def render_score_table(table: Scores, format: str) -> str:
     if format == "csv":
         return _render(SCORES_HEADER, [
-            [t, token, _fmt(scores[column])] for t, scores in table.items()
+            [t, token, _fmt_tenths(_tenths(scores[column]))]
+            for t, scores in table.items()
             for column, token in _TOKEN.items() if column in scores], format)
     flags = (list(BlurFlag) if any(f in scores for scores in table.values()
                                    for f in BlurFlag) else [])
     header = ["Training approach", *(l.name for l in BlurLevel),
               *(_HEADING[f] for f in flags)]
-    rows = [[t, *(_fmt(scores[l]) for l in BlurLevel),
-             *(_fmt(scores[f]) if f in scores else "" for f in flags)]
-            for t, scores in table.items()]
+    rows = [[t, *(_fmt_tenths(_tenths(scores[l])) for l in BlurLevel),
+             *(_fmt_tenths(_tenths(scores[f])) if f in scores else ""
+               for f in flags)] for t, scores in table.items()]
     return _render(header, rows, format)
 
 
@@ -190,8 +184,8 @@ def render_subset_table(table: Scores, format: str) -> str:
     header = (["technique", *(f.value for f in BlurFlag)] if format == "csv"
               else ["Training approach", *_HEADING.values()])
     return _render(header, [
-        [t, *(_fmt(scores[f]) if f in scores else "" for f in BlurFlag)]
-        for t, scores in table.items()], format)
+        [t, *(_fmt_tenths(_tenths(scores[f])) if f in scores else ""
+              for f in BlurFlag)] for t, scores in table.items()], format)
 
 
 def render_histograms(level: BlurLevel, bins: dict[int, int], bin_width: int) -> str:

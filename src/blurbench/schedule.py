@@ -140,7 +140,7 @@ _TECHNIQUE_SCHEDULES: dict[Technique, tuple[Schedule, Schedule]] = {
 
 
 def parse_technique(name: str) -> Technique:
-    """Resolve a technique name, tolerant of case and hyphen style."""
+    """Technique named in any case, its words joined by -, _, space or none."""
     normalized = name.lower().replace("-", "").replace("_", "").replace(" ", "")
     for technique in Technique:
         if technique.value.lower().replace("-", "") == normalized:

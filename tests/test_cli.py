@@ -50,20 +50,29 @@ def write_corpus(tmp_path, captions_by_image, predictions):
 
 #: setting -> (command that reads it, good text, {bad text: part of the
 #: error line that a flag or a config line with the bad text gives})
+#: A number is spelt as in the input files: `int` and `float` alone also
+#: read each of these
+NUMBER_SPELLINGS = {"\u0668": "not a plain ASCII number: '\u0668'",
+                    "1_0": "not a plain ASCII number: '1_0'"}
 SETTING_CASES = {
     "seed": ("plan", "7", {"seven": "'seven'",
                            "-1": "seed must be in [0, 2**64), not -1",
-                           "18446744073709551616": "seed must be in [0, 2**64)"}),
+                           "18446744073709551616": "seed must be in [0, 2**64)",
+                           **NUMBER_SPELLINGS}),
     "technique": ("score", "objdet-cap-aug", {"MegaAug": "'MegaAug'"}),
     "out": ("plan", "elsewhere", {"": "out must not be empty"}),
     "bin_width": ("report", "7", {"wide": "'wide'",
-                                  "0": "bin_width must be >= 1"}),
+                                  "0": "bin_width must be >= 1",
+                                  **NUMBER_SPELLINGS}),
     "format": ("report", "csv", {"html": "format must be one of"}),
     "sigma": ("score", "2.5", {"wide": "'wide'",
-                               "-1": "sigma must be positive and finite"}),
-    "max_n": ("score", "2", {"two": "'two'", "0": "max_n must be >= 1"}),
+                               "-1": "sigma must be positive and finite",
+                               **NUMBER_SPELLINGS}),
+    "max_n": ("score", "2", {"two": "'two'", "0": "max_n must be >= 1",
+                             **NUMBER_SPELLINGS}),
     "scale": ("score", "3", {"big": "'big'",
-                             "nan": "scale must be positive and finite"}),
+                             "nan": "scale must be positive and finite",
+                             **NUMBER_SPELLINGS}),
 }
 #: settings whose flag goes before the command
 GLOBAL_SETTINGS = {"seed", "out", "format"}
@@ -572,6 +581,30 @@ class TestScoreCommand:
         assert capsys.readouterr() == ("", f"error: {error}\n")
         assert not out.exists()
 
+    def test_flags_outside_split_counted(self, tmp_path, data_dir, capsys):
+        """Flags for images outside the split are ignored and counted in one
+        warning line, printed before the split is cut or any level scored."""
+        toy = (data_dir / "toy_flags.csv").read_text()
+        flags = tmp_path / "flags.csv"
+        flags.write_text(toy + "ghost1,with_blur\nghost2,no_blur\n")
+        argv = ["score", data_dir / "toy_captions.json",
+                data_dir / "toy_predictions.json", "--flags", flags]
+        assert run("--out", tmp_path / "out", *argv) == 0
+        warning = "warning: 2 flag(s) for images not in the split ignored"
+        assert capsys.readouterr().err.splitlines() == [warning]
+        assert run("--out", tmp_path / "in", *argv[:-1],
+                   data_dir / "toy_flags.csv") == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "out" / "scores.csv").read_bytes() == \
+            (tmp_path / "in" / "scores.csv").read_bytes()
+        flags.write_text("image_id,flag\nimg00,no_blur\nghost1,with_blur\n"
+                         "ghost2,no_blur\n")
+        assert run("--out", tmp_path / "cut", *argv) == 1
+        assert capsys.readouterr() == ("", f"{warning}\nerror: images without "
+                                       "blur flag: ['img01', 'img02', 'img03', "
+                                       "'img04', 'img05'] and 4 more\n")
+        assert not (tmp_path / "cut").exists()
+
     @pytest.mark.parametrize("dropped,flags,error", [
         (lambda i, level: level == "MB2" and i != "img03", False,
          "missing predictions at MB2 for images: ['img00', 'img01', 'img02', "
@@ -744,6 +777,44 @@ class TestReportCommand:
             "warning: No-Aug: score rises MB1->MB2 (5.0 -> 6.0)"]
         assert "| No-Aug | 0.0 | 2.0 | 1.0 | 3.0 |" in (
             out / "degradation.md").read_text()
+
+    def test_warning_prints_scores_as_read(self, tmp_path, data_dir, capsys):
+        """A warning prints the two scores it compared as read, so a rise
+        that one decimal rounds away (0.5 -> 0.5) still shows."""
+        scores = tmp_path / "scores.csv"
+        scores.write_text("technique,level,score\nNo-Aug,MB0,0.6\n"
+                          "No-Aug,MB1,0.51\nNo-Aug,MB2,0.54\nNo-Aug,MB3,0.1\n")
+        out = tmp_path / "out"
+        assert run("--out", out, "report", scores,
+                   data_dir / "toy_feature_counts.csv") == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: No-Aug: score rises MB1->MB2 (0.51 -> 0.54)"]
+        assert "| No-Aug | 0.0 | 0.1 | 0.1 | 0.5 |" in (
+            out / "degradation.md").read_text()
+
+    def test_cells_are_the_tenths_their_deltas_use(self, tmp_path, data_dir,
+                                                   capsys):
+        """A score that one decimal rounds to zero reads `0.0` in its cell,
+        as in its delta: no output reads `-0.0`."""
+        scores = tmp_path / "scores.csv"
+        scores.write_text("technique,level,score\nNo-Aug,MB0,0.01\n"
+                          "No-Aug,MB1,-0.04\nNo-Aug,MB2,-0.06\nNo-Aug,MB3,-0.0\n")
+        out = tmp_path / "out"
+        for format in ("markdown", "csv"):
+            assert run("--format", format, "--out", out, "report", scores,
+                       data_dir / "toy_feature_counts.csv") == 0
+            stdout, stderr = capsys.readouterr()
+            assert "-0.0" not in stdout
+            assert stderr.splitlines() == [
+                "warning: No-Aug: score rises MB2->MB3 (-0.06 -> -0.0)"]
+            for path in out.iterdir():
+                assert "-0.0" not in path.read_text(), path.name
+        assert "| No-Aug | 0.0 | 0.0 | -0.1 | 0.0 |" in (
+            out / "score_table.md").read_text()
+        assert "| No-Aug | 0.0 | 0.0 | 0.1 | 0.0 |" in (
+            out / "degradation.md").read_text()
+        assert "No-Aug,MB1,0.0\n" in (out / "score_table.csv").read_text()
+        assert "No-Aug,MB1,0.0\n" in (out / "degradation.csv").read_text()
 
     def test_byte_order_mark_before_scores_dropped(self, tmp_path, data_dir):
         """A UTF-8 BOM before the `# seed` line of a scores CSV is not
@@ -1132,6 +1203,46 @@ class TestConfigFile:
             assert len(err) == 1 and err[0].startswith("error: ")
             assert named in err[0]
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("env,error", [
+        (None, None), ("", None), ("   ", "'   '"), (" 7", "' 7'")],
+        ids=["unset", "empty", "blanks", "spaced"])
+    def test_env_seed_empty_sets_nothing_and_blanks_are_bad_text(
+            self, tmp_path, monkeypatch, capsys, env, error):
+        """An unset or empty BLURBENCH_SEED sets nothing; any other text,
+        blanks included, is converted as it stands."""
+        monkeypatch.delenv("BLURBENCH_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("BLURBENCH_SEED", env)
+        keys = tmp_path / "keys.txt"
+        keys.write_text("a\n")
+        out = tmp_path / "out"
+        if error is None:
+            assert run("--out", out, "plan", keys) == 0
+            assert read_manifest((out / "manifest.jsonl").read_text()).seed == 0
+            return
+        assert run("--out", out, "plan", keys) == 1
+        assert capsys.readouterr() == ("", "error: BLURBENCH_SEED: not a "
+                                           f"plain ASCII number: {error}\n")
+        assert not out.exists()
+
+    def test_spaced_seed_flag_is_bad_text_but_a_config_value_is_stripped(
+            self, tmp_path, capsys):
+        """` 7` is bad text as a flag, as a score with blanks around it is;
+        a config value is stripped before it is converted."""
+        keys = tmp_path / "keys.txt"
+        keys.write_text("a\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            run("--seed", " 7", "--out", out, "plan", keys)
+        assert info.value.code == 2
+        assert "argument --seed: not a plain ASCII number: ' 7'" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+        config = tmp_path / "c.cfg"
+        config.write_text("seed =  7 \n")
+        assert run("--config", config, "--out", out, "plan", keys) == 0
+        assert read_manifest((out / "manifest.jsonl").read_text()).seed == 7
 
     def test_main_calls_in_one_process_resolve_their_own_settings(
             self, tmp_path, monkeypatch):

@@ -202,9 +202,12 @@ class TestParseCaptions:
          "and 5 more"),
         (["im3"], "images without captions: ['im0', 'im1', 'im2', 'im4', "
                   "'im5'] and 3 more"),
-    ], ids=["unknown", "uncaptioned"])
+        (["im0", "im1", "im2", "im3"],
+         "images without captions: ['im4', 'im5', 'im6', 'im7', 'im8']"),
+    ], ids=["unknown", "uncaptioned", "five-whole"])
     def test_long_id_lists_cut_after_five(self, annotated, error):
-        """Past 5 ids an error lists the first 5 and the count of the rest."""
+        """Past 5 ids an error lists the first 5 and the count of the rest;
+        5 ids print whole."""
         doc = json.loads(caption_doc(9))
         doc["annotations"] = [{"image_id": i, "caption": "c"} for i in annotated]
         with pytest.raises(ValueError) as info:

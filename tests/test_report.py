@@ -180,6 +180,17 @@ class TestWarnings:
         assert len(warnings) == 1
         assert "MB0->MB1" in warnings[0]
 
+    def test_scores_printed_as_read(self):
+        """A warning shows the two scores it compared, so a rise that
+        one decimal rounds away still shows."""
+        table = {"X": row(0.6, 0.51, 0.54, 0.1),
+                 "Y": row(0.9, 0.1 + 0.2, 0.3, 0.3)}
+        assert degradation_warnings(table) == [
+            "X: score rises MB1->MB2 (0.51 -> 0.54)"]
+        table["Y"][BlurLevel.MB3] = 0.30000000000000004
+        assert degradation_warnings(table)[1:] == [
+            "Y: score rises MB2->MB3 (0.3 -> 0.30000000000000004)"]
+
 
 class TestHistograms:
     def test_shared_bin(self):
@@ -288,6 +299,30 @@ class TestRendering:
         assert "| No-Aug | 47.2 | 53.0 |" in text
         with pytest.raises(ValueError, match="without subset scores"):
             render_subset_table(COCO_TABLE, "markdown")
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=6, max_size=6))
+    @example([0.01, -0.04, -0.06, -0.0, -0.05, -1e-300])
+    def test_score_cell_is_the_tenths_its_delta_uses(self, scores):
+        """Every score cell, markdown and CSV, reads as the integer tenths
+        its delta is taken from: `f"{v:.1f}"` but that no cell is `-0.0`."""
+        table = {"X": row(*scores[:4], {WITH: scores[4], WITHOUT: scores[5]})}
+        expected = [report._tenths(v) for v in scores]
+        csv_cells = [line.split(",")[2] for line in
+                     render_score_table(table, "csv").splitlines()[1:]]
+        markdown = [cell.strip() for cell in markdown_cells(
+            render_score_table(table, "markdown").splitlines()[2])[1:]]
+        subsets = [render_subset_table(table, f).splitlines()[-1]
+                   for f in report.FORMATS]
+        assert subsets == ["| X | " + " | ".join(markdown[4:]) + " |",
+                           "X," + ",".join(csv_cells[4:])]
+        for cells in (csv_cells, markdown):
+            with localcontext() as context:
+                context.prec = 400
+                assert [int(Decimal(c) * 10) for c in cells] == expected
+            assert "-0.0" not in cells
+            assert cells == [{"-0.0": "0.0"}.get(f"{v:.1f}", f"{v:.1f}")
+                             for v in scores]
 
     def test_delta_render(self):
         text = render_deltas(degradation_deltas(COCO_TABLE), "csv")

@@ -260,6 +260,8 @@ class TestTechniques:
         assert parse_technique("objdet-cap-aug") is Technique.OBJDET_CAP_AUG
         assert parse_technique("NoAug") is Technique.NO_AUG
         assert parse_technique("CAP_AUG") is Technique.CAP_AUG
+        # a space joins the words as `-` and `_` do
+        assert parse_technique("objdet cap aug") is Technique.OBJDET_CAP_AUG
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown technique"):
