@@ -49,9 +49,12 @@ np = _lazy_import("numpy")
 _SEPARATORS = bytes(b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789"
                     else 32 for b in range(256))
 
-#: Images per scoring block in `corpus_cider_d`; bounds the size of the
-#: interned arrays, and so peak memory, whatever the split size.
+#: Images per scoring block in `corpus_cider_d`; bounds a block's arrays,
+#: but `build_idf` interns the whole split, so its peak grows with the split.
 _BLOCK_IMAGES = 1000
+
+#: An integer array is int32 while a bound on its values is below this
+_INT32_LIMIT = 2 ** 31
 
 
 def tokenize(text: str) -> list[str]:
@@ -89,6 +92,12 @@ class CiderConfig(namedtuple("CiderConfig", "max_n sigma scale")):
     _make = classmethod(lambda cls, values: cls(*values))  # checks _replace too
 
 
+def _int_type(bound: int):
+    """int32 if it holds every value from -1 to `bound`, else int64; cast
+    an array to the type of a product before multiplying, so none wraps."""
+    return np.int32 if bound < _INT32_LIMIT else np.int64
+
+
 def _intern(texts: Iterable[Sequence[str]], max_n: int):
     """Integer ids of every n-gram occurrence in `texts`, for n = 1 up to
     max_n or the longest text's length, whichever is smaller.
@@ -100,8 +109,9 @@ def _intern(texts: Iterable[Sequence[str]], max_n: int):
 
     Returns the vocabulary, the token count of each text, and an iterator
     that computes, per n in turn, the arrays (text of each occurrence, n-gram
-    id of each occurrence, n-gram key of each id). Keys stay below
-    len(tokens) ** 2, so int64 holds them for any corpus that fits in memory.
+    id of each occurrence, n-gram key of each id). The counts and arrays
+    are of `_int_type(occurrences + texts)`, but an order n > 1's keys of
+    `_int_type(number of (n-1)-grams * len(vocabulary))`.
     """
     lengths: list[int] = []
     flat: list[int] = []
@@ -111,23 +121,28 @@ def _intern(texts: Iterable[Sequence[str]], max_n: int):
         lengths.append(len(text))
         flat += map(first.__getitem__, text)
     vocab = sorted(first)
+    index = _int_type(len(flat) + len(lengths))
     # a token's rank in `vocab` is the argsort of the numbers in that order
-    seen = np.fromiter(map(first.__getitem__, vocab), np.int64, len(vocab))
-    tokens = np.argsort(seen)[np.fromiter(flat, np.int64, len(flat))]
-    sizes = np.array(lengths, dtype=np.int64)
+    seen = np.fromiter(map(first.__getitem__, vocab), index, len(vocab))
+    tokens = np.argsort(seen).astype(index)[np.fromiter(flat, index, len(flat))]
+    sizes = np.array(lengths, dtype=index)
 
     def orders():
-        text = np.repeat(np.arange(len(sizes)), sizes)
-        yield text, tokens, np.arange(len(vocab))
+        text = np.repeat(np.arange(len(sizes), dtype=index), sizes)
+        keys = np.arange(len(vocab), dtype=index)
+        yield text, tokens, keys
         # tokens from each position to the end of its text
-        left = np.repeat(np.cumsum(sizes), sizes) - np.arange(len(tokens))
-        start = np.arange(len(tokens))
+        start = np.arange(len(tokens), dtype=index)
+        left = np.repeat(np.cumsum(sizes, dtype=index), sizes) - start
         ids = tokens
         for n in range(2, min(max_n, max(lengths, default=0)) + 1):
             keep = left[start] >= n
             start = start[keep]
-            keys, ids = np.unique(ids[keep] * len(vocab)
-                                  + tokens[start + n - 1], return_inverse=True)
+            key = _int_type(len(keys) * len(vocab))
+            keys, ids = np.unique(ids[keep].astype(key) * len(vocab)
+                                  + tokens[start + n - 1].astype(key),
+                                  return_inverse=True)
+            ids = ids.astype(index)
             yield text[start], ids, keys
 
     return vocab, sizes, orders()
@@ -166,7 +181,7 @@ class IdfTable:
         keys per n), ln N where the split of N images lacks the n-gram."""
         size = len(self._vocab)
         token_ids = np.array([self._vocab.get(t, -1) for t in vocab],
-                             dtype=np.int64)
+                             dtype=_int_type(size))
         ids = token_ids
         result = []
         for n, local in enumerate(keys, start=1):
@@ -175,8 +190,9 @@ class IdfTable:
             if n > 1:
                 prefix = ids[local // len(vocab)]
                 token = token_ids[local % len(vocab)]
-                ids = _find(table, np.where((prefix >= 0) & (token >= 0),
-                                            prefix * size + token, -1))
+                wanted = prefix.astype(table.dtype) * size + token
+                wanted[(prefix < 0) | (token < 0)] = -1
+                ids = _find(table, wanted)
             idf = np.full(len(local), self._unseen)
             if len(table):
                 idf[ids >= 0] = self._idf[n - 1][ids[ids >= 0]]
@@ -195,8 +211,9 @@ def build_idf(split: Split, cfg: CiderConfig = CiderConfig()) -> IdfTable:
     keys, counts = [], []
     for text, ids, order_keys in orders:
         width = max(len(order_keys), 1)
+        pair = _int_type(len(split) * width)
         # counts keep np.unique on its sort path, faster here than hashing
-        pairs, _ = np.unique(image_of_text[text] * width + ids,
+        pairs, _ = np.unique(image_of_text[text].astype(pair) * width + ids,
                              return_counts=True)
         keys.append(order_keys)
         counts.append(np.bincount(pairs % width, minlength=len(order_keys)))
@@ -207,7 +224,7 @@ def build_idf(split: Split, cfg: CiderConfig = CiderConfig()) -> IdfTable:
 def length_penalty(candidate_len, ref_len, sigma: float):
     """Gaussian penalty on the token-count difference, 1 at equal lengths;
     elementwise on arrays of lengths."""
-    delta = candidate_len - ref_len
+    delta = np.subtract(candidate_len, ref_len, dtype=np.float64)
     with np.errstate(over="ignore"):  # a tiny sigma gives exp(-inf) == 0
         return np.exp(-(delta * delta) / (2.0 * sigma * sigma))
 
@@ -230,7 +247,8 @@ def _score_block(candidates: list[Sequence[str]],
     weights = idf._lookup(vocab, [k for _, _, k in orders])
     for (text, ids, keys), idf_of_gram in zip(orders, weights):
         width = max(len(keys), 1)
-        rows, tf = np.unique(text * width + ids, return_counts=True)
+        row = _int_type(len(lengths) * width)
+        rows, tf = np.unique(text.astype(row) * width + ids, return_counts=True)
         row_text, row_gram = np.divmod(rows, width)  # distinct (text, n-gram)
         weight = tf * idf_of_gram[row_gram]
         norm = np.sqrt(np.bincount(row_text, weight * weight,
@@ -238,7 +256,7 @@ def _score_block(candidates: list[Sequence[str]],
         # candidate rows come first, keyed image * width + n-gram
         split = np.searchsorted(row_text, n_images)
         ref = row_text[split:] - n_images
-        want = image_of_ref[ref] * width + row_gram[split:]
+        want = image_of_ref[ref].astype(row) * width + row_gram[split:]
         at = _find(rows[:split], want)
         found = at >= 0
         cand_weight = np.zeros(len(want))

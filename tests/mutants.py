@@ -59,6 +59,14 @@ MUTANTS = (
            "cand_weight", "CIDEr-D clips candidate counts at the reference's"),
     Mutant("src/blurbench/cider.py", "return (text.lower().encode(",
            "return (text.encode(", "a caption is lowercased before tokenizing"),
+    Mutant("src/blurbench/cider.py", "return math.fsum(scores) / len(scores)",
+           "return sum(scores) / len(scores)",
+           "a corpus score is the correctly rounded sum over its images"),
+    Mutant("src/blurbench/cider.py", "np.int32 if bound < _INT32_LIMIT",
+           "np.int32 if bound <= _INT32_LIMIT",
+           "an array whose bound reaches 2**31 is int64"),
+    Mutant("src/blurbench/cider.py", "text.astype(row) * width",
+           "text * width", "a product is taken in the type that holds its bound"),
     # schedule
     Mutant("src/blurbench/schedule.py", "_SUM_TOLERANCE = 1e-9",
            "_SUM_TOLERANCE = 1e-6",

@@ -5,6 +5,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import blurbench.cider
 from blurbench import cli
 from blurbench.cider import (
     CiderConfig,
+    _int_type,
     _intern,
     build_idf,
     check_coverage,
@@ -184,9 +186,10 @@ class TestBuildIdf:
 
     def test_peak_of_a_1000_image_split(self):
         """`build_idf` holds one string per distinct token and one n-gram
-        order's arrays at a time: on 1 000 images (about 55 000 token
-        occurrences) it peaks near 108 bytes per occurrence. Holding every
-        token string and all four orders at once peaked near 177."""
+        order's arrays at a time, each int32: on 1 000 images (about 55 000
+        token occurrences) it peaks near 73 bytes per occurrence. With int64
+        arrays it peaked near 108, and holding every token string and all
+        four orders at once near 177."""
         split = seeded_split(7, 1000)
         occurrences = sum(len(tokenize(c)) for refs in split.values()
                           for c in refs)
@@ -197,7 +200,7 @@ class TestBuildIdf:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 140 * occurrences, peak / occurrences
+        assert peak < 95 * occurrences, peak / occurrences
 
 
 _TOKEN = st.one_of(st.sampled_from(["a", "b", "ab", "a b", "", "\udcff", "é"]),
@@ -211,18 +214,30 @@ class TestIntern:
     def test_matches_the_reference_order_by_order(self, texts, max_n):
         """Same vocabulary, sizes and per-order (text, ids, keys) arrays as
         `intern_reference`, with repeated and odd tokens, empty texts and
-        max_n past the longest text."""
-        vocab, sizes, orders = _intern(iter(texts), max_n)
+        max_n past the longest text. Each array is int32 unless its bound
+        reaches the int32 limit, here lowered to show the int64 side: the
+        number of occurrences plus texts, or for the keys of an order n > 1
+        the number of (n-1)-grams times the vocabulary size."""
         want_vocab, want_sizes, want_orders = intern_reference(texts, max_n)
-        assert vocab == want_vocab
-        assert sizes.dtype == want_sizes.dtype
-        assert sizes.tolist() == want_sizes.tolist()
-        orders = list(orders)
-        assert len(orders) == len(want_orders)
-        for got, want in zip(orders, want_orders):
-            for array, expected in zip(got, want):
-                assert array.dtype == expected.dtype
-                assert array.tolist() == expected.tolist()
+        index = sum(map(len, texts)) + len(texts)
+        for limit in (2 ** 31, index, 0):
+            def expected_type(bound):
+                return np.int32 if bound < limit else np.int64
+
+            with mock.patch.object(blurbench.cider, "_INT32_LIMIT", limit):
+                vocab, sizes, orders = _intern(iter(texts), max_n)
+                orders = list(orders)
+            assert vocab == want_vocab
+            assert sizes.dtype == expected_type(index)
+            assert sizes.tolist() == want_sizes.tolist()
+            assert len(orders) == len(want_orders)
+            for n, (got, want) in enumerate(zip(orders, want_orders), 1):
+                key_bound = (index if n == 1
+                             else len(orders[n - 2][2]) * len(vocab))
+                for array, expected, bound in zip(got, want,
+                                                  (index, index, key_bound)):
+                    assert array.dtype == expected_type(bound)
+                    assert array.tolist() == expected.tolist()
 
     def test_reading_holds_each_distinct_token_once(self):
         """While `_intern` reads its texts it holds a number per token
@@ -362,6 +377,12 @@ class TestLengthPenalty:
     def test_symmetric(self, lc, lr):
         assert length_penalty(lc, lr, 6.0) == length_penalty(lr, lc, 6.0)
 
+    def test_int32_lengths_square_without_wrapping(self):
+        """A gap of 50 000 tokens squares past 2**31."""
+        short, long = np.zeros(1, np.int32), np.full(1, 50_000, np.int32)
+        assert length_penalty(long, short, 1e4)[0] == pytest.approx(
+            math.exp(-12.5), rel=1e-12)
+
 
 class TestCorpusCiderD:
     def test_identical_candidates_score_ten(self):
@@ -414,6 +435,17 @@ class TestCorpusCiderD:
         for cfg in (CiderConfig(), CiderConfig(max_n=1, scale=1.0)):
             with pytest.raises(ValueError, match="^empty dataset$"):
                 build_idf({}, cfg)
+
+    def test_mean_is_a_correctly_rounded_sum(self, monkeypatch):
+        """1 + 2**-53 + 2**-106 rounds to 1 + 2**-52, which a sum that
+        rounds after each add, or a compensated one, gives as 1.0."""
+        per_image = [1.0, 2 ** -53, 2 ** -106]
+        monkeypatch.setattr(blurbench.cider, "_score_block",
+                            lambda *args: np.array(per_image))
+        split = tiny_dataset([["a"], ["b"], ["c"]])
+        preds = {(i, BlurLevel.MB0): "a" for i in split}
+        mean = corpus_cider_d(preds, BlurLevel.MB0, build_idf(split))
+        assert mean == math.fsum(per_image) / 3 == 0.3333333333333334
 
     def test_missing_prediction_names_image(self, toy_dataset, toy_predictions):
         partial = {pair: caption for pair, caption in toy_predictions.items()
@@ -536,6 +568,42 @@ class TestKernelMatchesFormula:
                     monkeypatch.setattr(blurbench.cider, "_BLOCK_IMAGES", size)
                     scores.add(corpus_cider_d(preds, level, idf))
                 assert len(scores) == 1, (name, level, scores)
+
+
+class TestIntegerWidth:
+    def test_int32_holds_bounds_below_2_to_the_31(self):
+        assert _int_type(2 ** 31 - 1) is np.int32
+        assert _int_type(2 ** 31) is np.int64
+
+    def test_split_past_int32_scores_as_with_int64_arrays(self, monkeypatch):
+        """65 536 images, two of each caption, over 65 792 tokens: the
+        (image, n-gram) pairs, the keys of orders 2 and 3 and the rows of a
+        block holding every reference pass 2**31, so those arrays are int64
+        and the rest int32, and scores and idf are the floats that all-int64
+        arrays give. Arrays that meet in a binary search share a dtype, so
+        numpy copies neither."""
+        find = blurbench.cider._find
+
+        def same_dtype_find(table, keys):
+            assert table.dtype == keys.dtype
+            return find(table, keys)
+
+        monkeypatch.setattr(blurbench.cider, "_find", same_dtype_find)
+        split = tiny_dataset([[f"z{i // 2 % 256} b{i // 2} c{i // 2}"]
+                              for i in range(2 ** 16)])
+        refs = [tokenize(refs[0]) for refs in split.values()]
+        candidate = ["z0", "b0", "c0", "z1"]
+        results = []
+        for limit in (2 ** 31, 0):
+            monkeypatch.setattr(blurbench.cider, "_INT32_LIMIT", limit)
+            idf = build_idf(split)
+            results.append(([k.dtype for k in idf._keys],
+                            cider_d(candidate, refs, idf),
+                            idf_of(idf, ("z0", "b0"))))
+        assert results[0][0] == [np.int32, np.int64, np.int64]
+        assert results[1][0] == [np.int64] * 3
+        assert results[0][1:] == results[1][1:]
+        assert results[0][2] == math.log(2 ** 15)
 
 
 class TestCiderConfig:

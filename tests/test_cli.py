@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blurbench import cli, imaging, ingest, schedule
+from blurbench import cider, cli, imaging, ingest, schedule
 from blurbench.cli import main
 from blurbench.cider import tokenize
 from blurbench.imaging import BlurLevel, apply_blur, load_image, make_kernel, save_image
@@ -537,17 +537,21 @@ class TestScoreCommand:
         ("odd", False, "odd_text_scores.csv"),
     ])
     def test_scores_match_golden(self, tmp_path, data_dir, corpus, flags,
-                                 golden):
-        """`scores.csv` byte for byte. The odd captions mix case, digits,
-        punctuation, non-ASCII letters, CJK, emoji, control characters
-        and lone-surrogate escapes."""
-        out = tmp_path / "out"
-        assert run("--out", out, "score", data_dir / f"{corpus}_captions.json",
-                   data_dir / f"{corpus}_predictions.json",
-                   *(["--flags", data_dir / "toy_flags.csv"] if flags else [])
-                   ) == 0
-        assert (out / "scores.csv").read_bytes() == (
-            data_dir / "score_golden" / golden).read_bytes()
+                                 golden, monkeypatch):
+        """`scores.csv` byte for byte, with int32 arrays and with every
+        array int64. The odd captions mix case, digits, punctuation,
+        non-ASCII letters, CJK, emoji, control characters and
+        lone-surrogate escapes."""
+        for limit in (cider._INT32_LIMIT, 0):
+            monkeypatch.setattr(cider, "_INT32_LIMIT", limit)
+            out = tmp_path / str(limit)
+            assert run("--out", out, "score",
+                       data_dir / f"{corpus}_captions.json",
+                       data_dir / f"{corpus}_predictions.json",
+                       *(["--flags", data_dir / "toy_flags.csv"] if flags
+                         else [])) == 0
+            assert (out / "scores.csv").read_bytes() == (
+                data_dir / "score_golden" / golden).read_bytes()
 
     def test_empty_flag_subset_skipped(self, tmp_path, data_dir, toy_dataset,
                                        capsys):
