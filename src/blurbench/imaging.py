@@ -72,8 +72,10 @@ def make_kernel(level: BlurLevel) -> BlurKernel:
     return BlurKernel(*TAP_SIZES[BlurLevel(level)])
 
 
-def _window_sums(arr: np.ndarray, size: int, axis: int, dtype):
-    """Exact sums of every contiguous `size` window along `axis`, in `dtype`.
+def _window_sums(arr: np.ndarray, size: int, axis: int, bound: int):
+    """Exact sums of every contiguous `size` window along `axis` of `arr`,
+    whose samples are at most `bound`: each shifted add is in
+    `np.min_scalar_type` of the largest sum it can produce.
 
     Sums of windows of length 1, 2, 4, ... take one shifted add each; a
     `size` window is the windows of the set bits of `size` laid end to end.
@@ -87,19 +89,15 @@ def _window_sums(arr: np.ndarray, size: int, axis: int, dtype):
     while True:
         if size & width:
             part = span(run, offset, offset + count)
-            total = part if total is None else np.add(total, part, dtype=dtype)
+            total = part if total is None else np.add(
+                total, part, dtype=np.min_scalar_type((offset + width) * bound))
             offset += width
         if offset == size:
-            return total.astype(dtype, copy=False)
+            return total
         n = run.shape[axis] - width
-        run = np.add(span(run, 0, n), span(run, width, n + width), dtype=dtype)
+        run = np.add(span(run, 0, n), span(run, width, n + width),
+                     dtype=np.min_scalar_type(2 * width * bound))
         width *= 2
-
-
-def _accumulators(kw: int, taps: int) -> tuple[np.dtype, np.dtype]:
-    """Narrowest dtypes for the row sums and for column sums + rounding."""
-    return (np.min_scalar_type(kw * 255),
-            np.min_scalar_type(taps * 255 + taps // 2))
 
 
 def apply_blur(samples: np.ndarray, kernel: BlurKernel) -> np.ndarray:
@@ -110,10 +108,11 @@ def apply_blur(samples: np.ndarray, kernel: BlurKernel) -> np.ndarray:
     mirrored without repeating the edge pixel. A 1x1 kernel is the
     identity and returns `samples` itself.
 
-    Exact window sums run along rows, then columns, each pass in the
-    narrowest unsigned dtype holding its bound: `kw*255` for rows
-    (uint16 up to kw = 257), `taps*255 + taps//2` for columns and the
-    rounding `(s + taps//2) // taps` == `(2*s + taps) // (2*taps)`.
+    Exact window sums run along rows (bound 255), then columns (bound
+    `kw*255`), each shifted add in the narrowest unsigned dtype holding its
+    sums (MB3's 2- and 4-row column runs uint16, its 8-row run uint32).
+    One cast, where needed, widens them for the in-place rounding, bound
+    `taps*255 + taps//2`: `(s + taps//2) // taps` == `(2*s + taps) // (2*taps)`.
 
     Output rows are blurred in horizontal bands of about `_BAND_BYTES` of
     input and at least `_BAND_FLOOR * kh` rows, each written into one
@@ -134,7 +133,6 @@ def apply_blur(samples: np.ndarray, kernel: BlurKernel) -> np.ndarray:
         raise ValueError(f"kernel {kw}x{kh} larger than image {w}x{h}")
     ax, ay = kw // 2, kh // 2
     taps = kw * kh
-    rows, cols = _accumulators(kw, taps)
     out = np.empty(samples.shape, dtype=np.uint8)
     band_rows = max(_BAND_FLOOR * kh, _BAND_BYTES // (w * c))
     bands = max(1, h // band_rows)
@@ -152,11 +150,13 @@ def apply_blur(samples: np.ndarray, kernel: BlurKernel) -> np.ndarray:
         band[top:end, ax + w:][:, ::-1] = part[:, w - kw + ax:w - 1]
         band[:top][::-1] = band[top + 1:2 * top + 1]
         band[end:][::-1] = band[2 * end - n - 1:end - 1]
-        # with kw == 1 the row sums are `band` itself: used up here, as
-        # the next band overwrites `buf`
-        sums = _window_sums(_window_sums(band, kw, 1, rows), kh, 0, cols)
-        np.floor_divide(sums + taps // 2, taps, out=out[r0:r1],
-                        casting="unsafe")
+        # with kw == 1 the row sums are `band` itself, used up here as the
+        # next band overwrites `buf`; kh > 1 then, so `sums` is never `buf`
+        sums = _window_sums(_window_sums(band, kw, 1, 255), kh, 0, kw * 255)
+        sums = sums.astype(np.min_scalar_type(taps * 255 + taps // 2),
+                           copy=False)
+        sums += taps // 2
+        np.floor_divide(sums, taps, out=out[r0:r1], casting="unsafe")
     return out
 
 

@@ -42,9 +42,15 @@ Mutant = namedtuple("Mutant", "path old new breaks")
 
 MUTANTS = (
     # imaging
-    Mutant("src/blurbench/imaging.py", "np.floor_divide(sums + taps // 2, taps,",
-           "np.floor_divide(sums, taps,",
+    Mutant("src/blurbench/imaging.py", "sums += taps // 2", "sums += 0",
            "a blurred sample is the window mean rounded half up"),
+    Mutant("src/blurbench/imaging.py", "2 * width * bound", "width * bound",
+           "a doubled window run is added in a dtype that holds its sums"),
+    Mutant("src/blurbench/imaging.py", "(offset + width) * bound",
+           "offset * bound",
+           "a window total is added in a dtype that holds its sums"),
+    Mutant("src/blurbench/imaging.py", "taps * 255 + taps // 2",
+           "taps * 255", "the rounding term is added with headroom for it"),
     Mutant("src/blurbench/imaging.py",
            "band[top:end, :ax][:, ::-1] = part[:, 1:ax + 1]",
            "band[top:end, :ax][:, ::-1] = part[:, 0:ax]",

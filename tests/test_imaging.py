@@ -12,7 +12,7 @@ from blurbench.imaging import (
     BlurKernel,
     BlurLevel,
     TAP_SIZES,
-    _accumulators,
+    _window_sums,
     apply_blur,
     load_image,
     make_kernel,
@@ -336,22 +336,26 @@ class TestBlurProperties:
 
 
 class TestAccumulatorBounds:
-    """Window sums run in the narrowest dtype their largest value fits."""
+    """Each shifted add of the window sums runs in the narrowest unsigned
+    dtype that holds its largest sum."""
 
-    @pytest.mark.parametrize("kw,kh,rows,cols", [
-        (6, 1, np.uint16, np.uint16),        # MB1
-        (18, 6, np.uint16, np.uint16),       # MB2
-        (45, 12, np.uint16, np.uint32),      # MB3
-        (257, 1, np.uint16, np.uint32),      # 257*255 = 65535
-        (258, 1, np.uint32, np.uint32),
-        (300, 1, np.uint32, np.uint32),
-        (1, 256, np.uint8, np.uint16),       # 256*255 + 128 = 65408
-        (1, 257, np.uint8, np.uint32),
-        (4096, 4096, np.uint32, np.uint32),  # 2**24*255 + 2**23 < 2**32
-        (4105, 4105, np.uint32, np.uint64),  # past 2**32 - 1
+    @pytest.mark.parametrize("size,bound,dtype", [
+        (257, 255, np.uint16),            # 257*255 = 65535
+        (258, 255, np.uint32),
+        (2, 32767, np.uint16),            # 65534
+        (2, 32768, np.uint32),            # 65536
+        (2, 2**31 - 1, np.uint32),        # 2**32 - 2
+        (2, 2**31, np.uint64),            # 2**32
     ])
-    def test_dtype_choice(self, kw, kh, rows, cols):
-        assert _accumulators(kw, kw * kh) == (np.dtype(rows), np.dtype(cols))
+    def test_sums_of_bound_fill_take_the_narrowest_dtype(self, size, bound,
+                                                          dtype):
+        """Samples all at `bound` sum to exactly `size * bound` in each
+        window, in the narrowest dtype of that sum, along either axis."""
+        arr = np.full((size + 1, 3), bound, dtype=np.min_scalar_type(bound))
+        for sums in (_window_sums(arr, size, 0, bound),
+                     _window_sums(arr.T, size, 1, bound).T):
+            assert sums.dtype == dtype and sums.shape == (2, 3)
+            assert (sums == size * bound).all()
 
     @pytest.mark.parametrize("kw,kh,width,height", [
         (257, 1, 257, 2), (258, 1, 260, 3), (300, 1, 300, 4),
