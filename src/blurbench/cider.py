@@ -24,12 +24,14 @@ takes the full ln N weight.
 Scoring is vectorized over a block of images. Every n-gram occurrence
 gets an integer id (`_intern`), occurrences collapse into distinct
 (text, n-gram, tf) rows, and norms, clipped dot products and the means
-over references are numpy segment sums over those rows. An `IdfTable`
-is compiled the same way, so idf lookups are binary searches into
-sorted n-gram keys. `_intern` keeps one string per distinct token and
-gives one order at a time, so `build_idf` holds one order's occurrence
-arrays at once. A corpus score is the mean of its per-image scores,
-summed by `math.fsum`, so it is the same float on every Python version.
+over references are numpy segment sums over those rows. An `IdfTable` is
+compiled the same way, so idf lookups are binary searches into sorted
+n-gram keys. `_intern` reads texts as `tokenize` streams them, keeps one
+string per distinct token and gives one order at a time: `build_idf`
+counts each order in turn, and a block scores each as the idf lookup
+passes it on, so neither holds the token lists or all orders at once. A
+corpus score is the mean of its per-image scores, summed by `math.fsum`,
+so it is the same float on every Python version.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict, namedtuple
 from collections.abc import Iterable, Sequence
-from itertools import count
+from itertools import chain, count
 
 from . import _id_list, _lazy_import
 from .imaging import BlurLevel
@@ -175,16 +177,15 @@ class IdfTable:
         self._idf = [np.log(len(split) / c) for c in counts]
         self._unseen = math.log(len(split))
 
-    def _lookup(self, vocab: list[str],
-                keys: list[np.ndarray]) -> list[np.ndarray]:
-        """idf of each n-gram interned by `_intern` (its vocabulary and its
-        keys per n), ln N where the split of N images lacks the n-gram."""
+    def _lookup(self, vocab: list[str], orders: Iterable[tuple]):
+        """Each of `_intern`'s `orders` over `vocab`, with the idf of each of
+        its n-grams: ln N where the split of N images lacks the n-gram."""
         size = len(self._vocab)
         token_ids = np.array([self._vocab.get(t, -1) for t in vocab],
                              dtype=_int_type(size))
         ids = token_ids
-        result = []
-        for n, local in enumerate(keys, start=1):
+        for n, order in enumerate(orders, start=1):
+            local = order[2]
             table = (self._keys[n - 1] if n <= len(self._keys)
                      else np.empty(0, dtype=np.int64))
             if n > 1:
@@ -196,8 +197,7 @@ class IdfTable:
             idf = np.full(len(local), self._unseen)
             if len(table):
                 idf[ids >= 0] = self._idf[n - 1][ids[ids >= 0]]
-            result.append(idf)
-        return result
+            yield order, idf
 
 
 def build_idf(split: Split, cfg: CiderConfig = CiderConfig()) -> IdfTable:
@@ -229,23 +229,19 @@ def length_penalty(candidate_len, ref_len, sigma: float):
         return np.exp(-(delta * delta) / (2.0 * sigma * sigma))
 
 
-def _score_block(candidates: list[Sequence[str]],
-                 refs: list[Sequence[Sequence[str]]],
+def _score_block(texts: Iterable[Sequence[str]], per_image: Sequence[int],
                  idf: IdfTable) -> np.ndarray:
-    """Score of candidates[i] against refs[i], for every i."""
+    """Each image's score: `texts` gives the candidates, then the references,
+    in image order, and `per_image` each image's number of references."""
     cfg = idf.cfg
-    n_images = len(candidates)
-    per_image = np.array([len(r) for r in refs], dtype=np.int64)
+    n_images = len(per_image)
     image_of_ref = np.repeat(np.arange(n_images), per_image)
     n_refs = len(image_of_ref)
-    vocab, lengths, orders = _intern(
-        [*candidates, *(r for image_refs in refs for r in image_refs)], cfg.max_n)
-    orders = list(orders)
+    vocab, lengths, orders = _intern(texts, cfg.max_n)
     penalty = length_penalty(lengths[image_of_ref], lengths[n_images:], cfg.sigma)
 
     totals = np.zeros(n_images)
-    weights = idf._lookup(vocab, [k for _, _, k in orders])
-    for (text, ids, keys), idf_of_gram in zip(orders, weights):
+    for (text, ids, keys), idf_of_gram in idf._lookup(vocab, orders):
         width = max(len(keys), 1)
         row = _int_type(len(lengths) * width)
         rows, tf = np.unique(text.astype(row) * width + ids, return_counts=True)
@@ -280,7 +276,7 @@ def cider_d(candidate: Sequence[str], refs: Sequence[Sequence[str]],
     """Score one tokenized candidate against its tokenized references."""
     if not refs:
         raise ValueError("empty reference list")
-    return float(_score_block([candidate], [refs], idf)[0])
+    return float(_score_block([candidate, *refs], [len(refs)], idf)[0])
 
 
 def check_coverage(preds: dict[tuple[str, BlurLevel], str], split: Split,
@@ -302,7 +298,7 @@ def corpus_cider_d(preds: dict[tuple[str, BlurLevel], str], level: BlurLevel,
     for start in range(0, len(image_ids), _BLOCK_IMAGES):
         block = image_ids[start:start + _BLOCK_IMAGES]
         scores += _score_block(
-            [tokenize(preds[(i, level)]) for i in block],
-            [[tokenize(r) for r in idf.split[i]] for i in block],
-            idf).tolist()
+            chain((tokenize(preds[(i, level)]) for i in block),
+                  (tokenize(r) for i in block for r in idf.split[i])),
+            [len(idf.split[i]) for i in block], idf).tolist()
     return math.fsum(scores) / len(scores)

@@ -190,8 +190,8 @@ def _int_token(data: bytes, pos: int) -> tuple[int, int]:
 
 
 def load_image(data: bytes) -> np.ndarray:
-    """Decode binary PGM/PPM bytes (or any bytes-like object) into a new
-    writable raster."""
+    """Decode binary PGM/PPM bytes (or any bytes-like object) into a
+    read-only raster that views `data`, or one copy of it if not `bytes`."""
     data = bytes(data)
     magic, pos = _next_token(data, 0)
     if magic not in _MAGIC_CHANNELS:
@@ -219,7 +219,7 @@ def load_image(data: bytes) -> np.ndarray:
         raise ValueError(
             f"trailing data: {payload_size} bytes, expected {expected}")
     samples = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos + 1)
-    return samples.reshape(height, width, channels).copy()
+    return samples.reshape(height, width, channels)
 
 
 def save_image(samples: np.ndarray) -> bytes:

@@ -73,6 +73,21 @@ MUTANTS = (
            "an array whose bound reaches 2**31 is int64"),
     Mutant("src/blurbench/cider.py", "text.astype(row) * width",
            "text * width", "a product is taken in the type that holds its bound"),
+    Mutant("src/blurbench/cider.py",
+           "idf[ids >= 0] = self._idf[n - 1][ids[ids >= 0]]",
+           "idf[ids > 0] = self._idf[n - 1][ids[ids > 0]]",
+           "an n-gram at index 0 of the table takes its own idf"),
+    Mutant("src/blurbench/cider.py", "* penalty[nonzero])", ")",
+           "a similarity is scaled by the Gaussian length penalty"),
+    Mutant("src/blurbench/cider.py", "local = order[2]", "local = order[1]",
+           "an order's idf is looked up by its n-gram keys"),
+    Mutant("src/blurbench/cider.py",
+           "(tokenize(r) for i in block for r in idf.split[i])",
+           "(tokenize(r) for i in block[::-1] for r in idf.split[i])",
+           "a block scores each candidate against its own image's references"),
+    Mutant("src/blurbench/cider.py", "keep = left[start] >= n",
+           "keep = left[start] > n",
+           "an n-gram may end on a text's last token"),
     # schedule
     Mutant("src/blurbench/schedule.py", "_SUM_TOLERANCE = 1e-9",
            "_SUM_TOLERANCE = 1e-6",
@@ -86,6 +101,19 @@ MUTANTS = (
     Mutant("src/blurbench/schedule.py",
            '.replace("_", "").replace(" ", "")', '.replace("_", "")',
            "a space joins a technique's words as - and _ do"),
+    Mutant("src/blurbench/schedule.py", 'person=stage.encode("utf-8")',
+           'person=b"stage"', "each stage draws its levels independently"),
+    Mutant("src/blurbench/schedule.py", "if any(map(eq, keys, keys[1:])):",
+           "if False:", "a manifest's sample keys are distinct"),
+    Mutant("src/blurbench/schedule.py", "(bound + 1 << 11)", "(bound << 11)",
+           "a draw takes the first level whose bound is at or above it"),
+    Mutant("src/blurbench/schedule.py", "if write_manifest(manifest) == text:",
+           "if True:", "a bulk-read manifest is the text plan writes"),
+    Mutant("src/blurbench/schedule.py", "or level not in massed[stage])", ")",
+           "a level without mass is named as the entry out of the layout"),
+    Mutant("src/blurbench/schedule.py", "key <= keys[index - width]",
+           "key < keys[index - width]",
+           "a repeated key is named as the entry out of the layout"),
     # ingest
     Mutant("src/blurbench/ingest.py", 'document.decode("utf-8-sig")',
            'document.decode("utf-8")',

@@ -182,7 +182,7 @@ def idf_of(table, gram) -> float:
         raise ValueError(f"a {len(gram)}-gram, but the table counted "
                          f"n = 1..{table.cfg.max_n}")
     vocab, _, orders = _intern([gram], len(gram))
-    return float(table._lookup(vocab, [keys for _, _, keys in orders])[-1][0])
+    return float([*table._lookup(vocab, orders)][-1][1][0])
 
 
 def per_reference_similarities(candidate, ref, df, num_images,

@@ -269,12 +269,16 @@ class TestNetpbm:
         assert img.ravel().tolist() == [7]
         assert peak < 100_000
 
-    def test_payload_copied_out_of_input(self):
-        data = b"P5 2 1 255\n" + bytes([4, 5])
+    def test_payload_is_a_read_only_view(self):
+        """A raster views the bytes it was parsed from; a mutable input is
+        copied once, so a later write to it changes no raster."""
+        data = bytearray(b"P5 2 1 255\n" + bytes([4, 5]))
         img = load_image(data)
         assert img.ravel().tolist() == [4, 5]
-        assert img.flags.writeable and img.flags.owndata
+        assert not img.flags.writeable
         assert not np.shares_memory(img, np.frombuffer(data, dtype=np.uint8))
+        data[-1] = 9
+        assert img.ravel().tolist() == [4, 5]
 
     def test_any_bytes_like_input(self):
         data = b"P6 2 1 255\n" + bytes(range(6))

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from blurbench import report
 from blurbench.cli import main
 from blurbench.imaging import BlurLevel
-from blurbench.ingest import BlurFlag
+from blurbench.ingest import BlurFlag, write_csv
 from blurbench.report import (
+    SCORES_HEADER,
     build_histograms,
     degradation_deltas,
     degradation_warnings,
@@ -386,6 +387,18 @@ class TestParseScoresCsv:
                 "No-Aug,MB3,48.4\n")
         table = parse_scores_csv(text)
         assert list(table) == ["No-Aug", "ObjDet-Cap-Aug"]
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=6, max_size=6))
+    @example([-0.0, 5e-324, -2.225073858507201e-308, 1.7e308, -1.7e308, 0.0])
+    def test_written_scores_read_back_bit_for_bit(self, scores):
+        """Rows written as `score` writes them (float scores, Python `repr`
+        through `write_csv`) read back as the same floats, -0.0 included."""
+        columns = [*LEVELS, *BlurFlag]
+        tokens = [*(level.name for level in LEVELS), *(f.value for f in BlurFlag)]
+        rows = [["X", token, v] for token, v in zip(tokens, scores)]
+        table = parse_scores_csv("# seed=0\n" + write_csv(SCORES_HEADER, rows))
+        assert [table["X"][c].hex() for c in columns] == [v.hex() for v in scores]
 
     def test_missing_level_rejected(self):
         text = "technique,level,score\nNo-Aug,MB0,10\n"
