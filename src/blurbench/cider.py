@@ -95,8 +95,9 @@ class CiderConfig(namedtuple("CiderConfig", "max_n sigma scale")):
 
 
 def _int_type(bound: int):
-    """int32 if it holds every value from -1 to `bound`, else int64; cast
-    an array to the type of a product before multiplying, so none wraps."""
+    """A stored array's type: int32 if it holds -1 to `bound`, else int64.
+    Cast to a product's type before multiplying, so none wraps, and a
+    gather's index to intp, or numpy converts it on every gather."""
     return np.int32 if bound < _INT32_LIMIT else np.int64
 
 
@@ -126,7 +127,7 @@ def _intern(texts: Iterable[Sequence[str]], max_n: int):
     index = _int_type(len(flat) + len(lengths))
     # a token's rank in `vocab` is the argsort of the numbers in that order
     seen = np.fromiter(map(first.__getitem__, vocab), index, len(vocab))
-    tokens = np.argsort(seen).astype(index)[np.fromiter(flat, index, len(flat))]
+    tokens = np.argsort(seen).astype(index)[np.fromiter(flat, np.intp, len(flat))]
     sizes = np.array(lengths, dtype=index)
 
     def orders():
@@ -134,8 +135,9 @@ def _intern(texts: Iterable[Sequence[str]], max_n: int):
         keys = np.arange(len(vocab), dtype=index)
         yield text, tokens, keys
         # tokens from each position to the end of its text
-        start = np.arange(len(tokens), dtype=index)
-        left = np.repeat(np.cumsum(sizes, dtype=index), sizes) - start
+        start = np.arange(len(tokens))
+        left = np.repeat(np.cumsum(sizes, dtype=index), sizes)
+        left -= start.astype(index)
         ids = tokens
         for n in range(2, min(max_n, max(lengths, default=0)) + 1):
             keep = left[start] >= n
@@ -152,10 +154,10 @@ def _intern(texts: Iterable[Sequence[str]], max_n: int):
 
 def _find(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Index of each key in the sorted array `table`, -1 where absent."""
-    at = np.searchsorted(table, keys)
-    found = at < len(table)
-    found[found] = table[at[found]] == keys[found]
-    return np.where(found, at, -1)
+    if not len(table):
+        return np.full(len(keys), -1)
+    at = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+    return np.where(table[at] == keys, at, -1)
 
 
 class IdfTable:
@@ -183,21 +185,19 @@ class IdfTable:
         size = len(self._vocab)
         token_ids = np.array([self._vocab.get(t, -1) for t in vocab],
                              dtype=_int_type(size))
-        ids = token_ids
+        ids = token_ids.astype(np.intp)
         for n, order in enumerate(orders, start=1):
             local = order[2]
             table = (self._keys[n - 1] if n <= len(self._keys)
                      else np.empty(0, dtype=np.int64))
             if n > 1:
-                prefix = ids[local // len(vocab)]
-                token = token_ids[local % len(vocab)]
+                prefix = ids[(local // len(vocab)).astype(np.intp)]
+                token = token_ids[(local % len(vocab)).astype(np.intp)]
                 wanted = prefix.astype(table.dtype) * size + token
-                wanted[(prefix < 0) | (token < 0)] = -1
+                wanted[token < 0] = -1
                 ids = _find(table, wanted)
-            idf = np.full(len(local), self._unseen)
-            if len(table):
-                idf[ids >= 0] = self._idf[n - 1][ids[ids >= 0]]
-            yield order, idf
+            yield order, (np.where(ids >= 0, self._idf[n - 1][ids], self._unseen)
+                          if len(table) else np.full(len(local), self._unseen))
 
 
 def build_idf(split: Split, cfg: CiderConfig = CiderConfig()) -> IdfTable:
@@ -213,8 +213,9 @@ def build_idf(split: Split, cfg: CiderConfig = CiderConfig()) -> IdfTable:
         width = max(len(order_keys), 1)
         pair = _int_type(len(split) * width)
         # counts keep np.unique on its sort path, faster here than hashing
-        pairs, _ = np.unique(image_of_text[text].astype(pair) * width + ids,
-                             return_counts=True)
+        pairs, _ = np.unique(
+            image_of_text[text.astype(np.intp)].astype(pair) * width + ids,
+            return_counts=True)
         keys.append(order_keys)
         counts.append(np.bincount(pairs % width, minlength=len(order_keys)))
         del text, ids, pairs  # not held while the next order is computed
@@ -246,28 +247,27 @@ def _score_block(texts: Iterable[Sequence[str]], per_image: Sequence[int],
         row = _int_type(len(lengths) * width)
         rows, tf = np.unique(text.astype(row) * width + ids, return_counts=True)
         row_text, row_gram = np.divmod(rows, width)  # distinct (text, n-gram)
-        weight = tf * idf_of_gram[row_gram]
+        weight = tf * idf_of_gram[row_gram.astype(np.intp)]
         norm = np.sqrt(np.bincount(row_text, weight * weight,
                                    minlength=len(lengths)))
         # candidate rows come first, keyed image * width + n-gram
         split = np.searchsorted(row_text, n_images)
-        ref = row_text[split:] - n_images
+        ref = (row_text[split:] - n_images).astype(np.intp)
         want = image_of_ref[ref].astype(row) * width + row_gram[split:]
         at = _find(rows[:split], want)
-        found = at >= 0
-        cand_weight = np.zeros(len(want))
-        cand_weight[found] = weight[at[found]]
+        cand_weight = np.where(at >= 0, weight[at], 0.0)
         ref_weight = weight[split:]
         dot = np.bincount(ref, np.minimum(cand_weight, ref_weight) * ref_weight,
                           minlength=n_refs)
         cand_norm, ref_norm = norm[image_of_ref], norm[n_images:]
         nonzero = (cand_norm > 0.0) & (ref_norm > 0.0)  # else 0, never NaN
-        similarity = np.zeros(n_refs)
-        similarity[nonzero] = (dot[nonzero]
-                               / (cand_norm[nonzero] * ref_norm[nonzero])
-                               * penalty[nonzero])
+        similarity = np.divide(dot, cand_norm * ref_norm, where=nonzero,
+                               out=np.zeros(n_refs))
+        similarity *= penalty
         totals += (np.bincount(image_of_ref, similarity, minlength=n_images)
                    / per_image)
+        del idf_of_gram, rows, tf, row_text, row_gram, weight, ref, want, at
+        del cand_weight, ref_weight  # freed before the next order comes
     return cfg.scale * (totals / cfg.max_n)
 
 

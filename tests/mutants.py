@@ -73,12 +73,18 @@ MUTANTS = (
            "an array whose bound reaches 2**31 is int64"),
     Mutant("src/blurbench/cider.py", "text.astype(row) * width",
            "text * width", "a product is taken in the type that holds its bound"),
-    Mutant("src/blurbench/cider.py",
-           "idf[ids >= 0] = self._idf[n - 1][ids[ids >= 0]]",
-           "idf[ids > 0] = self._idf[n - 1][ids[ids > 0]]",
+    Mutant("src/blurbench/cider.py", "np.where(ids >= 0, self._idf",
+           "np.where(ids > 0, self._idf",
            "an n-gram at index 0 of the table takes its own idf"),
-    Mutant("src/blurbench/cider.py", "* penalty[nonzero])", ")",
+    Mutant("src/blurbench/cider.py", "similarity *= penalty",
+           "similarity *= 1.0",
            "a similarity is scaled by the Gaussian length penalty"),
+    Mutant("src/blurbench/cider.py", "where=nonzero", "where=True",
+           "a zero norm gives similarity 0, with no 0 / 0"),
+    Mutant("src/blurbench/cider.py", "len(table) - 1)", "len(table))",
+           "a key past a table's last entry is absent, not out of range"),
+    Mutant("src/blurbench/cider.py", "if not len(table):", "if False:",
+           "an empty table holds no key"),
     Mutant("src/blurbench/cider.py", "local = order[2]", "local = order[1]",
            "an order's idf is looked up by its n-gram keys"),
     Mutant("src/blurbench/cider.py",

@@ -9,13 +9,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import blurbench.cider
 from blurbench import cli
 from blurbench.cider import (
     CiderConfig,
+    _find,
     _int_type,
     _intern,
     build_idf,
@@ -186,8 +187,9 @@ class TestBuildIdf:
 
     def test_peak_of_a_1000_image_split(self):
         """`build_idf` holds one string per distinct token and one n-gram
-        order's arrays at a time, each int32: on 1 000 images (about 55 000
-        token occurrences) it peaks near 73 bytes per occurrence. With int64
+        order's arrays at a time, each stored int32 and gathered with intp
+        indices: on 1 000 images (about 55 000 token occurrences) it peaks
+        near 76 bytes per occurrence, 73 with int32 indices. With int64
         arrays it peaked near 108, and holding every token string and all
         four orders at once near 177."""
         split = seeded_split(7, 1000)
@@ -258,6 +260,22 @@ class TestIntern:
         finally:
             tracemalloc.stop()
         assert held[0] < 32 * occurrences, held[0] / occurrences
+
+
+class TestFind:
+    @given(st.lists(st.integers(0, 40), max_size=12, unique=True).map(sorted),
+           st.lists(st.integers(-3, 45), max_size=12),
+           st.sampled_from([np.int32, np.int64]))
+    @example([], [-1, 0, 7], np.int32)
+    @example([2, 5, 9], [-1, 1, 2, 2, 9, 10, 9], np.int64)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_linear_scan(self, table, keys, dtype):
+        """The index where the sorted table holds each key, else -1: with an
+        empty table, keys below the first entry and past the last, -1 keys
+        and repeated keys, table and keys both int32 or both int64."""
+        found = _find(np.array(table, dtype), np.array(keys, dtype))
+        assert found.tolist() == [table.index(k) if k in table else -1
+                                  for k in keys]
 
 
 class TestCiderD:
@@ -449,10 +467,12 @@ class TestCorpusCiderD:
 
     def test_peak_of_a_1000_image_block(self):
         """A block's texts stream into `_intern` and its n-gram orders
-        through the idf lookup one at a time: on 1 000 images (about
-        66 000 token occurrences, references and candidates) a score peaks
-        near 124 bytes per occurrence. Holding every token list and all
-        four orders at once peaked near 195."""
+        through the idf lookup one at a time, and each order's arrays are
+        freed before the next is computed: on 1 000 images (about 66 000
+        token occurrences, references and candidates) a score peaks near
+        107 bytes per occurrence. Holding one order's arrays while the next
+        was computed peaked near 124, and holding every token list and all
+        four orders at once near 195."""
         split = seeded_split(7, 1000)
         preds = {(i, BlurLevel.MB0): " ".join(refs[0].split()[::-1])
                  for i, refs in split.items()}
@@ -466,7 +486,7 @@ class TestCorpusCiderD:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 150 * occurrences, peak / occurrences
+        assert peak < 115 * occurrences, peak / occurrences
 
     def test_missing_prediction_names_image(self, toy_dataset, toy_predictions):
         partial = {pair: caption for pair, caption in toy_predictions.items()
