@@ -1,14 +1,15 @@
 """Degradation tables and region-feature histograms.
 
-Scores are carried at full precision and rendered in integer tenths: a
-cell is the one-decimal text of the tenths its degradation delta (MB0
-score minus blurred score) is taken from, so no cell reads `-0.0`, and a
-delta of finite scores is exact to its last digit. A warning prints the
-scores it compared as read. A score table comes as `{technique: {column:
-score}}`, whose columns are every `BlurLevel` and, for the MB0 score of a
-flag subset, any `BlurFlag`. Deltas come as `{technique: {level: tenths}}`
-and histograms as `{level: {bin index: images}}`, in level and bin order;
-the bin width is the caller's setting, not a part of the histogram.
+Scores are carried at full precision and shown in integer tenths, read
+once per score (`_cells`) from its one-decimal text, so no cell reads
+`-0.0` and a degradation delta (MB0 score minus blurred score) of finite
+scores is exact to its last digit. The score table and the degradation
+table are both tenths by technique and column, laid out by one body. A
+warning prints the scores it compared as read. A score table comes as
+`{technique: {column: score}}`, whose columns are every `BlurLevel` and,
+for the MB0 score of a flag subset, any `BlurFlag`. Deltas come as
+`{technique: {level: tenths}}` and histograms as `{level: {bin index:
+images}}`, in level and bin order; the bin width is the caller's setting.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ Scores = dict[str, dict[BlurLevel | BlurFlag, float]]
 #: Markdown cell escapes, so that no pipe or line break ends a cell or a row
 _CELL = str.maketrans({"\\": "\\\\", "|": "\\|", "\r": "<br>", "\n": "<br>"})
 
-#: Markdown heading of each flag subset's column: `with_blur` -> `With blur`.
-_HEADING = {f: f.value.replace("_", " ").capitalize() for f in BlurFlag}
 #: Scores CSV level token of each column: level names, then flag values.
 _TOKEN = {**{l: l.name for l in BlurLevel}, **{f: f.value for f in BlurFlag}}
+#: Markdown heading of each column: its token, a flag's as words (`With blur`).
+_HEADING = {**_TOKEN, **{
+    f: f.value.replace("_", " ").capitalize() for f in BlurFlag}}
 
 
 def _tenths(value: float) -> int:
@@ -46,14 +48,16 @@ def _fmt_tenths(tenths: int) -> str:
     return f"{'-' if tenths < 0 else ''}{whole}.{tenth}"
 
 
+def _cells(table: Scores) -> dict[str, dict[BlurLevel | BlurFlag, int]]:
+    """Each score as the integer tenths its cell shows."""
+    return {technique: {column: _tenths(score) for column, score in scores.items()}
+            for technique, scores in table.items()}
+
+
 def degradation_deltas(table: Scores) -> dict[str, dict[BlurLevel, int]]:
     """MB0 score minus per-level score, in integer tenths of rendered values."""
-    deltas = {}
-    for technique, scores in table.items():
-        base = _tenths(scores[BlurLevel.MB0])
-        deltas[technique] = {
-            level: base - _tenths(scores[level]) for level in BlurLevel}
-    return deltas
+    return {technique: {l: cells[BlurLevel.MB0] - cells[l] for l in BlurLevel}
+            for technique, cells in _cells(table).items()}
 
 
 def degradation_warnings(table: Scores) -> list[str]:
@@ -148,31 +152,27 @@ def _render(header: list[str], rows: list[list], format: str) -> str:
     return "".join("| " + " | ".join(line) + " |\n" for line in cells)
 
 
+def _render_tenths(table: dict[str, dict[BlurLevel | BlurFlag, int]],
+                   value: str, format: str) -> str:
+    """Tenths by technique and column: as CSV a `technique,level,<value>` row
+    per cell; as markdown a row per technique, empty where it lacks a column."""
+    if format == "csv":
+        return _render(["technique", "level", value], [
+            [t, token, _fmt_tenths(cells[column])] for t, cells in table.items()
+            for column, token in _TOKEN.items() if column in cells], format)
+    columns = [*BlurLevel, *(BlurFlag if any(
+        f in cells for cells in table.values() for f in BlurFlag) else ())]
+    return _render(["Training approach", *(_HEADING[c] for c in columns)], [
+        [t, *(_fmt_tenths(cells[c]) if c in cells else "" for c in columns)]
+        for t, cells in table.items()], format)
+
+
 def render_score_table(table: Scores, format: str) -> str:
-    if format == "csv":
-        return _render(SCORES_HEADER, [
-            [t, token, _fmt_tenths(_tenths(scores[column]))]
-            for t, scores in table.items()
-            for column, token in _TOKEN.items() if column in scores], format)
-    flags = (list(BlurFlag) if any(f in scores for scores in table.values()
-                                   for f in BlurFlag) else [])
-    header = ["Training approach", *(l.name for l in BlurLevel),
-              *(_HEADING[f] for f in flags)]
-    rows = [[t, *(_fmt_tenths(_tenths(scores[l])) for l in BlurLevel),
-             *(_fmt_tenths(_tenths(scores[f])) if f in scores else ""
-               for f in flags)] for t, scores in table.items()]
-    return _render(header, rows, format)
+    return _render_tenths(_cells(table), "score", format)
 
 
-def render_deltas(deltas: dict[str, dict[BlurLevel, int]],
-                  format: str) -> str:
-    if format == "csv":
-        rows = [[t, l.name, _fmt_tenths(d)] for t, by_level in deltas.items()
-                for l, d in by_level.items()]
-        return _render(["technique", "level", "delta"], rows, format)
-    return _render(["Training approach", *(l.name for l in BlurLevel)],
-                   [[t, *map(_fmt_tenths, by_level.values())]
-                    for t, by_level in deltas.items()], format)
+def render_deltas(deltas: dict[str, dict[BlurLevel, int]], format: str) -> str:
+    return _render_tenths(deltas, "delta", format)
 
 
 def render_subset_table(table: Scores, format: str) -> str:
@@ -182,10 +182,10 @@ def render_subset_table(table: Scores, format: str) -> str:
     if incomplete:
         raise ValueError(f"rows without subset scores: {incomplete}")
     header = (["technique", *(f.value for f in BlurFlag)] if format == "csv"
-              else ["Training approach", *_HEADING.values()])
+              else ["Training approach", *(_HEADING[f] for f in BlurFlag)])
     return _render(header, [
-        [t, *(_fmt_tenths(_tenths(scores[f])) if f in scores else ""
-              for f in BlurFlag)] for t, scores in table.items()], format)
+        [t, *(_fmt_tenths(tenths[f]) if f in tenths else "" for f in BlurFlag)]
+        for t, tenths in _cells(table).items()], format)
 
 
 def render_histograms(level: BlurLevel, bins: dict[int, int], bin_width: int) -> str:

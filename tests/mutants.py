@@ -134,10 +134,12 @@ MUTANTS = (
     Mutant("src/blurbench/__init__.py", "if len(ids) <= 5 else",
            "if len(ids) < 5 else", "an error line lists up to 5 ids whole"),
     # report
-    Mutant("src/blurbench/report.py",
-           "[t, token, _fmt_tenths(_tenths(scores[column]))]",
-           '[t, token, f"{scores[column]:.1f}"]',
+    Mutant("src/blurbench/report.py", "{column: _tenths(score)",
+           "{column: round(score * 10)",
            "a score cell is the tenths its delta uses, never -0.0"),
+    Mutant("src/blurbench/report.py", 'if c in cells else ""',
+           'if c in cells else "0.0"',
+           "a flag subset a row has no score for is an empty cell"),
     Mutant("src/blurbench/report.py",
            'f"({scores[prev]!r} -> {scores[cur]!r})"',
            'f"({scores[prev]:.1f} -> {scores[cur]:.1f})"',

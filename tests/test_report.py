@@ -301,6 +301,19 @@ class TestRendering:
         with pytest.raises(ValueError, match="without subset scores"):
             render_subset_table(COCO_TABLE, "markdown")
 
+    def test_a_missing_subset_is_an_empty_cell(self):
+        """A row without the subset score that another row has gets an
+        empty markdown cell there, and no CSV line for it."""
+        table = {"A": row(40.0, 30.0, 20.0, 10.0, {WITH: 35.0}),
+                 "B": row(41.0, 31.0, 21.0, 11.0)}
+        assert render_score_table(table, "markdown").splitlines()[2:] == [
+            "| A | 40.0 | 30.0 | 20.0 | 10.0 | 35.0 |  |",
+            "| B | 41.0 | 31.0 | 21.0 | 11.0 |  |  |"]
+        assert render_score_table(table, "csv").splitlines()[1:] == [
+            "A,MB0,40.0", "A,MB1,30.0", "A,MB2,20.0", "A,MB3,10.0",
+            "A,with_blur,35.0",
+            "B,MB0,41.0", "B,MB1,31.0", "B,MB2,21.0", "B,MB3,11.0"]
+
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                     min_size=6, max_size=6))
     @example([0.01, -0.04, -0.06, -0.0, -0.05, -1e-300])
